@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -21,9 +20,9 @@ from .homology import HOMOLOGY_VERTEX_CAP
 from .ideals import MixedProdError, VariableUniverse
 from .sweep import SweepConfig
 
-
-def _default_cap_vertices():
-    return int(os.environ.get("MIXEDPROD_CAP_VERTICES", HOMOLOGY_VERTEX_CAP))
+# Lowest accepted value of each numeric option.  They are checked after
+# parsing because argparse's own errors exit 2, which means "mismatch".
+MINIMUM = {"cap_vertices": 0, "cap_facets": 0, "workers": 1}
 
 
 def parse_pairs(text):
@@ -65,14 +64,13 @@ def _emit(payload, as_json):
 def cmd_classify(args):
     spec = _spec_from_args(args)
     universe = spec.universe
-    oracle = {}
+    oracle, skipped, mismatched = {}, [], False
     if args.oracle != "none":
         record = sweep.check_spec(spec, args.oracle, cap_vertices=args.cap_vertices,
                                   cap_facets=args.cap_facets)
         oracle = record["oracle"]
+        skipped = [s["reason"] for s in record["skipped"]]
         mismatched = bool(record["mismatches"])
-    else:
-        mismatched = False
     report = products.classify(spec, oracle or None)
     payload = {
         "spec": sweep.spec_as_dict(spec),
@@ -88,6 +86,7 @@ def cmd_classify(args):
             "sequentially_cm": _jsonable(report.sequentially_cm.witness, universe),
         },
         "oracle": oracle or None,
+        "skipped": skipped,
         "timing": round(time.monotonic() - args.t0, 3) if args.timing else None,
     }
     if args.json:
@@ -107,6 +106,8 @@ def cmd_classify(args):
             print(line)
         for name, ok in sorted(oracle.items()):
             print(f"oracle {name}: {str(ok).lower()}")
+        for reason in skipped:
+            print(f"oracle skipped: {reason}")
     return 2 if mismatched else 0
 
 
@@ -152,7 +153,7 @@ def cmd_decompose(args):
 def cmd_facets(args):
     spec = _spec_from_args(args)
     universe = spec.universe
-    blocks = products.facet_partition(spec, args.cap_vertices)
+    blocks = products.facet_partition(spec)
     payload = {
         "spec": sweep.spec_as_dict(spec),
         "blocks": [[_names(universe, f) for f in b] for b in blocks],
@@ -175,9 +176,11 @@ def cmd_oracle(args):
     else:
         for name, ok in sorted(record["oracle"].items()):
             print(f"{name}: {str(ok).lower()}")
+        for skip in record["skipped"]:
+            print(f"skipped: {skip['reason']}")
         if record["mismatches"]:
             print(f"MISMATCHES: {len(record['mismatches'])}")
-        else:
+        elif not record["skipped"]:
             print("all oracles agree with the closed forms")
     return 2 if record["mismatches"] else 0
 
@@ -220,13 +223,16 @@ def build_parser():
         p.add_argument("--m", type=int, required=True, help="number of y-variables")
         p.add_argument("--pairs", required=True, help="summands as q:r,q:r,...")
         p.add_argument("--json", action="store_true")
-        p.add_argument("--cap-vertices", type=int, default=_default_cap_vertices(),
-                       dest="cap_vertices")
+
+    def cap_args(p):
+        p.add_argument("--cap-vertices", type=int, default=HOMOLOGY_VERTEX_CAP,
+                       dest="cap_vertices", help="skip the oracles above this many vertices")
         p.add_argument("--cap-facets", type=int, default=complexes.SHELLING_FACET_CAP,
-                       dest="cap_facets")
+                       dest="cap_facets", help="skip the shelling search above this many facets")
 
     p = sub.add_parser("classify", help="closed-form verdicts, optionally cross-checked")
     spec_args(p)
+    cap_args(p)
     p.add_argument("--oracle", choices=sweep.ORACLE_LEVELS, default="none")
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_classify)
@@ -246,6 +252,7 @@ def build_parser():
 
     p = sub.add_parser("oracle", help="run every oracle cross-check on one spec")
     spec_args(p)
+    cap_args(p)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("sweep", help="exhaustive closed-form vs oracle verification")
@@ -258,10 +265,7 @@ def build_parser():
                    help="flip one closed-form condition (harness self-test)")
     p.add_argument("--json", action="store_true", help="JSON-lines records on stdout")
     p.add_argument("--out", help="write JSON-lines records to this file")
-    p.add_argument("--cap-vertices", type=int, default=_default_cap_vertices(),
-                   dest="cap_vertices")
-    p.add_argument("--cap-facets", type=int, default=complexes.SHELLING_FACET_CAP,
-                   dest="cap_facets")
+    cap_args(p)
     p.set_defaults(func=cmd_sweep)
 
     return parser
@@ -272,6 +276,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     args.t0 = time.monotonic()
     try:
+        for name, low in MINIMUM.items():
+            if getattr(args, name, low) < low:
+                raise ideals.InvalidInput(f"--{name.replace('_', '-')} must be at least {low}")
         return args.func(args)
     except MixedProdError as exc:
         print(f"error: {exc}", file=sys.stderr)

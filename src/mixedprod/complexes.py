@@ -119,6 +119,23 @@ def is_strongly_connected(c: SimplicialComplex) -> bool:
     return len(seen) == t
 
 
+def _blocking_position(f: int, placed: Sequence[int]) -> Optional[int]:
+    """Position of the first placed facet that blocks appending ``f``, or None.
+
+    Facet i blocks when f minus F_i holds no vertex v with f minus {v}
+    equal to f's intersection with some placed facet.
+    """
+    singles = 0
+    for k in placed:
+        d = f & ~k
+        if d and d & (d - 1) == 0:
+            singles |= d
+    for i, g in enumerate(placed):
+        if not (f & ~g) & singles:
+            return i
+    return None
+
+
 def verify_shelling_order(c: SimplicialComplex, order: Sequence[Iterable[int]]):
     """Check the shelling condition for a given facet order.
 
@@ -130,28 +147,10 @@ def verify_shelling_order(c: SimplicialComplex, order: Sequence[Iterable[int]]):
         raise InvalidInput("order is not a permutation of the facet list")
     masks = [mask_of(f) for f in ordered]
     for j in range(1, len(masks)):
-        fj = masks[j]
-        singles = 0
-        for k in range(j):
-            d = fj & ~masks[k]
-            if d and d & (d - 1) == 0:
-                singles |= d
-        for i in range(j):
-            if not (fj & ~masks[i]) & singles:
-                return False, (i, j)
+        i = _blocking_position(masks[j], masks[:j])
+        if i is not None:
+            return False, (i, j)
     return True, None
-
-
-def _can_append(f: int, placed: list[int]) -> bool:
-    singles = 0
-    for k in placed:
-        d = f & ~k
-        if d and d & (d - 1) == 0:
-            singles |= d
-    for g in placed:
-        if not (f & ~g) & singles:
-            return False
-    return True
 
 
 def find_shelling(c: SimplicialComplex, cap: int = SHELLING_FACET_CAP) -> ShellingResult:
@@ -172,7 +171,7 @@ def find_shelling(c: SimplicialComplex, cap: int = SHELLING_FACET_CAP) -> Shelli
         for i in range(t):
             if i in used:
                 continue
-            if _can_append(masks[i], placed):
+            if _blocking_position(masks[i], placed) is None:
                 placed.append(masks[i])
                 order.append(i)
                 found = extend(used | {i}, placed, order)

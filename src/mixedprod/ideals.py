@@ -147,13 +147,18 @@ def ideal_sum(a: SquarefreeIdeal, b: SquarefreeIdeal) -> SquarefreeIdeal:
 
 
 def ideal_product(a: SquarefreeIdeal, b: SquarefreeIdeal) -> SquarefreeIdeal:
-    """Product of squarefree ideals: pairwise support unions, minimalized.
+    """Product of squarefree ideals whose generators use disjoint variables.
 
-    Exact for the squarefree world this package lives in; callers keep
-    factors on disjoint variable blocks.
+    The pairwise support unions are then squarefree and already minimal.
+    Overlapping supports would make the product non-squarefree, so they
+    raise InvalidInput.
     """
     _check_same_universe(a, b)
-    return SquarefreeIdeal(a.universe, antichain(g | h for g in a.generators for h in b.generators))
+    shared = frozenset().union(*a.generators) & frozenset().union(*b.generators)
+    if shared:
+        names = ", ".join(a.universe.var_name(i) for i in sorted(shared))
+        raise InvalidInput(f"product factors share the variables {names}")
+    return SquarefreeIdeal(a.universe, frozenset(g | h for g in a.generators for h in b.generators))
 
 
 def ideal_intersect(a: SquarefreeIdeal, b: SquarefreeIdeal) -> SquarefreeIdeal:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb
 from typing import Optional, Tuple
 
 from .ideals import (
@@ -27,7 +26,6 @@ from .ideals import (
     ResourceCapExceeded,
     SquarefreeIdeal,
     VariableUniverse,
-    antichain,
     sort_key,
 )
 
@@ -152,19 +150,47 @@ def normalize(universe: VariableUniverse, pairs) -> MixedProductSpec:
     return MixedProductSpec(universe, tuple(sorted(minimal)))
 
 
+def _comb_upto(n: int, k: int, limit: int) -> int:
+    """comb(n, k), or limit + 1 as soon as the count passes ``limit``."""
+    k = min(k, n - k)
+    c = 1 if k >= 0 else 0
+    for i in range(k):
+        c = c * (n - i) // (i + 1)   # comb(n, i + 1), increasing while i < n / 2
+        if c > limit:
+            return limit + 1
+    return c
+
+
+def _check_count(n: int, m: int, sizes, cap: int, what: str) -> None:
+    """Raise once the sum of comb(n, a) * comb(m, b) over (a, b) in sizes passes cap."""
+    total = 0
+    for a, b in sizes:
+        total += _comb_upto(n, a, cap) * _comb_upto(m, b, cap)
+        if total > cap:
+            raise ResourceCapExceeded(f"more than the cap of {cap} {what}")
+
+
 def expand_generators(spec: MixedProductSpec, cap: int = GENERATOR_CAP) -> SquarefreeIdeal:
-    """The full minimal generating set: all q-subset x r-subset products."""
+    """The full minimal generating set: all q-subset x r-subset products.
+
+    Summand i contributes the generators with exactly q_i x's and r_i
+    y's, so the union is an antichain of the counted size exactly when
+    the (q, r) pairs of the summands that do not vanish are pairwise
+    incomparable, which is checked instead of the generators.
+    """
     n, m = spec.universe.n, spec.universe.m
-    total = sum(comb(n, q) * comb(m, r) for q, r in spec.summands)
-    if total > cap:
-        raise ResourceCapExceeded(f"{total} generators exceed the cap of {cap}")
+    live = [(q, r) for q, r in spec.summands if q <= n and r <= m]
+    for i, (q, r) in enumerate(live):
+        for q2, r2 in live[i + 1:]:
+            if (q - q2) * (r - r2) >= 0:
+                raise InvalidInput(f"spec is not normalized: summands ({q}, {r}) "
+                                   f"and ({q2}, {r2}) are comparable")
+    _check_count(n, m, live, cap, "generators")
     gens = set()
-    for q, r in spec.summands:
+    for q, r in live:
         for xs in combinations(range(n), q):
             for ys in combinations(range(n, n + m), r):
                 gens.add(frozenset(xs + ys))
-    # normalization guarantees no cross-summand divisibility
-    assert len(antichain(gens)) == len(gens) == total
     return SquarefreeIdeal(spec.universe, frozenset(gens))
 
 
@@ -239,10 +265,9 @@ def closed_form_primary_decomposition(
     n, m = spec.universe.n, spec.universe.m
     qs, rs = spec.qs, spec.rs
     s = spec.s
-    total = comb(n, n - qs[0] + 1) + comb(m, m - rs[-1] + 1)
-    total += sum(comb(n, n - qs[i + 1] + 1) * comb(m, m - rs[i] + 1) for i in range(s - 1))
-    if total > cap:
-        raise ResourceCapExceeded(f"{total} components exceed the cap of {cap}")
+    _check_count(n, m, [(n - qs[0] + 1, 0), (0, m - rs[-1] + 1)]
+                 + [(n - qs[i + 1] + 1, m - rs[i] + 1) for i in range(s - 1)],
+                 cap, "components")
     xsubs = lambda k: [frozenset(t) for t in combinations(range(n), k)]
     ysubs = lambda k: [frozenset(t) for t in combinations(range(n, n + m), k)]
     px = tuple(sorted(xsubs(n - qs[0] + 1), key=sort_key)) if qs[0] > 0 else ()
@@ -266,7 +291,9 @@ def is_unmixed_closed_form(spec: MixedProductSpec) -> Verdict:
         sizes.append(n - qs[0] + 1)
     if rs[-1] > 0:
         sizes.append(m - rs[-1] + 1)
-    assert h == min(sizes)
+    if h != min(sizes):
+        raise InvalidInput(f"spec is not normalized: height {h} differs from "
+                           f"the smallest prime size {min(sizes)}")
     for i in range(spec.s - 1):
         if m + n - (qs[i + 1] + rs[i]) + 2 != h:
             return Verdict(False, ("mixed-block height", i + 1))

@@ -22,6 +22,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 
 from . import complexes, ideals, products
@@ -208,12 +209,6 @@ def _intersection_bound(profile, blocks):
     return True, None
 
 
-def _check_spec_args(args):
-    n, m, summands, level, perturb, cap_vertices, cap_facets = args
-    spec = MixedProductSpec(ideals.VariableUniverse(n, m), summands)
-    return check_spec(spec, level, perturb, cap_vertices, cap_facets)
-
-
 def run_sweep(config: SweepConfig, record_sink=None) -> SweepResult:
     """Enumerate and check every spec within bounds.
 
@@ -223,14 +218,13 @@ def run_sweep(config: SweepConfig, record_sink=None) -> SweepResult:
     start = time.monotonic()
     result = SweepResult()
     specs = list(enumerate_specs(config.max_n, config.max_m, config.max_s))
+    check = partial(check_spec, oracle_level=config.oracle_level, perturb=config.perturb,
+                    cap_vertices=config.cap_vertices, cap_facets=config.cap_facets)
     if config.workers > 1:
-        args = [(s.universe.n, s.universe.m, s.summands, config.oracle_level,
-                 config.perturb, config.cap_vertices, config.cap_facets) for s in specs]
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            records = list(pool.map(_check_spec_args, args, chunksize=16))
+            records = list(pool.map(check, specs, chunksize=16))
     else:
-        records = [check_spec(s, config.oracle_level, config.perturb,
-                              config.cap_vertices, config.cap_facets) for s in specs]
+        records = [check(s) for s in specs]
     for record in records:
         result.configs_checked += 1
         result.mismatches.extend(record["mismatches"])

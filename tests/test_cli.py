@@ -148,3 +148,49 @@ def test_sweep_workers(capsys):
                        "--oracle", "fast", "--workers", "2")
     assert code == 0
     assert "0 mismatches" in out
+
+
+@pytest.mark.parametrize("argv", [["decompose"], ["dual", "--expand"]])
+def test_huge_enumeration_is_a_one_line_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--n", "20000", "--m", "1", "--pairs", "10000:1")
+    assert code == 1 and not out
+    assert err.startswith("error: more than the cap") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--n", "2", "--m", "2", "--pairs", "1:1", "--oracle", "full",
+     "--cap-vertices", "-1"],
+    ["oracle", "--n", "2", "--m", "2", "--pairs", "1:1", "--cap-facets", "-2"],
+    ["sweep", "--max-n", "1", "--max-m", "1", "--workers", "-3"],
+    ["sweep", "--max-n", "1", "--max-m", "1", "--workers", "0"],
+])
+def test_out_of_range_options_are_one_line_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert err.startswith("error: --") and len(err.splitlines()) == 1
+
+
+def test_classify_reports_skipped_oracle(capsys):
+    argv = ["classify", "--n", "2", "--m", "2", "--pairs", "1:1", "--oracle", "full",
+            "--cap-vertices", "0"]
+    code, out, _ = run(capsys, *argv, "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["oracle"] is None
+    assert payload["skipped"] == ["vertex cap"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.splitlines()[5] == "oracle skipped: vertex cap"
+    _, out, _ = run(capsys, "classify", "--n", "2", "--m", "2", "--pairs", "1:1", "--json")
+    assert json.loads(out)["oracle"] is None and json.loads(out)["skipped"] == []
+
+
+def test_caps_only_on_commands_that_read_them():
+    for command in ("dual", "decompose", "facets"):
+        with pytest.raises(SystemExit):
+            main([command, "--n", "2", "--m", "2", "--pairs", "1:1", "--cap-vertices", "3"])
+
+
+def test_facets_uses_the_facet_vertex_cap(capsys):
+    code, out, _ = run(capsys, "facets", "--n", "10", "--m", "10", "--pairs", "1:1")
+    assert code == 0 and len(out.splitlines()) == 2
+    code, _, err = run(capsys, "facets", "--n", "11", "--m", "10", "--pairs", "1:1")
+    assert code == 1 and err.startswith("error: ")

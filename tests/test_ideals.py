@@ -94,6 +94,11 @@ def test_product_blocks():
     assert gens(ideal_product(a, b)) == [[0, 2], [0, 3], [1, 2], [1, 3]]
 
 
+def test_product_overlapping_supports_rejected():
+    with pytest.raises(InvalidInput):
+        ideal_product(minimalize(U11, [{0}]), minimalize(U11, [{0}, {1}]))
+
+
 def test_intersect_coprime():
     assert gens(ideal_intersect(minimalize(U11, [{0}]), minimalize(U11, [{1}]))) == [[0, 1]]
 

@@ -1,18 +1,17 @@
-"""Backend-agreement and correctness tests for the compiled/pure kernels."""
+"""Correctness tests for the minimal-hitting-set and exact-rank kernels."""
 
 import random
 from itertools import combinations
 
 import pytest
 
-from mixedprod import _kernels_py
+import mixedprod
 from mixedprod import kernels
+from mixedprod.complexes import make_complex
+from mixedprod.ideals import VariableUniverse, ideal_of_complex
 
-try:
-    from mixedprod import _kernels
-    BACKENDS = [_kernels_py, _kernels]
-except ImportError:
-    BACKENDS = [_kernels_py]
+# A single implementation; the "python" id keeps the test ids stable.
+KERNELS = pytest.mark.parametrize("impl", [kernels], ids=["python"])
 
 
 def brute_minimal_hitting_sets(masks, nbits):
@@ -29,7 +28,7 @@ def brute_minimal_hitting_sets(masks, nbits):
                   key=lambda h: tuple(i for i in range(nbits) if h >> i & 1))
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.BACKEND)
+@KERNELS
 class TestHittingSets:
     def test_empty_family(self, impl):
         assert impl.minimal_hitting_sets([], 4) == [0]
@@ -50,7 +49,7 @@ class TestHittingSets:
                 brute_minimal_hitting_sets(masks, nbits)
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.BACKEND)
+@KERNELS
 class TestRank:
     def test_zero_matrix(self, impl):
         assert impl.rank_int([[0, 0], [0, 0]]) == 0
@@ -93,18 +92,23 @@ class TestRank:
             assert impl.rank_int(rows) == rank_frac(rows)
 
 
-def test_backends_agree_when_both_present():
-    if len(BACKENDS) < 2:
-        pytest.skip("compiled backend not built")
-    rng = random.Random(3)
+def test_masks_wider_than_64_bits():
+    assert kernels.minimal_hitting_sets([1 << 70, 1 << 3 | 1 << 65], 71) == \
+        [1 << 3 | 1 << 70, 1 << 65 | 1 << 70]
+    rng = random.Random(5)
     for _ in range(30):
-        nbits = rng.randint(1, 8)
-        masks = [rng.randint(1, (1 << nbits) - 1) for _ in range(rng.randint(1, 10))]
-        assert BACKENDS[0].minimal_hitting_sets(masks, nbits) == \
-            BACKENDS[1].minimal_hitting_sets(masks, nbits)
+        nbits = rng.randint(1, 6)
+        masks = [rng.randint(1, (1 << nbits) - 1) for _ in range(rng.randint(1, 8))]
+        assert kernels.minimal_hitting_sets([t << 64 for t in masks], nbits + 64) == \
+            [h << 64 for h in brute_minimal_hitting_sets(masks, nbits)]
+
+
+def test_ideal_of_complex_on_70_vertices():
+    c = make_complex(VariableUniverse(35, 35), [range(0, 69), range(1, 70)])
+    assert ideal_of_complex(c).sorted_generators() == [frozenset({0, 69})]
 
 
 def test_selected_backend_exposes_api():
-    assert kernels.BACKEND in ("python", "cython")
+    assert mixedprod.BACKEND == "python"
     assert callable(kernels.minimal_hitting_sets)
     assert callable(kernels.rank_int)

@@ -1,11 +1,19 @@
 """Mixed product specifics: profiles, closed forms, partitions, shellings."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import mixedprod
 
 from mixedprod import (
     InvalidInput,
+    MixedProductSpec,
     NonProperIdealError,
     QRProfile,
+    ResourceCapExceeded,
     VariableUniverse,
     ZeroIdealError,
     alexander_dual,
@@ -79,6 +87,25 @@ class TestExpand:
     def test_two_blocks(self):
         assert gens(expand_generators(spec(2, 2, [(0, 2), (2, 0)]))) == [[0, 1], [2, 3]]
 
+    def test_vanishing_summand_ignored(self):
+        s = MixedProductSpec(U22, ((0, 2), (2, 0), (3, 0)))
+        assert gens(expand_generators(s)) == [[0, 1], [2, 3]]
+
+    def test_cap(self):
+        with pytest.raises(ResourceCapExceeded, match="more than the cap of 3"):
+            expand_generators(spec(2, 2, [(1, 1)]), cap=3)
+        assert len(expand_generators(spec(2, 2, [(1, 1)]), cap=4).generators) == 4
+
+    def test_non_normalized_rejected_under_python_O(self):
+        code = ("from mixedprod import MixedProductSpec, VariableUniverse, expand_generators\n"
+                "expand_generators(MixedProductSpec(VariableUniverse(2, 2), ((1, 1), (2, 2))))\n")
+        src = os.path.dirname(os.path.dirname(mixedprod.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "InvalidInput: spec is not normalized" in proc.stderr
+
 
 class TestProfile:
     def test_both_positive(self):
@@ -145,6 +172,12 @@ class TestPrimaryDecomposition:
         d = closed_form_primary_decomposition(spec(2, 2, [(1, 2), (2, 1)]))
         assert len(d.px) == 1 and len(d.pxy) == 4 and len(d.py) == 1
         assert [sorted(c) for c in d.pxy] == [[0, 2], [0, 3], [1, 2], [1, 3]]
+
+    def test_cap(self):
+        s = spec(2, 2, [(1, 2), (2, 1)])
+        with pytest.raises(ResourceCapExceeded, match="more than the cap of 5"):
+            closed_form_primary_decomposition(s, cap=5)
+        assert len(closed_form_primary_decomposition(s, cap=6).components) == 6
 
     def test_matches_minimal_primes_small(self):
         for s in enumerate_specs(3, 3, 3):
