@@ -5,7 +5,8 @@ Specs are given as --n/--m block sizes plus --pairs "q:r,q:r,...".
 Output is UTF-8 text, or canonical JSON with --json (sweep mode emits
 one JSON object per spec, JSON lines).
 
-Exit codes: 0 success / no mismatch, 1 invalid input, 2 mismatch found.
+Exit codes: 0 success / no mismatch, 1 invalid input (usage errors included),
+2 mismatch found.
 """
 
 from __future__ import annotations
@@ -20,9 +21,15 @@ from .homology import HOMOLOGY_VERTEX_CAP
 from .ideals import MixedProdError, VariableUniverse
 from .sweep import SweepConfig
 
-# Lowest accepted value of each numeric option.  They are checked after
-# parsing because argparse's own errors exit 2, which means "mismatch".
+# Lowest accepted value of each numeric option.
 MINIMUM = {"cap_vertices": 0, "cap_facets": 0, "workers": 1}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 with a one-line error, as other invalid input does."""
+
+    def error(self, message):
+        raise ideals.InvalidInput(message)
 
 
 def parse_pairs(text):
@@ -130,6 +137,7 @@ def cmd_dual(args):
 def cmd_decompose(args):
     spec = _spec_from_args(args)
     universe = spec.universe
+    products.check_decomposition_size(spec)
     decomp = products.closed_form_primary_decomposition(spec)
     h = products.qr_profile(spec).height
     payload = {
@@ -204,7 +212,10 @@ def cmd_sweep(args):
     summary = (f"checked {result.configs_checked} specs, "
                f"{len(result.mismatches)} mismatches, "
                f"{len(result.skipped)} skipped, {result.elapsed:.1f}s")
-    print(summary, file=sys.stderr if args.json else sys.stdout)
+    stream = sys.stderr if args.json else sys.stdout
+    print(summary, file=stream)
+    for line in sweep.oracle_coverage(config, result.records):
+        print(line, file=stream)
     if not args.json:
         for mm in result.mismatches:
             print(f"MISMATCH {mm['check']}: spec={mm['spec']} "
@@ -213,7 +224,7 @@ def cmd_sweep(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mixedprod",
         description="Mixed product ideals: classification, duality, decomposition, oracles.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -272,10 +283,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.t0 = time.monotonic()
     try:
+        args = build_parser().parse_args(argv)
+        args.t0 = time.monotonic()
         for name, low in MINIMUM.items():
             if getattr(args, name, low) < low:
                 raise ideals.InvalidInput(f"--{name.replace('_', '-')} must be at least {low}")

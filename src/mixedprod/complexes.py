@@ -1,19 +1,34 @@
 """Simplicial complex combinatorics and the brute-force oracles.
 
-Complexes are stored by their facet list (an inclusion antichain over
-the universe's vertices).  The empty face is always a face; the complex
-with facet list [set()] is the (-1)-dimensional complex.  Vertices not
-covered by any facet are simply absent from the complex.
+A complex is stored by its facets as bitmasks (bit i is vertex i): an
+inclusion antichain over the universe's vertices, in increasing order.
+``facets`` gives them as canonically sorted vertex sets.  The empty face
+is always a face; the complex with facet list [set()] is the
+(-1)-dimensional complex.  Vertices not covered by any facet are simply
+absent from the complex.  ``make_complex`` validates raw input; links
+and skeleta are built directly, because the faces of one size, and
+{G - F : G a facet containing F}, are antichains already.
 
 The oracles here are deliberately independent of the closed-form
 classification in mixedprod.products: Reisner's criterion runs on exact
 link homology, sequential Cohen-Macaulayness goes through pure skeleta,
 and shellability is checked or searched directly from the definition.
+
+Reisner's criterion checks one face per orbit when it can.  If the
+facet set is invariant under S_n x S_m (the x-block and the y-block each
+permuted on their own), which ``_is_block_symmetric`` checks explicitly
+on the generators of both groups, then the faces with the same
+(|F cap X|, |F cap Y|) form one orbit, their links are isomorphic and
+have the same homology.  The first face of each class in canonical
+order is the lex-least of its orbit, so testing only those faces finds
+the same first failing face, hence the same witness.  A facet set that
+is not invariant has every face checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from .homology import HOMOLOGY_VERTEX_CAP, _faces_by_dim, reduced_homology_ranks
@@ -23,6 +38,8 @@ from .ideals import (
     VariableUniverse,
     mask_of,
     sort_key,
+    sorted_supports,
+    support_of,
 )
 
 SHELLING_FACET_CAP = 10
@@ -32,8 +49,20 @@ Face = FrozenSet[int]
 
 @dataclass(frozen=True)
 class SimplicialComplex:
+    """Facet bitmasks, an inclusion antichain, in increasing order."""
+
     universe: VariableUniverse
-    facets: Tuple[Face, ...]
+    masks: Tuple[int, ...]
+
+    @cached_property
+    def facets(self) -> Tuple[Face, ...]:
+        """The facets as vertex sets, canonically sorted."""
+        return tuple(sorted_supports(self.masks))
+
+    @cached_property
+    def face_table(self) -> dict[int, list[int]]:
+        """dim -> face masks in increasing order, built once per complex."""
+        return _faces_by_dim(self)
 
     def __repr__(self):
         parts = ["{" + ",".join(self.universe.var_name(i) for i in sorted(f)) + "}"
@@ -51,63 +80,69 @@ class ShellingResult:
 
 def make_complex(universe: VariableUniverse, facets: Iterable[Iterable[int]]) -> SimplicialComplex:
     """Canonical complex from a raw facet list: validated, maximal, sorted."""
-    raw = []
+    by_size: dict[int, set[int]] = {}
     for f in facets:
         s = frozenset(f)
-        for i in s:
-            universe.check_index(i)
-        raw.append(s)
-    if not raw:
+        if s:
+            universe.check_index(min(s))
+            universe.check_index(max(s))
+        by_size.setdefault(len(s), set()).add(mask_of(s))
+    if not by_size:
         raise InvalidInput("a complex needs at least one facet (use [set()] for the (-1)-complex)")
-    sets = set(raw)
-    maximal = [f for f in sets if not any(f < g for g in sets)]
-    return SimplicialComplex(universe, tuple(sorted(maximal, key=sort_key)))
+    maximal: list[int] = []
+    for size in sorted(by_size, reverse=True):
+        # sets of one size cannot contain each other, so only the larger ones are compared
+        maximal += [f for f in by_size[size] if not any(g & f == f for g in maximal)]
+    return SimplicialComplex(universe, tuple(sorted(maximal)))
 
 
 def dim(c: SimplicialComplex) -> int:
-    return max(len(f) for f in c.facets) - 1
+    return max(f.bit_count() for f in c.masks) - 1
 
 
 def is_pure(c: SimplicialComplex) -> bool:
-    return len({len(f) for f in c.facets}) == 1
+    return len({f.bit_count() for f in c.masks}) == 1
 
 
 def all_faces(c: SimplicialComplex) -> list[Face]:
     """Every face of c (including the empty face), canonically sorted."""
-    by_dim = _faces_by_dim(c)
-    return [f for d in sorted(by_dim) for f in by_dim[d]]
+    table = c.face_table
+    return [f for d in sorted(table) for f in sorted_supports(table[d])]
 
 
 def faces_of_dim(c: SimplicialComplex, d: int) -> list[Face]:
     if not -1 <= d <= dim(c):
         raise InvalidInput(f"face dimension {d} out of range for dim {dim(c)}")
-    return _faces_by_dim(c).get(d, [])
+    return sorted_supports(c.face_table.get(d, []))
 
 
 def skeleton(c: SimplicialComplex, l: int) -> SimplicialComplex:
     """The pure complex generated by all faces of dimension exactly l-1."""
     if not 0 <= l <= dim(c) + 1:
         raise InvalidInput(f"skeleton level {l} out of range for dim {dim(c)}")
-    return make_complex(c.universe, faces_of_dim(c, l - 1))
+    return SimplicialComplex(c.universe, tuple(c.face_table[l - 1]))
 
 
 def link(c: SimplicialComplex, f: Iterable[int]) -> SimplicialComplex:
     fs = frozenset(f)
-    containing = [g - fs for g in c.facets if fs <= g]
+    containing = []
+    if min(fs, default=0) >= 0:     # a negative index is no vertex
+        face = mask_of(fs)
+        containing = [g & ~face for g in c.masks if g & face == face]
     if not containing:
         raise InvalidInput(f"{sorted(fs)} is not a face of the complex")
-    return make_complex(c.universe, containing)
+    return SimplicialComplex(c.universe, tuple(sorted(containing)))
 
 
 def is_strongly_connected(c: SimplicialComplex) -> bool:
     """Connectivity of the ridge graph of a pure complex."""
     if not is_pure(c):
         raise DomainError("strong connectivity is defined for pure complexes only")
-    t = len(c.facets)
+    t = len(c.masks)
     if t == 1:
         return True
-    size = len(c.facets[0])
-    masks = [mask_of(f) for f in c.facets]
+    size = c.masks[0].bit_count()
+    masks = c.masks
     seen = {0}
     stack = [0]
     while stack:
@@ -188,14 +223,53 @@ def find_shelling(c: SimplicialComplex, cap: int = SHELLING_FACET_CAP) -> Shelli
     return ShellingResult("shellable", tuple(c.facets[i] for i in found))
 
 
+def _is_block_symmetric(c: SimplicialComplex) -> bool:
+    """Whether the facet set is invariant under S_n x S_m.
+
+    Each symmetric group is generated by the transposition of its
+    block's first two vertices and the cycle i -> i+1 through the block,
+    so only those two maps per block are applied.
+    """
+    facets = set(c.masks)
+    for offset, size in ((0, c.universe.n), (c.universe.n, c.universe.m)):
+        if size < 2:
+            continue
+        block = ((1 << size) - 1) << offset
+        pair = 3 << offset
+        for f in c.masks:
+            swapped = f ^ pair if (f & pair) not in (0, pair) else f
+            inside = f & block
+            cycled = f & ~block | ((inside << 1) | (inside >> (size - 1))) & block
+            if swapped not in facets or cycled not in facets:
+                return False
+    return True
+
+
+def _orbit_representatives(c: SimplicialComplex):
+    """The first face of each (|F cap X|, |F cap Y|) class, in canonical face order.
+
+    That face is the first a x-vertices plus the first b y-vertices;
+    among faces of one size, more x-vertices come first.
+    """
+    n = c.universe.n
+    for k in range(dim(c) + 2):
+        for a in range(min(k, n), max(0, k - c.universe.m) - 1, -1):
+            face = (1 << a) - 1 | ((1 << (k - a)) - 1) << n
+            if any(g & face == face for g in c.masks):
+                yield support_of(face)
+
+
 def reisner_cm(c: SimplicialComplex, cap_vertices: int = HOMOLOGY_VERTEX_CAP):
     """Reisner's criterion over the rationals.
 
     CM iff for every face F the reduced homology of link(F) vanishes in
     all degrees below its dimension.  Returns (True, None) or
-    (False, (F, i)) with the lexicographically least failing face.
+    (False, (F, i)) with the lexicographically least failing face.  Only
+    one face per orbit is checked when the facet set is S_n x S_m
+    invariant (see the module docstring).
     """
-    for f in all_faces(c):
+    faces = _orbit_representatives(c) if _is_block_symmetric(c) else all_faces(c)
+    for f in faces:
         lk = link(c, f)
         d = dim(lk)
         if d <= 0:

@@ -1,19 +1,40 @@
 """Reduced simplicial homology ranks over the rationals.
 
-Boundary matrices are integer matrices; ranks are computed exactly via
-fraction-free elimination (mixedprod.kernels.rank_int), never floating
-point.  Rank vectors are memoized on a relabeling-canonical key of the
-facet set, which is what makes the exhaustive oracle sweeps cheap: the
+Faces are bitmasks (bit i is vertex i).  ``_faces_by_dim`` enumerates
+the submasks of every facet once and is the one face-table builder; a
+complex keeps its table (``SimplicialComplex.face_table``), and every
+boundary map is read off it.
+
+Ranks are exact and never use floating point.  Each boundary map is
+first ranked over GF(2) with an XOR basis (kernels.rank_f2), a one-sided
+certificate that falls back to fraction-free elimination
+(``boundary_matrix`` and kernels.rank_int) where it settles nothing.
+Why it is sound: write f_d for the number of d-faces, r_d for the rank
+of the boundary map del_d over Q and r'_d for its rank over GF(2).
+Reducing mod 2 cannot raise a rank, so r'_d <= r_d, and del_d del_{d+1}
+= 0 gives r_d + r_{d+1} <= f_d.  The two ends are exact: the
+augmentation del_0 has rank 1 and del_{top+1} is zero.  If r_{d-1} is
+known and f_{d-1} - r_{d-1} = r'_d (no GF(2) homology left in degree
+d-1), then r'_d <= r_d <= f_{d-1} - r_{d-1} = r'_d, so r_d = r'_d; the
+same holds from above when r_{d+1} is known and f_d - r_{d+1} = r'_d.
+Climbing from degree 0 shows that when the GF(2) homology vanishes below
+the top degree, the GF(2) ranks are the rational ones, top degree
+included, and nothing is eliminated.  A rank that neither neighbour
+settles (homology in two adjacent degrees, or torsion such as the Z/2 of
+the real projective plane) is eliminated exactly, smallest matrix first,
+and the certificates are tried again.
+
+Rank vectors are memoized on a relabeling-canonical key of the facet
+masks, which is what makes the exhaustive oracle sweeps cheap: the
 links showing up there repeat heavily.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import kernels
-from .ideals import InvalidInput, ResourceCapExceeded, mask_of
+from .ideals import InvalidInput, ResourceCapExceeded, mask_of, sorted_supports
 
 HOMOLOGY_VERTEX_CAP = 16
 
@@ -29,19 +50,17 @@ class BoundaryMatrix:
     entries: tuple
 
 
-def _faces_by_dim(c):
-    """dim -> canonically sorted list of faces, including the empty face."""
-    seen = {frozenset()}
-    for f in c.facets:
-        fl = sorted(f)
-        for k in range(1, len(fl) + 1):
-            for sub in combinations(fl, k):
-                seen.add(frozenset(sub))
-    by_dim: dict[int, list] = {}
-    for f in seen:
-        by_dim.setdefault(len(f) - 1, []).append(f)
-    for d in by_dim:
-        by_dim[d].sort(key=sorted)
+def _faces_by_dim(c) -> dict[int, list[int]]:
+    """dim -> face masks of that dimension in increasing order, empty face included."""
+    seen = set()
+    for f in c.masks:
+        s = f
+        while s:
+            seen.add(s)
+            s = (s - 1) & f
+    by_dim: dict[int, list[int]] = {-1: [0]}
+    for s in sorted(seen):
+        by_dim.setdefault(s.bit_count() - 1, []).append(s)
     return by_dim
 
 
@@ -52,20 +71,21 @@ def boundary_matrix(c, d: int) -> BoundaryMatrix:
     contributes (-1)^k.  For d=0 the single row is the empty face and
     all entries are 1 (augmentation).
     """
-    from .complexes import dim as cdim
-
-    if not 0 <= d <= cdim(c):
-        raise InvalidInput(f"boundary dimension {d} out of range for dim {cdim(c)}")
-    by_dim = _faces_by_dim(c)
-    rows = tuple(by_dim[d - 1])
-    cols = tuple(by_dim[d])
-    row_index = {f: i for i, f in enumerate(rows)}
+    table = c.face_table
+    top = max(table)
+    if not 0 <= d <= top:
+        raise InvalidInput(f"boundary dimension {d} out of range for dim {top}")
+    rows = sorted_supports(table[d - 1])
+    cols = sorted_supports(table[d])
+    row_index = {mask_of(f): i for i, f in enumerate(rows)}
     entries = [[0] * len(cols) for _ in rows]
     for j, f in enumerate(cols):
-        verts = sorted(f)
-        for k, v in enumerate(verts):
-            entries[row_index[f - {v}]][j] = -1 if k % 2 else 1
-    return BoundaryMatrix(rows, cols, tuple(tuple(r) for r in entries))
+        face = mask_of(f)
+        sign = 1
+        for v in sorted(f):
+            entries[row_index[face & ~(1 << v)]][j] = sign
+            sign = -sign
+    return BoundaryMatrix(tuple(rows), tuple(cols), tuple(tuple(r) for r in entries))
 
 
 def rank_exact(mat: BoundaryMatrix) -> int:
@@ -74,10 +94,56 @@ def rank_exact(mat: BoundaryMatrix) -> int:
     return kernels.rank_int(mat.entries)
 
 
-def _canonical_key(c):
-    verts = sorted(set().union(*c.facets)) if c.facets else []
-    relabel = {v: i for i, v in enumerate(verts)}
-    return tuple(sorted(mask_of(relabel[v] for v in f) for f in c.facets))
+def _rank_f2(table, d: int) -> int:
+    """Rank of the d-th boundary map over GF(2), one bitmask column per d-face."""
+    row_bit = {f: 1 << i for i, f in enumerate(table[d - 1])}
+    cols = []
+    for f in table[d]:
+        col, s = 0, f
+        while s:
+            low = s & -s
+            col |= row_bit[f ^ low]
+            s ^= low
+        cols.append(col)
+    return kernels.rank_f2(cols)
+
+
+def _canonical_key(masks) -> tuple:
+    """The sorted facet masks after relabeling the used vertices 0, 1, ... in order."""
+    union = 0
+    for f in masks:
+        union |= f
+    runs = []   # (first vertex, mask of its width, new first vertex) per run of used vertices
+    at = 0
+    while union:
+        start = (union & -union).bit_length() - 1
+        width = (~(union >> start) & ((union >> start) + 1)).bit_length() - 1
+        runs.append((start, (1 << width) - 1, at))
+        at += width
+        union &= ~(((1 << width) - 1) << start)
+    return tuple(sorted(sum(((f >> start) & ones) << to for start, ones, to in runs)
+                        for f in masks))
+
+
+def _boundary_ranks(c, counts, top) -> dict[int, int]:
+    """Exact ranks of del_0 .. del_{top+1} over Q (see the module docstring).
+
+    A GF(2) rank is taken as exact when the degree below or above
+    certifies it; elimination ranks the smallest matrix left unsettled,
+    and the certificates are tried again.
+    """
+    f2 = {d: _rank_f2(c.face_table, d) for d in range(1, top + 1)}
+    rank = {0: 1, top + 1: 0}
+    while len(rank) < top + 2:
+        for d in [*range(1, top + 1), *range(top, 0, -1)]:
+            if d not in rank and (d - 1 in rank and counts[d - 1] - rank[d - 1] == f2[d]
+                                  or d + 1 in rank and counts[d] - rank[d + 1] == f2[d]):
+                rank[d] = f2[d]
+        unsettled = [d for d in range(1, top + 1) if d not in rank]
+        if unsettled:
+            d = min(unsettled, key=lambda d: counts[d - 1] * counts[d])
+            rank[d] = rank_exact(boundary_matrix(c, d))
+    return rank
 
 
 def reduced_homology_ranks(c, cap_vertices: int = HOMOLOGY_VERTEX_CAP) -> dict[int, int]:
@@ -86,23 +152,20 @@ def reduced_homology_ranks(c, cap_vertices: int = HOMOLOGY_VERTEX_CAP) -> dict[i
     rank H~_d = (#d-faces) - rank del_d - rank del_{d+1}; the (-1)-st
     rank is 1 for the [set()] complex and 0 otherwise.
     """
-    from .complexes import dim as cdim
-
     if c.universe.size > cap_vertices:
         raise ResourceCapExceeded(
             f"homology needs {c.universe.size} vertices, cap is {cap_vertices}")
-    key = _canonical_key(c)
+    key = _canonical_key(c.masks)
     cached = _ranks_cache.get(key)
     if cached is not None:
         return dict(cached)
-    top = cdim(c)
+    table = c.face_table
+    top = max(table)
     if top == -1:
         ranks = {-1: 1}
     else:
-        by_dim = _faces_by_dim(c)
-        counts = {d: len(by_dim.get(d, [])) for d in range(-1, top + 1)}
-        bd_rank = {d: rank_exact(boundary_matrix(c, d)) for d in range(0, top + 1)}
-        bd_rank[top + 1] = 0
+        counts = {d: len(table[d]) for d in range(-1, top + 1)}
+        bd_rank = _boundary_ranks(c, counts, top)
         ranks = {-1: 1 - bd_rank[0]}
         for d in range(0, top + 1):
             ranks[d] = counts[d] - bd_rank[d] - bd_rank[d + 1]

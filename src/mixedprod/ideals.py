@@ -83,14 +83,12 @@ def mask_of(support: Iterable[int]) -> int:
 
 
 def support_of(mask: int) -> Monomial:
-    out = set()
-    i = 0
-    while mask:
-        if mask & 1:
-            out.add(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+    return frozenset(kernels.bit_indices(mask))
+
+
+def sorted_supports(masks: Iterable[int]) -> list[Monomial]:
+    """The supports of ``masks``, in ``sort_key`` order."""
+    return [frozenset(t) for t in sorted(map(kernels.bit_indices, masks))]
 
 
 @dataclass(frozen=True)
@@ -220,6 +218,6 @@ def ideal_of_complex(c) -> SquarefreeIdeal:
     complements.
     """
     full_mask = (1 << c.universe.size) - 1
-    comps = [full_mask & ~mask_of(f) for f in c.facets]
+    comps = [full_mask & ~f for f in c.masks]
     hs = kernels.minimal_hitting_sets(comps, c.universe.size)
     return SquarefreeIdeal(c.universe, frozenset(support_of(h) for h in hs))

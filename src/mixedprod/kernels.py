@@ -1,17 +1,16 @@
-"""The two hot loops of the oracles: minimal hitting sets and exact integer rank.
+"""The hot loops of the oracles: minimal hitting sets, GF(2) rank and exact integer rank.
 
 Bitmasks are Python ints, so the kernels take sets of any width.
 """
 
 
-def _bit_tuple(mask):
+def bit_indices(mask):
+    """The positions of the set bits of ``mask``, ascending."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
@@ -50,11 +49,69 @@ def minimal_hitting_sets(masks, nbits):
     for c in cand:
         if not any(k & c == k for k in minimal):
             minimal.append(c)
-    minimal.sort(key=_bit_tuple)
+    minimal.sort(key=bit_indices)
     return minimal
 
 
+def rank_f2(vectors):
+    """Rank over GF(2) of bitmask vectors, by an XOR basis keyed on the top bit."""
+    basis = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length()
+            b = basis.get(top)
+            if b is None:
+                basis[top] = v
+                break
+            v ^= b
+    return len(basis)
+
+
+def _unit_pivot(rows):
+    """(row index, column) of a +-1 entry in a shortest row holding one, or None."""
+    best = None
+    for i, r in enumerate(rows):
+        if best is None or len(r) < len(rows[best[0]]):
+            for j, v in r.items():
+                if v == 1 or v == -1:
+                    best = (i, j)
+                    break
+    return best
+
+
 def rank_int(rows):
+    """Exact rank of an integer matrix.
+
+    Entries +-1 are pivoted on first, in sparse rows: subtracting an
+    integer multiple of a unit pivot row keeps the matrix integral and
+    its rank unchanged.  Boundary matrices of simplicial complexes mostly
+    reduce to nothing this way; rows left without a unit entry are
+    ranked by fraction-free (Bareiss) elimination.
+    """
+    sparse = [{j: v for j, v in enumerate(r) if v} for r in rows]
+    rank = 0
+    while (pivot := _unit_pivot(sparse)) is not None:
+        i, j = pivot
+        p = sparse.pop(i)
+        rank += 1
+        for r in sparse:
+            a = r.get(j)
+            if a:
+                a *= p[j]   # a / p[j], as p[j] is +-1
+                for k, v in p.items():
+                    w = r.get(k, 0) - a * v
+                    if w:
+                        r[k] = w
+                    else:
+                        del r[k]
+    rest = [r for r in sparse if r]
+    if not rest:
+        return rank
+    cols = sorted(set().union(*rest))
+    return rank + _rank_bareiss([[r.get(c, 0) for c in cols] for r in rest])
+
+
+def _rank_bareiss(rows):
     """Exact rank of an integer matrix via fraction-free (Bareiss) elimination."""
     m = [list(r) for r in rows]
     nr = len(m)

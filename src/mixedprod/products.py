@@ -161,11 +161,14 @@ def _comb_upto(n: int, k: int, limit: int) -> int:
     return c
 
 
-def _check_count(n: int, m: int, sizes, cap: int, what: str) -> None:
-    """Raise once the sum of comb(n, a) * comb(m, b) over (a, b) in sizes passes cap."""
+def _check_count(n: int, m: int, sizes, cap: int, what: str, weigh: bool = False) -> None:
+    """Raise once the sum of comb(n, a) * comb(m, b) over (a, b) in sizes passes cap.
+
+    With ``weigh`` each set counts its a + b variables instead of 1.
+    """
     total = 0
     for a, b in sizes:
-        total += _comb_upto(n, a, cap) * _comb_upto(m, b, cap)
+        total += _comb_upto(n, a, cap) * _comb_upto(m, b, cap) * (a + b if weigh else 1)
         if total > cap:
             raise ResourceCapExceeded(f"more than the cap of {cap} {what}")
 
@@ -259,15 +262,27 @@ def closed_form_dual(spec: MixedProductSpec) -> MixedProductSpec:
     return normalize(spec.universe, raw)
 
 
+def _prime_sizes(spec: MixedProductSpec):
+    """(x-count, y-count) of the minimal primes in P_x, P_y and each part of P_xy."""
+    n, m = spec.universe.n, spec.universe.m
+    qs, rs = spec.qs, spec.rs
+    return ([(n - qs[0] + 1, 0), (0, m - rs[-1] + 1)]
+            + [(n - qs[i + 1] + 1, m - rs[i] + 1) for i in range(spec.s - 1)])
+
+
+def check_decomposition_size(spec: MixedProductSpec, cap: int = GENERATOR_CAP) -> None:
+    """Raise before listing a decomposition of more than ``cap`` variables in all."""
+    _check_count(spec.universe.n, spec.universe.m, _prime_sizes(spec), cap,
+                 "variables in the components", weigh=True)
+
+
 def closed_form_primary_decomposition(
         spec: MixedProductSpec, cap: int = GENERATOR_CAP) -> PrimaryDecomposition:
     """Minimal primes from the closed form, grouped into P_x / P_xy / P_y."""
     n, m = spec.universe.n, spec.universe.m
     qs, rs = spec.qs, spec.rs
     s = spec.s
-    _check_count(n, m, [(n - qs[0] + 1, 0), (0, m - rs[-1] + 1)]
-                 + [(n - qs[i + 1] + 1, m - rs[i] + 1) for i in range(s - 1)],
-                 cap, "components")
+    _check_count(n, m, _prime_sizes(spec), cap, "components")
     xsubs = lambda k: [frozenset(t) for t in combinations(range(n), k)]
     ysubs = lambda k: [frozenset(t) for t in combinations(range(n, n + m), k)]
     px = tuple(sorted(xsubs(n - qs[0] + 1), key=sort_key)) if qs[0] > 0 else ()

@@ -183,10 +183,67 @@ def test_classify_reports_skipped_oracle(capsys):
     assert json.loads(out)["oracle"] is None and json.loads(out)["skipped"] == []
 
 
-def test_caps_only_on_commands_that_read_them():
+def test_caps_only_on_commands_that_read_them(capsys):
     for command in ("dual", "decompose", "facets"):
-        with pytest.raises(SystemExit):
-            main([command, "--n", "2", "--m", "2", "--pairs", "1:1", "--cap-vertices", "3"])
+        code, out, err = run(capsys, command, "--n", "2", "--m", "2", "--pairs", "1:1",
+                             "--cap-vertices", "3")
+        assert code == 1 and not out
+        assert err == "error: unrecognized arguments: --cap-vertices 3\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--workers", "abc"],
+    ["classify", "--n", "2", "--m", "2"],
+    ["classify", "--n", "2", "--m", "2", "--pairs", "1:1", "--oracle", "most"],
+    ["nope"],
+    [],
+])
+def test_usage_errors_are_one_line_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
+
+
+def test_decompose_caps_printed_variables(capsys):
+    # 500 components of 499 variables each: few components, a huge listing
+    code, out, err = run(capsys, "decompose", "--n", "500", "--m", "1", "--pairs", "2:1")
+    assert code == 1 and not out
+    assert err == "error: more than the cap of 100000 variables in the components\n"
+    code, out, _ = run(capsys, "decompose", "--n", "8", "--m", "8", "--pairs", "2:6,6:2",
+                       "--json")
+    payload = json.loads(out)
+    components = payload["px"] + payload["pxy"] + payload["py"]
+    assert code == 0 and len(components) == 3152
+    assert sum(map(len, components)) == 18928
+
+
+def test_sweep_reports_oracle_coverage(capsys):
+    argv = ["sweep", "--max-n", "2", "--max-m", "2", "--max-s", "2", "--oracle", "full"]
+    code, out, _ = run(capsys, *argv)
+    lines = out.splitlines()
+    assert code == 0 and lines[0].startswith("checked 37 specs")
+    assert lines[1:] == [
+        "dual_generators 37 of 37 specs",
+        "primary_decomposition 37 of 37 specs",
+        "unmixed 37 of 37 specs",
+        "facet_partition 37 of 37 specs",
+        "intersection_bound 37 of 37 specs",
+        "cm_strongly_connected 37 of 37 specs",
+        "shelling_order 36 of 37 specs (no constructive order)",
+        "cm_reisner 37 of 37 specs",
+        "scm_duval 37 of 37 specs",
+        "shellable 30 of 30 CM specs",
+    ]
+    code, out, err = run(capsys, *argv, "--json", "--cap-vertices", "3", "--cap-facets", "1")
+    assert code == 0 and all(json.loads(line) for line in out.splitlines())
+    assert err.splitlines()[-1] == "shellable 9 of 30 CM specs (vertex cap 3, facet cap 1)"
 
 
 def test_facets_uses_the_facet_vertex_cap(capsys):

@@ -14,10 +14,12 @@ from mixedprod import (
     is_strongly_connected,
     link,
     make_complex,
+    reduced_homology_ranks,
     reisner_cm,
     skeleton,
     verify_shelling_order,
 )
+from mixedprod.complexes import _is_block_symmetric, all_faces
 
 
 def complex_on(n, facets):
@@ -191,3 +193,105 @@ def test_link_dimension_identity():
     full = complex_on(4, [{0, 1, 2, 3}])
     for f in ({0}, {0, 1}, {0, 1, 2}):
         assert dim(link(full, f)) == dim(full) - len(f)
+
+
+def reisner_reference(c):
+    """Reisner's criterion on every face in canonical order, without orbit reduction."""
+    for f in all_faces(c):
+        lk = link(c, f)
+        d = dim(lk)
+        if d <= 0:
+            continue
+        ranks = reduced_homology_ranks(lk)
+        for i in range(-1, d):
+            if ranks.get(i, 0):
+                return False, (f, i)
+    return True, None
+
+
+def duval_reference(c):
+    for l in range(0, dim(c) + 2):
+        ok, witness = reisner_reference(skeleton(c, l))
+        if not ok:
+            return False, (l, witness)
+    return True, None
+
+
+def test_block_symmetry_needs_both_generators():
+    u = VariableUniverse(4, 0)
+    assert _is_block_symmetric(make_complex(u, [{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}]))
+    assert not _is_block_symmetric(make_complex(u, [{0, 1}, {2}, {3}]))     # (0 1) only
+    assert not _is_block_symmetric(make_complex(u, [{0, 1}, {1, 2}, {2, 3}, {0, 3}]))  # cycle only
+    assert _is_block_symmetric(make_complex(VariableUniverse(1, 1), [{0}, {1}]))
+
+
+def test_orbit_reduction_falls_back_on_asymmetric_complexes():
+    import random
+    rng = random.Random(41)
+    checked = failing = 0
+    for _ in range(60):
+        u = VariableUniverse(rng.randint(1, 3), rng.randint(1, 3))
+        facets = [rng.sample(range(u.size), rng.randint(1, min(3, u.size)))
+                  for _ in range(rng.randint(2, 6))]
+        c = make_complex(u, facets)
+        if _is_block_symmetric(c):
+            continue
+        checked += 1
+        expected = reisner_reference(c)
+        assert reisner_cm(c) == expected
+        assert duval_scm(c) == duval_reference(c)
+        failing += not expected[0]
+    assert checked > 30 and failing > 10
+
+
+def test_orbit_reduction_on_stanley_reisner_complexes():
+    from mixedprod import expand_generators, stanley_reisner_complex
+    from mixedprod.sweep import enumerate_specs
+    failing = 0
+    for spec in enumerate_specs(3, 3, 3):
+        c = stanley_reisner_complex(expand_generators(spec))
+        assert _is_block_symmetric(c)
+        expected = reisner_reference(c)
+        assert reisner_cm(c) == expected
+        assert duval_scm(c) == duval_reference(c)
+        failing += not expected[0]
+    assert failing > 10
+
+
+def test_one_block_symmetry_checks_every_face(monkeypatch):
+    from mixedprod import complexes
+    c = make_complex(VariableUniverse(3, 2), [{0, 1, 2, 3}])   # y2 is absent
+    assert not _is_block_symmetric(c)
+    seen = []
+    real = complexes.link
+    monkeypatch.setattr(complexes, "link", lambda cx, f: seen.append(frozenset(f)) or real(cx, f))
+    assert reisner_cm(c) == (True, None)
+    assert seen == all_faces(c) and len(seen) == 16
+    seen.clear()
+    full = make_complex(VariableUniverse(3, 2), [{0, 1, 2, 3, 4}])
+    assert reisner_cm(full) == (True, None)
+    assert len(seen) == 12      # one face per (x-count, y-count) class
+
+
+def test_orbit_reduction_on_every_invariant_complex():
+    # An S_n x S_m invariant facet set is the union of the sets of each
+    # (x-count, y-count) type in an antichain of types.
+    from itertools import combinations
+    checked = 0
+    for n in range(1, 4):
+        for m in range(1, 4):
+            u = VariableUniverse(n, m)
+            types = [(a, b) for a in range(n + 1) for b in range(m + 1)]
+            for k in range(1, 5):
+                for chosen in combinations(types, k):
+                    if any(s != t and s[0] <= t[0] and s[1] <= t[1]
+                           for s in chosen for t in chosen):
+                        continue
+                    c = make_complex(u, [set(xs) | set(ys) for a, b in chosen
+                                         for xs in combinations(range(n), a)
+                                         for ys in combinations(range(n, n + m), b)])
+                    assert _is_block_symmetric(c)
+                    assert reisner_cm(c) == reisner_reference(c)
+                    assert duval_scm(c) == duval_reference(c)
+                    checked += 1
+    assert checked == 207

@@ -8,9 +8,12 @@ from mixedprod import (
     InvalidInput,
     VariableUniverse,
     boundary_matrix,
+    homology,
+    kernels,
     make_complex,
     rank_exact,
     reduced_homology_ranks,
+    reisner_cm,
 )
 
 U4 = VariableUniverse(4, 0)
@@ -141,3 +144,65 @@ def test_facet_order_invariance():
     a = complex_on(4, facets)
     b = complex_on(4, list(reversed(facets)))
     assert reduced_homology_ranks(a) == reduced_homology_ranks(b)
+
+
+# The 6-vertex real projective plane: H_1 = Z/2, so its GF(2) homology
+# is nonzero in degrees 1 and 2 while its rational homology vanishes.
+RP2 = [{0, 1, 3}, {0, 1, 5}, {0, 2, 4}, {0, 2, 5}, {0, 3, 4},
+       {1, 2, 3}, {1, 2, 4}, {1, 4, 5}, {2, 3, 5}, {3, 4, 5}]
+
+
+def _exact_ranks(c):
+    """Reduced homology ranks from rank_int of every boundary matrix, no certificate."""
+    by_dim = homology._faces_by_dim(c)
+    top = max(by_dim)
+    if top == -1:
+        return {-1: 1}
+    rank = {d: kernels.rank_int(boundary_matrix(c, d).entries) for d in range(top + 1)}
+    rank[top + 1] = 0
+    return {-1: 1 - rank[0],
+            **{d: len(by_dim[d]) - rank[d] - rank[d + 1] for d in range(top + 1)}}
+
+
+def test_projective_plane_takes_the_exact_fallback(monkeypatch):
+    c = complex_on(6, RP2)
+    assert homology._rank_f2(c.face_table, 2) == 9      # over Q the rank is 10
+    calls = []
+    rank_int = kernels.rank_int
+    monkeypatch.setattr(kernels, "rank_int", lambda rows: calls.append(len(rows)) or rank_int(rows))
+    monkeypatch.setattr(homology, "_ranks_cache", {})
+    assert reisner_cm(c) == (True, None)
+    assert calls == [15]    # only del_2 (15 edges x 10 triangles) needed elimination
+    assert reduced_homology_ranks(c) == {-1: 0, 0: 0, 1: 0, 2: 0}
+    assert _exact_ranks(c) == {-1: 0, 0: 0, 1: 0, 2: 0}
+
+
+def _union_of_spheres(rng):
+    """Simplex boundaries and random pieces on disjoint vertex sets, so that
+    homology often sits in adjacent degrees, where GF(2) settles nothing."""
+    facets, start = [], 0
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randint(1, 4)
+        verts = range(start, start + k)
+        if rng.random() < 0.5:
+            facets += [set(verts) - {v} for v in verts]
+        else:
+            facets += [set(rng.sample(verts, rng.randint(1, k))) for _ in range(rng.randint(1, 4))]
+        start += k
+    return complex_on(start, facets)
+
+
+def test_certified_ranks_match_exact_elimination(monkeypatch):
+    monkeypatch.setattr(homology, "_ranks_cache", {})
+    calls = []
+    rank_int = kernels.rank_int
+    monkeypatch.setattr(kernels, "rank_int", lambda rows: calls.append(1) or rank_int(rows))
+    rng = random.Random(29)
+    fell_back = 0
+    for _ in range(50):
+        c = _union_of_spheres(rng)
+        before = len(calls)
+        ranks = reduced_homology_ranks(c)
+        fell_back += len(calls) > before
+        assert ranks == _exact_ranks(c)
+    assert 0 < fell_back < 50     # both the certificate alone and the fallback ran

@@ -91,6 +91,34 @@ class TestRank:
             rows = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
             assert impl.rank_int(rows) == rank_frac(rows)
 
+    def test_unit_pivots_then_bareiss_remainder(self, impl):
+        assert impl.rank_int([[1, 1], [1, -1]]) == 2    # leaves [[-2]] to Bareiss
+        assert impl.rank_int([[2, 4], [4, 8]]) == 1     # no unit entry at all
+        assert impl.rank_int([[2, 0, 1], [0, 3, 1], [2, 3, 2]]) == 2
+        rng = random.Random(13)
+        for values in ((-1, 0, 1), (-4, -2, 0, 3, 6), (-2, -1, 0, 0, 1, 2, 5)):
+            for _ in range(40):
+                nr, nc = rng.randint(1, 9), rng.randint(1, 9)
+                rows = [[rng.choice(values) for _ in range(nc)] for _ in range(nr)]
+                assert impl.rank_int(rows) == impl._rank_bareiss(rows)
+
+
+def test_rank_f2():
+    assert kernels.rank_f2([]) == 0
+    assert kernels.rank_f2([0, 0]) == 0
+    assert kernels.rank_f2([0b011, 0b110, 0b101]) == 2      # the three sum to zero
+    assert kernels.rank_f2([1 << 70, 1 << 70 | 1, 1]) == 2
+    rng = random.Random(7)
+    for _ in range(40):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [[rng.randint(0, 1) for _ in range(nc)] for _ in range(nr)]
+        masks = [sum(b << j for j, b in enumerate(r)) for r in rows]
+        # a 0/1 matrix's rank over GF(2) is at most its rank over Q
+        assert kernels.rank_f2(masks) <= kernels.rank_int(rows)
+        # over GF(2), row rank equals column rank
+        cols = [sum(r[j] << i for i, r in enumerate(rows)) for j in range(nc)]
+        assert kernels.rank_f2(masks) == kernels.rank_f2(cols)
+
 
 def test_masks_wider_than_64_bits():
     assert kernels.minimal_hitting_sets([1 << 70, 1 << 3 | 1 << 65], 71) == \

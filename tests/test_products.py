@@ -17,6 +17,7 @@ from mixedprod import (
     VariableUniverse,
     ZeroIdealError,
     alexander_dual,
+    check_decomposition_size,
     closed_form_dual,
     closed_form_primary_decomposition,
     expand_generators,
@@ -178,6 +179,12 @@ class TestPrimaryDecomposition:
         with pytest.raises(ResourceCapExceeded, match="more than the cap of 5"):
             closed_form_primary_decomposition(s, cap=5)
         assert len(closed_form_primary_decomposition(s, cap=6).components) == 6
+
+    def test_size_check_counts_variables(self):
+        s = spec(2, 2, [(1, 2), (2, 1)])   # six components of two variables
+        with pytest.raises(ResourceCapExceeded, match="more than the cap of 11 variables"):
+            check_decomposition_size(s, cap=11)
+        check_decomposition_size(s, cap=12)
 
     def test_matches_minimal_primes_small(self):
         for s in enumerate_specs(3, 3, 3):
