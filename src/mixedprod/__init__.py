@@ -40,6 +40,7 @@ from .products import (
     Verdict,
     ZeroIdealError,
     check_decomposition_size,
+    check_expansion_size,
     classify,
     closed_form_dual,
     closed_form_primary_decomposition,

@@ -123,6 +123,7 @@ def cmd_dual(args):
     dual = products.closed_form_dual(spec)
     payload = {"spec": sweep.spec_as_dict(spec), "dual": sweep.spec_as_dict(dual)}
     if args.expand:
+        products.check_expansion_size(dual)
         gens = products.expand_generators(dual).sorted_generators()
         payload["generators"] = [_names(spec.universe, g) for g in gens]
     if args.json:

@@ -37,7 +37,6 @@ from .ideals import (
     InvalidInput,
     VariableUniverse,
     mask_of,
-    sort_key,
     sorted_supports,
     support_of,
 )
@@ -177,10 +176,12 @@ def verify_shelling_order(c: SimplicialComplex, order: Sequence[Iterable[int]]):
     Returns (True, None), or (False, (i, j)) with the first failing pair
     (0-based positions, lexicographic in (j, i)).
     """
-    ordered = [frozenset(f) for f in order]
-    if sorted(ordered, key=sort_key) != list(c.facets):
+    try:
+        masks = [mask_of(f) for f in order]
+    except ValueError:      # a negative index is no vertex
+        masks = []
+    if sorted(masks) != list(c.masks):
         raise InvalidInput("order is not a permutation of the facet list")
-    masks = [mask_of(f) for f in ordered]
     for j in range(1, len(masks)):
         i = _blocking_position(masks[j], masks[:j])
         if i is not None:

@@ -5,6 +5,17 @@ y-block.  A squarefree monomial is identified with its support, a
 frozenset of variable indices; an ideal is stored by its unique minimal
 (divisibility-antichain) generating set.  All values are immutable and
 every operation is a pure function.
+
+Duality rests on one transversal computation: the minimal transversals
+of the generator supports, which ``minimal_primes`` takes from the
+hitting-set kernel as bitmasks in canonical order.  They are the
+minimal primes, the generators of the Alexander dual, and the
+complements of the facets of the Stanley-Reisner complex, so a caller
+that needs all three computes them once and passes the primes on to
+``complex_of_primes``.  Minimal transversals form an inclusion
+antichain, and so do their complements, so that complex is built
+directly from the facet masks, without the maximality pass of
+``make_complex`` (the argument ``link`` and ``skeleton`` use too).
 """
 
 from __future__ import annotations
@@ -171,7 +182,16 @@ def alexander_dual(ideal: SquarefreeIdeal, cap_vertices: int = DUAL_VERTEX_CAP) 
     """Dual of a proper nonzero squarefree ideal.
 
     Generators of the dual are the minimal transversals (minimal hitting
-    sets) of the generator supports.
+    sets) of the generator supports, that is, the minimal primes.
+    """
+    return SquarefreeIdeal(ideal.universe, frozenset(minimal_primes(ideal, cap_vertices)))
+
+
+def minimal_primes(ideal: SquarefreeIdeal, cap_vertices: int = DUAL_VERTEX_CAP) -> list[PrimeComponent]:
+    """Minimal primes of a proper nonzero squarefree ideal, canonically sorted.
+
+    These are the minimal transversals of the generator supports, which
+    the kernel returns in canonical order already.
     """
     if ideal.is_zero:
         raise DomainError("dual of the zero ideal is undefined")
@@ -180,17 +200,21 @@ def alexander_dual(ideal: SquarefreeIdeal, cap_vertices: int = DUAL_VERTEX_CAP) 
     if ideal.universe.size > cap_vertices:
         raise ResourceCapExceeded(
             f"dual needs {ideal.universe.size} variables, cap is {cap_vertices}")
-    masks = [mask_of(g) for g in ideal.sorted_generators()]
-    hs = kernels.minimal_hitting_sets(masks, ideal.universe.size)
-    return SquarefreeIdeal(ideal.universe, frozenset(support_of(h) for h in hs))
+    masks = [mask_of(g) for g in ideal.generators]
+    return [support_of(h) for h in kernels.minimal_hitting_sets(masks, ideal.universe.size)]
 
 
-def minimal_primes(ideal: SquarefreeIdeal, cap_vertices: int = DUAL_VERTEX_CAP) -> list[PrimeComponent]:
-    """Minimal primes of a proper nonzero squarefree ideal, canonically sorted.
+def complex_of_primes(universe: VariableUniverse, primes: Iterable[PrimeComponent]):
+    """The complex whose facets are the complements of ``primes``.
 
-    These are the supports of the minimal generators of the dual.
+    ``primes`` must be the minimal primes of an ideal: they form an
+    antichain, so their complements do too and the facet masks need no
+    maximality pass through ``make_complex``.
     """
-    return sorted(alexander_dual(ideal, cap_vertices).generators, key=sort_key)
+    from .complexes import SimplicialComplex
+
+    full = (1 << universe.size) - 1
+    return SimplicialComplex(universe, tuple(sorted(full & ~mask_of(p) for p in primes)))
 
 
 def stanley_reisner_complex(ideal: SquarefreeIdeal):
@@ -204,10 +228,9 @@ def stanley_reisner_complex(ideal: SquarefreeIdeal):
 
     if ideal.is_unit:
         raise DomainError("the unit ideal has no associated complex here")
-    full = frozenset(range(ideal.universe.size))
     if ideal.is_zero:
-        return make_complex(ideal.universe, [full])
-    return make_complex(ideal.universe, [full - p for p in minimal_primes(ideal)])
+        return make_complex(ideal.universe, [range(ideal.universe.size)])
+    return complex_of_primes(ideal.universe, minimal_primes(ideal))
 
 
 def ideal_of_complex(c) -> SquarefreeIdeal:

@@ -14,43 +14,74 @@ def bit_indices(mask):
     return tuple(out)
 
 
-def _search(sets, chosen, banned, out):
-    # Branch on the elements of a smallest uncovered set; the running
-    # "banned" mask avoids enumerating the same transversal twice.
-    if not sets:
+def _mmcs(sets, occ, uncov, cand, chosen, crit, out):
+    # uncov: the sets not yet hit, as a mask over set positions; crit: one
+    # mask per chosen vertex of the sets that vertex alone hits.
+    if not uncov:
         out.append(chosen)
         return
-    best = min(sets, key=lambda t: t.bit_count())
-    avail = best & ~banned
-    b = banned
-    while avail:
-        v = avail & -avail
-        avail ^= v
-        _search([t for t in sets if not (t & v)], chosen | v, b, out)
-        b |= v
+    best, fewest = 0, cand.bit_count() + 1
+    rest = uncov
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        avail = sets[low.bit_length() - 1] & cand
+        k = avail.bit_count()
+        if k < fewest:
+            best, fewest = avail, k
+            if k <= 1:
+                break
+    while best:
+        v = best & -best
+        best ^= v
+        cand ^= v   # banned from the later branches, so none finds a transversal twice
+        hit = occ[v]
+        kept = []
+        for c in crit:
+            c &= ~hit
+            if not c:
+                break   # a chosen vertex lost its last critical set
+            kept.append(c)
+        else:
+            kept.append(uncov & hit)
+            _mmcs(sets, occ, uncov & ~hit, cand, chosen | v, kept, out)
 
 
 def minimal_hitting_sets(masks, nbits):
     """All minimal transversals of a family of bitmask sets.
+
+    MMCS (Murakami and Uno, 2014): branch on the vertices of an uncovered
+    set with the fewest candidates and keep, per chosen vertex, the sets
+    it alone hits.  A branch dies as soon as a chosen vertex loses its
+    last such critical set, so every transversal reached is minimal and
+    none is reached twice; the family need not be an antichain.
 
     Returns bitmasks sorted by their sorted index tuple.  A family
     containing the empty set has no transversal (returns []); the empty
     family is hit by the empty set (returns [0]).
     """
     sets = list(masks)
-    if any(t == 0 for t in sets):
+    if 0 in sets:
         return []
     if not sets:
         return [0]
-    cand = []
-    _search(sets, 0, 0, cand)
-    cand.sort(key=lambda c: c.bit_count())
-    minimal = []
-    for c in cand:
-        if not any(k & c == k for k in minimal):
-            minimal.append(c)
-    minimal.sort(key=bit_indices)
-    return minimal
+    occ = {}    # vertex bit -> mask of the positions of the sets holding it
+    for i, t in enumerate(sets):
+        while t:
+            v = t & -t
+            t ^= v
+            occ[v] = occ.get(v, 0) | 1 << i
+    union = sum(occ)
+    out = []
+    _mmcs(sets, occ, (1 << len(sets)) - 1, union, 0, [], out)
+    # Minimal transversals form an antichain, so no index tuple is a
+    # prefix of another and two tuples compare at their least differing
+    # index: the set holding it comes first.  Spelt out bit by bit from
+    # index 0 (one width for all, the top marker bit last), that is
+    # descending string order.
+    top = 1 << union.bit_length()
+    out.sort(key=lambda h: bin(h | top)[::-1], reverse=True)
+    return out
 
 
 def rank_f2(vectors):

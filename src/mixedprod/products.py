@@ -270,6 +270,12 @@ def _prime_sizes(spec: MixedProductSpec):
             + [(n - qs[i + 1] + 1, m - rs[i] + 1) for i in range(spec.s - 1)])
 
 
+def check_expansion_size(spec: MixedProductSpec, cap: int = GENERATOR_CAP) -> None:
+    """Raise before listing generators of more than ``cap`` variables in all."""
+    _check_count(spec.universe.n, spec.universe.m, spec.summands, cap,
+                 "variables in the generators", weigh=True)
+
+
 def check_decomposition_size(spec: MixedProductSpec, cap: int = GENERATOR_CAP) -> None:
     """Raise before listing a decomposition of more than ``cap`` variables in all."""
     _check_count(spec.universe.n, spec.universe.m, _prime_sizes(spec), cap,
@@ -358,19 +364,18 @@ def facet_partition(spec: MixedProductSpec,
     if n + m > cap_vertices:
         raise ResourceCapExceeded(f"facet enumeration needs {n + m} vertices, cap is {cap_vertices}")
     p = qr_profile(spec)
-    blocks = []
-    for q, r in zip(p.q_bar, p.r_bar):
-        block = [frozenset(xs + ys)
-                 for xs in combinations(range(n), q)
-                 for ys in combinations(range(n, n + m), r)]
-        blocks.append(sorted(block, key=sort_key))
-    return blocks
+    # every x index is below every y index, so xs + ys is the sorted
+    # support and the blocks come out in sort_key order
+    return [[frozenset(xs + ys)
+             for xs in combinations(range(n), q)
+             for ys in combinations(range(n, n + m), r)]
+            for q, r in zip(p.q_bar, p.r_bar)]
 
 
-def _facet_sort_key(universe, f, y_first):
+def _y_first_key(universe, f):
     xs = tuple(sorted(i for i in f if universe.is_x(i)))
     ys = tuple(sorted(i for i in f if not universe.is_x(i)))
-    return (ys, xs) if y_first else (xs, ys)
+    return ys, xs
 
 
 def shelling_order(spec: MixedProductSpec,
@@ -388,11 +393,13 @@ def shelling_order(spec: MixedProductSpec,
     if not q_steps and not r_steps:
         return None
     blocks = facet_partition(spec, cap_vertices)
-    if not q_steps:
-        blocks = blocks[::-1]
+    if q_steps:
+        # the facets of one block share one x-count, so the sort_key order
+        # facet_partition returns is already the (x-part, y-part) order
+        return [f for block in blocks for f in block]
     order = []
-    for block in blocks:
-        order.extend(sorted(block, key=lambda f: _facet_sort_key(spec.universe, f, not q_steps)))
+    for block in reversed(blocks):
+        order.extend(sorted(block, key=lambda f: _y_first_key(spec.universe, f)))
     return order
 
 

@@ -71,7 +71,9 @@ def enumerate_specs(max_n, max_m, max_s):
     for n in range(1, max_n + 1):
         for m in range(1, max_m + 1):
             universe = ideals.VariableUniverse(n, m)
-            for s in range(1, max_s + 1):
+            # s distinct q's in 0..n and r's in 0..m; larger s yield
+            # nothing, and asking itertools for them costs O(s) each
+            for s in range(1, min(max_s, n + 1, m + 1) + 1):
                 for qs in combinations(range(n + 1), s):
                     for rs_inc in combinations(range(m + 1), s):
                         rs = tuple(reversed(rs_inc))
@@ -125,14 +127,16 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
     if oracle_level in ("fast", "full") and spec.universe.size <= cap_vertices:
         ideal = products.expand_generators(spec)
         dual_closed = products.expand_generators(products.closed_form_dual(spec))
-        dual_oracle = ideals.alexander_dual(ideal)
+        # the one transversal computation: the dual's generators are the
+        # minimal primes, whose complements are the facets of the complex
+        primes = ideals.minimal_primes(ideal)
+        dual_oracle = ideals.SquarefreeIdeal(ideal.universe, frozenset(primes))
         oracle["dual_generators"] = dual_closed == dual_oracle
         if not oracle["dual_generators"]:
             mismatches.append(_mismatch(spec, "dual_generators",
                                         sorted(map(sorted, dual_closed.generators)),
                                         sorted(map(sorted, dual_oracle.generators))))
 
-        primes = ideals.minimal_primes(ideal)
         decomp = products.closed_form_primary_decomposition(spec)
         oracle["primary_decomposition"] = decomp.components == primes
         if not oracle["primary_decomposition"]:
@@ -146,16 +150,18 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
             mismatches.append(_mismatch(spec, "unmixed", unmixed.holds,
                                         oracle["unmixed"], unmixed.witness))
 
-        complex_ = ideals.stanley_reisner_complex(ideal)
+        complex_ = ideals.complex_of_primes(ideal.universe, primes)
         blocks = products.facet_partition(spec)
-        tiled = sorted((f for b in blocks for f in b), key=ideals.sort_key)
-        oracle["facet_partition"] = tiled == list(complex_.facets)
+        block_masks = [[ideals.mask_of(f) for f in b] for b in blocks]
+        oracle["facet_partition"] = (sorted(f for b in block_masks for f in b)
+                                     == list(complex_.masks))
         if not oracle["facet_partition"]:
+            tiled = sorted((f for b in blocks for f in b), key=ideals.sort_key)
             mismatches.append(_mismatch(spec, "facet_partition",
                                         [sorted(f) for f in tiled],
                                         [sorted(f) for f in complex_.facets]))
 
-        bound_ok, bound_witness = _intersection_bound(profile, blocks)
+        bound_ok, bound_witness = _intersection_bound(profile, block_masks)
         oracle["intersection_bound"] = bound_ok
         if not bound_ok:
             mismatches.append(_mismatch(spec, "intersection_bound", None, None, bound_witness))
@@ -185,7 +191,7 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
             if scm.holds != ok:
                 mismatches.append(_mismatch(spec, "scm_duval", scm.holds, ok, witness))
 
-            if cm.holds and len(complex_.facets) <= cap_facets:
+            if cm.holds and len(complex_.masks) <= cap_facets:
                 result = complexes.find_shelling(complex_, cap_facets)
                 oracle["shellable"] = result.status == "shellable"
                 if result.status != "shellable":
@@ -205,14 +211,19 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
 
 
 def _intersection_bound(profile, blocks):
-    """dim(F cap G) <= q(i) + r(j) - 1 for F in block i, G in block j, i < j."""
+    """dim(F cap G) <= q(i) + r(j) - 1 for F in block i, G in block j, i < j.
+
+    ``blocks`` holds the facets of each block as bitmasks; the witness is
+    the first failing pair, as sorted vertex lists.
+    """
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
             limit = profile.q_bar[i] + profile.r_bar[j]
             for f in blocks[i]:
                 for g in blocks[j]:
-                    if len(f & g) > limit:
-                        return False, (i + 1, j + 1, sorted(f), sorted(g))
+                    if (f & g).bit_count() > limit:
+                        return False, (i + 1, j + 1, sorted(ideals.support_of(f)),
+                                       sorted(ideals.support_of(g)))
     return True, None
 
 

@@ -1,8 +1,12 @@
 """CLI surface: commands, exit codes, JSON determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedprod.cli import main, parse_pairs
 from mixedprod.ideals import InvalidInput
@@ -224,6 +228,19 @@ def test_decompose_caps_printed_variables(capsys):
     assert sum(map(len, components)) == 18928
 
 
+def test_dual_expand_caps_printed_variables(capsys):
+    # 500 generators of 499 variables each: few generators, a huge listing
+    code, out, err = run(capsys, "dual", "--n", "500", "--m", "1", "--pairs", "2:1",
+                         "--expand")
+    assert code == 1 and not out
+    assert err == "error: more than the cap of 100000 variables in the generators\n"
+    code, out, _ = run(capsys, "dual", "--n", "8", "--m", "8", "--pairs", "1:5,5:1",
+                       "--expand", "--json")
+    generators = json.loads(out)["generators"]
+    assert code == 0 and len(generators) == 4902
+    assert sum(map(len, generators)) == 39216
+
+
 def test_sweep_reports_oracle_coverage(capsys):
     argv = ["sweep", "--max-n", "2", "--max-m", "2", "--max-s", "2", "--oracle", "full"]
     code, out, _ = run(capsys, *argv)
@@ -251,3 +268,62 @@ def test_facets_uses_the_facet_vertex_cap(capsys):
     assert code == 0 and len(out.splitlines()) == 2
     code, _, err = run(capsys, "facets", "--n", "11", "--m", "10", "--pairs", "1:1")
     assert code == 1 and err.startswith("error: ")
+
+
+# (valid, malformed) values; the oracle-running calls get the small block sizes only.
+SMALL = (["1", "2", "3"], ["0", "-1", "abc", "", "2.5"])
+ANY = (SMALL[0] + ["8", "1000000"], SMALL[1])
+PAIRS = (["1:1", "1:2,2:1", "0:1", "2:1", "3:0,0:3", "1:1,1:1", "1000000:1", "5:5"],
+         ["0:0", "-1:2", "q:r", "1", ""])
+CAPS = (["0", "3", "16", "1000000"], ["-1", "abc"])
+MAX_S = (["1", "3", "1000000"], ["0", "-2", "x"])
+WORKERS = (["1"], ["0", "-3", "abc"])
+STRAY = ["--json", "--expand", "--timing", "--perturb", "--bogus", "--help", "-h",
+         "--n", "--pairs=1:1", "--max-s", "extra"]
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["classify", "dual", "decompose", "facets", "oracle",
+                                    "sweep", "nope"]))
+    often = st.sampled_from([True, True, True, False])
+
+    def option(name, values):
+        valid, malformed = values
+        return [[name, draw(st.sampled_from(valid if draw(often) else malformed))]] \
+            if draw(often) else []
+
+    level = draw(st.sampled_from(["none", "fast", "full", "most"]))
+    runs_oracles = command in ("oracle", "sweep") or (command == "classify" and level != "none")
+    sizes = SMALL if runs_oracles else ANY
+    if command == "sweep":
+        groups = (option("--max-n", sizes) + option("--max-m", sizes) + option("--max-s", MAX_S)
+                  + [["--oracle", level]] + option("--workers", WORKERS))
+    else:
+        groups = option("--n", sizes) + option("--m", sizes) + option("--pairs", PAIRS)
+        if command == "classify":
+            groups.append(["--oracle", level])
+    if command in ("classify", "oracle", "sweep"):
+        groups += option("--cap-vertices", CAPS) + option("--cap-facets", CAPS)
+    if command == "dual" and draw(often):
+        groups.append(["--expand"])
+    if not draw(often):
+        groups += [[stray] for stray in draw(st.lists(st.sampled_from(STRAY), min_size=1,
+                                                      max_size=2))]
+    return [command] + [token for group in draw(st.permutations(groups)) for token in group]
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv())
+def test_fuzzed_argv_ends_in_an_exit_code_never_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:     # --help, -h
+            code = exc.code
+            assert code in (0, 1), argv
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 1 and err.getvalue():
+        assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1

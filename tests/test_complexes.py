@@ -112,6 +112,17 @@ def test_verify_shelling_not_permutation():
         verify_shelling_order(PATH, [PATH.facets[0], PATH.facets[0]])
 
 
+@pytest.mark.parametrize("order", [
+    [{-1, 0}, {1, 2}],              # a negative index is no vertex
+    [{0, 1}, {1, 2}, {5}],          # a set that is no facet
+    [{0, 1}],                       # a facet left out
+])
+def test_verify_shelling_rejects_what_is_no_facet_order(order):
+    assert [sorted(f) for f in PATH.facets] == [[0, 1], [1, 2]]
+    with pytest.raises(InvalidInput):
+        verify_shelling_order(PATH, order)
+
+
 def test_find_shelling_path():
     res = find_shelling(PATH)
     assert res.status == "shellable"

@@ -10,6 +10,7 @@ from mixedprod import (
     DomainError,
     InvalidInput,
     SquarefreeIdeal,
+    make_complex,
     VariableUniverse,
     alexander_dual,
     ideal_intersect,
@@ -20,6 +21,7 @@ from mixedprod import (
     minimalize,
     stanley_reisner_complex,
 )
+from mixedprod.ideals import complex_of_primes, sort_key
 
 U2 = VariableUniverse(2, 0)
 U11 = VariableUniverse(1, 1)
@@ -253,3 +255,15 @@ def test_ideal_of_complex_two_points():
 @given(ideal_strategy())
 def test_stanley_reisner_round_trip(i):
     assert ideal_of_complex(stanley_reisner_complex(i)) == i
+
+
+@settings(max_examples=100, deadline=None)
+@given(ideal_strategy())
+def test_complex_from_primes_needs_no_maximality_pass(i):
+    full = frozenset(range(i.universe.size))
+    primes = minimal_primes(i)
+    expected = make_complex(i.universe, [full - p for p in primes])
+    assert stanley_reisner_complex(i).masks == expected.masks
+    assert complex_of_primes(i.universe, primes) == expected
+    # the kernel's order is the canonical one, and the dual holds the same sets
+    assert primes == sorted(alexander_dual(i).generators, key=sort_key)

@@ -4,6 +4,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mixedprod
 from mixedprod import kernels
@@ -47,6 +49,25 @@ class TestHittingSets:
             masks = [rng.randint(1, (1 << nbits) - 1) for _ in range(nsets)]
             assert impl.minimal_hitting_sets(masks, nbits) == \
                 brute_minimal_hitting_sets(masks, nbits)
+
+
+@pytest.mark.parametrize("masks, nbits", [
+    ([0b0110, 0b0110, 0b1001], 4),                  # a duplicate set
+    ([0b0011, 0b0111, 0b1111, 0b1000], 4),          # a chain of nested sets
+    ([0b11111, 0b00011, 0b01100, 0b10000], 5),      # one set holding all the others
+    ([0b101, 0b101, 0b101], 3),                     # one set three times
+    ([0b1, 0b11, 0b111, 0b1], 3),                   # nested and duplicated
+])
+def test_families_that_are_not_antichains(masks, nbits):
+    assert kernels.minimal_hitting_sets(masks, nbits) == brute_minimal_hitting_sets(masks, nbits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda nbits: st.tuples(
+    st.lists(st.integers(1, (1 << nbits) - 1), min_size=1, max_size=12), st.just(nbits))))
+def test_hitting_sets_match_brute_force_property(family):
+    masks, nbits = family
+    assert kernels.minimal_hitting_sets(masks, nbits) == brute_minimal_hitting_sets(masks, nbits)
 
 
 @KERNELS

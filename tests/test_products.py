@@ -18,6 +18,7 @@ from mixedprod import (
     ZeroIdealError,
     alexander_dual,
     check_decomposition_size,
+    check_expansion_size,
     closed_form_dual,
     closed_form_primary_decomposition,
     expand_generators,
@@ -185,6 +186,13 @@ class TestPrimaryDecomposition:
         with pytest.raises(ResourceCapExceeded, match="more than the cap of 11 variables"):
             check_decomposition_size(s, cap=11)
         check_decomposition_size(s, cap=12)
+
+    def test_expansion_size_check_counts_variables(self):
+        s = spec(2, 2, [(1, 2), (2, 1)])   # four generators of three variables
+        with pytest.raises(ResourceCapExceeded, match="more than the cap of 11 variables"):
+            check_expansion_size(s, cap=11)
+        check_expansion_size(s, cap=12)
+        assert sum(map(len, expand_generators(s).generators)) == 12
 
     def test_matches_minimal_primes_small(self):
         for s in enumerate_specs(3, 3, 3):
