@@ -39,8 +39,7 @@ from .products import (
     QRProfile,
     Verdict,
     ZeroIdealError,
-    check_decomposition_size,
-    check_expansion_size,
+    check_listing_size,
     classify,
     closed_form_dual,
     closed_form_primary_decomposition,

@@ -17,7 +17,6 @@ import sys
 import time
 
 from . import complexes, ideals, products, sweep
-from .homology import HOMOLOGY_VERTEX_CAP
 from .ideals import MixedProdError, VariableUniverse
 from .sweep import SweepConfig
 
@@ -62,10 +61,8 @@ def _jsonable(obj, universe):
     return obj
 
 
-def _emit(payload, as_json):
-    if as_json:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    return payload
+def _emit(payload):
+    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
 def cmd_classify(args):
@@ -97,7 +94,7 @@ def cmd_classify(args):
         "timing": round(time.monotonic() - args.t0, 3) if args.timing else None,
     }
     if args.json:
-        _emit(payload, True)
+        _emit(payload)
     else:
         p = report.profile
         print(f"spec: n={universe.n} m={universe.m} "
@@ -123,11 +120,11 @@ def cmd_dual(args):
     dual = products.closed_form_dual(spec)
     payload = {"spec": sweep.spec_as_dict(spec), "dual": sweep.spec_as_dict(dual)}
     if args.expand:
-        products.check_expansion_size(dual)
+        products.check_listing_size(spec.universe, dual.summands, "generators")
         gens = products.expand_generators(dual).sorted_generators()
         payload["generators"] = [_names(spec.universe, g) for g in gens]
     if args.json:
-        _emit(payload, True)
+        _emit(payload)
     else:
         print("dual: " + " + ".join(f"I{q}J{r}" for q, r in dual.summands))
         if args.expand:
@@ -138,7 +135,8 @@ def cmd_dual(args):
 def cmd_decompose(args):
     spec = _spec_from_args(args)
     universe = spec.universe
-    products.check_decomposition_size(spec)
+    # the dual's generators are the minimal primes
+    products.check_listing_size(universe, products.closed_form_dual(spec).summands, "components")
     decomp = products.closed_form_primary_decomposition(spec)
     h = products.qr_profile(spec).height
     payload = {
@@ -149,7 +147,7 @@ def cmd_decompose(args):
         "py": [_names(universe, c) for c in decomp.py],
     }
     if args.json:
-        _emit(payload, True)
+        _emit(payload)
     else:
         for label in ("px", "pxy", "py"):
             comps = payload[label]
@@ -162,13 +160,15 @@ def cmd_decompose(args):
 def cmd_facets(args):
     spec = _spec_from_args(args)
     universe = spec.universe
+    profile = products.qr_profile(spec)
+    products.check_listing_size(universe, zip(profile.q_bar, profile.r_bar), "facets")
     blocks = products.facet_partition(spec)
     payload = {
         "spec": sweep.spec_as_dict(spec),
         "blocks": [[_names(universe, f) for f in b] for b in blocks],
     }
     if args.json:
-        _emit(payload, True)
+        _emit(payload)
     else:
         for k, b in enumerate(payload["blocks"], 1):
             print(f"block {k} ({len(b)} facets): "
@@ -181,7 +181,7 @@ def cmd_oracle(args):
     record = sweep.check_spec(spec, "full", cap_vertices=args.cap_vertices,
                               cap_facets=args.cap_facets)
     if args.json:
-        _emit(record, True)
+        _emit(record)
     else:
         for name, ok in sorted(record["oracle"].items()):
             print(f"{name}: {str(ok).lower()}")
@@ -237,8 +237,11 @@ def build_parser():
         p.add_argument("--json", action="store_true")
 
     def cap_args(p):
-        p.add_argument("--cap-vertices", type=int, default=HOMOLOGY_VERTEX_CAP,
-                       dest="cap_vertices", help="skip the oracles above this many vertices")
+        p.add_argument("--cap-vertices", type=int, default=sweep.VERTEX_CAP,
+                       dest="cap_vertices",
+                       help="skip the oracles on specs with more vertices, checked once "
+                            "per spec; at any value, expanding more than "
+                            f"{products.GENERATOR_CAP} generators is refused")
         p.add_argument("--cap-facets", type=int, default=complexes.SHELLING_FACET_CAP,
                        dest="cap_facets", help="skip the shelling search above this many facets")
 

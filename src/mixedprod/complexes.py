@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
 
-from .homology import HOMOLOGY_VERTEX_CAP, _faces_by_dim, reduced_homology_ranks
+from .homology import _faces_by_dim, reduced_homology_ranks
 from .ideals import (
     DomainError,
     InvalidInput,
@@ -260,7 +260,7 @@ def _orbit_representatives(c: SimplicialComplex):
                 yield support_of(face)
 
 
-def reisner_cm(c: SimplicialComplex, cap_vertices: int = HOMOLOGY_VERTEX_CAP):
+def reisner_cm(c: SimplicialComplex):
     """Reisner's criterion over the rationals.
 
     CM iff for every face F the reduced homology of link(F) vanishes in
@@ -275,20 +275,20 @@ def reisner_cm(c: SimplicialComplex, cap_vertices: int = HOMOLOGY_VERTEX_CAP):
         d = dim(lk)
         if d <= 0:
             continue  # nothing below dim 0 but H~_{-1}, which vanishes off the [set()] complex
-        ranks = reduced_homology_ranks(lk, cap_vertices)
+        ranks = reduced_homology_ranks(lk)
         for i in range(-1, d):
             if ranks.get(i, 0):
                 return False, (f, i)
     return True, None
 
 
-def duval_scm(c: SimplicialComplex, cap_vertices: int = HOMOLOGY_VERTEX_CAP):
+def duval_scm(c: SimplicialComplex):
     """Sequential CM via pure skeleta: every skeleton must pass Reisner.
 
     Returns (True, None) or (False, (l, reisner_witness)).
     """
     for l in range(0, dim(c) + 2):
-        ok, witness = reisner_cm(skeleton(c, l), cap_vertices)
+        ok, witness = reisner_cm(skeleton(c, l))
         if not ok:
             return False, (l, witness)
     return True, None

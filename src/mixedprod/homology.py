@@ -34,9 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
-from .ideals import InvalidInput, ResourceCapExceeded, mask_of, sorted_supports
-
-HOMOLOGY_VERTEX_CAP = 16
+from .ideals import InvalidInput, mask_of, sorted_supports
 
 _ranks_cache: dict = {}
 
@@ -146,15 +144,12 @@ def _boundary_ranks(c, counts, top) -> dict[int, int]:
     return rank
 
 
-def reduced_homology_ranks(c, cap_vertices: int = HOMOLOGY_VERTEX_CAP) -> dict[int, int]:
+def reduced_homology_ranks(c) -> dict[int, int]:
     """Ranks of the reduced homology groups, as a dict over d = -1..dim.
 
     rank H~_d = (#d-faces) - rank del_d - rank del_{d+1}; the (-1)-st
     rank is 1 for the [set()] complex and 0 otherwise.
     """
-    if c.universe.size > cap_vertices:
-        raise ResourceCapExceeded(
-            f"homology needs {c.universe.size} vertices, cap is {cap_vertices}")
     key = _canonical_key(c.masks)
     cached = _ranks_cache.get(key)
     if cached is not None:

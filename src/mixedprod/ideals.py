@@ -28,8 +28,6 @@ from . import kernels
 Monomial = FrozenSet[int]
 PrimeComponent = FrozenSet[int]
 
-DUAL_VERTEX_CAP = 24
-
 
 class MixedProdError(Exception):
     """Base class for all errors raised by this package."""
@@ -61,14 +59,6 @@ class VariableUniverse:
     @property
     def size(self) -> int:
         return self.n + self.m
-
-    @property
-    def x_indices(self) -> range:
-        return range(self.n)
-
-    @property
-    def y_indices(self) -> range:
-        return range(self.n, self.n + self.m)
 
     def is_x(self, i: int) -> bool:
         return 0 <= i < self.n
@@ -114,10 +104,6 @@ class SquarefreeIdeal:
     @property
     def is_unit(self) -> bool:
         return frozenset() in self.generators
-
-    @property
-    def is_proper(self) -> bool:
-        return not self.is_unit
 
     def sorted_generators(self) -> list[Monomial]:
         return sorted(self.generators, key=sort_key)
@@ -178,16 +164,16 @@ def ideal_intersect(a: SquarefreeIdeal, b: SquarefreeIdeal) -> SquarefreeIdeal:
     return SquarefreeIdeal(a.universe, antichain(g | h for g in a.generators for h in b.generators))
 
 
-def alexander_dual(ideal: SquarefreeIdeal, cap_vertices: int = DUAL_VERTEX_CAP) -> SquarefreeIdeal:
+def alexander_dual(ideal: SquarefreeIdeal) -> SquarefreeIdeal:
     """Dual of a proper nonzero squarefree ideal.
 
     Generators of the dual are the minimal transversals (minimal hitting
     sets) of the generator supports, that is, the minimal primes.
     """
-    return SquarefreeIdeal(ideal.universe, frozenset(minimal_primes(ideal, cap_vertices)))
+    return SquarefreeIdeal(ideal.universe, frozenset(minimal_primes(ideal)))
 
 
-def minimal_primes(ideal: SquarefreeIdeal, cap_vertices: int = DUAL_VERTEX_CAP) -> list[PrimeComponent]:
+def minimal_primes(ideal: SquarefreeIdeal) -> list[PrimeComponent]:
     """Minimal primes of a proper nonzero squarefree ideal, canonically sorted.
 
     These are the minimal transversals of the generator supports, which
@@ -197,9 +183,6 @@ def minimal_primes(ideal: SquarefreeIdeal, cap_vertices: int = DUAL_VERTEX_CAP) 
         raise DomainError("dual of the zero ideal is undefined")
     if ideal.is_unit:
         raise DomainError("dual of the unit ideal is undefined")
-    if ideal.universe.size > cap_vertices:
-        raise ResourceCapExceeded(
-            f"dual needs {ideal.universe.size} variables, cap is {cap_vertices}")
     masks = [mask_of(g) for g in ideal.generators]
     return [support_of(h) for h in kernels.minimal_hitting_sets(masks, ideal.universe.size)]
 

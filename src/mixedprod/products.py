@@ -10,7 +10,12 @@ Everything ideal-specific lives here: the derived profile vectors
 dual, the primary decomposition, the unmixed / Cohen-Macaulay /
 sequentially-Cohen-Macaulay verdicts, the facet partition, and the
 constructive shelling order.  All verdicts are O(s') profile
-arithmetic; only the explicitly capped operations enumerate anything.
+arithmetic.  Only the listings enumerate, and one budget,
+``GENERATOR_CAP``, bounds them: ``expand_generators`` counts the
+generators it would build, and ``check_listing_size`` the variables that
+``dual --expand``, ``decompose`` and ``facets`` would print.  The
+oracles, which also call these listings, are gated once per spec by the
+vertex cap in ``sweep.check_spec``.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from .ideals import (
 )
 
 GENERATOR_CAP = 100_000
-FACET_VERTEX_CAP = 20
 
 
 class ZeroIdealError(DomainError):
@@ -262,33 +266,20 @@ def closed_form_dual(spec: MixedProductSpec) -> MixedProductSpec:
     return normalize(spec.universe, raw)
 
 
-def _prime_sizes(spec: MixedProductSpec):
-    """(x-count, y-count) of the minimal primes in P_x, P_y and each part of P_xy."""
-    n, m = spec.universe.n, spec.universe.m
-    qs, rs = spec.qs, spec.rs
-    return ([(n - qs[0] + 1, 0), (0, m - rs[-1] + 1)]
-            + [(n - qs[i + 1] + 1, m - rs[i] + 1) for i in range(spec.s - 1)])
+def check_listing_size(universe: VariableUniverse, types, what: str,
+                       cap: int = GENERATOR_CAP) -> None:
+    """Raise before listing more than ``cap`` variables in all.
+
+    Each (a, b) in ``types`` stands for every set of a x's and b y's.
+    """
+    _check_count(universe.n, universe.m, types, cap, f"variables in the {what}", weigh=True)
 
 
-def check_expansion_size(spec: MixedProductSpec, cap: int = GENERATOR_CAP) -> None:
-    """Raise before listing generators of more than ``cap`` variables in all."""
-    _check_count(spec.universe.n, spec.universe.m, spec.summands, cap,
-                 "variables in the generators", weigh=True)
-
-
-def check_decomposition_size(spec: MixedProductSpec, cap: int = GENERATOR_CAP) -> None:
-    """Raise before listing a decomposition of more than ``cap`` variables in all."""
-    _check_count(spec.universe.n, spec.universe.m, _prime_sizes(spec), cap,
-                 "variables in the components", weigh=True)
-
-
-def closed_form_primary_decomposition(
-        spec: MixedProductSpec, cap: int = GENERATOR_CAP) -> PrimaryDecomposition:
+def closed_form_primary_decomposition(spec: MixedProductSpec) -> PrimaryDecomposition:
     """Minimal primes from the closed form, grouped into P_x / P_xy / P_y."""
     n, m = spec.universe.n, spec.universe.m
     qs, rs = spec.qs, spec.rs
     s = spec.s
-    _check_count(n, m, _prime_sizes(spec), cap, "components")
     xsubs = lambda k: [frozenset(t) for t in combinations(range(n), k)]
     ysubs = lambda k: [frozenset(t) for t in combinations(range(n, n + m), k)]
     px = tuple(sorted(xsubs(n - qs[0] + 1), key=sort_key)) if qs[0] > 0 else ()
@@ -357,12 +348,9 @@ def is_scm_closed_form(spec: MixedProductSpec) -> Verdict:
     return Verdict(True)
 
 
-def facet_partition(spec: MixedProductSpec,
-                    cap_vertices: int = FACET_VERTEX_CAP) -> list[list[frozenset]]:
+def facet_partition(spec: MixedProductSpec) -> list[list[frozenset]]:
     """Block k of the facet partition: all sets of q_bar[k] x's and r_bar[k] y's."""
     n, m = spec.universe.n, spec.universe.m
-    if n + m > cap_vertices:
-        raise ResourceCapExceeded(f"facet enumeration needs {n + m} vertices, cap is {cap_vertices}")
     p = qr_profile(spec)
     # every x index is below every y index, so xs + ys is the sorted
     # support and the blocks come out in sort_key order
@@ -378,8 +366,7 @@ def _y_first_key(universe, f):
     return ys, xs
 
 
-def shelling_order(spec: MixedProductSpec,
-                   cap_vertices: int = FACET_VERTEX_CAP) -> Optional[list[frozenset]]:
+def shelling_order(spec: MixedProductSpec) -> Optional[list[frozenset]]:
     """The constructive shelling order, when one of the step conditions holds.
 
     With unit q-steps: blocks in ascending order, facets within a block
@@ -392,7 +379,7 @@ def shelling_order(spec: MixedProductSpec,
     r_steps = all(p.r_bar[i + 1] == p.r_bar[i] - 1 for i in range(p.s_prime - 1))
     if not q_steps and not r_steps:
         return None
-    blocks = facet_partition(spec, cap_vertices)
+    blocks = facet_partition(spec)
     if q_steps:
         # the facets of one block share one x-count, so the sort_key order
         # facet_partition returns is already the (x-part, y-part) order

@@ -26,8 +26,11 @@ from functools import partial
 from itertools import combinations
 
 from . import complexes, ideals, products
-from .homology import HOMOLOGY_VERTEX_CAP
 from .products import MixedProductSpec
+
+# The oracles enumerate subsets of the n + m vertices; check_spec, their
+# one entry point, skips them above this many vertices.
+VERTEX_CAP = 16
 
 ORACLE_LEVELS = ("none", "fast", "full")
 # The oracle checks each level runs, in the order check_spec runs them.
@@ -47,7 +50,7 @@ class SweepConfig:
     oracle_level: str = "fast"
     workers: int = 1
     perturb: bool = False
-    cap_vertices: int = HOMOLOGY_VERTEX_CAP
+    cap_vertices: int = VERTEX_CAP
     cap_facets: int = complexes.SHELLING_FACET_CAP
 
     def __post_init__(self):
@@ -99,7 +102,7 @@ def spec_as_dict(spec):
 
 def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
                perturb: bool = False,
-               cap_vertices: int = HOMOLOGY_VERTEX_CAP,
+               cap_vertices: int = VERTEX_CAP,
                cap_facets: int = complexes.SHELLING_FACET_CAP) -> dict:
     """Run every applicable cross-check on one spec.
 
@@ -181,12 +184,12 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
                 mismatches.append(_mismatch(spec, "shelling_order", True, False, witness))
 
         if oracle_level == "full":
-            ok, witness = complexes.reisner_cm(complex_, cap_vertices)
+            ok, witness = complexes.reisner_cm(complex_)
             oracle["cm_reisner"] = ok
             if cm.holds != ok:
                 mismatches.append(_mismatch(spec, "cm_reisner", cm.holds, ok, witness))
 
-            ok, witness = complexes.duval_scm(complex_, cap_vertices)
+            ok, witness = complexes.duval_scm(complex_)
             oracle["scm_duval"] = ok
             if scm.holds != ok:
                 mismatches.append(_mismatch(spec, "scm_duval", scm.holds, ok, witness))

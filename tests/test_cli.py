@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mixedprod.cli import main, parse_pairs
 from mixedprod.ideals import InvalidInput
+from mixedprod.sweep import ORACLE_CHECKS
 
 
 def run(capsys, *argv):
@@ -154,7 +155,7 @@ def test_sweep_workers(capsys):
     assert "0 mismatches" in out
 
 
-@pytest.mark.parametrize("argv", [["decompose"], ["dual", "--expand"]])
+@pytest.mark.parametrize("argv", [["decompose"], ["dual", "--expand"], ["facets"]])
 def test_huge_enumeration_is_a_one_line_error(capsys, argv):
     code, out, err = run(capsys, *argv, "--n", "20000", "--m", "1", "--pairs", "10000:1")
     assert code == 1 and not out
@@ -220,6 +221,9 @@ def test_decompose_caps_printed_variables(capsys):
     code, out, err = run(capsys, "decompose", "--n", "500", "--m", "1", "--pairs", "2:1")
     assert code == 1 and not out
     assert err == "error: more than the cap of 100000 variables in the components\n"
+    # the primes hold 100,100 variables, the generators of the spec itself 45,047
+    code, out, err = run(capsys, "decompose", "--n", "2", "--m", "15", "--pairs", "0:7,2:0")
+    assert code == 1 and err == "error: more than the cap of 100000 variables in the components\n"
     code, out, _ = run(capsys, "decompose", "--n", "8", "--m", "8", "--pairs", "2:6,6:2",
                        "--json")
     payload = json.loads(out)
@@ -234,6 +238,10 @@ def test_dual_expand_caps_printed_variables(capsys):
                          "--expand")
     assert code == 1 and not out
     assert err == "error: more than the cap of 100000 variables in the generators\n"
+    # the dual's generators hold 100,100 variables, those of the spec itself 45,047
+    code, out, err = run(capsys, "dual", "--n", "2", "--m", "15", "--pairs", "0:7,2:0",
+                         "--expand")
+    assert code == 1 and err == "error: more than the cap of 100000 variables in the generators\n"
     code, out, _ = run(capsys, "dual", "--n", "8", "--m", "8", "--pairs", "1:5,5:1",
                        "--expand", "--json")
     generators = json.loads(out)["generators"]
@@ -263,11 +271,28 @@ def test_sweep_reports_oracle_coverage(capsys):
     assert err.splitlines()[-1] == "shellable 9 of 30 CM specs (vertex cap 3, facet cap 1)"
 
 
-def test_facets_uses_the_facet_vertex_cap(capsys):
-    code, out, _ = run(capsys, "facets", "--n", "10", "--m", "10", "--pairs", "1:1")
+def test_facets_caps_printed_variables(capsys):
+    # 21 vertices, a short listing: two blocks of one facet each
+    code, out, _ = run(capsys, "facets", "--n", "11", "--m", "10", "--pairs", "1:1")
     assert code == 0 and len(out.splitlines()) == 2
-    code, _, err = run(capsys, "facets", "--n", "11", "--m", "10", "--pairs", "1:1")
-    assert code == 1 and err.startswith("error: ")
+    code, out, _ = run(capsys, "facets", "--n", "21", "--m", "1", "--pairs", "21:1")
+    assert code == 0
+    # 20 vertices, eleven blocks of 1,847,560 variables in all
+    pairs = ",".join(f"{q}:{11 - q}" for q in range(1, 11))
+    code, out, err = run(capsys, "facets", "--n", "10", "--m", "10", "--pairs", pairs)
+    assert code == 1 and not out
+    assert err == "error: more than the cap of 100000 variables in the facets\n"
+
+
+@pytest.mark.parametrize("n, m", [(11, 10), (13, 12)])
+def test_raised_vertex_cap_runs_the_oracles(capsys, n, m):
+    code, out, _ = run(capsys, "classify", "--oracle", "fast", "--json",
+                       "--cap-vertices", str(n + m), "--n", str(n), "--m", str(m),
+                       "--pairs", f"{n}:{m}")
+    payload = json.loads(out)
+    assert code == 0 and payload["skipped"] == []
+    assert sorted(payload["oracle"]) == sorted(ORACLE_CHECKS["fast"])
+    assert all(payload["oracle"].values())
 
 
 # (valid, malformed) values; the oracle-running calls get the small block sizes only.

@@ -17,8 +17,7 @@ from mixedprod import (
     VariableUniverse,
     ZeroIdealError,
     alexander_dual,
-    check_decomposition_size,
-    check_expansion_size,
+    check_listing_size,
     closed_form_dual,
     closed_form_primary_decomposition,
     expand_generators,
@@ -175,24 +174,38 @@ class TestPrimaryDecomposition:
         assert len(d.px) == 1 and len(d.pxy) == 4 and len(d.py) == 1
         assert [sorted(c) for c in d.pxy] == [[0, 2], [0, 3], [1, 2], [1, 3]]
 
-    def test_cap(self):
-        s = spec(2, 2, [(1, 2), (2, 1)])
-        with pytest.raises(ResourceCapExceeded, match="more than the cap of 5"):
-            closed_form_primary_decomposition(s, cap=5)
-        assert len(closed_form_primary_decomposition(s, cap=6).components) == 6
-
     def test_size_check_counts_variables(self):
         s = spec(2, 2, [(1, 2), (2, 1)])   # six components of two variables
-        with pytest.raises(ResourceCapExceeded, match="more than the cap of 11 variables"):
-            check_decomposition_size(s, cap=11)
-        check_decomposition_size(s, cap=12)
+        types = closed_form_dual(s).summands
+        with pytest.raises(ResourceCapExceeded,
+                           match="more than the cap of 11 variables in the components"):
+            check_listing_size(s.universe, types, "components", cap=11)
+        check_listing_size(s.universe, types, "components", cap=12)
+        assert sum(map(len, closed_form_primary_decomposition(s).components)) == 12
 
     def test_expansion_size_check_counts_variables(self):
         s = spec(2, 2, [(1, 2), (2, 1)])   # four generators of three variables
-        with pytest.raises(ResourceCapExceeded, match="more than the cap of 11 variables"):
-            check_expansion_size(s, cap=11)
-        check_expansion_size(s, cap=12)
+        with pytest.raises(ResourceCapExceeded,
+                           match="more than the cap of 11 variables in the generators"):
+            check_listing_size(s.universe, s.summands, "generators", cap=11)
+        check_listing_size(s.universe, s.summands, "generators", cap=12)
         assert sum(map(len, expand_generators(s).generators)) == 12
+
+    def test_listing_size_is_the_printed_size_exhaustive(self):
+        # the types each command passes count exactly the variables it lists
+        def exact(universe, types, listed):
+            total = sum(map(len, listed))
+            check_listing_size(universe, types, "sets", cap=total)
+            with pytest.raises(ResourceCapExceeded):
+                check_listing_size(universe, types, "sets", cap=total - 1)
+
+        for s in enumerate_specs(4, 4, 3):
+            p = qr_profile(s)
+            exact(s.universe, closed_form_dual(s).summands,
+                  closed_form_primary_decomposition(s).components)
+            exact(s.universe, s.summands, expand_generators(s).generators)
+            exact(s.universe, list(zip(p.q_bar, p.r_bar)),
+                  [f for block in facet_partition(s) for f in block])
 
     def test_matches_minimal_primes_small(self):
         for s in enumerate_specs(3, 3, 3):
