@@ -5,7 +5,6 @@ from .complexes import (
     SimplicialComplex,
     dim,
     duval_scm,
-    faces_of_dim,
     find_shelling,
     is_pure,
     is_strongly_connected,

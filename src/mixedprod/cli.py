@@ -5,14 +5,15 @@ Specs are given as --n/--m block sizes plus --pairs "q:r,q:r,...".
 Output is UTF-8 text, or canonical JSON with --json (sweep mode emits
 one JSON object per spec, JSON lines).
 
-Exit codes: 0 success / no mismatch, 1 invalid input (usage errors included),
-2 mismatch found.
+Exit codes: 0 success / no mismatch, 1 invalid input (usage errors included)
+or output closed by its reader, 2 mismatch found.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -202,10 +203,8 @@ def cmd_sweep(args):
     out = open(args.out, "w") if args.out else None
     sink = None
     if out is not None or args.json:
-        stream = out if out is not None else sys.stdout
-
-        def sink(record):
-            stream.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+        def sink(record):   # to stdout when out is None, and nowhere if stdout is closed
+            print(json.dumps(record, sort_keys=True, separators=(",", ":")), file=out)
 
     result = sweep.run_sweep(config, record_sink=sink)
     if out is not None:
@@ -240,8 +239,8 @@ def build_parser():
         p.add_argument("--cap-vertices", type=int, default=sweep.VERTEX_CAP,
                        dest="cap_vertices",
                        help="skip the oracles on specs with more vertices, checked once "
-                            "per spec; at any value, expanding more than "
-                            f"{products.GENERATOR_CAP} generators is refused")
+                            "per spec; at any value, a spec that expands to more than "
+                            f"{products.GENERATOR_CAP} generators is skipped too")
         p.add_argument("--cap-facets", type=int, default=complexes.SHELLING_FACET_CAP,
                        dest="cap_facets", help="skip the shelling search above this many facets")
 
@@ -293,9 +292,17 @@ def main(argv=None):
         for name, low in MINIMUM.items():
             if getattr(args, name, low) < low:
                 raise ideals.InvalidInput(f"--{name.replace('_', '-')} must be at least {low}")
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:      # None when started with stdout closed
+            sys.stdout.flush()          # a closed pipe shows here, not in the exit-time flush
+        return code
     except MixedProdError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull, or the
+        # interpreter's own flush at exit fails on the same pipe.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -109,12 +109,6 @@ def all_faces(c: SimplicialComplex) -> list[Face]:
     return [f for d in sorted(table) for f in sorted_supports(table[d])]
 
 
-def faces_of_dim(c: SimplicialComplex, d: int) -> list[Face]:
-    if not -1 <= d <= dim(c):
-        raise InvalidInput(f"face dimension {d} out of range for dim {dim(c)}")
-    return sorted_supports(c.face_table.get(d, []))
-
-
 def skeleton(c: SimplicialComplex, l: int) -> SimplicialComplex:
     """The pure complex generated by all faces of dimension exactly l-1."""
     if not 0 <= l <= dim(c) + 1:

@@ -7,8 +7,11 @@ boundary map is read off it.
 
 Ranks are exact and never use floating point.  Each boundary map is
 first ranked over GF(2) with an XOR basis (kernels.rank_f2), a one-sided
-certificate that falls back to fraction-free elimination
-(``boundary_matrix`` and kernels.rank_int) where it settles nothing.
+certificate that falls back to exact elimination where it settles
+nothing: ``boundary_matrix`` reads the map off the face table as one
+sparse row {(d-1)-face index: +-1} per d-face, and kernels.rank_int
+pivots on unit entries, shortest row first, leaving the rest to
+fraction-free (Bareiss) elimination.
 Why it is sound: write f_d for the number of d-faces, r_d for the rank
 of the boundary map del_d over Q and r'_d for its rank over GF(2).
 Reducing mod 2 cannot raise a rank, so r'_d <= r_d, and del_d del_{d+1}
@@ -34,18 +37,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
-from .ideals import InvalidInput, mask_of, sorted_supports
+from .ideals import InvalidInput
 
 _ranks_cache: dict = {}
 
 
 @dataclass(frozen=True)
 class BoundaryMatrix:
-    """Signed incidence matrix from d-faces (columns) to (d-1)-faces (rows)."""
+    """The d-th boundary map as sparse rows, one per d-face.
 
-    rows: tuple
-    cols: tuple
-    entries: tuple
+    ``rows[i]`` is ``{j: +-1}`` for the d-face ``face_table[d][i]``, where
+    j indexes the (d-1)-face ``cols[j]`` (``cols`` is ``face_table[d-1]``).
+    """
+
+    rows: list
+    cols: list
 
 
 def _faces_by_dim(c) -> dict[int, list[int]]:
@@ -66,30 +72,30 @@ def boundary_matrix(c, d: int) -> BoundaryMatrix:
     """The d-th boundary map of the augmented (reduced) chain complex.
 
     Sign convention: removing the k-th smallest vertex of a face
-    contributes (-1)^k.  For d=0 the single row is the empty face and
-    all entries are 1 (augmentation).
+    contributes (-1)^k.  For d=0 the one column is the empty face and
+    every vertex maps to it with 1 (augmentation).
     """
     table = c.face_table
     top = max(table)
     if not 0 <= d <= top:
         raise InvalidInput(f"boundary dimension {d} out of range for dim {top}")
-    rows = sorted_supports(table[d - 1])
-    cols = sorted_supports(table[d])
-    row_index = {mask_of(f): i for i, f in enumerate(rows)}
-    entries = [[0] * len(cols) for _ in rows]
-    for j, f in enumerate(cols):
-        face = mask_of(f)
-        sign = 1
-        for v in sorted(f):
-            entries[row_index[face & ~(1 << v)]][j] = sign
+    cols = table[d - 1]
+    index = {f: j for j, f in enumerate(cols)}
+    rows = []
+    for f in table[d]:
+        row, sign, s = {}, 1, f
+        while s:
+            low = s & -s
+            row[index[f ^ low]] = sign
             sign = -sign
-    return BoundaryMatrix(tuple(rows), tuple(cols), tuple(tuple(r) for r in entries))
+            s ^= low
+        rows.append(row)
+    return BoundaryMatrix(rows, cols)
 
 
 def rank_exact(mat: BoundaryMatrix) -> int:
-    if not mat.rows or not mat.cols:
-        return 0
-    return kernels.rank_int(mat.entries)
+    """The rank of a boundary map over Q."""
+    return kernels.rank_int(mat.rows)
 
 
 def _rank_f2(table, d: int) -> int:

@@ -3,6 +3,8 @@
 Bitmasks are Python ints, so the kernels take sets of any width.
 """
 
+import heapq
+
 
 def bit_indices(mask):
     """The positions of the set bits of ``mask``, ascending."""
@@ -98,44 +100,60 @@ def rank_f2(vectors):
     return len(basis)
 
 
-def _unit_pivot(rows):
-    """(row index, column) of a +-1 entry in a shortest row holding one, or None."""
-    best = None
-    for i, r in enumerate(rows):
-        if best is None or len(r) < len(rows[best[0]]):
-            for j, v in r.items():
-                if v == 1 or v == -1:
-                    best = (i, j)
-                    break
-    return best
-
-
 def rank_int(rows):
-    """Exact rank of an integer matrix.
+    """Exact rank of a sparse integer matrix, one ``{column: nonzero entry}`` dict per row.
 
-    Entries +-1 are pivoted on first, in sparse rows: subtracting an
-    integer multiple of a unit pivot row keeps the matrix integral and
-    its rank unchanged.  Boundary matrices of simplicial complexes mostly
-    reduce to nothing this way; rows left without a unit entry are
-    ranked by fraction-free (Bareiss) elimination.
+    Entries +-1 are pivoted on first: subtracting an integer multiple of
+    a unit pivot row keeps the matrix integral and its rank unchanged.
+    A heap keyed on row length, with stale entries skipped when popped,
+    yields the shortest row holding a unit entry; its pivot column is
+    the unit column held by the fewest rows, and a column -> rows index
+    names the rows to clear.  A row that a pivot changes goes back on the
+    heap under its new length; a row without a unit entry waits until a
+    pivot changes it.  Boundary matrices of simplicial complexes mostly
+    reduce to nothing this way; rows left without a unit entry are ranked
+    by fraction-free (Bareiss) elimination.  The input dicts are not
+    modified.
     """
-    sparse = [{j: v for j, v in enumerate(r) if v} for r in rows]
+    rows = [dict(r) for r in rows]
+    holders = {}    # column -> indices of the live rows holding it
+    for i, r in enumerate(rows):
+        for j in r:
+            holders.setdefault(j, set()).add(i)
+    heap = [(len(r), i) for i, r in enumerate(rows) if r]
+    heapq.heapify(heap)
     rank = 0
-    while (pivot := _unit_pivot(sparse)) is not None:
-        i, j = pivot
-        p = sparse.pop(i)
+    while heap:
+        size, i = heapq.heappop(heap)
+        p = rows[i]
+        if p is None or len(p) != size:
+            continue
+        pivot, fewest = None, 0
+        for j, v in p.items():
+            if (v == 1 or v == -1) and (pivot is None or len(holders[j]) < fewest):
+                pivot, fewest = j, len(holders[j])
+        if pivot is None:
+            continue
         rank += 1
-        for r in sparse:
-            a = r.get(j)
-            if a:
-                a *= p[j]   # a / p[j], as p[j] is +-1
-                for k, v in p.items():
-                    w = r.get(k, 0) - a * v
-                    if w:
-                        r[k] = w
-                    else:
-                        del r[k]
-    rest = [r for r in sparse if r]
+        rows[i] = None
+        for j in p:
+            holders[j].discard(i)
+        sign = p[pivot]
+        for t in list(holders[pivot]):
+            r = rows[t]
+            a = r[pivot] * sign     # r[pivot] / p[pivot], as p[pivot] is +-1
+            for k, v in p.items():
+                w = r.get(k, 0) - a * v
+                if w:
+                    if k not in r:
+                        holders[k].add(t)
+                    r[k] = w
+                else:
+                    del r[k]
+                    holders[k].discard(t)
+            if r:
+                heapq.heappush(heap, (len(r), t))
+    rest = [r for r in rows if r]
     if not rest:
         return rank
     cols = sorted(set().union(*rest))

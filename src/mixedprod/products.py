@@ -15,7 +15,8 @@ arithmetic.  Only the listings enumerate, and one budget,
 generators it would build, and ``check_listing_size`` the variables that
 ``dual --expand``, ``decompose`` and ``facets`` would print.  The
 oracles, which also call these listings, are gated once per spec by the
-vertex cap in ``sweep.check_spec``.
+vertex cap in ``sweep.check_spec``, which records a spec whose expansion
+passes the generator cap as skipped.
 """
 
 from __future__ import annotations

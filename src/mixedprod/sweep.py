@@ -107,7 +107,10 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
     """Run every applicable cross-check on one spec.
 
     Returns a record with the closed-form verdicts and the lists of
-    mismatches and skipped (capped) oracle checks.
+    mismatches and skipped (capped) oracle checks.  The oracles are
+    skipped with the reason "vertex cap" above ``cap_vertices`` vertices,
+    and with "generator cap" when the spec or its dual expands to more
+    than ``products.GENERATOR_CAP`` generators.
     """
     mismatches = []
     skipped = []
@@ -127,9 +130,17 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
         mismatches.append(_mismatch(spec, "cm_implies_scm", cm.holds, scm.holds))
 
     oracle = {}
-    if oracle_level in ("fast", "full") and spec.universe.size <= cap_vertices:
-        ideal = products.expand_generators(spec)
-        dual_closed = products.expand_generators(products.closed_form_dual(spec))
+    ideal = None
+    if oracle_level in ("fast", "full"):
+        if spec.universe.size > cap_vertices:
+            skipped.append({"spec": spec_as_dict(spec), "reason": "vertex cap"})
+        else:
+            try:
+                ideal = products.expand_generators(spec)
+                dual_closed = products.expand_generators(products.closed_form_dual(spec))
+            except ideals.ResourceCapExceeded:
+                skipped.append({"spec": spec_as_dict(spec), "reason": "generator cap"})
+    if ideal is not None:
         # the one transversal computation: the dual's generators are the
         # minimal primes, whose complements are the facets of the complex
         primes = ideals.minimal_primes(ideal)
@@ -199,8 +210,6 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
                 oracle["shellable"] = result.status == "shellable"
                 if result.status != "shellable":
                     mismatches.append(_mismatch(spec, "shellable", True, result.status))
-    elif oracle_level in ("fast", "full"):
-        skipped.append({"spec": spec_as_dict(spec), "reason": "vertex cap"})
 
     return {
         "spec": spec_as_dict(spec),
@@ -260,8 +269,10 @@ def run_sweep(config: SweepConfig, record_sink=None) -> SweepResult:
 def oracle_coverage(config: SweepConfig, records) -> list[str]:
     """One line per oracle check of the level: the specs it ran on, of how many, and why not more.
 
-    Example: ``shellable 215 of 311 CM specs (facet cap 10)``.
+    Example: ``shellable 215 of 311 CM specs (facet cap 10)``.  Each skip
+    reason found among the records is named with its cap.
     """
+    caps = {"vertex cap": config.cap_vertices, "generator cap": products.GENERATOR_CAP}
     lines = []
     for name in ORACLE_CHECKS[config.oracle_level]:
         ran = sum(name in r["oracle"] for r in records)
@@ -272,7 +283,8 @@ def oracle_coverage(config: SweepConfig, records) -> list[str]:
             pool, what, limit = ([r for r in records if r["verdicts"]["cohen_macaulay"]],
                                  "CM specs", f"facet cap {config.cap_facets}")
         reachable = sum(not r["skipped"] for r in pool)
-        causes = [f"vertex cap {config.cap_vertices}"] if reachable < len(pool) else []
+        reasons = {skip["reason"] for r in pool for skip in r["skipped"]}
+        causes = [f"{reason} {cap}" for reason, cap in caps.items() if reason in reasons]
         if ran < reachable and limit:
             causes.append(limit)
         lines.append(f"{name} {ran} of {len(pool)} {what}"

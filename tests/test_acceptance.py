@@ -128,11 +128,14 @@ def test_criterion_8_homology_self_checks():
     for d in range(1, 4):
         low = boundary_matrix(full, d - 1)
         high = boundary_matrix(full, d)
-        for i in range(len(low.rows)):
-            for j in range(len(high.cols)):
-                if sum(low.entries[i][k] * high.entries[k][j]
-                       for k in range(len(high.rows))):
-                    failures.append(f"dd!=0 at d={d}")
+        # each d-face's boundary, mapped through del_{d-1}, must vanish
+        for row in high.rows:
+            image = {}
+            for j, a in row.items():
+                for k, b in low.rows[j].items():
+                    image[k] = image.get(k, 0) + a * b
+            if any(image.values()):
+                failures.append(f"dd!=0 at d={d}")
     cone = make_complex(VariableUniverse(4, 0), [{0, 1, 3}, {1, 2, 3}, {0, 2, 3}])
     if any(reduced_homology_ranks(cone).values()):
         failures.append("cone not acyclic")

@@ -3,11 +3,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mixedprod
 from mixedprod.cli import main, parse_pairs
 from mixedprod.ideals import InvalidInput
 from mixedprod.sweep import ORACLE_CHECKS
@@ -293,6 +297,41 @@ def test_raised_vertex_cap_runs_the_oracles(capsys, n, m):
     assert code == 0 and payload["skipped"] == []
     assert sorted(payload["oracle"]) == sorted(ORACLE_CHECKS["fast"])
     assert all(payload["oracle"].values())
+
+
+def test_raised_vertex_cap_skips_past_the_generator_cap(capsys):
+    # 462 * 462 generators: reported as a skip, not an error
+    code, out, _ = run(capsys, "classify", "--oracle", "fast", "--json", "--cap-vertices", "22",
+                       "--n", "11", "--m", "11", "--pairs", "5:5")
+    payload = json.loads(out)
+    assert code == 0 and payload["skipped"] == ["generator cap"] and payload["oracle"] is None
+
+
+SWEEP_JSON = [sys.executable, "-m", "mixedprod.cli", "sweep", "--max-n", "4", "--max-m", "4",
+              "--oracle", "none", "--json"]
+
+
+def _cli_env():
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mixedprod.__file__)))
+
+
+def test_closed_pipe_ends_without_a_traceback():
+    # the 805 records outgrow the pipe buffer, so the writer meets the closed end
+    proc = subprocess.Popen(SWEEP_JSON, env=_cli_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert json.loads(proc.stdout.readline())["spec"]
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    # started with no stdout at all, as `>&-` in a shell does
+    proc = subprocess.run(SWEEP_JSON, env=_cli_env(), stderr=subprocess.PIPE, text=True,
+                          preexec_fn=lambda: os.close(1), timeout=60)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("checked 805 specs, 0 mismatches")
 
 
 # (valid, malformed) values; the oracle-running calls get the small block sizes only.

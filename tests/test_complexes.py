@@ -8,7 +8,6 @@ from mixedprod import (
     VariableUniverse,
     dim,
     duval_scm,
-    faces_of_dim,
     find_shelling,
     is_pure,
     is_strongly_connected,
@@ -54,15 +53,6 @@ def test_is_pure():
     assert is_pure(PATH)
     assert not is_pure(MIXED)
     assert is_pure(EMPTYC)
-
-
-def test_faces_of_dim():
-    c = complex_on(2, [{0, 1}])
-    assert faces_of_dim(c, 0) == [frozenset({0}), frozenset({1})]
-    assert faces_of_dim(PATH, 1) == [frozenset({0, 1}), frozenset({1, 2})]
-    assert faces_of_dim(PATH, -1) == [frozenset()]
-    with pytest.raises(InvalidInput):
-        faces_of_dim(PATH, 2)
 
 
 def test_skeleton():

@@ -8,12 +8,15 @@ from mixedprod import (
     InvalidInput,
     VariableUniverse,
     boundary_matrix,
+    expand_generators,
     homology,
     kernels,
     make_complex,
+    normalize,
     rank_exact,
     reduced_homology_ranks,
     reisner_cm,
+    stanley_reisner_complex,
 )
 
 U4 = VariableUniverse(4, 0)
@@ -24,20 +27,40 @@ def complex_on(n, facets):
     return make_complex(VariableUniverse(n, 0), facets)
 
 
+def compose(low, high):
+    """del_{d-1} del_d as sparse rows, one per d-face, zero entries dropped."""
+    assert len(high.cols) == len(low.rows)   # the (d-1)-faces, in one order
+    out = []
+    for row in high.rows:
+        acc = {}
+        for j, a in row.items():
+            for k, b in low.rows[j].items():
+                acc[k] = acc.get(k, 0) + a * b
+        out.append({k: v for k, v in acc.items() if v})
+    return out
+
+
 def test_single_edge_boundary():
     c = complex_on(2, [{0, 1}])
     b = boundary_matrix(c, 1)
-    assert b.rows == (frozenset({0}), frozenset({1}))
-    assert b.cols == (frozenset({0, 1}),)
-    # removing vertex 0 (position 0) gets +1, vertex 1 (position 1) gets -1
-    assert b.entries == ((-1,), (1,))
+    assert b.cols == [0b01, 0b10]       # the vertices {0} and {1}
+    # removing vertex 0 (position 0) leaves {1} with +1, vertex 1 (position 1) leaves {0} with -1
+    assert b.rows == [{1: 1, 0: -1}]
 
 
 def test_augmentation_row():
     c = complex_on(2, [{0}, {1}])
     b = boundary_matrix(c, 0)
-    assert b.rows == (frozenset(),)
-    assert b.entries == ((1, 1),)
+    assert b.cols == [0]                # the empty face
+    assert b.rows == [{0: 1}, {0: 1}]
+
+
+def test_sign_rule_on_a_tetrahedron():
+    c = complex_on(4, [{0, 1, 2, 3}])
+    b = boundary_matrix(c, 3)
+    # removing the k-th smallest vertex gives (-1)^k
+    faces = {b.cols[j]: v for j, v in b.rows[0].items()}
+    assert faces == {0b1110: 1, 0b1101: -1, 0b1011: 1, 0b0111: -1}
 
 
 def test_boundary_out_of_range():
@@ -49,13 +72,7 @@ def test_boundary_out_of_range():
 def test_boundary_squared_zero_full_simplex():
     c = complex_on(4, [{0, 1, 2, 3}])
     for d in range(1, 4):
-        low = boundary_matrix(c, d - 1)
-        high = boundary_matrix(c, d)
-        prod = [[sum(low.entries[i][k] * high.entries[k][j]
-                     for k in range(len(high.rows)))
-                 for j in range(len(high.cols))]
-                for i in range(len(low.rows))]
-        assert all(x == 0 for row in prod for x in row)
+        assert not any(compose(boundary_matrix(c, d - 1), boundary_matrix(c, d)))
 
 
 def test_boundary_squared_zero_random():
@@ -67,17 +84,23 @@ def test_boundary_squared_zero_random():
         c = complex_on(n, facets)
         top = max(len(f) for f in c.facets) - 1
         for d in range(1, top + 1):
-            low = boundary_matrix(c, d - 1)
-            high = boundary_matrix(c, d)
-            for i in range(len(low.rows)):
-                for j in range(len(high.cols)):
-                    assert sum(low.entries[i][k] * high.entries[k][j]
-                               for k in range(len(high.rows))) == 0
+            assert not any(compose(boundary_matrix(c, d - 1), boundary_matrix(c, d)))
 
 
 def test_rank_exact_examples():
     c = complex_on(3, [{0, 1}, {1, 2}, {0, 2}])
     assert rank_exact(boundary_matrix(c, 1)) == 2
+
+
+def test_largest_boundary_map_of_a_16_vertex_spec():
+    # I4J4 on 8 + 8 variables: its 6-faces are all 7-subsets of the 16
+    # vertices, so del_6 is the full simplex's, of rank C(15, 6)
+    c = stanley_reisner_complex(expand_generators(normalize(VariableUniverse(8, 8), [(4, 4)])))
+    table = c.face_table
+    d = max(range(1, max(table) + 1), key=lambda d: len(table[d - 1]) * len(table[d]))
+    mat = boundary_matrix(c, d)
+    assert (d, len(mat.rows), len(mat.cols)) == (6, 11440, 8008)
+    assert rank_exact(mat) == 5005
 
 
 def test_triangle_boundary_is_circle():
@@ -158,7 +181,7 @@ def _exact_ranks(c):
     top = max(by_dim)
     if top == -1:
         return {-1: 1}
-    rank = {d: kernels.rank_int(boundary_matrix(c, d).entries) for d in range(top + 1)}
+    rank = {d: kernels.rank_int(boundary_matrix(c, d).rows) for d in range(top + 1)}
     rank[top + 1] = 0
     return {-1: 1 - rank[0],
             **{d: len(by_dim[d]) - rank[d] - rank[d + 1] for d in range(top + 1)}}
@@ -172,7 +195,7 @@ def test_projective_plane_takes_the_exact_fallback(monkeypatch):
     monkeypatch.setattr(kernels, "rank_int", lambda rows: calls.append(len(rows)) or rank_int(rows))
     monkeypatch.setattr(homology, "_ranks_cache", {})
     assert reisner_cm(c) == (True, None)
-    assert calls == [15]    # only del_2 (15 edges x 10 triangles) needed elimination
+    assert calls == [10]    # only del_2 (10 triangle rows over 15 edges) needed elimination
     assert reduced_homology_ranks(c) == {-1: 0, 0: 0, 1: 0, 2: 0}
     assert _exact_ranks(c) == {-1: 0, 0: 0, 1: 0, 2: 0}
 

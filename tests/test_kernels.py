@@ -1,6 +1,7 @@
 """Correctness tests for the minimal-hitting-set and exact-rank kernels."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -70,58 +71,84 @@ def test_hitting_sets_match_brute_force_property(family):
     assert kernels.minimal_hitting_sets(masks, nbits) == brute_minimal_hitting_sets(masks, nbits)
 
 
+def sparse(rows):
+    """A dense integer matrix as rank_int takes it: one {column: nonzero entry} dict per row."""
+    return [{j: v for j, v in enumerate(r) if v} for r in rows]
+
+
+def rank_frac(rows):
+    """Rank of a dense integer matrix by Gaussian elimination over the rationals."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    cols = len(m[0]) if m else 0
+    pr = 0
+    for pc in range(cols):
+        piv = next((r for r in range(pr, len(m)) if m[r][pc]), None)
+        if piv is None:
+            continue
+        m[pr], m[piv] = m[piv], m[pr]
+        for r in range(pr + 1, len(m)):
+            f = m[r][pc] / m[pr][pc]
+            for c in range(pc, cols):
+                m[r][c] -= f * m[pr][c]
+        pr += 1
+        rank += 1
+    return rank
+
+
 @KERNELS
 class TestRank:
     def test_zero_matrix(self, impl):
-        assert impl.rank_int([[0, 0], [0, 0]]) == 0
+        assert impl.rank_int(sparse([[0, 0], [0, 0]])) == 0
+        assert impl.rank_int([]) == 0
 
     def test_identity(self, impl):
-        assert impl.rank_int([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
+        assert impl.rank_int(sparse([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
 
     def test_dependent_rows(self, impl):
-        assert impl.rank_int([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == 2
+        assert impl.rank_int(sparse([[1, 2, 3], [2, 4, 6], [1, 0, 1]])) == 2
 
     def test_tall_and_wide(self, impl):
-        assert impl.rank_int([[1], [2], [3]]) == 1
-        assert impl.rank_int([[1, 2, 3]]) == 1
+        assert impl.rank_int(sparse([[1], [2], [3]])) == 1
+        assert impl.rank_int(sparse([[1, 2, 3]])) == 1
 
     def test_random_vs_fraction_elimination(self, impl):
-        from fractions import Fraction
-
-        def rank_frac(rows):
-            m = [[Fraction(x) for x in r] for r in rows]
-            rank = 0
-            cols = len(m[0]) if m else 0
-            pr = 0
-            for pc in range(cols):
-                piv = next((r for r in range(pr, len(m)) if m[r][pc]), None)
-                if piv is None:
-                    continue
-                m[pr], m[piv] = m[piv], m[pr]
-                for r in range(pr + 1, len(m)):
-                    f = m[r][pc] / m[pr][pc]
-                    for c in range(pc, cols):
-                        m[r][c] -= f * m[pr][c]
-                pr += 1
-                rank += 1
-            return rank
-
         rng = random.Random(11)
         for _ in range(40):
             nr, nc = rng.randint(1, 7), rng.randint(1, 7)
             rows = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
-            assert impl.rank_int(rows) == rank_frac(rows)
+            assert impl.rank_int(sparse(rows)) == rank_frac(rows)
 
     def test_unit_pivots_then_bareiss_remainder(self, impl):
-        assert impl.rank_int([[1, 1], [1, -1]]) == 2    # leaves [[-2]] to Bareiss
-        assert impl.rank_int([[2, 4], [4, 8]]) == 1     # no unit entry at all
-        assert impl.rank_int([[2, 0, 1], [0, 3, 1], [2, 3, 2]]) == 2
+        assert impl.rank_int(sparse([[1, 1], [1, -1]])) == 2    # leaves [[-2]] to Bareiss
+        assert impl.rank_int(sparse([[2, 4], [4, 8]])) == 1     # no unit entry at all
+        assert impl.rank_int(sparse([[2, 0, 1], [0, 3, 1], [2, 3, 2]])) == 2
         rng = random.Random(13)
         for values in ((-1, 0, 1), (-4, -2, 0, 3, 6), (-2, -1, 0, 0, 1, 2, 5)):
             for _ in range(40):
                 nr, nc = rng.randint(1, 9), rng.randint(1, 9)
                 rows = [[rng.choice(values) for _ in range(nc)] for _ in range(nr)]
-                assert impl.rank_int(rows) == impl._rank_bareiss(rows)
+                assert impl.rank_int(sparse(rows)) == impl._rank_bareiss(rows)
+
+
+def test_sparse_rank_vs_fraction_elimination(monkeypatch):
+    remainders = []
+    bareiss = kernels._rank_bareiss
+    monkeypatch.setattr(kernels, "_rank_bareiss",
+                        lambda rows: remainders.append(len(rows)) or bareiss(rows))
+    rng = random.Random(17)
+    # mostly zero, units common: pivots fill rows in and re-queue them
+    values = (0,) * 12 + (1, -1) * 3 + (2, -2, 3, 6)
+    for trial in range(150):
+        nr, nc = rng.randint(1, 24), rng.randint(1, 24)
+        rows = [[rng.choice(values) for _ in range(nc)] for _ in range(nr)]
+        rows += [[0] * nc] * rng.randint(0, 2)                          # empty rows
+        rows += [list(rng.choice(rows)) for _ in range(rng.randint(0, 3))]  # duplicates
+        rng.shuffle(rows)
+        given = sparse(rows)
+        assert kernels.rank_int(given) == rank_frac(rows)
+        assert given == sparse(rows)     # the input is left as it was
+    assert 0 < len(remainders) < 150     # both the unit pivots alone and Bareiss ran
 
 
 def test_rank_f2():
@@ -135,7 +162,7 @@ def test_rank_f2():
         rows = [[rng.randint(0, 1) for _ in range(nc)] for _ in range(nr)]
         masks = [sum(b << j for j, b in enumerate(r)) for r in rows]
         # a 0/1 matrix's rank over GF(2) is at most its rank over Q
-        assert kernels.rank_f2(masks) <= kernels.rank_int(rows)
+        assert kernels.rank_f2(masks) <= kernels.rank_int(sparse(rows))
         # over GF(2), row rank equals column rank
         cols = [sum(r[j] << i for i, r in enumerate(rows)) for j in range(nc)]
         assert kernels.rank_f2(masks) == kernels.rank_f2(cols)

@@ -4,13 +4,15 @@ from types import SimpleNamespace
 
 import pytest
 
-from mixedprod import kernels
+from mixedprod import VariableUniverse, kernels, normalize
 from mixedprod.sweep import (
     SweepConfig,
     _intersection_bound,
     check_spec,
     enumerate_specs,
+    oracle_coverage,
     run_sweep,
+    spec_as_dict,
 )
 
 
@@ -54,3 +56,21 @@ def test_intersection_bound_on_masks():
     # below that, the first pair in block order is the witness, as sorted vertex lists
     assert _intersection_bound(SimpleNamespace(q_bar=(0, 1), r_bar=(2, 0)), blocks) == \
         (False, (1, 2, [0, 1], [0, 2]))
+
+
+def test_generator_cap_is_a_recorded_skip():
+    # I5J5 on 11 + 11 variables: 462 * 462 generators, past the generator
+    # cap but inside a raised vertex cap
+    big = normalize(VariableUniverse(11, 11), [(5, 5)])
+    record = check_spec(big, "full", cap_vertices=22)
+    assert record["oracle"] == {} and record["mismatches"] == []
+    assert record["skipped"] == [{"spec": spec_as_dict(big), "reason": "generator cap"}]
+    wide = normalize(VariableUniverse(12, 11), [(1, 1)])     # 23 vertices
+    small = normalize(VariableUniverse(2, 2), [(1, 1)])
+    records = [record] + [check_spec(s, "full", cap_vertices=22) for s in (wide, small)]
+    assert records[1]["skipped"][0]["reason"] == "vertex cap" and not records[2]["skipped"]
+    lines = oracle_coverage(SweepConfig(12, 11, 1, "full", cap_vertices=22), records)
+    assert lines[0] == "dual_generators 1 of 3 specs (vertex cap 22, generator cap 100000)"
+    assert lines[-1] == "shellable 0 of 0 CM specs"
+    only_big = oracle_coverage(SweepConfig(11, 11, 1, "fast", cap_vertices=22), records[:1])
+    assert only_big[0] == "dual_generators 0 of 1 specs (generator cap 100000)"
