@@ -6,7 +6,8 @@ Output is UTF-8 text, or canonical JSON with --json (sweep mode emits
 one JSON object per spec, JSON lines).
 
 Exit codes: 0 success / no mismatch, 1 invalid input (usage errors included)
-or output closed by its reader, 2 mismatch found.
+or output closed by its reader (sweep records with stdout closed too),
+2 mismatch found.
 """
 
 from __future__ import annotations
@@ -200,10 +201,13 @@ def cmd_sweep(args):
                          oracle_level=args.oracle, workers=args.workers,
                          perturb=args.perturb, cap_vertices=args.cap_vertices,
                          cap_facets=args.cap_facets)
+    if args.json and not args.out and sys.stdout is None:
+        # as with a closed pipe, records that reach no reader end the run with 1
+        raise MixedProdError("stdout is closed; give --out to keep the records")
     out = open(args.out, "w") if args.out else None
     sink = None
     if out is not None or args.json:
-        def sink(record):   # to stdout when out is None, and nowhere if stdout is closed
+        def sink(record):   # to stdout when out is None
             print(json.dumps(record, sort_keys=True, separators=(",", ":")), file=out)
 
     result = sweep.run_sweep(config, record_sink=sink)

@@ -136,8 +136,9 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
             skipped.append({"spec": spec_as_dict(spec), "reason": "vertex cap"})
         else:
             try:
-                ideal = products.expand_generators(spec)
-                dual_closed = products.expand_generators(products.closed_form_dual(spec))
+                # both or neither: the spec fits the cap while its dual may not
+                ideal, dual_closed = (products.expand_generators(spec),
+                                      products.expand_generators(products.closed_form_dual(spec)))
             except ideals.ResourceCapExceeded:
                 skipped.append({"spec": spec_as_dict(spec), "reason": "generator cap"})
     if ideal is not None:

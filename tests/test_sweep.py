@@ -65,6 +65,11 @@ def test_generator_cap_is_a_recorded_skip():
     record = check_spec(big, "full", cap_vertices=22)
     assert record["oracle"] == {} and record["mismatches"] == []
     assert record["skipped"] == [{"spec": spec_as_dict(big), "reason": "generator cap"}]
+    # I6 + J6 has 924 generators, under the cap, but its dual I6J6 is past it
+    big_dual = normalize(VariableUniverse(11, 11), [(6, 0), (0, 6)])
+    dual_record = check_spec(big_dual, "full", cap_vertices=22)
+    assert dual_record["oracle"] == {} and dual_record["mismatches"] == []
+    assert dual_record["skipped"] == [{"spec": spec_as_dict(big_dual), "reason": "generator cap"}]
     wide = normalize(VariableUniverse(12, 11), [(1, 1)])     # 23 vertices
     small = normalize(VariableUniverse(2, 2), [(1, 1)])
     records = [record] + [check_spec(s, "full", cap_vertices=22) for s in (wide, small)]
