@@ -13,6 +13,7 @@ or output closed by its reader (sweep records with stdout closed too),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -204,15 +205,17 @@ def cmd_sweep(args):
     if args.json and not args.out and sys.stdout is None:
         # as with a closed pipe, records that reach no reader end the run with 1
         raise MixedProdError("stdout is closed; give --out to keep the records")
-    out = open(args.out, "w") if args.out else None
+    try:
+        out = open(args.out, "w") if args.out else None
+    except OSError as exc:
+        raise MixedProdError(f"cannot write --out {args.out}: {exc.strerror}") from None
     sink = None
     if out is not None or args.json:
         def sink(record):   # to stdout when out is None
             print(json.dumps(record, sort_keys=True, separators=(",", ":")), file=out)
 
-    result = sweep.run_sweep(config, record_sink=sink)
-    if out is not None:
-        out.close()
+    with out or contextlib.nullcontext():
+        result = sweep.run_sweep(config, record_sink=sink)
     summary = (f"checked {result.configs_checked} specs, "
                f"{len(result.mismatches)} mismatches, "
                f"{len(result.skipped)} skipped, {result.elapsed:.1f}s")

@@ -60,9 +60,6 @@ class VariableUniverse:
     def size(self) -> int:
         return self.n + self.m
 
-    def is_x(self, i: int) -> bool:
-        return 0 <= i < self.n
-
     def var_name(self, i: int) -> str:
         self.check_index(i)
         return f"x{i + 1}" if i < self.n else f"y{i - self.n + 1}"

@@ -8,9 +8,9 @@ x-block (y-block).  After normalization the exponent pairs satisfy
 Everything ideal-specific lives here: the derived profile vectors
 (q_bar, r_bar, sigma) and their inverse, the closed-form Alexander
 dual, the primary decomposition, the unmixed / Cohen-Macaulay /
-sequentially-Cohen-Macaulay verdicts, the facet partition, and the
-constructive shelling order.  All verdicts are O(s') profile
-arithmetic.  Only the listings enumerate, and one budget,
+sequentially-Cohen-Macaulay verdicts, the facet partition, and a
+shelling order of every sequentially-Cohen-Macaulay spec.  All verdicts
+are O(s') profile arithmetic.  Only the listings enumerate, and one budget,
 ``GENERATOR_CAP``, bounds them: ``expand_generators`` counts the
 generators it would build, and ``check_listing_size`` the variables that
 ``dual --expand``, ``decompose`` and ``facets`` would print.  The
@@ -361,34 +361,28 @@ def facet_partition(spec: MixedProductSpec) -> list[list[frozenset]]:
             for q, r in zip(p.q_bar, p.r_bar)]
 
 
-def _y_first_key(universe, f):
-    xs = tuple(sorted(i for i in f if universe.is_x(i)))
-    ys = tuple(sorted(i for i in f if not universe.is_x(i)))
-    return ys, xs
-
-
 def shelling_order(spec: MixedProductSpec) -> Optional[list[frozenset]]:
-    """The constructive shelling order, when one of the step conditions holds.
+    """A shelling order of the facets when the spec is sequentially CM, else None.
 
-    With unit q-steps: blocks in ascending order, facets within a block
-    by x-part then y-part lexicographically.  With unit r-steps the
-    mirror image (swap the roles of x and y, which reverses the block
-    order).  Returns None when neither condition holds.
+    Start at the block of largest sigma (leftmost on ties), grow an
+    interval by appending the neighbour of larger sigma (left on ties),
+    and keep each block in ``facet_partition`` (lex) order, which shells
+    it.  Proof: sigma does not fall left of the peak and each step is a
+    unit q- or r-step, so each step there lowers r by one.  A facet F in
+    block k left of the peak follows facets G of blocks right of k only,
+    each with fewer y's; F minus a y outside G contains F & G and lies in
+    a facet of block k + 1, which came earlier.  Mirror x and y right of
+    the peak.  With unit q-steps this is the paper's ascending order.
     """
-    p = qr_profile(spec)
-    q_steps = all(p.q_bar[i + 1] == p.q_bar[i] + 1 for i in range(p.s_prime - 1))
-    r_steps = all(p.r_bar[i + 1] == p.r_bar[i] - 1 for i in range(p.s_prime - 1))
-    if not q_steps and not r_steps:
+    if not is_scm_closed_form(spec).holds:
         return None
+    sigma = qr_profile(spec).sigma
+    peak = sigma.index(max(sigma))
+    # sigma is unimodal, so both sides descend from the peak, and a stable
+    # sort by sigma merges them, the left side first on ties
+    ks = sorted([*range(peak, -1, -1), *range(peak + 1, len(sigma))], key=lambda k: -sigma[k])
     blocks = facet_partition(spec)
-    if q_steps:
-        # the facets of one block share one x-count, so the sort_key order
-        # facet_partition returns is already the (x-part, y-part) order
-        return [f for block in blocks for f in block]
-    order = []
-    for block in reversed(blocks):
-        order.extend(sorted(block, key=lambda f: _y_first_key(spec.universe, f)))
-    return order
+    return [f for k in ks for f in blocks[k]]
 
 
 def skeleton_profile(spec: MixedProductSpec, l: int):

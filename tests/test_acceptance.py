@@ -2,8 +2,8 @@
 
 All checks are exact (set equality / boolean agreement, zero tolerance)
 over the exhaustive enumeration of normalized specs with n, m <= 4 and
-s <= 3.  One PASS line is printed per criterion (run with -s to see
-them).
+every s (842 specs).  One PASS line is printed per criterion (run with
+-s to see them).
 """
 
 import time
@@ -34,7 +34,8 @@ from mixedprod.cli import main as cli_main
 from mixedprod.ideals import sort_key
 from mixedprod.sweep import SweepConfig, enumerate_specs, run_sweep
 
-MAX_N, MAX_M, MAX_S = 4, 4, 3
+MAX_N, MAX_M = 4, 4
+MAX_S = min(MAX_N, MAX_M) + 1   # every s: no normalized spec has more summands
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +106,10 @@ def test_criterion_5_complete_bipartite_family():
 
 def test_criterion_6_constructive_shelling(full_sweep):
     bad = _mismatches(full_sweep, "shelling_order")
-    report(6, not bad, f"({len(bad)} failed shelling orders)")
+    scm = [r for r in full_sweep.records if r["verdicts"]["sequentially_cm"]]
+    shelled = sum(r["oracle"].get("shelling_order", False) for r in scm)
+    report(6, not bad and shelled == len(scm),
+           f"({len(bad)} failed shelling orders, {shelled} of {len(scm)} SCM specs shelled)")
 
 
 def test_criterion_7_structural_identities(full_sweep):
@@ -160,4 +164,5 @@ def test_criterion_9_perturb_harness(capsys):
 
 def test_sweep_has_no_mismatches_at_all(full_sweep):
     assert full_sweep.mismatches == []
-    assert full_sweep.configs_checked == sum(1 for _ in enumerate_specs(MAX_N, MAX_M, MAX_S))
+    count = sum(1 for _ in enumerate_specs(MAX_N, MAX_M, MAX_S))
+    assert full_sweep.configs_checked == count == 842

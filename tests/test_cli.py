@@ -265,7 +265,7 @@ def test_sweep_reports_oracle_coverage(capsys):
         "facet_partition 37 of 37 specs",
         "intersection_bound 37 of 37 specs",
         "cm_strongly_connected 37 of 37 specs",
-        "shelling_order 36 of 37 specs (no constructive order)",
+        "shelling_order 36 of 36 SCM specs",
         "cm_reisner 37 of 37 specs",
         "scm_duval 37 of 37 specs",
         "shellable 30 of 30 CM specs",
@@ -273,6 +273,15 @@ def test_sweep_reports_oracle_coverage(capsys):
     code, out, err = run(capsys, *argv, "--json", "--cap-vertices", "3", "--cap-facets", "1")
     assert code == 0 and all(json.loads(line) for line in out.splitlines())
     assert err.splitlines()[-1] == "shellable 9 of 30 CM specs (vertex cap 3, facet cap 1)"
+
+
+@pytest.mark.parametrize("name", ["missing/x.jsonl", "."])
+def test_sweep_out_unwritable_is_a_one_line_error(capsys, monkeypatch, tmp_path, name):
+    path = tmp_path / name   # a missing directory, or a directory
+    monkeypatch.setattr(mixedprod.sweep, "run_sweep", None)   # no spec may run
+    code, out, err = run(capsys, "sweep", "--max-n", "1", "--max-m", "1", "--out", str(path))
+    assert code == 1 and not out
+    assert err.startswith(f"error: cannot write --out {path}: ") and err.count("\n") == 1
 
 
 def test_facets_caps_printed_variables(capsys):

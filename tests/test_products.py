@@ -300,7 +300,8 @@ class TestShellingOrder:
         assert shelling_order(spec(2, 2, [(1, 1)])) is None
 
     def test_r_condition_only(self):
-        # q jumps by 2 but r steps by 1: only the mirrored construction applies
+        # q jumps by 2 but r steps by 1: sigma = 2, 3, 3 peaks at block 2,
+        # so the interval grows right, then left
         s = spec(3, 2, [(1, 2), (3, 1)])
         p = qr_profile(s)
         assert any(p.q_bar[i + 1] != p.q_bar[i] + 1 for i in range(p.s_prime - 1))
@@ -310,12 +311,32 @@ class TestShellingOrder:
         assert verify_shelling_order(c, order) == (True, None)
 
     def test_all_applicable_verify(self):
-        for s in enumerate_specs(3, 3, 3):
+        # an order exactly for the sequentially CM specs, every s
+        shelled = 0
+        for s in enumerate_specs(4, 4, 5):
             order = shelling_order(s)
-            if order is None:
-                continue
-            c = stanley_reisner_complex(expand_generators(s))
-            assert verify_shelling_order(c, order) == (True, None)
+            assert (order is not None) == is_scm_closed_form(s).holds, s
+            if order is not None:
+                c = stanley_reisner_complex(expand_generators(s))
+                assert verify_shelling_order(c, order) == (True, None), s
+                sizes = [len(f) for f in order]
+                assert sizes == sorted(sizes, reverse=True), s   # facet sizes never rise
+                shelled += 1
+        assert shelled == 671
+
+    def test_peak_in_the_middle(self):
+        # sigma = 5, 5, 6, 5, 5: neither step condition holds
+        s = spec(5, 5, [(1, 5), (2, 4), (4, 2), (5, 1)])
+        assert qr_profile(s).sigma == (5, 5, 6, 5, 5)
+        c = stanley_reisner_complex(expand_generators(s))
+        order = shelling_order(s)
+        assert len(order) == 152 and verify_shelling_order(c, order) == (True, None)
+        # the interval grows left on ties
+        blocks = facet_partition(s)
+        assert order == [f for k in (2, 1, 0, 3, 4) for f in blocks[k]]
+        # sigma-descending with ties broken by block index leaves the interval
+        descending = [f for k in (2, 0, 1, 3, 4) for f in blocks[k]]
+        assert not verify_shelling_order(c, descending)[0]
 
 
 class TestSkeletonProfile:

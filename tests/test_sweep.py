@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from mixedprod import VariableUniverse, kernels, normalize
+from mixedprod import VariableUniverse, kernels, normalize, sweep
 from mixedprod.sweep import (
     SweepConfig,
     _intersection_bound,
@@ -21,6 +21,31 @@ def test_workers_give_the_inline_records():
     pooled = run_sweep(SweepConfig(2, 2, 2, "fast", workers=2))
     assert inline.configs_checked > 0
     assert pooled.records == inline.records
+
+
+@pytest.mark.parametrize("max_n, cores, size", [(1, 64, None), (2, 64, 3), (2, 2, 2)])
+def test_pool_size_is_bounded_by_cores_and_chunks(monkeypatch, max_n, cores, size):
+    # 4 specs fill one chunk of 16, 37 specs three; no process is started
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: cores)
+    result = run_sweep(SweepConfig(max_n, max_n, 2, "none", workers=5000))
+    assert result.configs_checked == (4 if max_n == 1 else 37)
+    assert sizes == ([size] if size else [])
 
 
 def test_summand_count_bound_past_the_block_sizes():
