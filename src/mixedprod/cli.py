@@ -115,6 +115,8 @@ def cmd_classify(args):
             print(f"oracle {name}: {str(ok).lower()}")
         for reason in skipped:
             print(f"oracle skipped: {reason}")
+        if args.timing:
+            print(f"timing: {payload['timing']} s")
     return 2 if mismatched else 0
 
 

@@ -23,6 +23,16 @@ have the same homology.  The first face of each class in canonical
 order is the lex-least of its orbit, so testing only those faces finds
 the same first failing face, hence the same witness.  A facet set that
 is not invariant has every face checked.
+
+Duval's criterion runs Reisner's on every pure skeleton, yet no skeleton
+gets a face table of its own.  The link of F in the l-skeleton agrees in
+every degree Reisner asks about with K_d, the complex generated by the
+d-faces of lk(F), where d is the least facet dimension of lk(F) that is
+at least l - 1 - |F| (``duval_scm`` proves it).  So each K_d is built
+once per (F, d), from c's face table, and serves every level whose d it
+is; the orbit representatives of c serve every level too.  On a CM
+complex every link is pure, each K_d is a link that Reisner's check has
+ranked, and Duval's check ranks nothing new.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
 
-from .homology import _faces_by_dim, reduced_homology_ranks
+from .homology import _canonical_key, _faces_by_dim, reduced_homology_ranks
 from .ideals import (
     DomainError,
     InvalidInput,
@@ -62,6 +72,11 @@ class SimplicialComplex:
     def face_table(self) -> dict[int, list[int]]:
         """dim -> face masks in increasing order, built once per complex."""
         return _faces_by_dim(self)
+
+    @cached_property
+    def rank_key(self) -> tuple:
+        """The relabeling-canonical key of the homology rank cache."""
+        return _canonical_key(self.masks)
 
     def __repr__(self):
         parts = ["{" + ",".join(self.universe.var_name(i) for i in sorted(f)) + "}"
@@ -269,9 +284,9 @@ def reisner_cm(c: SimplicialComplex):
         d = dim(lk)
         if d <= 0:
             continue  # nothing below dim 0 but H~_{-1}, which vanishes off the [set()] complex
-        ranks = reduced_homology_ranks(lk)
+        ranks = reduced_homology_ranks(lk, below=d)
         for i in range(-1, d):
-            if ranks.get(i, 0):
+            if ranks[i]:
                 return False, (f, i)
     return True, None
 
@@ -279,10 +294,37 @@ def reisner_cm(c: SimplicialComplex):
 def duval_scm(c: SimplicialComplex):
     """Sequential CM via pure skeleta: every skeleton must pass Reisner.
 
-    Returns (True, None) or (False, (l, reisner_witness)).
+    Returns (True, None) or (False, (l, reisner_witness)), the witness
+    that ``reisner_cm(skeleton(c, l))`` gives at the least failing l.
+
+    The link of a face F in the pure l-skeleton is K_j, the complex
+    generated by the j-faces of L = lk_c(F), with j = l - 1 - |F|.  Let d
+    be the least facet dimension of L that is >= j.  No facet of L has
+    dimension in [j, d), so every j-face of L lies in a d-face: K_j is
+    the j-skeleton of K_d, and H~_i(K_j) = H~_i(K_d) for every i < j,
+    the degrees Reisner's criterion asks about.  So each K_d is built
+    once, from c's own face table, and asked for the degrees below j at
+    every level it serves; no skeleton gets a face table of its own.
     """
+    faces = list(_orbit_representatives(c)) if _is_block_symmetric(c) else all_faces(c)
+    facet_dims = {}     # F -> the facet dimensions of lk_c(F), ascending
+    k_d = {}            # (F, d) -> K_d
     for l in range(0, dim(c) + 2):
-        ok, witness = reisner_cm(skeleton(c, l))
-        if not ok:
-            return False, (l, witness)
+        for f in faces:
+            j = l - 1 - len(f)
+            if j <= 0:
+                break   # faces come by size; a link of dimension <= 0 has no homology to check
+            dims = facet_dims.get(f)
+            if dims is None:
+                dims = facet_dims[f] = sorted({g.bit_count() - 1 for g in link(c, f).masks})
+            if dims[-1] < j:
+                continue    # F is no face of the l-skeleton
+            d = next(e for e in dims if e >= j)
+            lk = k_d.get((f, d))
+            if lk is None:
+                lk = k_d[f, d] = link(skeleton(c, len(f) + d + 1), f)
+            ranks = reduced_homology_ranks(lk, below=j)
+            for i in range(-1, j):
+                if ranks[i]:
+                    return False, (l, (f, i))
     return True, None

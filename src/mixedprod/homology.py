@@ -1,9 +1,10 @@
 """Reduced simplicial homology ranks over the rationals.
 
-Faces are bitmasks (bit i is vertex i).  ``_faces_by_dim`` enumerates
-the submasks of every facet once and is the one face-table builder; a
-complex keeps its table (``SimplicialComplex.face_table``), and every
-boundary map is read off it.
+Faces are bitmasks (bit i is vertex i).  ``_faces_by_dim`` walks the
+submasks of each facet down to the faces already seen and is the one
+face-table builder; a complex keeps its table
+(``SimplicialComplex.face_table``), and every boundary map is read off
+it.
 
 Ranks are exact and never use floating point.  Each boundary map is
 first ranked over GF(2) with an XOR basis (kernels.rank_f2), a one-sided
@@ -27,9 +28,17 @@ settles (homology in two adjacent degrees, or torsion such as the Z/2 of
 the real projective plane) is eliminated exactly, smallest matrix first,
 and the certificates are tried again.
 
-Rank vectors are memoized on a relabeling-canonical key of the facet
-masks, which is what makes the exhaustive oracle sweeps cheap: the
-links showing up there repeat heavily.
+The cache is filled on demand.  Per relabeling-canonical complex
+(``SimplicialComplex.rank_key``) it holds the face counts and the exact
+boundary ranks found so far.  ``reduced_homology_ranks(c, below=j)``
+settles only del_1 .. del_j, by the rule above restricted to those maps,
+which determines H~_i for every i < j; it returns every degree that the
+known ranks determine, so a complex that is already ranked is answered
+from the cache without a face table.  Reisner's criterion asks a link
+for the degrees below its dimension; Duval's asks each skeleton-link
+only for the degrees its level needs, so a level that fails early never
+pays for the maps above it.  The exhaustive oracle sweeps stay cheap
+because the links showing up there repeat heavily.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from dataclasses import dataclass
 from . import kernels
 from .ideals import InvalidInput
 
+# rank key -> (face counts by dimension, {d: exact rank of del_d} found so far)
 _ranks_cache: dict = {}
 
 
@@ -55,14 +65,27 @@ class BoundaryMatrix:
 
 
 def _faces_by_dim(c) -> dict[int, list[int]]:
-    """dim -> face masks of that dimension in increasing order, empty face included."""
-    seen = set()
+    """dim -> face masks of that dimension in increasing order, empty face included.
+
+    The submasks of a facet form a tree (remove vertices in increasing
+    order), so each is reached once.  A branch ends at a face seen
+    before: an earlier facet contains it, and everything below it was
+    seen with it.
+    """
+    seen = {0}
     for f in c.masks:
-        s = f
-        while s:
-            seen.add(s)
-            s = (s - 1) & f
-    by_dim: dict[int, list[int]] = {-1: [0]}
+        seen.add(f)
+        stack = [(f, f)]
+        while stack:
+            s, free = stack.pop()
+            while free:
+                low = free & -free
+                free ^= low
+                t = s ^ low
+                if t not in seen:
+                    seen.add(t)
+                    stack.append((t, free))
+    by_dim: dict[int, list[int]] = {}
     for s in sorted(seen):
         by_dim.setdefault(s.bit_count() - 1, []).append(s)
     return by_dim
@@ -129,46 +152,51 @@ def _canonical_key(masks) -> tuple:
                         for f in masks))
 
 
-def _boundary_ranks(c, counts, top) -> dict[int, int]:
-    """Exact ranks of del_0 .. del_{top+1} over Q (see the module docstring).
+def _settle(c, counts, rank, below) -> None:
+    """Add the exact ranks of del_1 .. del_below to ``rank`` (see the module docstring).
 
     A GF(2) rank is taken as exact when the degree below or above
     certifies it; elimination ranks the smallest matrix left unsettled,
-    and the certificates are tried again.
+    and the certificates are tried again.  Maps above ``below`` are
+    neither ranked nor eliminated.
     """
-    f2 = {d: _rank_f2(c.face_table, d) for d in range(1, top + 1)}
-    rank = {0: 1, top + 1: 0}
-    while len(rank) < top + 2:
-        for d in [*range(1, top + 1), *range(top, 0, -1)]:
-            if d not in rank and (d - 1 in rank and counts[d - 1] - rank[d - 1] == f2[d]
-                                  or d + 1 in rank and counts[d] - rank[d + 1] == f2[d]):
+    f2 = {}
+    wanted = range(1, below + 1)
+    while any(d not in rank for d in wanted):
+        for d in [*wanted, *reversed(wanted)]:
+            if d in rank:
+                continue
+            if d not in f2:
+                f2[d] = _rank_f2(c.face_table, d)
+            if (d - 1 in rank and counts[d - 1] - rank[d - 1] == f2[d]
+                    or d + 1 in rank and counts[d] - rank[d + 1] == f2[d]):
                 rank[d] = f2[d]
-        unsettled = [d for d in range(1, top + 1) if d not in rank]
+        unsettled = [d for d in wanted if d not in rank]
         if unsettled:
             d = min(unsettled, key=lambda d: counts[d - 1] * counts[d])
             rank[d] = rank_exact(boundary_matrix(c, d))
-    return rank
 
 
-def reduced_homology_ranks(c) -> dict[int, int]:
-    """Ranks of the reduced homology groups, as a dict over d = -1..dim.
+def reduced_homology_ranks(c, below: int | None = None) -> dict[int, int]:
+    """Ranks of the reduced homology groups H~_d, for every d the known ranks determine.
 
     rank H~_d = (#d-faces) - rank del_d - rank del_{d+1}; the (-1)-st
-    rank is 1 for the [set()] complex and 0 otherwise.
+    rank is 1 for the [set()] complex and 0 otherwise.  Only del_1 ..
+    del_below are settled, which determines every degree below
+    ``below``; the default settles every map, so the dict covers
+    d = -1..dim.  Degrees that ranks found earlier determine are
+    included too.
     """
-    key = _canonical_key(c.masks)
-    cached = _ranks_cache.get(key)
-    if cached is not None:
-        return dict(cached)
-    table = c.face_table
-    top = max(table)
-    if top == -1:
-        ranks = {-1: 1}
-    else:
-        counts = {d: len(table[d]) for d in range(-1, top + 1)}
-        bd_rank = _boundary_ranks(c, counts, top)
-        ranks = {-1: 1 - bd_rank[0]}
-        for d in range(0, top + 1):
-            ranks[d] = counts[d] - bd_rank[d] - bd_rank[d + 1]
-    _ranks_cache[key] = dict(ranks)
+    entry = _ranks_cache.get(c.rank_key)
+    if entry is None:
+        counts = {d: len(faces) for d, faces in c.face_table.items()}
+        top = max(counts)
+        entry = _ranks_cache[c.rank_key] = (counts, {0: 1, top + 1: 0} if top >= 0 else {0: 0})
+    counts, rank = entry
+    top = max(counts)
+    _settle(c, counts, rank, top if below is None else min(below, top))
+    ranks = {-1: 1 - rank[0]}
+    for d in range(0, top + 1):
+        if d in rank and d + 1 in rank:
+            ranks[d] = counts[d] - rank[d] - rank[d + 1]
     return ranks

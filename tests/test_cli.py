@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -65,6 +66,16 @@ def test_classify_json_deterministic(capsys):
                                    "unmixed": True}
     assert payload["profile"]["q_bar"] == [0, 1, 2]
     assert payload["timing"] is None
+
+
+def test_classify_timing_in_text_mode(capsys):
+    argv = ["classify", "--n", "2", "--m", "2", "--pairs", "1:2,2:1", "--timing"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert re.fullmatch(r"timing: \d+(\.\d+)? s", out.splitlines()[-1])
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and len(out.splitlines()) == 1
+    assert json.loads(out)["timing"] >= 0
 
 
 def test_classify_invalid_input(capsys):

@@ -296,3 +296,78 @@ def test_orbit_reduction_on_every_invariant_complex():
                     assert duval_scm(c) == duval_reference(c)
                     checked += 1
     assert checked == 207
+
+
+def _has_a_size_gap(c):
+    sizes = sorted({len(f) for f in c.facets})
+    return any(b - a > 1 for a, b in zip(sizes, sizes[1:]))
+
+
+def test_duval_on_non_pure_complexes_with_size_gaps():
+    # Facet sizes with gaps make the least facet dimension d >= j of a
+    # link differ from j, so each K_d serves several skeleton levels.
+    import random
+    from itertools import combinations
+    rng = random.Random(43)
+    checked = {True: 0, False: 0}     # by block symmetry
+    failing = {True: 0, False: 0}
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        u = VariableUniverse(n, rng.randint(max(1, 5 - n), 7 - n))
+        sizes = rng.choice([(5, 2, 1), (5, 3, 1), (4, 2, 1), (4, 2), (4, 1), (3, 1), (6, 3, 1)])
+        symmetric = rng.random() < 0.5
+        chosen = []     # (x-count, y-count) classes, or facets; larger ones first
+        for k in sizes:
+            if symmetric:
+                options = [(a, k - a) for a in range(k + 1) if a <= n and k - a <= u.m]
+            else:
+                options = [frozenset(rng.sample(range(u.size), k)) for _ in range(3) if k <= u.size]
+            # keep what no larger choice contains, so that the size gap survives
+            options = [t for t in options if not any(
+                (t[0] <= g[0] and t[1] <= g[1]) if symmetric else t <= g for g in chosen)]
+            chosen += rng.sample(options, min(len(options), 1 if symmetric else 2 if not chosen else 3))
+        if symmetric:
+            # whole classes, so the facet set is S_n x S_m invariant
+            facets = [set(xs) | set(ys) for a, b in chosen
+                      for xs in combinations(range(n), a)
+                      for ys in combinations(range(n, u.size), b)]
+        else:
+            facets = chosen
+        c = make_complex(u, facets)
+        if not _has_a_size_gap(c):
+            continue
+        expected = duval_reference(c)
+        assert duval_scm(c) == expected
+        symmetric = _is_block_symmetric(c)
+        checked[symmetric] += 1
+        failing[symmetric] += not expected[0]
+    assert checked[True] >= 100 and checked[False] >= 100
+    assert failing[True] >= 5 and failing[False] >= 30
+
+
+def test_duval_after_reisner_reuses_every_link(monkeypatch):
+    # A CM complex is pure, so each K_d is a link that Reisner's check
+    # has ranked already: Duval's check builds only c's own face table
+    # (for the skeleta) and eliminates nothing.
+    from mixedprod import complexes, expand_generators, kernels, stanley_reisner_complex
+    from mixedprod.products import is_cm_closed_form
+    from mixedprod.sweep import enumerate_specs
+    built, eliminated = [], []
+    faces = complexes._faces_by_dim
+    monkeypatch.setattr(complexes, "_faces_by_dim", lambda c: built.append(c) or faces(c))
+    rank_int = kernels.rank_int
+    monkeypatch.setattr(kernels, "rank_int", lambda rows: eliminated.append(1) or rank_int(rows))
+    checked = 0
+    for spec in enumerate_specs(5, 5, 6):
+        if not is_cm_closed_form(spec).holds:
+            continue
+        c = stanley_reisner_complex(expand_generators(spec))
+        assert reisner_cm(c) == (True, None)
+        built.clear()
+        eliminated.clear()
+        assert duval_scm(c) == (True, None)
+        # a 0-dimensional complex has no link of dimension >= 1 in any skeleton
+        assert [b is c for b in built] == ([True] if dim(c) >= 1 else [])
+        assert eliminated == []
+        checked += 1
+    assert checked == 746

@@ -229,3 +229,71 @@ def test_certified_ranks_match_exact_elimination(monkeypatch):
         fell_back += len(calls) > before
         assert ranks == _exact_ranks(c)
     assert 0 < fell_back < 50     # both the certificate alone and the fallback ran
+
+
+def _random_complex(rng):
+    n = rng.randint(2, 7)
+    facets = [frozenset(rng.sample(range(n), rng.randint(1, n)))
+              for _ in range(rng.randint(1, 5))]
+    return complex_on(n, facets)
+
+
+def _truncated(ranks, below):
+    return {i: r for i, r in ranks.items() if i < below}
+
+
+def _assert_partial(partial, full, below):
+    """The degrees below ``below`` are all there; every degree given is right."""
+    assert _truncated(partial, below) == _truncated(full, below)
+    assert set(range(-1, below)) <= partial.keys()
+    assert partial.items() <= full.items()
+
+
+@pytest.mark.parametrize("order", ["fresh", "partial_first", "full_first", "shuffled"])
+def test_partial_ranks_are_the_truncated_full_ranks(monkeypatch, order):
+    rng = random.Random(31)
+    cases = [complex_on(6, RP2)] + [_random_complex(rng) for _ in range(40)]
+    cases += [_union_of_spheres(rng) for _ in range(20)]
+    for c in cases:
+        full = _exact_ranks(c)
+        top = max(full)
+        belows = list(range(0, top + 2))
+        monkeypatch.setattr(homology, "_ranks_cache", {})
+        if order == "full_first":
+            assert reduced_homology_ranks(c) == full
+        if order == "shuffled":
+            rng.shuffle(belows)
+        for below in belows:
+            if order == "fresh":
+                monkeypatch.setattr(homology, "_ranks_cache", {})
+            _assert_partial(reduced_homology_ranks(c, below=below), full, below)
+        assert reduced_homology_ranks(c) == full
+
+
+def test_partial_ranks_settle_no_map_above_below(monkeypatch):
+    # RP2's del_2 is the one map that needs elimination (see above), so
+    # asking for the degrees below 1 (del_0 and del_1) eliminates nothing,
+    # and asking for all of them afterwards eliminates del_2 once
+    c = complex_on(6, RP2)
+    calls = []
+    rank_int = kernels.rank_int
+    monkeypatch.setattr(kernels, "rank_int", lambda rows: calls.append(len(rows)) or rank_int(rows))
+    monkeypatch.setattr(homology, "_ranks_cache", {})
+    assert reduced_homology_ranks(c, below=1) == {-1: 0, 0: 0}
+    assert calls == []
+    assert reduced_homology_ranks(c) == {-1: 0, 0: 0, 1: 0, 2: 0}
+    assert calls == [10]
+    assert reduced_homology_ranks(c, below=1) == {-1: 0, 0: 0, 1: 0, 2: 0}
+    assert calls == [10]    # answered from the cache
+
+
+def test_a_warm_cache_needs_no_face_table(monkeypatch):
+    from mixedprod import complexes
+    monkeypatch.setattr(homology, "_ranks_cache", {})
+    assert reduced_homology_ranks(complex_on(6, RP2)) == {-1: 0, 0: 0, 1: 0, 2: 0}
+    built = []
+    faces = complexes._faces_by_dim
+    monkeypatch.setattr(complexes, "_faces_by_dim", lambda c: built.append(c) or faces(c))
+    relabeled = complex_on(7, [{v + 1 for v in f} for f in RP2])
+    assert reduced_homology_ranks(relabeled, below=2) == {-1: 0, 0: 0, 1: 0, 2: 0}
+    assert built == []
