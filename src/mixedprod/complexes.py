@@ -14,6 +14,13 @@ classification in mixedprod.products: Reisner's criterion runs on exact
 link homology, sequential Cohen-Macaulayness goes through pure skeleta,
 and shellability is checked or searched directly from the definition.
 
+Shelling checks keep the facets placed so far as position bitsets:
+has[v] holds the positions whose facet contains v.  A set lies in some
+placed facet iff the AND of has[u] over its vertices is nonzero, so
+whether a new facet f may follow, and which placed facet blocks it, takes
+O(|f|^2) big-int ANDs instead of passes over the placed list.
+``find_shelling`` sets and clears the bits as it backtracks.
+
 Reisner's criterion checks one face per orbit when it can.  If the
 facet set is invariant under S_n x S_m (the x-block and the y-block each
 permuted on their own), which ``_is_block_symmetric`` checks explicitly
@@ -50,6 +57,7 @@ from .ideals import (
     sorted_supports,
     support_of,
 )
+from .kernels import bit_indices
 
 SHELLING_FACET_CAP = 10
 
@@ -162,21 +170,42 @@ def is_strongly_connected(c: SimplicialComplex) -> bool:
     return len(seen) == t
 
 
-def _blocking_position(f: int, placed: Sequence[int]) -> Optional[int]:
-    """Position of the first placed facet that blocks appending ``f``, or None.
+def _first_blocker(vertices: Sequence[int], has: Sequence[int], placed: int) -> Optional[int]:
+    """Position of the first placed facet that blocks appending facet f, or None.
 
-    Facet i blocks when f minus F_i holds no vertex v with f minus {v}
-    equal to f's intersection with some placed facet.
+    ``vertices`` are f's vertices, ``has[v]`` the bitset of the placed
+    positions whose facet holds v, and ``placed`` the bitset of all
+    placed positions.  f - v lies in a placed facet iff the AND of
+    has[u] over u in f - v is nonzero; call such a v a single.  The
+    facet at position i blocks iff f - F_i holds no single, that is iff
+    F_i holds every single of f, so the first blocker is the lowest bit
+    of the AND of has[v] over the singles (every placed position if f
+    has none).
     """
-    singles = 0
-    for k in placed:
-        d = f & ~k
-        if d and d & (d - 1) == 0:
-            singles |= d
-    for i, g in enumerate(placed):
-        if not (f & ~g) & singles:
-            return i
-    return None
+    blockers = placed
+    for v in vertices:
+        rest = placed
+        for u in vertices:
+            if u != v:
+                rest &= has[u]
+        if rest:
+            blockers &= has[v]
+    return (blockers & -blockers).bit_length() - 1 if blockers else None
+
+
+def verify_shelling_masks(c: SimplicialComplex, masks: Sequence[int]):
+    """``verify_shelling_order`` for an order given as facet bitmasks."""
+    if sorted(masks) != list(c.masks):
+        raise InvalidInput("order is not a permutation of the facet list")
+    has = [0] * c.universe.size
+    for j, f in enumerate(masks):
+        vertices = bit_indices(f)
+        i = _first_blocker(vertices, has, (1 << j) - 1)
+        if i is not None:
+            return False, (i, j)
+        for v in vertices:
+            has[v] |= 1 << j
+    return True, None
 
 
 def verify_shelling_order(c: SimplicialComplex, order: Sequence[Iterable[int]]):
@@ -189,45 +218,46 @@ def verify_shelling_order(c: SimplicialComplex, order: Sequence[Iterable[int]]):
         masks = [mask_of(f) for f in order]
     except ValueError:      # a negative index is no vertex
         masks = []
-    if sorted(masks) != list(c.masks):
-        raise InvalidInput("order is not a permutation of the facet list")
-    for j in range(1, len(masks)):
-        i = _blocking_position(masks[j], masks[:j])
-        if i is not None:
-            return False, (i, j)
-    return True, None
+    return verify_shelling_masks(c, masks)
 
 
 def find_shelling(c: SimplicialComplex, cap: int = SHELLING_FACET_CAP) -> ShellingResult:
-    """Backtracking shelling search with memoized dead prefixes."""
+    """Backtracking shelling search with memoized dead prefixes.
+
+    The placed facets are kept as position bitsets per vertex, set and
+    cleared as the search places and takes back a facet.
+    """
     t = len(c.facets)
     if t > cap:
         return ShellingResult("inconclusive")
     if t == 1:
         return ShellingResult("shellable", c.facets)
-    masks = [mask_of(f) for f in c.facets]
+    vertices = [tuple(sorted(f)) for f in c.facets]
+    has = [0] * c.universe.size
     dead: set[frozenset] = set()
 
-    def extend(used: frozenset, placed: list[int], order: list[int]):
+    def extend(used: frozenset, order: list[int]):
         if len(order) == t:
             return list(order)
         if used in dead:
             return None
+        bit = 1 << len(order)
         for i in range(t):
-            if i in used:
+            if i in used or _first_blocker(vertices[i], has, bit - 1) is not None:
                 continue
-            if _blocking_position(masks[i], placed) is None:
-                placed.append(masks[i])
-                order.append(i)
-                found = extend(used | {i}, placed, order)
-                if found is not None:
-                    return found
-                placed.pop()
-                order.pop()
+            for v in vertices[i]:
+                has[v] |= bit
+            order.append(i)
+            found = extend(used | {i}, order)
+            if found is not None:
+                return found
+            for v in vertices[i]:
+                has[v] ^= bit
+            order.pop()
         dead.add(used)
         return None
 
-    found = extend(frozenset(), [], [])
+    found = extend(frozenset(), [])
     if found is None:
         return ShellingResult("not_shellable")
     return ShellingResult("shellable", tuple(c.facets[i] for i in found))
@@ -322,7 +352,9 @@ def duval_scm(c: SimplicialComplex):
             d = next(e for e in dims if e >= j)
             lk = k_d.get((f, d))
             if lk is None:
-                lk = k_d[f, d] = link(skeleton(c, len(f) + d + 1), f)
+                # the d-faces of lk(F) are the links of c's faces of dimension |F| + d
+                d_faces = SimplicialComplex(c.universe, tuple(c.face_table[len(f) + d]))
+                lk = k_d[f, d] = link(d_faces, f)
             ranks = reduced_homology_ranks(lk, below=j)
             for i in range(-1, j):
                 if ranks[i]:

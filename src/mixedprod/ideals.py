@@ -7,15 +7,15 @@ frozenset of variable indices; an ideal is stored by its unique minimal
 every operation is a pure function.
 
 Duality rests on one transversal computation: the minimal transversals
-of the generator supports, which ``minimal_primes`` takes from the
-hitting-set kernel as bitmasks in canonical order.  They are the
-minimal primes, the generators of the Alexander dual, and the
-complements of the facets of the Stanley-Reisner complex, so a caller
-that needs all three computes them once and passes the primes on to
-``complex_of_primes``.  Minimal transversals form an inclusion
-antichain, and so do their complements, so that complex is built
-directly from the facet masks, without the maximality pass of
-``make_complex`` (the argument ``link`` and ``skeleton`` use too).
+of the generator supports, which the hitting-set kernel returns as
+bitmasks in canonical order.  They are the minimal primes, the
+generators of the Alexander dual, and the complements of the facets of
+the Stanley-Reisner complex, so a caller that needs all three computes
+them once and passes the prime masks on to ``complex_of_primes``.
+Minimal transversals form an inclusion antichain, and so do their
+complements, so that complex is built directly from the facet masks,
+without the maximality pass of ``make_complex`` (the argument ``link``
+and ``skeleton`` use too).
 """
 
 from __future__ import annotations
@@ -171,7 +171,12 @@ def alexander_dual(ideal: SquarefreeIdeal) -> SquarefreeIdeal:
 
 
 def minimal_primes(ideal: SquarefreeIdeal) -> list[PrimeComponent]:
-    """Minimal primes of a proper nonzero squarefree ideal, canonically sorted.
+    """Minimal primes of a proper nonzero squarefree ideal, canonically sorted."""
+    return [support_of(h) for h in _prime_masks(ideal)]
+
+
+def _prime_masks(ideal: SquarefreeIdeal) -> list[int]:
+    """The minimal primes as bitmasks, in canonical order.
 
     These are the minimal transversals of the generator supports, which
     the kernel returns in canonical order already.
@@ -181,11 +186,11 @@ def minimal_primes(ideal: SquarefreeIdeal) -> list[PrimeComponent]:
     if ideal.is_unit:
         raise DomainError("dual of the unit ideal is undefined")
     masks = [mask_of(g) for g in ideal.generators]
-    return [support_of(h) for h in kernels.minimal_hitting_sets(masks, ideal.universe.size)]
+    return kernels.minimal_hitting_sets(masks, ideal.universe.size)
 
 
-def complex_of_primes(universe: VariableUniverse, primes: Iterable[PrimeComponent]):
-    """The complex whose facets are the complements of ``primes``.
+def complex_of_primes(universe: VariableUniverse, primes: Iterable[int]):
+    """The complex whose facets are the complements of the bitmasks ``primes``.
 
     ``primes`` must be the minimal primes of an ideal: they form an
     antichain, so their complements do too and the facet masks need no
@@ -194,7 +199,7 @@ def complex_of_primes(universe: VariableUniverse, primes: Iterable[PrimeComponen
     from .complexes import SimplicialComplex
 
     full = (1 << universe.size) - 1
-    return SimplicialComplex(universe, tuple(sorted(full & ~mask_of(p) for p in primes)))
+    return SimplicialComplex(universe, tuple(sorted(full & ~p for p in primes)))
 
 
 def stanley_reisner_complex(ideal: SquarefreeIdeal):
@@ -210,7 +215,7 @@ def stanley_reisner_complex(ideal: SquarefreeIdeal):
         raise DomainError("the unit ideal has no associated complex here")
     if ideal.is_zero:
         return make_complex(ideal.universe, [range(ideal.universe.size)])
-    return complex_of_primes(ideal.universe, minimal_primes(ideal))
+    return complex_of_primes(ideal.universe, _prime_masks(ideal))
 
 
 def ideal_of_complex(c) -> SquarefreeIdeal:

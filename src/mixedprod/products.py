@@ -10,11 +10,13 @@ Everything ideal-specific lives here: the derived profile vectors
 dual, the primary decomposition, the unmixed / Cohen-Macaulay /
 sequentially-Cohen-Macaulay verdicts, the facet partition, and a
 shelling order of every sequentially-Cohen-Macaulay spec.  All verdicts
-are O(s') profile arithmetic.  Only the listings enumerate, and one budget,
-``GENERATOR_CAP``, bounds them: ``expand_generators`` counts the
-generators it would build, and ``check_listing_size`` the variables that
-``dual --expand``, ``decompose`` and ``facets`` would print.  The
-oracles, which also call these listings, are gated once per spec by the
+are O(s') profile arithmetic.  Only the listings enumerate, all through
+``sets_by_type``: every set of a x's and b y's, in ``sort_key`` order,
+as frozensets for the CLI and the tests or as bitmasks for the sweep.
+One budget, ``GENERATOR_CAP``, bounds them: ``generator_sets`` counts
+the generators it would build, and ``check_listing_size`` the variables
+that ``dual --expand``, ``decompose`` and ``facets`` would print.  The
+oracles, which also read these listings, are gated once per spec by the
 vertex cap in ``sweep.check_spec``, which records a spec whose expansion
 passes the generator cap as skipped.
 """
@@ -178,8 +180,31 @@ def _check_count(n: int, m: int, sizes, cap: int, what: str, weigh: bool = False
             raise ResourceCapExceeded(f"more than the cap of {cap} {what}")
 
 
-def expand_generators(spec: MixedProductSpec, cap: int = GENERATOR_CAP) -> SquarefreeIdeal:
-    """The full minimal generating set: all q-subset x r-subset products.
+def sets_by_type(universe: VariableUniverse, types, masks: bool = False) -> list[list]:
+    """One list per (a, b) in ``types``: every set of a x's and b y's.
+
+    This is the one listing of the module.  Each list is in ``sort_key``
+    order: every x index is below every y index, so xs + ys is the sorted
+    support.  Each set is a frozenset built from that index tuple, or with
+    ``masks`` a bitmask, the sum of the bits combined in the same order.
+    """
+    xs, ys = range(universe.n), range(universe.n, universe.size)
+    if masks:
+        xs, ys = [1 << i for i in xs], [1 << i for i in ys]
+    out = []
+    for a, b in types:
+        y_parts = list(combinations(ys, b))
+        if masks:
+            y_parts = list(map(sum, y_parts))
+            out.append([x | y for x in map(sum, combinations(xs, a)) for y in y_parts])
+        else:
+            out.append([frozenset(x + y) for x in combinations(xs, a) for y in y_parts])
+    return out
+
+
+def generator_sets(spec: MixedProductSpec, masks: bool = False,
+                   cap: int = GENERATOR_CAP) -> list:
+    """The minimal generators of ``spec``, summand by summand (see ``sets_by_type``).
 
     Summand i contributes the generators with exactly q_i x's and r_i
     y's, so the union is an antichain of the counted size exactly when
@@ -194,12 +219,12 @@ def expand_generators(spec: MixedProductSpec, cap: int = GENERATOR_CAP) -> Squar
                 raise InvalidInput(f"spec is not normalized: summands ({q}, {r}) "
                                    f"and ({q2}, {r2}) are comparable")
     _check_count(n, m, live, cap, "generators")
-    gens = set()
-    for q, r in live:
-        for xs in combinations(range(n), q):
-            for ys in combinations(range(n, n + m), r):
-                gens.add(frozenset(xs + ys))
-    return SquarefreeIdeal(spec.universe, frozenset(gens))
+    return [g for sets in sets_by_type(spec.universe, live, masks) for g in sets]
+
+
+def expand_generators(spec: MixedProductSpec, cap: int = GENERATOR_CAP) -> SquarefreeIdeal:
+    """The full minimal generating set: all q-subset x r-subset products."""
+    return SquarefreeIdeal(spec.universe, frozenset(generator_sets(spec, cap=cap)))
 
 
 def qr_profile(spec: MixedProductSpec) -> QRProfile:
@@ -276,43 +301,43 @@ def check_listing_size(universe: VariableUniverse, types, what: str,
     _check_count(universe.n, universe.m, types, cap, f"variables in the {what}", weigh=True)
 
 
-def closed_form_primary_decomposition(spec: MixedProductSpec) -> PrimaryDecomposition:
-    """Minimal primes from the closed form, grouped into P_x / P_xy / P_y."""
+def decomposition_types(spec: MixedProductSpec):
+    """The (a, b) types of the minimal primes, grouped into P_x, P_xy and P_y.
+
+    A prime of type (a, b) is generated by a x's and b y's: P_x holds the
+    type (n - q_1 + 1, 0) when q_1 > 0, P_xy the types
+    (n - q_{i+1} + 1, m - r_i + 1), and P_y the type (0, m - r_s + 1)
+    when r_s > 0.
+    """
     n, m = spec.universe.n, spec.universe.m
     qs, rs = spec.qs, spec.rs
-    s = spec.s
-    xsubs = lambda k: [frozenset(t) for t in combinations(range(n), k)]
-    ysubs = lambda k: [frozenset(t) for t in combinations(range(n, n + m), k)]
-    px = tuple(sorted(xsubs(n - qs[0] + 1), key=sort_key)) if qs[0] > 0 else ()
-    py = tuple(sorted(ysubs(m - rs[-1] + 1), key=sort_key)) if rs[-1] > 0 else ()
-    pxy = tuple(sorted(
-        (x | y
-         for i in range(s - 1)
-         for x in xsubs(n - qs[i + 1] + 1)
-         for y in ysubs(m - rs[i] + 1)),
-        key=sort_key))
-    return PrimaryDecomposition(px, pxy, py)
+    px = [(n - qs[0] + 1, 0)] if qs[0] > 0 else []
+    pxy = [(n - qs[i + 1] + 1, m - rs[i] + 1) for i in range(spec.s - 1)]
+    py = [(0, m - rs[-1] + 1)] if rs[-1] > 0 else []
+    return px, pxy, py
+
+
+def closed_form_primary_decomposition(spec: MixedProductSpec) -> PrimaryDecomposition:
+    """Minimal primes from the closed form, grouped into P_x / P_xy / P_y."""
+    groups = (sorted((p for sets in sets_by_type(spec.universe, types) for p in sets), key=sort_key)
+              for types in decomposition_types(spec))
+    return PrimaryDecomposition(*map(tuple, groups))
 
 
 def is_unmixed_closed_form(spec: MixedProductSpec) -> Verdict:
-    """Unmixedness: all three height conditions of the closed form."""
-    n, m = spec.universe.n, spec.universe.m
-    qs, rs = spec.qs, spec.rs
+    """Unmixedness: every prime type of the closed form has the height's size."""
+    px, pxy, py = decomposition_types(spec)
     h = qr_profile(spec).height
-    sizes = [n - qs[i + 1] + 1 + m - rs[i] + 1 for i in range(spec.s - 1)]
-    if qs[0] > 0:
-        sizes.append(n - qs[0] + 1)
-    if rs[-1] > 0:
-        sizes.append(m - rs[-1] + 1)
-    if h != min(sizes):
+    smallest = min(a + b for a, b in px + pxy + py)
+    if h != smallest:
         raise InvalidInput(f"spec is not normalized: height {h} differs from "
-                           f"the smallest prime size {min(sizes)}")
-    for i in range(spec.s - 1):
-        if m + n - (qs[i + 1] + rs[i]) + 2 != h:
+                           f"the smallest prime size {smallest}")
+    for i, (a, b) in enumerate(pxy):
+        if a + b != h:
             return Verdict(False, ("mixed-block height", i + 1))
-    if qs[0] > 0 and n - qs[0] + 1 != h:
+    if px and sum(px[0]) != h:
         return Verdict(False, ("x-block height", 1))
-    if rs[-1] > 0 and m - rs[-1] + 1 != h:
+    if py and sum(py[0]) != h:
         return Verdict(False, ("y-block height", spec.s))
     return Verdict(True)
 
@@ -351,28 +376,16 @@ def is_scm_closed_form(spec: MixedProductSpec) -> Verdict:
 
 def facet_partition(spec: MixedProductSpec) -> list[list[frozenset]]:
     """Block k of the facet partition: all sets of q_bar[k] x's and r_bar[k] y's."""
-    n, m = spec.universe.n, spec.universe.m
     p = qr_profile(spec)
-    # every x index is below every y index, so xs + ys is the sorted
-    # support and the blocks come out in sort_key order
-    return [[frozenset(xs + ys)
-             for xs in combinations(range(n), q)
-             for ys in combinations(range(n, n + m), r)]
-            for q, r in zip(p.q_bar, p.r_bar)]
+    return sets_by_type(spec.universe, zip(p.q_bar, p.r_bar))
 
 
-def shelling_order(spec: MixedProductSpec) -> Optional[list[frozenset]]:
-    """A shelling order of the facets when the spec is sequentially CM, else None.
+def shelling_blocks(spec: MixedProductSpec) -> Optional[list[int]]:
+    """The block order of ``shelling_order``: indices into ``facet_partition``, or None.
 
-    Start at the block of largest sigma (leftmost on ties), grow an
-    interval by appending the neighbour of larger sigma (left on ties),
-    and keep each block in ``facet_partition`` (lex) order, which shells
-    it.  Proof: sigma does not fall left of the peak and each step is a
-    unit q- or r-step, so each step there lowers r by one.  A facet F in
-    block k left of the peak follows facets G of blocks right of k only,
-    each with fewer y's; F minus a y outside G contains F & G and lies in
-    a facet of block k + 1, which came earlier.  Mirror x and y right of
-    the peak.  With unit q-steps this is the paper's ascending order.
+    Start at the block of largest sigma (leftmost on ties) and grow an
+    interval by appending the neighbour of larger sigma (left on ties).
+    None unless the spec is sequentially CM.
     """
     if not is_scm_closed_form(spec).holds:
         return None
@@ -380,7 +393,24 @@ def shelling_order(spec: MixedProductSpec) -> Optional[list[frozenset]]:
     peak = sigma.index(max(sigma))
     # sigma is unimodal, so both sides descend from the peak, and a stable
     # sort by sigma merges them, the left side first on ties
-    ks = sorted([*range(peak, -1, -1), *range(peak + 1, len(sigma))], key=lambda k: -sigma[k])
+    return sorted([*range(peak, -1, -1), *range(peak + 1, len(sigma))], key=lambda k: -sigma[k])
+
+
+def shelling_order(spec: MixedProductSpec) -> Optional[list[frozenset]]:
+    """A shelling order of the facets when the spec is sequentially CM, else None.
+
+    The blocks come in ``shelling_blocks`` order, each block in
+    ``facet_partition`` (lex) order, which shells it.  Proof: sigma does
+    not fall left of the peak and each step is a unit q- or r-step, so
+    each step there lowers r by one.  A facet F in block k left of the
+    peak follows facets G of blocks right of k only, each with fewer
+    y's; F minus a y outside G contains F & G and lies in a facet of
+    block k + 1, which came earlier.  Mirror x and y right of the peak.
+    With unit q-steps this is the paper's ascending order.
+    """
+    ks = shelling_blocks(spec)
+    if ks is None:
+        return None
     blocks = facet_partition(spec)
     return [f for k in ks for f in blocks[k]]
 

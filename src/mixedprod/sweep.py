@@ -13,6 +13,13 @@ each closed-form statement is compared against an independent oracle:
     set, and each "sequentially CM" verdict against a shelling order of
     it (a nonpure shelling proves sequential CM, Bjorner and Wachs 1996).
 
+The fast tier stays on bitmasks from the spec to the verdict: the
+closed-form listings (generators of the spec and of its dual, the
+decomposition's components, the facet blocks and the shelling order)
+come from ``products`` as masks, are compared with the one transversal
+search as sorted mask lists, and become vertex lists only in a mismatch
+record.
+
 Any disagreement is recorded as a mismatch; the sweep exits nonzero on
 the first nonempty mismatch list.  ``perturb=True`` deliberately breaks
 the CM closed form so the harness can demonstrate it detects bugs.
@@ -25,9 +32,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations
+from itertools import chain, combinations
 
-from . import complexes, ideals, products
+from . import complexes, ideals, kernels, products
 from .products import MixedProductSpec
 
 # The oracles enumerate subsets of the n + m vertices; check_spec, their
@@ -125,7 +132,8 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
     # structural identities need no enumeration
     if products.spec_from_profile(profile) != spec:
         mismatches.append(_mismatch(spec, "profile_roundtrip", None, None))
-    if products.closed_form_dual(products.closed_form_dual(spec)) != spec:
+    dual = products.closed_form_dual(spec)
+    if products.closed_form_dual(dual) != spec:
         mismatches.append(_mismatch(spec, "dual_involution", None, None))
     if cm.holds and not unmixed.holds:
         mismatches.append(_mismatch(spec, "cm_implies_unmixed", cm.holds, unmixed.holds))
@@ -133,51 +141,49 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
         mismatches.append(_mismatch(spec, "cm_implies_scm", cm.holds, scm.holds))
 
     oracle = {}
-    ideal = None
+    gens = None
     if oracle_level in ("fast", "full"):
         if spec.universe.size > cap_vertices:
             skipped.append({"spec": spec_as_dict(spec), "reason": "vertex cap"})
         else:
             try:
                 # both or neither: the spec fits the cap while its dual may not
-                ideal, dual_closed = (products.expand_generators(spec),
-                                      products.expand_generators(products.closed_form_dual(spec)))
+                gens, dual_closed = (products.generator_sets(spec, masks=True),
+                                     products.generator_sets(dual, masks=True))
             except ideals.ResourceCapExceeded:
                 skipped.append({"spec": spec_as_dict(spec), "reason": "generator cap"})
-    if ideal is not None:
+    if gens is not None:
+        universe = spec.universe
         # the one transversal computation: the dual's generators are the
         # minimal primes, whose complements are the facets of the complex
-        primes = ideals.minimal_primes(ideal)
-        dual_oracle = ideals.SquarefreeIdeal(ideal.universe, frozenset(primes))
-        oracle["dual_generators"] = dual_closed == dual_oracle
+        primes = sorted(kernels.minimal_hitting_sets(gens, universe.size))
+        oracle["dual_generators"] = sorted(dual_closed) == primes
         if not oracle["dual_generators"]:
             mismatches.append(_mismatch(spec, "dual_generators",
-                                        sorted(map(sorted, dual_closed.generators)),
-                                        sorted(map(sorted, dual_oracle.generators))))
+                                        _vertex_lists(dual_closed), _vertex_lists(primes)))
 
-        decomp = products.closed_form_primary_decomposition(spec)
-        oracle["primary_decomposition"] = decomp.components == primes
+        components = [p for sets in products.sets_by_type(
+                          universe, chain(*products.decomposition_types(spec)), masks=True)
+                      for p in sets]
+        oracle["primary_decomposition"] = sorted(components) == primes
         if not oracle["primary_decomposition"]:
             mismatches.append(_mismatch(spec, "primary_decomposition",
-                                        [sorted(c) for c in decomp.components],
-                                        [sorted(c) for c in primes]))
+                                        _vertex_lists(components), _vertex_lists(primes)))
 
-        sizes = {len(p) for p in primes}
+        sizes = {p.bit_count() for p in primes}
         oracle["unmixed"] = len(sizes) == 1
         if unmixed.holds != oracle["unmixed"]:
             mismatches.append(_mismatch(spec, "unmixed", unmixed.holds,
                                         oracle["unmixed"], unmixed.witness))
 
-        complex_ = ideals.complex_of_primes(ideal.universe, primes)
-        blocks = products.facet_partition(spec)
-        block_masks = [[ideals.mask_of(f) for f in b] for b in blocks]
-        oracle["facet_partition"] = (sorted(f for b in block_masks for f in b)
-                                     == list(complex_.masks))
+        complex_ = ideals.complex_of_primes(universe, primes)
+        block_masks = products.sets_by_type(universe, zip(profile.q_bar, profile.r_bar),
+                                            masks=True)
+        tiled = [f for b in block_masks for f in b]
+        oracle["facet_partition"] = sorted(tiled) == list(complex_.masks)
         if not oracle["facet_partition"]:
-            tiled = sorted((f for b in blocks for f in b), key=ideals.sort_key)
             mismatches.append(_mismatch(spec, "facet_partition",
-                                        [sorted(f) for f in tiled],
-                                        [sorted(f) for f in complex_.facets]))
+                                        _vertex_lists(tiled), _vertex_lists(complex_.masks)))
 
         bound_ok, bound_witness = _intersection_bound(profile, block_masks)
         oracle["intersection_bound"] = bound_ok
@@ -191,9 +197,10 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
             mismatches.append(_mismatch(spec, "cm_strongly_connected",
                                         cm.holds, strong, cm.witness))
 
-        order = products.shelling_order(spec)
-        if order is not None:
-            ok, witness = complexes.verify_shelling_order(complex_, order)
+        ks = products.shelling_blocks(spec)
+        if ks is not None:
+            order = [f for k in ks for f in block_masks[k]]
+            ok, witness = complexes.verify_shelling_masks(complex_, order)
             oracle["shelling_order"] = ok
             if not ok:
                 mismatches.append(_mismatch(spec, "shelling_order", True, False, witness))
@@ -224,6 +231,11 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
         "mismatches": mismatches,
         "skipped": skipped,
     }
+
+
+def _vertex_lists(masks):
+    """The sets of ``masks`` as sorted vertex lists, in ``sort_key`` order."""
+    return sorted(list(kernels.bit_indices(h)) for h in masks)
 
 
 def _intersection_bound(profile, blocks):

@@ -174,6 +174,69 @@ def test_find_shelling_verified_by_checker():
             assert verify_shelling_order(c, res.order) == (True, None)
 
 
+def shelling_reference(order):
+    """The shelling condition from its definition, on facets as vertex sets.
+
+    F_j may follow F_1 ... F_{j-1} iff <F_j> cap <F_1, ..., F_{j-1}> is
+    pure of dimension |F_j| - 2, that is iff every F_i & F_j lies in a
+    ridge F_j - {v} contained in an earlier facet.  Returns (True, None)
+    or (False, (i, j)): the first failing j, and the first i whose
+    intersection with F_j lies in no such ridge.
+    """
+    for j in range(1, len(order)):
+        f = order[j]
+        ridges = [f - {v} for v in f if any(f - {v} <= g for g in order[:j])]
+        for i in range(j):
+            if not any(order[i] & f <= r for r in ridges):
+                return False, (i, j)
+    return True, None
+
+
+def random_non_pure_antichains(seed, count, max_facets):
+    """Seeded random non-pure complexes on at most 8 vertices."""
+    import random
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        n = rng.randint(3, 8)
+        facets = [rng.sample(range(n), rng.randint(1, min(n, 5)))
+                  for _ in range(rng.randint(2, max_facets))]
+        c = complex_on(n, facets)
+        if not is_pure(c):
+            made += 1
+            yield rng, c
+
+
+def test_position_bitsets_match_the_shelling_definition():
+    outcomes = {True: 0, False: 0}
+    for rng, c in random_non_pure_antichains(31, 400, 12):
+        assert len(c.facets) <= 12
+        orders = [list(c.facets)]
+        for _ in range(3):
+            orders.append(rng.sample(c.facets, len(c.facets)))
+        found = find_shelling(c)
+        if found.status == "shellable":
+            orders.append(list(found.order))
+        for order in orders:
+            expected = shelling_reference(order)
+            assert verify_shelling_order(c, order) == expected, (c, order)
+            outcomes[expected[0]] += 1
+    assert outcomes[True] >= 100 and outcomes[False] >= 1000
+
+
+def test_find_shelling_matches_a_search_over_all_orders():
+    from itertools import permutations
+    statuses = {"shellable": 0, "not_shellable": 0}
+    for _, c in random_non_pure_antichains(37, 150, 6):
+        shellable = any(shelling_reference(p)[0] for p in permutations(c.facets))
+        found = find_shelling(c)
+        assert found.status == ("shellable" if shellable else "not_shellable"), c
+        if shellable:
+            assert shelling_reference(list(found.order)) == (True, None)
+        statuses[found.status] += 1
+    assert min(statuses.values()) >= 20
+
+
 def test_shellable_pure_implies_reisner_cm():
     import random
     rng = random.Random(23)
@@ -371,3 +434,16 @@ def test_duval_after_reisner_reuses_every_link(monkeypatch):
         assert eliminated == []
         checked += 1
     assert checked == 746
+
+
+def test_duval_reads_skeleton_faces_off_the_face_table(monkeypatch):
+    # K_d comes from c's own face table, not from a skeleton complex
+    from mixedprod import complexes
+
+    def no_skeleton(c, l):
+        raise AssertionError("duval_scm built a skeleton")
+
+    monkeypatch.setattr(complexes, "skeleton", no_skeleton)
+    star = complex_on(4, [{0, 1, 2}, {3}])
+    assert duval_scm(star) == (True, None)
+    assert duval_scm(TWO_EDGES)[0] is False

@@ -21,7 +21,7 @@ from mixedprod import (
     minimalize,
     stanley_reisner_complex,
 )
-from mixedprod.ideals import complex_of_primes, sort_key
+from mixedprod.ideals import complex_of_primes, mask_of, sort_key
 
 U2 = VariableUniverse(2, 0)
 U11 = VariableUniverse(1, 1)
@@ -264,6 +264,6 @@ def test_complex_from_primes_needs_no_maximality_pass(i):
     primes = minimal_primes(i)
     expected = make_complex(i.universe, [full - p for p in primes])
     assert stanley_reisner_complex(i).masks == expected.masks
-    assert complex_of_primes(i.universe, primes) == expected
+    assert complex_of_primes(i.universe, map(mask_of, primes)) == expected
     # the kernel's order is the canonical one, and the dual holds the same sets
     assert primes == sorted(alexander_dual(i).generators, key=sort_key)

@@ -396,3 +396,44 @@ def test_intersection_bound_exhaustive():
                 for f in blocks[i]:
                     for g in blocks[j]:
                         assert len(f & g) <= p.q_bar[i] + p.r_bar[j]
+
+
+def test_mask_listings_decode_to_the_public_listings():
+    # the sweep reads every listing as bitmasks; decoded, each is the
+    # public frozenset listing, in the same order
+    from itertools import chain
+
+    from mixedprod.ideals import sort_key, support_of
+    from mixedprod.products import (
+        decomposition_types,
+        generator_sets,
+        sets_by_type,
+        shelling_blocks,
+    )
+
+    def decode(masks):
+        return [support_of(h) for h in masks]
+
+    specs = list(enumerate_specs(4, 4, 5))
+    for s in specs:
+        u = s.universe
+        for t in (s, closed_form_dual(s)):
+            listed = generator_sets(t)
+            assert decode(generator_sets(t, masks=True)) == listed, t
+            assert frozenset(listed) == expand_generators(t).generators
+        decomp = closed_form_primary_decomposition(s)
+        groups = decomposition_types(s)
+        for types, public in zip(groups, (decomp.px, decomp.pxy, decomp.py)):
+            masks = [p for sets in sets_by_type(u, types, masks=True) for p in sets]
+            assert sorted(decode(masks), key=sort_key) == list(public), s
+        components = [p for sets in sets_by_type(u, chain(*groups), masks=True) for p in sets]
+        assert sorted(decode(components), key=sort_key) == decomp.components
+        p = qr_profile(s)
+        blocks = sets_by_type(u, zip(p.q_bar, p.r_bar), masks=True)
+        assert [decode(b) for b in blocks] == facet_partition(s), s
+        ks = shelling_blocks(s)
+        order = shelling_order(s)
+        assert (ks is None) == (order is None), s
+        if ks is not None:
+            assert decode(f for k in ks for f in blocks[k]) == order, s
+    assert len(specs) == 842

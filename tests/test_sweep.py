@@ -73,6 +73,29 @@ def test_one_transversal_search_per_spec(monkeypatch, level):
     assert len(specs) == 38
 
 
+@pytest.mark.parametrize("level", ["fast", "full"])
+def test_check_spec_lists_nothing_as_frozensets(monkeypatch, level):
+    # on a spec whose closed forms match, the oracles read every listing
+    # as bitmasks; the frozenset listings are for the CLI and the tests
+    from mixedprod import ideals, products
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a frozenset listing in check_spec")
+
+    for module, name in [(products, "expand_generators"), (products, "facet_partition"),
+                         (products, "closed_form_primary_decomposition"),
+                         (products, "shelling_order"), (ideals, "minimal_primes")]:
+        monkeypatch.setattr(module, name, refuse)
+    shelled = 0
+    # not unmixed, unmixed, CM, and sequentially CM but not pure
+    for pairs in ([(1, 2), (2, 1)], [(1, 1)], [(0, 2), (1, 1), (2, 0)], [(0, 2), (1, 1)]):
+        record = check_spec(normalize(VariableUniverse(3, 3), pairs), level)
+        assert record["mismatches"] == [] and record["skipped"] == []
+        assert set(record["oracle"]) >= set(sweep.ORACLE_CHECKS["fast"]) - {"shelling_order"}
+        shelled += record["oracle"].get("shelling_order", False)
+    assert shelled == 2
+
+
 def test_intersection_bound_on_masks():
     blocks = [[0b0011, 0b1100], [0b0101, 0b1010, 0b0110]]   # {0,1} {2,3} | {0,2} {1,3} {1,2}
     # every pair across the two blocks meets in one vertex: limit q_bar[0] + r_bar[1]
