@@ -54,16 +54,6 @@ def _names(universe, vs):
     return [universe.var_name(i) for i in sorted(vs)]
 
 
-def _jsonable(obj, universe):
-    if isinstance(obj, frozenset):
-        return _names(universe, obj)
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x, universe) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v, universe) for k, v in obj.items()}
-    return obj
-
-
 def _emit(payload):
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
@@ -78,7 +68,7 @@ def cmd_classify(args):
         oracle = record["oracle"]
         skipped = [s["reason"] for s in record["skipped"]]
         mismatched = bool(record["mismatches"])
-    report = products.classify(spec, oracle or None)
+    report = products.classify(spec)
     payload = {
         "spec": sweep.spec_as_dict(spec),
         "profile": sweep.profile_as_dict(report.profile),
@@ -88,9 +78,9 @@ def cmd_classify(args):
             "sequentially_cm": report.sequentially_cm.holds,
         },
         "witnesses": {
-            "unmixed": _jsonable(report.unmixed.witness, universe),
-            "cohen_macaulay": _jsonable(report.cohen_macaulay.witness, universe),
-            "sequentially_cm": _jsonable(report.sequentially_cm.witness, universe),
+            "unmixed": report.unmixed.witness,
+            "cohen_macaulay": report.cohen_macaulay.witness,
+            "sequentially_cm": report.sequentially_cm.witness,
         },
         "oracle": oracle or None,
         "skipped": skipped,
@@ -122,7 +112,7 @@ def cmd_classify(args):
 
 def cmd_dual(args):
     spec = _spec_from_args(args)
-    dual = products.closed_form_dual(spec)
+    dual = spec.dual
     payload = {"spec": sweep.spec_as_dict(spec), "dual": sweep.spec_as_dict(dual)}
     if args.expand:
         products.check_listing_size(spec.universe, dual.summands, "generators")
@@ -141,9 +131,9 @@ def cmd_decompose(args):
     spec = _spec_from_args(args)
     universe = spec.universe
     # the dual's generators are the minimal primes
-    products.check_listing_size(universe, products.closed_form_dual(spec).summands, "components")
+    products.check_listing_size(universe, spec.dual.summands, "components")
     decomp = products.closed_form_primary_decomposition(spec)
-    h = products.qr_profile(spec).height
+    h = spec.profile.height
     payload = {
         "spec": sweep.spec_as_dict(spec),
         "height": h,
@@ -165,7 +155,7 @@ def cmd_decompose(args):
 def cmd_facets(args):
     spec = _spec_from_args(args)
     universe = spec.universe
-    profile = products.qr_profile(spec)
+    profile = spec.profile
     products.check_listing_size(universe, zip(profile.q_bar, profile.r_bar), "facets")
     blocks = products.facet_partition(spec)
     payload = {

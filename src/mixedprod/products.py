@@ -5,12 +5,16 @@ is generated by all squarefree degree-q (degree-r) monomials in the
 x-block (y-block).  After normalization the exponent pairs satisfy
 0 <= q_1 < ... < q_s <= n and 0 <= r_s < ... < r_1 <= m.
 
-Everything ideal-specific lives here: the derived profile vectors
-(q_bar, r_bar, sigma) and their inverse, the closed-form Alexander
-dual, the primary decomposition, the unmixed / Cohen-Macaulay /
-sequentially-Cohen-Macaulay verdicts, the facet partition, and a
-shelling order of every sequentially-Cohen-Macaulay spec.  All verdicts
-are O(s') profile arithmetic.  Only the listings enumerate, all through
+Everything ideal-specific lives here: the profile vectors (q_bar,
+r_bar, sigma) and their inverse, the closed-form Alexander dual, the
+primary decomposition, the unmixed / Cohen-Macaulay / sequentially-CM
+verdicts, the facet partition, and a shelling order of every
+sequentially-CM spec.  One formula carries them: the paper's dual,
+computed once per spec.  Its generators are the minimal primes, whose
+complements are the facets, so its summands are the prime types and
+block k has the complement type of the k-th dual summand from the end;
+its normalization check guards every closed form.  All verdicts are
+O(s') profile arithmetic.  Only the listings enumerate, all through
 ``sets_by_type``: every set of a x's and b y's, in ``sort_key`` order,
 as frozensets for the CLI and the tests or as bitmasks for the sweep.
 One budget, ``GENERATOR_CAP``, bounds them: ``generator_sets`` counts
@@ -23,7 +27,8 @@ passes the generator cap as skipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Tuple
 
@@ -54,6 +59,15 @@ class MixedProductSpec:
 
     universe: VariableUniverse
     summands: Tuple[Tuple[int, int], ...]
+
+    # the spec is frozen, so its dual and profile are computed once
+    @cached_property
+    def dual(self) -> MixedProductSpec:
+        return closed_form_dual(self)
+
+    @cached_property
+    def profile(self) -> QRProfile:
+        return qr_profile(self)
 
     @property
     def s(self) -> int:
@@ -128,7 +142,6 @@ class ClassificationReport:
     unmixed: Verdict
     cohen_macaulay: Verdict
     sequentially_cm: Verdict
-    oracle_verdicts: Optional[dict] = field(default=None)
 
 
 def normalize(universe: VariableUniverse, pairs) -> MixedProductSpec:
@@ -152,9 +165,11 @@ def normalize(universe: VariableUniverse, pairs) -> MixedProductSpec:
         kept.add((q, r))
     if not kept:
         raise ZeroIdealError("every summand vanishes (q > n or r > m throughout)")
-    minimal = [p for p in kept
-               if not any(o != p and o[0] <= p[0] and o[1] <= p[1] for o in kept)]
-    return MixedProductSpec(universe, tuple(sorted(minimal)))
+    minimal = []
+    for q, r in sorted(kept):   # a pair's dominators sort before it
+        if not minimal or r < minimal[-1][1]:
+            minimal.append((q, r))
+    return MixedProductSpec(universe, tuple(minimal))
 
 
 def _comb_upto(n: int, k: int, limit: int) -> int:
@@ -228,25 +243,17 @@ def expand_generators(spec: MixedProductSpec, cap: int = GENERATOR_CAP) -> Squar
 
 
 def qr_profile(spec: MixedProductSpec) -> QRProfile:
-    """The derived (s', q_bar, r_bar) profile of a normalized spec."""
+    """The derived (s', q_bar, r_bar) profile of a normalized spec.
+
+    A minimal prime of type (a, b), a generator of the dual, has a facet
+    of type (n - a, m - b) as complement.  Taken from the last dual
+    summand, these are the blocks (q_i - 1, r_{i-1} - 1) for i = 1..s + 1
+    (see ``closed_form_dual``), less the first when q_1 = 0 and the last
+    when r_s = 0.
+    """
     n, m = spec.universe.n, spec.universe.m
-    qs, rs = spec.qs, spec.rs
-    s = spec.s
-    q_ext = list(qs) + [n + 1]   # q_{s+1} = n + 1
-    r_ext = [m + 1] + list(rs)   # r_0 = m + 1
-    if qs[0] > 0 and rs[-1] > 0:
-        sp = s + 1
-    elif qs[0] == 0 and rs[-1] == 0:
-        sp = s - 1
-    else:
-        sp = s
-    if qs[0] > 0:
-        q_bar = tuple(q_ext[i] - 1 for i in range(sp))       # q_i - 1
-        r_bar = tuple(r_ext[i] - 1 for i in range(sp))       # r_{i-1} - 1
-    else:
-        q_bar = tuple(q_ext[i + 1] - 1 for i in range(sp))   # q_{i+1} - 1
-        r_bar = tuple(r_ext[i + 1] - 1 for i in range(sp))   # r_i - 1
-    return QRProfile(spec.universe, sp, q_bar, r_bar)
+    q_bar, r_bar = zip(*((n - a, m - b) for a, b in reversed(spec.dual.summands)))
+    return QRProfile(spec.universe, len(q_bar), q_bar, r_bar)
 
 
 def spec_from_profile(profile: QRProfile) -> MixedProductSpec:
@@ -279,17 +286,22 @@ def closed_form_dual(spec: MixedProductSpec) -> MixedProductSpec:
     """The Alexander dual as a mixed product spec, via the closed form.
 
     Raw dual summands are (n-q_1+1, 0), then (n-q_{i+1}+1, m-r_i+1) for
-    i = 1..s-1, then (0, m-r_s+1); normalization drops the summands
-    whose exponent exceeds its block (those arise exactly when q_1 = 0
-    or r_s = 0).
+    i = 1..s-1, then (0, m-r_s+1).  The first fits its block exactly when
+    q_1 > 0 and the last when r_s > 0; the rest always fit, and sorted
+    they form an antichain.  Raises ``InvalidInput`` unless ``spec`` is
+    normalized, which every other closed form relies on.
     """
     n, m = spec.universe.n, spec.universe.m
     qs, rs = spec.qs, spec.rs
-    s = spec.s
-    raw = [(n - qs[0] + 1, 0)]
-    raw += [(n - qs[i + 1] + 1, m - rs[i] + 1) for i in range(s - 1)]
-    raw += [(0, m - rs[-1] + 1)]
-    return normalize(spec.universe, raw)
+    q_ext, r_ext = qs + (n + 1,), (m + 1,) + rs   # q_{s+1} = n + 1, r_0 = m + 1
+    if not (qs and all(-1 < q < q_next for q, q_next in zip(qs, q_ext[1:]))
+            and all(-1 < r < r_prev for r_prev, r in zip(r_ext, rs))
+            and (0, 0) not in spec.summands):
+        raise InvalidInput(f"spec is not normalized: the q's must rise strictly in 0..{n}, "
+                           f"the r's fall strictly in 0..{m}, without (0, 0)")
+    # raw summand i is (n - q_i + 1, m - r_{i-1} + 1); it fits when q_i, r_{i-1} > 0
+    dual = sorted((n - q + 1, m - r + 1) for q, r in zip(q_ext, r_ext) if q > 0 and r > 0)
+    return MixedProductSpec(spec.universe, tuple(dual))
 
 
 def check_listing_size(universe: VariableUniverse, types, what: str,
@@ -304,17 +316,15 @@ def check_listing_size(universe: VariableUniverse, types, what: str,
 def decomposition_types(spec: MixedProductSpec):
     """The (a, b) types of the minimal primes, grouped into P_x, P_xy and P_y.
 
-    A prime of type (a, b) is generated by a x's and b y's: P_x holds the
-    type (n - q_1 + 1, 0) when q_1 > 0, P_xy the types
-    (n - q_{i+1} + 1, m - r_i + 1), and P_y the type (0, m - r_s + 1)
-    when r_s > 0.
+    A prime of type (a, b) is generated by a x's and b y's.  The types are
+    the dual's summands, taken in block order (reversed): P_x holds the
+    one with b = 0 (there is one when q_1 > 0), P_y the one with a = 0
+    (when r_s > 0), and P_xy the rest, one for each pair of consecutive
+    summands of the spec.
     """
-    n, m = spec.universe.n, spec.universe.m
-    qs, rs = spec.qs, spec.rs
-    px = [(n - qs[0] + 1, 0)] if qs[0] > 0 else []
-    pxy = [(n - qs[i + 1] + 1, m - rs[i] + 1) for i in range(spec.s - 1)]
-    py = [(0, m - rs[-1] + 1)] if rs[-1] > 0 else []
-    return px, pxy, py
+    types = spec.dual.summands[::-1]
+    return ([t for t in types if t[1] == 0], [t for t in types if 0 not in t],
+            [t for t in types if t[0] == 0])
 
 
 def closed_form_primary_decomposition(spec: MixedProductSpec) -> PrimaryDecomposition:
@@ -327,11 +337,7 @@ def closed_form_primary_decomposition(spec: MixedProductSpec) -> PrimaryDecompos
 def is_unmixed_closed_form(spec: MixedProductSpec) -> Verdict:
     """Unmixedness: every prime type of the closed form has the height's size."""
     px, pxy, py = decomposition_types(spec)
-    h = qr_profile(spec).height
-    smallest = min(a + b for a, b in px + pxy + py)
-    if h != smallest:
-        raise InvalidInput(f"spec is not normalized: height {h} differs from "
-                           f"the smallest prime size {smallest}")
+    h = spec.profile.height
     for i, (a, b) in enumerate(pxy):
         if a + b != h:
             return Verdict(False, ("mixed-block height", i + 1))
@@ -348,7 +354,7 @@ def is_cm_closed_form(spec: MixedProductSpec, perturb: bool = False) -> Verdict:
     ``perturb`` deliberately breaks the q-step condition; it exists only
     so the sweep harness can prove it would catch a wrong closed form.
     """
-    p = qr_profile(spec)
+    p = spec.profile
     q_step = 2 if perturb else 1
     for i in range(p.s_prime - 1):
         if p.q_bar[i + 1] != p.q_bar[i] + q_step or p.r_bar[i + 1] != p.r_bar[i] - 1:
@@ -358,7 +364,7 @@ def is_cm_closed_form(spec: MixedProductSpec, perturb: bool = False) -> Verdict:
 
 def is_scm_closed_form(spec: MixedProductSpec) -> Verdict:
     """Sequential CM: a unit step in q or r at every i, and unimodal sigma."""
-    p = qr_profile(spec)
+    p = spec.profile
     for i in range(p.s_prime - 1):
         if p.q_bar[i] != p.q_bar[i + 1] - 1 and p.r_bar[i] != p.r_bar[i + 1] + 1:
             return Verdict(False, ("step", i + 1))
@@ -376,7 +382,7 @@ def is_scm_closed_form(spec: MixedProductSpec) -> Verdict:
 
 def facet_partition(spec: MixedProductSpec) -> list[list[frozenset]]:
     """Block k of the facet partition: all sets of q_bar[k] x's and r_bar[k] y's."""
-    p = qr_profile(spec)
+    p = spec.profile
     return sets_by_type(spec.universe, zip(p.q_bar, p.r_bar))
 
 
@@ -389,7 +395,7 @@ def shelling_blocks(spec: MixedProductSpec) -> Optional[list[int]]:
     """
     if not is_scm_closed_form(spec).holds:
         return None
-    sigma = qr_profile(spec).sigma
+    sigma = spec.profile.sigma
     peak = sigma.index(max(sigma))
     # sigma is unimodal, so both sides descend from the peak, and a stable
     # sort by sigma merges them, the left side first on ties
@@ -422,7 +428,7 @@ def skeleton_profile(spec: MixedProductSpec, l: int):
     from max(0, l - r(k)) to min(q(k), l); duplicates across blocks are
     merged and the result sorted by q'.
     """
-    p = qr_profile(spec)
+    p = spec.profile
     if not 0 <= l <= p.dim_ring:
         raise InvalidInput(f"skeleton level {l} out of range 0..{p.dim_ring}")
     pairs = set()
@@ -434,12 +440,11 @@ def skeleton_profile(spec: MixedProductSpec, l: int):
     return tuple(q for q, _ in merged), tuple(r for _, r in merged)
 
 
-def classify(spec: MixedProductSpec, oracle_verdicts: Optional[dict] = None) -> ClassificationReport:
+def classify(spec: MixedProductSpec) -> ClassificationReport:
     return ClassificationReport(
         spec=spec,
-        profile=qr_profile(spec),
+        profile=spec.profile,
         unmixed=is_unmixed_closed_form(spec),
         cohen_macaulay=is_cm_closed_form(spec),
         sequentially_cm=is_scm_closed_form(spec),
-        oracle_verdicts=oracle_verdicts,
     )

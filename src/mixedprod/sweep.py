@@ -124,7 +124,7 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
     """
     mismatches = []
     skipped = []
-    profile = products.qr_profile(spec)
+    profile = spec.profile
     unmixed = products.is_unmixed_closed_form(spec)
     cm = products.is_cm_closed_form(spec, perturb=perturb)
     scm = products.is_scm_closed_form(spec)
@@ -132,7 +132,7 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
     # structural identities need no enumeration
     if products.spec_from_profile(profile) != spec:
         mismatches.append(_mismatch(spec, "profile_roundtrip", None, None))
-    dual = products.closed_form_dual(spec)
+    dual = spec.dual
     if products.closed_form_dual(dual) != spec:
         mismatches.append(_mismatch(spec, "dual_involution", None, None))
     if cm.holds and not unmixed.holds:

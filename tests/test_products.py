@@ -1,6 +1,7 @@
 """Mixed product specifics: profiles, closed forms, partitions, shellings."""
 
 import os
+import random
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ from mixedprod import (
     ZeroIdealError,
     alexander_dual,
     check_listing_size,
+    classify,
     closed_form_dual,
     closed_form_primary_decomposition,
     expand_generators,
@@ -75,6 +77,25 @@ class TestNormalize:
     def test_negative_rejected(self):
         with pytest.raises(InvalidInput):
             spec(2, 2, [(-1, 1)])
+
+    def test_matches_the_definition(self):
+        # the summands that fit their blocks and no other such summand
+        # divides, sorted; drawn with duplicates, dominated and vanishing pairs
+        rng = random.Random(20121)
+        for _ in range(2000):
+            n, m = rng.randint(1, 6), rng.randint(1, 6)
+            pairs = [(rng.randint(0, n + 1), rng.randint(0, m + 1))
+                     for _ in range(rng.randint(1, 12))]
+            pairs = [p for p in pairs if p != (0, 0)] or [(1, 0)]
+            pairs += rng.sample(pairs, min(len(pairs), rng.randint(0, 3)))
+            live = {(q, r) for q, r in pairs if q <= n and r <= m}
+            if not live:
+                with pytest.raises(ZeroIdealError):
+                    spec(n, m, pairs)
+                continue
+            minimal = sorted(p for p in live if not any(
+                o != p and o[0] <= p[0] and o[1] <= p[1] for o in live))
+            assert spec(n, m, pairs).summands == tuple(minimal), (n, m, pairs)
 
 
 class TestExpand:
@@ -137,7 +158,7 @@ class TestProfileInverse:
         assert spec_from_profile(QRProfile(U22, 1, (0,), (0,))).summands == ((0, 1), (1, 0))
 
     def test_round_trip_exhaustive(self):
-        for s in enumerate_specs(4, 4, 3):
+        for s in enumerate_specs(4, 4, 5):
             assert spec_from_profile(qr_profile(s)) == s
 
     def test_rejects_non_monotone(self):
@@ -155,7 +176,7 @@ class TestClosedFormDual:
         assert closed_form_dual(spec(1, 1, [(1, 1)])).summands == ((0, 1), (1, 0))
 
     def test_involution_exhaustive(self):
-        for s in enumerate_specs(4, 4, 3):
+        for s in enumerate_specs(4, 4, 5):
             assert closed_form_dual(closed_form_dual(s)) == s
 
     def test_agrees_with_generic_dual_small(self):
@@ -208,9 +229,39 @@ class TestPrimaryDecomposition:
                   [f for block in facet_partition(s) for f in block])
 
     def test_matches_minimal_primes_small(self):
-        for s in enumerate_specs(3, 3, 3):
+        # grouped by the blocks each prime meets: P_x meets no y, P_xy
+        # both blocks and P_y no x; every s
+        for s in enumerate_specs(4, 4, 5):
+            n = s.universe.n
+            primes = minimal_primes(expand_generators(s))
             d = closed_form_primary_decomposition(s)
-            assert d.components == minimal_primes(expand_generators(s))
+            assert d.components == primes, s
+            assert list(d.px) == [p for p in primes if max(p) < n], s
+            assert list(d.pxy) == [p for p in primes if min(p) < n <= max(p)], s
+            assert list(d.py) == [p for p in primes if min(p) >= n], s
+
+
+class TestNotNormalized:
+    # built directly, past ``normalize``: comparable summands, summands
+    # out of order, the unit summand, a summand past its block, a
+    # negative exponent, none
+    SPECS = [((1, 1), (2, 2)), ((2, 1), (1, 2)), ((0, 0), (1, 1)), ((0, 0),),
+             ((0, 2), (3, 0)), ((1, -1),), ((-1, 1),), ()]
+    CLOSED_FORMS = [qr_profile, closed_form_dual, closed_form_primary_decomposition,
+                    is_unmixed_closed_form, is_cm_closed_form, is_scm_closed_form,
+                    classify, facet_partition, shelling_order,
+                    lambda s: skeleton_profile(s, 0)]
+
+    @pytest.mark.parametrize("pairs", SPECS)
+    def test_every_closed_form_raises(self, pairs):
+        for closed_form in self.CLOSED_FORMS:
+            with pytest.raises(InvalidInput, match="spec is not normalized"):
+                closed_form(MixedProductSpec(U22, pairs))
+
+    def test_computed_once(self):
+        s = spec(3, 3, [(1, 2), (2, 1)])
+        assert s.dual is s.dual and classify(s).profile is s.profile
+        assert s.dual == closed_form_dual(s) and s.profile == qr_profile(s)
 
 
 class TestUnmixed:
