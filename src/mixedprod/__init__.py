@@ -14,7 +14,7 @@ from .complexes import (
     skeleton,
     verify_shelling_order,
 )
-from .homology import BoundaryMatrix, boundary_matrix, rank_exact, reduced_homology_ranks
+from .homology import BoundaryMatrix, boundary_matrix, reduced_homology_ranks
 from .ideals import (
     DomainError,
     InvalidInput,

@@ -50,8 +50,9 @@ def _spec_from_args(args):
     return products.normalize(universe, parse_pairs(args.pairs))
 
 
-def _names(universe, vs):
-    return [universe.var_name(i) for i in sorted(vs)]
+def _names(universe, masks):
+    """The sets of ``masks`` as lists of vertex names, in ``sort_key`` order."""
+    return [[universe.var_name(i) for i in vs] for vs in sweep.vertex_lists(masks)]
 
 
 def _emit(payload):
@@ -116,8 +117,7 @@ def cmd_dual(args):
     payload = {"spec": sweep.spec_as_dict(spec), "dual": sweep.spec_as_dict(dual)}
     if args.expand:
         products.check_listing_size(spec.universe, dual.summands, "generators")
-        gens = products.expand_generators(dual).sorted_generators()
-        payload["generators"] = [_names(spec.universe, g) for g in gens]
+        payload["generators"] = _names(spec.universe, products.generator_sets(dual))
     if args.json:
         _emit(payload)
     else:
@@ -137,9 +137,9 @@ def cmd_decompose(args):
     payload = {
         "spec": sweep.spec_as_dict(spec),
         "height": h,
-        "px": [_names(universe, c) for c in decomp.px],
-        "pxy": [_names(universe, c) for c in decomp.pxy],
-        "py": [_names(universe, c) for c in decomp.py],
+        "px": _names(universe, decomp.px),
+        "pxy": _names(universe, decomp.pxy),
+        "py": _names(universe, decomp.py),
     }
     if args.json:
         _emit(payload)
@@ -160,7 +160,7 @@ def cmd_facets(args):
     blocks = products.facet_partition(spec)
     payload = {
         "spec": sweep.spec_as_dict(spec),
-        "blocks": [[_names(universe, f) for f in b] for b in blocks],
+        "blocks": [_names(universe, b) for b in blocks],
     }
     if args.json:
         _emit(payload)

@@ -193,12 +193,16 @@ def _first_blocker(vertices: Sequence[int], has: Sequence[int], placed: int) -> 
     return (blockers & -blockers).bit_length() - 1 if blockers else None
 
 
-def verify_shelling_masks(c: SimplicialComplex, masks: Sequence[int]):
-    """``verify_shelling_order`` for an order given as facet bitmasks."""
-    if sorted(masks) != list(c.masks):
+def verify_shelling_order(c: SimplicialComplex, order: Sequence[int]):
+    """Check the shelling condition for a facet order given as bitmasks.
+
+    Returns (True, None), or (False, (i, j)) with the first failing pair
+    (0-based positions, lexicographic in (j, i)).
+    """
+    if sorted(order) != list(c.masks):
         raise InvalidInput("order is not a permutation of the facet list")
     has = [0] * c.universe.size
-    for j, f in enumerate(masks):
+    for j, f in enumerate(order):
         vertices = bit_indices(f)
         i = _first_blocker(vertices, has, (1 << j) - 1)
         if i is not None:
@@ -206,19 +210,6 @@ def verify_shelling_masks(c: SimplicialComplex, masks: Sequence[int]):
         for v in vertices:
             has[v] |= 1 << j
     return True, None
-
-
-def verify_shelling_order(c: SimplicialComplex, order: Sequence[Iterable[int]]):
-    """Check the shelling condition for a given facet order.
-
-    Returns (True, None), or (False, (i, j)) with the first failing pair
-    (0-based positions, lexicographic in (j, i)).
-    """
-    try:
-        masks = [mask_of(f) for f in order]
-    except ValueError:      # a negative index is no vertex
-        masks = []
-    return verify_shelling_masks(c, masks)
 
 
 def find_shelling(c: SimplicialComplex, cap: int = SHELLING_FACET_CAP) -> ShellingResult:

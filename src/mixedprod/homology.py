@@ -116,11 +116,6 @@ def boundary_matrix(c, d: int) -> BoundaryMatrix:
     return BoundaryMatrix(rows, cols)
 
 
-def rank_exact(mat: BoundaryMatrix) -> int:
-    """The rank of a boundary map over Q."""
-    return kernels.rank_int(mat.rows)
-
-
 def _rank_f2(table, d: int) -> int:
     """Rank of the d-th boundary map over GF(2), one bitmask column per d-face."""
     row_bit = {f: 1 << i for i, f in enumerate(table[d - 1])}
@@ -174,7 +169,7 @@ def _settle(c, counts, rank, below) -> None:
         unsettled = [d for d in wanted if d not in rank]
         if unsettled:
             d = min(unsettled, key=lambda d: counts[d - 1] * counts[d])
-            rank[d] = rank_exact(boundary_matrix(c, d))
+            rank[d] = kernels.rank_int(boundary_matrix(c, d).rows)
 
 
 def reduced_homology_ranks(c, below: int | None = None) -> dict[int, int]:

@@ -15,14 +15,18 @@ complements are the facets, so its summands are the prime types and
 block k has the complement type of the k-th dual summand from the end;
 its normalization check guards every closed form.  All verdicts are
 O(s') profile arithmetic.  Only the listings enumerate, all through
-``sets_by_type``: every set of a x's and b y's, in ``sort_key`` order,
-as frozensets for the CLI and the tests or as bitmasks for the sweep.
-One budget, ``GENERATOR_CAP``, bounds them: ``generator_sets`` counts
-the generators it would build, and ``check_listing_size`` the variables
-that ``dual --expand``, ``decompose`` and ``facets`` would print.  The
-oracles, which also read these listings, are gated once per spec by the
-vertex cap in ``sweep.check_spec``, which records a spec whose expansion
-passes the generator cap as skipped.
+``sets_by_type``: every set of a x's and b y's as a bitmask (bit i is
+vertex i), in ``sort_key`` order.  The generators, the decomposition's
+components, the facet blocks and the shelling order are listed once, as
+masks, for the sweep's oracles and the CLI alike; they get vertex names
+only in the CLI.  ``expand_generators`` alone turns a listing into a
+``SquarefreeIdeal`` of frozensets, the generic ideal layer's input.
+One budget, ``GENERATOR_CAP``, bounds the listings: ``generator_sets``
+counts the generators it would build, and ``check_listing_size`` the
+variables that ``dual --expand``, ``decompose`` and ``facets`` would
+print.  The oracles, which also read these listings, are gated once per
+spec by the vertex cap in ``sweep.check_spec``, which records a spec
+whose expansion passes the generator cap as skipped.
 """
 
 from __future__ import annotations
@@ -35,11 +39,10 @@ from typing import Optional, Tuple
 from .ideals import (
     DomainError,
     InvalidInput,
-    PrimeComponent,
     ResourceCapExceeded,
     SquarefreeIdeal,
     VariableUniverse,
-    sort_key,
+    support_of,
 )
 
 GENERATOR_CAP = 100_000
@@ -124,15 +127,19 @@ class Verdict:
 
 @dataclass(frozen=True)
 class PrimaryDecomposition:
-    """Closed-form minimal primes, grouped into the x / mixed / y blocks."""
+    """Closed-form minimal primes as bitmasks, grouped into the x / mixed / y blocks.
 
-    px: Tuple[PrimeComponent, ...]
-    pxy: Tuple[PrimeComponent, ...]
-    py: Tuple[PrimeComponent, ...]
+    Each group is in increasing order.
+    """
+
+    px: Tuple[int, ...]
+    pxy: Tuple[int, ...]
+    py: Tuple[int, ...]
 
     @property
-    def components(self) -> list[PrimeComponent]:
-        return sorted(self.px + self.pxy + self.py, key=sort_key)
+    def components(self) -> list[int]:
+        """Every minimal prime as a bitmask, in increasing order."""
+        return sorted(self.px + self.pxy + self.py)
 
 
 @dataclass(frozen=True)
@@ -195,51 +202,39 @@ def _check_count(n: int, m: int, sizes, cap: int, what: str, weigh: bool = False
             raise ResourceCapExceeded(f"more than the cap of {cap} {what}")
 
 
-def sets_by_type(universe: VariableUniverse, types, masks: bool = False) -> list[list]:
-    """One list per (a, b) in ``types``: every set of a x's and b y's.
+def sets_by_type(universe: VariableUniverse, types) -> list[list[int]]:
+    """One list per (a, b) in ``types``: every set of a x's and b y's, as bitmasks.
 
     This is the one listing of the module.  Each list is in ``sort_key``
-    order: every x index is below every y index, so xs + ys is the sorted
-    support.  Each set is a frozenset built from that index tuple, or with
-    ``masks`` a bitmask, the sum of the bits combined in the same order.
+    order: every x index is below every y index, so the x-part and then
+    the y-part, each combined in lex order, give the sorted supports in
+    lex order.
     """
-    xs, ys = range(universe.n), range(universe.n, universe.size)
-    if masks:
-        xs, ys = [1 << i for i in xs], [1 << i for i in ys]
+    xs = [1 << i for i in range(universe.n)]
+    ys = [1 << i for i in range(universe.n, universe.size)]
     out = []
     for a, b in types:
-        y_parts = list(combinations(ys, b))
-        if masks:
-            y_parts = list(map(sum, y_parts))
-            out.append([x | y for x in map(sum, combinations(xs, a)) for y in y_parts])
-        else:
-            out.append([frozenset(x + y) for x in combinations(xs, a) for y in y_parts])
+        y_parts = list(map(sum, combinations(ys, b)))
+        out.append([x | y for x in map(sum, combinations(xs, a)) for y in y_parts])
     return out
 
 
-def generator_sets(spec: MixedProductSpec, masks: bool = False,
-                   cap: int = GENERATOR_CAP) -> list:
-    """The minimal generators of ``spec``, summand by summand (see ``sets_by_type``).
+def generator_sets(spec: MixedProductSpec, cap: int = GENERATOR_CAP) -> list[int]:
+    """The minimal generators of ``spec`` as bitmasks, summand by summand.
 
     Summand i contributes the generators with exactly q_i x's and r_i
-    y's, so the union is an antichain of the counted size exactly when
-    the (q, r) pairs of the summands that do not vanish are pairwise
-    incomparable, which is checked instead of the generators.
+    y's, so the union is an antichain of the counted size because a
+    normalized spec's (q, r) pairs are pairwise incomparable; the dual's
+    normalization check rejects any other spec.
     """
-    n, m = spec.universe.n, spec.universe.m
-    live = [(q, r) for q, r in spec.summands if q <= n and r <= m]
-    for i, (q, r) in enumerate(live):
-        for q2, r2 in live[i + 1:]:
-            if (q - q2) * (r - r2) >= 0:
-                raise InvalidInput(f"spec is not normalized: summands ({q}, {r}) "
-                                   f"and ({q2}, {r2}) are comparable")
-    _check_count(n, m, live, cap, "generators")
-    return [g for sets in sets_by_type(spec.universe, live, masks) for g in sets]
+    spec.dual   # raises InvalidInput unless spec is normalized
+    _check_count(spec.universe.n, spec.universe.m, spec.summands, cap, "generators")
+    return [g for sets in sets_by_type(spec.universe, spec.summands) for g in sets]
 
 
 def expand_generators(spec: MixedProductSpec, cap: int = GENERATOR_CAP) -> SquarefreeIdeal:
-    """The full minimal generating set: all q-subset x r-subset products."""
-    return SquarefreeIdeal(spec.universe, frozenset(generator_sets(spec, cap=cap)))
+    """The minimal generators as a ``SquarefreeIdeal``: all q-subset x r-subset products."""
+    return SquarefreeIdeal(spec.universe, frozenset(map(support_of, generator_sets(spec, cap))))
 
 
 def qr_profile(spec: MixedProductSpec) -> QRProfile:
@@ -328,8 +323,8 @@ def decomposition_types(spec: MixedProductSpec):
 
 
 def closed_form_primary_decomposition(spec: MixedProductSpec) -> PrimaryDecomposition:
-    """Minimal primes from the closed form, grouped into P_x / P_xy / P_y."""
-    groups = (sorted((p for sets in sets_by_type(spec.universe, types) for p in sets), key=sort_key)
+    """Minimal primes from the closed form as bitmasks, grouped into P_x / P_xy / P_y."""
+    groups = (sorted(p for sets in sets_by_type(spec.universe, types) for p in sets)
               for types in decomposition_types(spec))
     return PrimaryDecomposition(*map(tuple, groups))
 
@@ -380,18 +375,27 @@ def is_scm_closed_form(spec: MixedProductSpec) -> Verdict:
     return Verdict(True)
 
 
-def facet_partition(spec: MixedProductSpec) -> list[list[frozenset]]:
-    """Block k of the facet partition: all sets of q_bar[k] x's and r_bar[k] y's."""
+def facet_partition(spec: MixedProductSpec) -> list[list[int]]:
+    """Block k of the facet partition: all sets of q_bar[k] x's and r_bar[k] y's.
+
+    The facets are bitmasks, each block in ``sort_key`` order.
+    """
     p = spec.profile
     return sets_by_type(spec.universe, zip(p.q_bar, p.r_bar))
 
 
-def shelling_blocks(spec: MixedProductSpec) -> Optional[list[int]]:
-    """The block order of ``shelling_order``: indices into ``facet_partition``, or None.
+def shelling_order(spec: MixedProductSpec) -> Optional[list[int]]:
+    """A shelling order of the facets (bitmasks) when the spec is sequentially CM, else None.
 
     Start at the block of largest sigma (leftmost on ties) and grow an
-    interval by appending the neighbour of larger sigma (left on ties).
-    None unless the spec is sequentially CM.
+    interval by appending the neighbour of larger sigma (left on ties),
+    each block in ``facet_partition`` (lex) order, which shells it.
+    Proof: sigma does not fall left of the peak and each step is a unit
+    q- or r-step, so each step there lowers r by one.  A facet F in
+    block k left of the peak follows facets G of blocks right of k only,
+    each with fewer y's; F minus a y outside G contains F & G and lies in
+    a facet of block k + 1, which came earlier.  Mirror x and y right of
+    the peak.  With unit q-steps this is the paper's ascending order.
     """
     if not is_scm_closed_form(spec).holds:
         return None
@@ -399,24 +403,7 @@ def shelling_blocks(spec: MixedProductSpec) -> Optional[list[int]]:
     peak = sigma.index(max(sigma))
     # sigma is unimodal, so both sides descend from the peak, and a stable
     # sort by sigma merges them, the left side first on ties
-    return sorted([*range(peak, -1, -1), *range(peak + 1, len(sigma))], key=lambda k: -sigma[k])
-
-
-def shelling_order(spec: MixedProductSpec) -> Optional[list[frozenset]]:
-    """A shelling order of the facets when the spec is sequentially CM, else None.
-
-    The blocks come in ``shelling_blocks`` order, each block in
-    ``facet_partition`` (lex) order, which shells it.  Proof: sigma does
-    not fall left of the peak and each step is a unit q- or r-step, so
-    each step there lowers r by one.  A facet F in block k left of the
-    peak follows facets G of blocks right of k only, each with fewer
-    y's; F minus a y outside G contains F & G and lies in a facet of
-    block k + 1, which came earlier.  Mirror x and y right of the peak.
-    With unit q-steps this is the paper's ascending order.
-    """
-    ks = shelling_blocks(spec)
-    if ks is None:
-        return None
+    ks = sorted([*range(peak, -1, -1), *range(peak + 1, len(sigma))], key=lambda k: -sigma[k])
     blocks = facet_partition(spec)
     return [f for k in ks for f in blocks[k]]
 

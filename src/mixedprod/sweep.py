@@ -4,7 +4,8 @@ Every normalized spec within the configured bounds is enumerated and
 each closed-form statement is compared against an independent oracle:
 
   - the dual formula against minimal-hitting-set Alexander duality,
-  - the primary decomposition against the dual's minimal primes,
+  - the primary decomposition against the dual's minimal primes, each
+    group against the blocks its primes meet,
   - the CM verdict against purity + strong connectivity (fast) and
     against Reisner link homology (full),
   - the sequential-CM verdict against the pure-skeleton test,
@@ -13,12 +14,13 @@ each closed-form statement is compared against an independent oracle:
     set, and each "sequentially CM" verdict against a shelling order of
     it (a nonpure shelling proves sequential CM, Bjorner and Wachs 1996).
 
-The fast tier stays on bitmasks from the spec to the verdict: the
+The fast tier stays on bitmasks from the spec to the verdict.  The
 closed-form listings (generators of the spec and of its dual, the
 decomposition's components, the facet blocks and the shelling order)
-come from ``products`` as masks, are compared with the one transversal
-search as sorted mask lists, and become vertex lists only in a mismatch
-record.
+come as masks from the same ``products`` functions the CLI prints.  They
+are compared with the one transversal search as sorted mask lists and
+become vertex lists only in a mismatch record, vertex names only in the
+CLI.
 
 Any disagreement is recorded as a mismatch; the sweep exits nonzero on
 the first nonempty mismatch list.  ``perturb=True`` deliberately breaks
@@ -32,7 +34,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, combinations
+from itertools import combinations
 
 from . import complexes, ideals, kernels, products
 from .products import MixedProductSpec
@@ -133,7 +135,7 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
     if products.spec_from_profile(profile) != spec:
         mismatches.append(_mismatch(spec, "profile_roundtrip", None, None))
     dual = spec.dual
-    if products.closed_form_dual(dual) != spec:
+    if dual.dual != spec:
         mismatches.append(_mismatch(spec, "dual_involution", None, None))
     if cm.holds and not unmixed.holds:
         mismatches.append(_mismatch(spec, "cm_implies_unmixed", cm.holds, unmixed.holds))
@@ -148,8 +150,7 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
         else:
             try:
                 # both or neither: the spec fits the cap while its dual may not
-                gens, dual_closed = (products.generator_sets(spec, masks=True),
-                                     products.generator_sets(dual, masks=True))
+                gens, dual_closed = products.generator_sets(spec), products.generator_sets(dual)
             except ideals.ResourceCapExceeded:
                 skipped.append({"spec": spec_as_dict(spec), "reason": "generator cap"})
     if gens is not None:
@@ -160,15 +161,20 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
         oracle["dual_generators"] = sorted(dual_closed) == primes
         if not oracle["dual_generators"]:
             mismatches.append(_mismatch(spec, "dual_generators",
-                                        _vertex_lists(dual_closed), _vertex_lists(primes)))
+                                        vertex_lists(dual_closed), vertex_lists(primes)))
 
-        components = [p for sets in products.sets_by_type(
-                          universe, chain(*products.decomposition_types(spec)), masks=True)
-                      for p in sets]
-        oracle["primary_decomposition"] = sorted(components) == primes
+        # the union is the primes, and each group's primes meet the blocks it names
+        decomp = products.closed_form_primary_decomposition(spec)
+        x_block = (1 << universe.n) - 1
+        oracle["primary_decomposition"] = (
+            decomp.components == primes
+            and all(not p & ~x_block for p in decomp.px)
+            and all(p & x_block and p & ~x_block for p in decomp.pxy)
+            and all(not p & x_block for p in decomp.py))
         if not oracle["primary_decomposition"]:
+            groups = [vertex_lists(g) for g in (decomp.px, decomp.pxy, decomp.py)]
             mismatches.append(_mismatch(spec, "primary_decomposition",
-                                        _vertex_lists(components), _vertex_lists(primes)))
+                                        groups, vertex_lists(primes)))
 
         sizes = {p.bit_count() for p in primes}
         oracle["unmixed"] = len(sizes) == 1
@@ -177,15 +183,14 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
                                         oracle["unmixed"], unmixed.witness))
 
         complex_ = ideals.complex_of_primes(universe, primes)
-        block_masks = products.sets_by_type(universe, zip(profile.q_bar, profile.r_bar),
-                                            masks=True)
-        tiled = [f for b in block_masks for f in b]
+        blocks = products.facet_partition(spec)
+        tiled = [f for b in blocks for f in b]
         oracle["facet_partition"] = sorted(tiled) == list(complex_.masks)
         if not oracle["facet_partition"]:
             mismatches.append(_mismatch(spec, "facet_partition",
-                                        _vertex_lists(tiled), _vertex_lists(complex_.masks)))
+                                        vertex_lists(tiled), vertex_lists(complex_.masks)))
 
-        bound_ok, bound_witness = _intersection_bound(profile, block_masks)
+        bound_ok, bound_witness = _intersection_bound(profile, blocks)
         oracle["intersection_bound"] = bound_ok
         if not bound_ok:
             mismatches.append(_mismatch(spec, "intersection_bound", None, None, bound_witness))
@@ -197,10 +202,9 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
             mismatches.append(_mismatch(spec, "cm_strongly_connected",
                                         cm.holds, strong, cm.witness))
 
-        ks = products.shelling_blocks(spec)
-        if ks is not None:
-            order = [f for k in ks for f in block_masks[k]]
-            ok, witness = complexes.verify_shelling_masks(complex_, order)
+        order = products.shelling_order(spec)
+        if order is not None:
+            ok, witness = complexes.verify_shelling_order(complex_, order)
             oracle["shelling_order"] = ok
             if not ok:
                 mismatches.append(_mismatch(spec, "shelling_order", True, False, witness))
@@ -233,7 +237,7 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
     }
 
 
-def _vertex_lists(masks):
+def vertex_lists(masks):
     """The sets of ``masks`` as sorted vertex lists, in ``sort_key`` order."""
     return sorted(list(kernels.bit_indices(h)) for h in masks)
 

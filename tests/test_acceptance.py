@@ -7,6 +7,7 @@ every s (842 specs).  One PASS line is printed per criterion (run with
 """
 
 import time
+from itertools import combinations
 
 import pytest
 
@@ -31,7 +32,14 @@ from mixedprod import (
     stanley_reisner_complex,
 )
 from mixedprod.cli import main as cli_main
-from mixedprod.ideals import sort_key
+from mixedprod.ideals import (
+    ideal_product,
+    ideal_sum,
+    minimalize,
+    sorted_supports,
+    support_of,
+)
+from mixedprod.products import generator_sets
 from mixedprod.sweep import SweepConfig, enumerate_specs, run_sweep
 
 MAX_N, MAX_M = 4, 4
@@ -71,9 +79,33 @@ def test_criterion_1_dual_closed_form():
 
 def test_criterion_2_primary_decomposition():
     bad = [spec for spec in enumerate_specs(MAX_N, MAX_M, MAX_S)
-           if closed_form_primary_decomposition(spec).components
+           if sorted_supports(closed_form_primary_decomposition(spec).components)
            != minimal_primes(expand_generators(spec))]
     report(2, not bad, f"({len(bad)} disagreements)")
+
+
+def test_oracle_input_matches_generic_ideal_arithmetic():
+    # The oracles' one input from the closed forms is ``generator_sets``:
+    # it must list exactly the minimal generators that generic ideal
+    # arithmetic builds for the sum of the I_q * J_r, each once.
+    start = time.monotonic()
+    bad = []
+    count = 0
+    for spec in enumerate_specs(MAX_N, MAX_M, MAX_S):
+        count += 1
+        u = spec.universe
+        xs, ys = range(u.n), range(u.n, u.size)
+        total = None
+        for q, r in spec.summands:
+            term = ideal_product(minimalize(u, combinations(xs, q)),
+                                 minimalize(u, combinations(ys, r)))
+            total = term if total is None else ideal_sum(total, term)
+        listed = generator_sets(spec)
+        if len(set(listed)) != len(listed) or set(map(support_of, listed)) != total.generators:
+            bad.append(spec)
+    elapsed = time.monotonic() - start
+    report("oracle input", not bad and count == 842,
+           f"({count} specs, {len(bad)} disagreements, {elapsed:.2f}s)")
 
 
 def test_criterion_3_cm_equivalence(full_sweep):

@@ -19,6 +19,7 @@ from mixedprod import (
     verify_shelling_order,
 )
 from mixedprod.complexes import _is_block_symmetric, all_faces
+from mixedprod.ideals import mask_of
 
 
 def complex_on(n, facets):
@@ -88,27 +89,27 @@ def test_strong_connectivity():
 
 def test_verify_shelling_single_facet():
     c = complex_on(2, [{0, 1}])
-    assert verify_shelling_order(c, [frozenset({0, 1})]) == (True, None)
+    assert verify_shelling_order(c, [0b11]) == (True, None)
 
 
 def test_verify_shelling_disjoint_edges_fail():
-    f1, f2 = TWO_EDGES.facets
+    f1, f2 = TWO_EDGES.masks
     assert verify_shelling_order(TWO_EDGES, [f1, f2])[0] is False
     assert verify_shelling_order(TWO_EDGES, [f2, f1])[0] is False
 
 
 def test_verify_shelling_not_permutation():
     with pytest.raises(InvalidInput):
-        verify_shelling_order(PATH, [PATH.facets[0], PATH.facets[0]])
+        verify_shelling_order(PATH, [PATH.masks[0], PATH.masks[0]])
 
 
 @pytest.mark.parametrize("order", [
-    [{-1, 0}, {1, 2}],              # a negative index is no vertex
-    [{0, 1}, {1, 2}, {5}],          # a set that is no facet
-    [{0, 1}],                       # a facet left out
+    [-1, 0b110],                    # a negative int is no facet mask
+    [0b011, 0b110, 0b100000],       # a set that is no facet
+    [0b011],                        # a facet left out
 ])
 def test_verify_shelling_rejects_what_is_no_facet_order(order):
-    assert [sorted(f) for f in PATH.facets] == [[0, 1], [1, 2]]
+    assert PATH.masks == (0b011, 0b110)
     with pytest.raises(InvalidInput):
         verify_shelling_order(PATH, order)
 
@@ -116,7 +117,7 @@ def test_verify_shelling_rejects_what_is_no_facet_order(order):
 def test_find_shelling_path():
     res = find_shelling(PATH)
     assert res.status == "shellable"
-    assert verify_shelling_order(PATH, res.order) == (True, None)
+    assert verify_shelling_order(PATH, list(map(mask_of, res.order))) == (True, None)
 
 
 def test_find_shelling_disjoint_edges():
@@ -171,7 +172,7 @@ def test_find_shelling_verified_by_checker():
         c = complex_on(n, facets)
         res = find_shelling(c)
         if res.status == "shellable":
-            assert verify_shelling_order(c, res.order) == (True, None)
+            assert verify_shelling_order(c, list(map(mask_of, res.order))) == (True, None)
 
 
 def shelling_reference(order):
@@ -219,7 +220,7 @@ def test_position_bitsets_match_the_shelling_definition():
             orders.append(list(found.order))
         for order in orders:
             expected = shelling_reference(order)
-            assert verify_shelling_order(c, order) == expected, (c, order)
+            assert verify_shelling_order(c, list(map(mask_of, order))) == expected, (c, order)
             outcomes[expected[0]] += 1
     assert outcomes[True] >= 100 and outcomes[False] >= 1000
 

@@ -13,7 +13,6 @@ from mixedprod import (
     kernels,
     make_complex,
     normalize,
-    rank_exact,
     reduced_homology_ranks,
     reisner_cm,
     stanley_reisner_complex,
@@ -89,7 +88,7 @@ def test_boundary_squared_zero_random():
 
 def test_rank_exact_examples():
     c = complex_on(3, [{0, 1}, {1, 2}, {0, 2}])
-    assert rank_exact(boundary_matrix(c, 1)) == 2
+    assert kernels.rank_int(boundary_matrix(c, 1).rows) == 2
 
 
 def test_largest_boundary_map_of_a_16_vertex_spec():
@@ -100,7 +99,7 @@ def test_largest_boundary_map_of_a_16_vertex_spec():
     d = max(range(1, max(table) + 1), key=lambda d: len(table[d - 1]) * len(table[d]))
     mat = boundary_matrix(c, d)
     assert (d, len(mat.rows), len(mat.cols)) == (6, 11440, 8008)
-    assert rank_exact(mat) == 5005
+    assert kernels.rank_int(mat.rows) == 5005
 
 
 def test_triangle_boundary_is_circle():

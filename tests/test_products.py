@@ -37,6 +37,9 @@ from mixedprod import (
     stanley_reisner_complex,
     verify_shelling_order,
 )
+from mixedprod.ideals import sorted_supports
+from mixedprod.kernels import bit_indices
+from mixedprod.products import generator_sets
 from mixedprod.sweep import enumerate_specs
 
 U22 = VariableUniverse(2, 2)
@@ -50,6 +53,11 @@ def spec(n, m, pairs):
 
 def gens(ideal):
     return sorted(sorted(g) for g in ideal.generators)
+
+
+def vertex_lists(masks):
+    """Each bitmask as its ascending vertex list, in the order given."""
+    return [list(bit_indices(h)) for h in masks]
 
 
 class TestNormalize:
@@ -109,14 +117,23 @@ class TestExpand:
     def test_two_blocks(self):
         assert gens(expand_generators(spec(2, 2, [(0, 2), (2, 0)]))) == [[0, 1], [2, 3]]
 
-    def test_vanishing_summand_ignored(self):
+    def test_vanishing_summand_rejected(self):
+        # built past ``normalize``, which would drop the vanishing summand
         s = MixedProductSpec(U22, ((0, 2), (2, 0), (3, 0)))
-        assert gens(expand_generators(s)) == [[0, 1], [2, 3]]
+        with pytest.raises(InvalidInput, match="spec is not normalized"):
+            expand_generators(s)
 
     def test_cap(self):
         with pytest.raises(ResourceCapExceeded, match="more than the cap of 3"):
             expand_generators(spec(2, 2, [(1, 1)]), cap=3)
         assert len(expand_generators(spec(2, 2, [(1, 1)]), cap=4).generators) == 4
+
+    def test_cap_on_a_long_spec(self):
+        # 3,999 summands: the normalization check and the count are O(s)
+        long = spec(4000, 4000, [(q, 4000 - q) for q in range(1, 4000)])
+        assert long.s == 3999
+        with pytest.raises(ResourceCapExceeded, match="more than the cap of 100000 generators"):
+            expand_generators(long)
 
     def test_non_normalized_rejected_under_python_O(self):
         code = ("from mixedprod import MixedProductSpec, VariableUniverse, expand_generators\n"
@@ -188,12 +205,12 @@ class TestClosedFormDual:
 class TestPrimaryDecomposition:
     def test_bipartite(self):
         d = closed_form_primary_decomposition(spec(2, 2, [(1, 1)]))
-        assert [sorted(c) for c in d.components] == [[0, 1], [2, 3]]
+        assert vertex_lists(d.components) == [[0, 1], [2, 3]]
 
     def test_two_summands(self):
         d = closed_form_primary_decomposition(spec(2, 2, [(1, 2), (2, 1)]))
         assert len(d.px) == 1 and len(d.pxy) == 4 and len(d.py) == 1
-        assert [sorted(c) for c in d.pxy] == [[0, 2], [0, 3], [1, 2], [1, 3]]
+        assert vertex_lists(d.pxy) == [[0, 2], [1, 2], [0, 3], [1, 3]]   # increasing masks
 
     def test_size_check_counts_variables(self):
         s = spec(2, 2, [(1, 2), (2, 1)])   # six components of two variables
@@ -202,7 +219,7 @@ class TestPrimaryDecomposition:
                            match="more than the cap of 11 variables in the components"):
             check_listing_size(s.universe, types, "components", cap=11)
         check_listing_size(s.universe, types, "components", cap=12)
-        assert sum(map(len, closed_form_primary_decomposition(s).components)) == 12
+        assert sum(p.bit_count() for p in closed_form_primary_decomposition(s).components) == 12
 
     def test_expansion_size_check_counts_variables(self):
         s = spec(2, 2, [(1, 2), (2, 1)])   # four generators of three variables
@@ -215,7 +232,7 @@ class TestPrimaryDecomposition:
     def test_listing_size_is_the_printed_size_exhaustive(self):
         # the types each command passes count exactly the variables it lists
         def exact(universe, types, listed):
-            total = sum(map(len, listed))
+            total = sum(h.bit_count() for h in listed)
             check_listing_size(universe, types, "sets", cap=total)
             with pytest.raises(ResourceCapExceeded):
                 check_listing_size(universe, types, "sets", cap=total - 1)
@@ -224,7 +241,7 @@ class TestPrimaryDecomposition:
             p = qr_profile(s)
             exact(s.universe, closed_form_dual(s).summands,
                   closed_form_primary_decomposition(s).components)
-            exact(s.universe, s.summands, expand_generators(s).generators)
+            exact(s.universe, s.summands, generator_sets(s))
             exact(s.universe, list(zip(p.q_bar, p.r_bar)),
                   [f for block in facet_partition(s) for f in block])
 
@@ -235,10 +252,10 @@ class TestPrimaryDecomposition:
             n = s.universe.n
             primes = minimal_primes(expand_generators(s))
             d = closed_form_primary_decomposition(s)
-            assert d.components == primes, s
-            assert list(d.px) == [p for p in primes if max(p) < n], s
-            assert list(d.pxy) == [p for p in primes if min(p) < n <= max(p)], s
-            assert list(d.py) == [p for p in primes if min(p) >= n], s
+            assert sorted_supports(d.components) == primes, s
+            assert sorted_supports(d.px) == [p for p in primes if max(p) < n], s
+            assert sorted_supports(d.pxy) == [p for p in primes if min(p) < n <= max(p)], s
+            assert sorted_supports(d.py) == [p for p in primes if min(p) >= n], s
 
 
 class TestNotNormalized:
@@ -249,7 +266,7 @@ class TestNotNormalized:
              ((0, 2), (3, 0)), ((1, -1),), ((-1, 1),), ()]
     CLOSED_FORMS = [qr_profile, closed_form_dual, closed_form_primary_decomposition,
                     is_unmixed_closed_form, is_cm_closed_form, is_scm_closed_form,
-                    classify, facet_partition, shelling_order,
+                    classify, facet_partition, shelling_order, expand_generators,
                     lambda s: skeleton_profile(s, 0)]
 
     @pytest.mark.parametrize("pairs", SPECS)
@@ -321,29 +338,29 @@ class TestSCM:
 class TestFacetPartition:
     def test_bipartite_blocks(self):
         blocks = facet_partition(spec(2, 2, [(1, 1)]))
-        assert [[sorted(f) for f in b] for b in blocks] == [[[2, 3]], [[0, 1]]]
+        assert [vertex_lists(b) for b in blocks] == [[[2, 3]], [[0, 1]]]
 
     def test_block_sizes(self):
         blocks = facet_partition(spec(2, 2, [(1, 2), (2, 1)]))
         assert [len(b) for b in blocks] == [1, 4, 1]
 
     def test_tiles_oracle_facets(self):
-        from mixedprod.ideals import sort_key
         for s in enumerate_specs(3, 3, 3):
             c = stanley_reisner_complex(expand_generators(s))
-            tiled = sorted((f for b in facet_partition(s) for f in b), key=sort_key)
-            assert tiled == list(c.facets)
+            blocks = facet_partition(s)
+            # each block in sort_key order, and together exactly the facets
+            assert all(vertex_lists(b) == sorted(vertex_lists(b)) for b in blocks), s
+            assert sorted(f for b in blocks for f in b) == list(c.masks)
 
 
 class TestShellingOrder:
     def test_worked_example(self):
         order = shelling_order(spec(2, 2, [(1, 2), (2, 1)]))
-        assert [sorted(f) for f in order] == \
-            [[2, 3], [0, 2], [0, 3], [1, 2], [1, 3], [0, 1]]
+        assert vertex_lists(order) == [[2, 3], [0, 2], [0, 3], [1, 2], [1, 3], [0, 1]]
 
     def test_non_pure_star(self):
         order = shelling_order(spec(1, 3, [(1, 1)]))
-        assert [sorted(f) for f in order] == [[1, 2, 3], [0]]
+        assert vertex_lists(order) == [[1, 2, 3], [0]]
         c = stanley_reisner_complex(expand_generators(spec(1, 3, [(1, 1)])))
         assert verify_shelling_order(c, order) == (True, None)
 
@@ -370,7 +387,7 @@ class TestShellingOrder:
             if order is not None:
                 c = stanley_reisner_complex(expand_generators(s))
                 assert verify_shelling_order(c, order) == (True, None), s
-                sizes = [len(f) for f in order]
+                sizes = [f.bit_count() for f in order]
                 assert sizes == sorted(sizes, reverse=True), s   # facet sizes never rise
                 shelled += 1
         assert shelled == 671
@@ -432,7 +449,7 @@ def test_ridge_adjacency_on_unmixed_specs():
             for j in range(i + 1, len(blocks)):
                 for f in blocks[i]:
                     for g in blocks[j]:
-                        if len(f & g) == size - 1:
+                        if (f & g).bit_count() == size - 1:
                             assert j == i + 1
                             assert p.q_bar[j] == p.q_bar[i] + 1
                             assert p.r_bar[j] == p.r_bar[i] - 1
@@ -446,45 +463,5 @@ def test_intersection_bound_exhaustive():
             for j in range(i + 1, len(blocks)):
                 for f in blocks[i]:
                     for g in blocks[j]:
-                        assert len(f & g) <= p.q_bar[i] + p.r_bar[j]
+                        assert (f & g).bit_count() <= p.q_bar[i] + p.r_bar[j]
 
-
-def test_mask_listings_decode_to_the_public_listings():
-    # the sweep reads every listing as bitmasks; decoded, each is the
-    # public frozenset listing, in the same order
-    from itertools import chain
-
-    from mixedprod.ideals import sort_key, support_of
-    from mixedprod.products import (
-        decomposition_types,
-        generator_sets,
-        sets_by_type,
-        shelling_blocks,
-    )
-
-    def decode(masks):
-        return [support_of(h) for h in masks]
-
-    specs = list(enumerate_specs(4, 4, 5))
-    for s in specs:
-        u = s.universe
-        for t in (s, closed_form_dual(s)):
-            listed = generator_sets(t)
-            assert decode(generator_sets(t, masks=True)) == listed, t
-            assert frozenset(listed) == expand_generators(t).generators
-        decomp = closed_form_primary_decomposition(s)
-        groups = decomposition_types(s)
-        for types, public in zip(groups, (decomp.px, decomp.pxy, decomp.py)):
-            masks = [p for sets in sets_by_type(u, types, masks=True) for p in sets]
-            assert sorted(decode(masks), key=sort_key) == list(public), s
-        components = [p for sets in sets_by_type(u, chain(*groups), masks=True) for p in sets]
-        assert sorted(decode(components), key=sort_key) == decomp.components
-        p = qr_profile(s)
-        blocks = sets_by_type(u, zip(p.q_bar, p.r_bar), masks=True)
-        assert [decode(b) for b in blocks] == facet_partition(s), s
-        ks = shelling_blocks(s)
-        order = shelling_order(s)
-        assert (ks is None) == (order is None), s
-        if ks is not None:
-            assert decode(f for k in ks for f in blocks[k]) == order, s
-    assert len(specs) == 842

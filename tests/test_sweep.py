@@ -75,17 +75,24 @@ def test_one_transversal_search_per_spec(monkeypatch, level):
 
 @pytest.mark.parametrize("level", ["fast", "full"])
 def test_check_spec_lists_nothing_as_frozensets(monkeypatch, level):
-    # on a spec whose closed forms match, the oracles read every listing
-    # as bitmasks; the frozenset listings are for the CLI and the tests
-    from mixedprod import ideals, products
+    # on a spec whose closed forms match, the oracles read the public mask
+    # listings, the ones the CLI prints; the frozenset edges of the generic
+    # ideal layer do not run
+    from mixedprod import complexes, ideals, products
 
     def refuse(*args, **kwargs):
         raise AssertionError("a frozenset listing in check_spec")
 
-    for module, name in [(products, "expand_generators"), (products, "facet_partition"),
-                         (products, "closed_form_primary_decomposition"),
-                         (products, "shelling_order"), (ideals, "minimal_primes")]:
+    for module, name in [(products, "expand_generators"), (ideals, "minimal_primes")]:
         monkeypatch.setattr(module, name, refuse)
+    calls = []
+    for module, name in [(products, "closed_form_primary_decomposition"),
+                         (products, "facet_partition"), (complexes, "verify_shelling_order")]:
+        def counted(*args, name=name, listing=getattr(module, name)):
+            calls.append(name)
+            return listing(*args)
+
+        monkeypatch.setattr(module, name, counted)
     shelled = 0
     # not unmixed, unmixed, CM, and sequentially CM but not pure
     for pairs in ([(1, 2), (2, 1)], [(1, 1)], [(0, 2), (1, 1), (2, 0)], [(0, 2), (1, 1)]):
@@ -94,6 +101,29 @@ def test_check_spec_lists_nothing_as_frozensets(monkeypatch, level):
         assert set(record["oracle"]) >= set(sweep.ORACLE_CHECKS["fast"]) - {"shelling_order"}
         shelled += record["oracle"].get("shelling_order", False)
     assert shelled == 2
+    # the facet blocks are listed once more for each shelling order
+    assert sorted(calls) == sorted(["closed_form_primary_decomposition"] * 4
+                                   + ["facet_partition"] * 6 + ["verify_shelling_order"] * 2)
+
+
+def test_primary_decomposition_check_reads_the_grouping(monkeypatch):
+    # P_x and P_y swapped: the union is still the primes, the grouping is not
+    from mixedprod import products
+
+    decompose = products.closed_form_primary_decomposition
+
+    def swapped(spec):
+        d = decompose(spec)
+        return products.PrimaryDecomposition(d.py, d.pxy, d.px)
+
+    spec = normalize(VariableUniverse(2, 2), [(1, 2), (2, 1)])
+    assert check_spec(spec, "fast")["mismatches"] == []
+    monkeypatch.setattr(products, "closed_form_primary_decomposition", swapped)
+    record = check_spec(spec, "fast")
+    assert record["oracle"]["primary_decomposition"] is False
+    assert [mm["check"] for mm in record["mismatches"]] == ["primary_decomposition"]
+    assert record["mismatches"][0]["closed_form"] == \
+        [[[2, 3]], [[0, 2], [0, 3], [1, 2], [1, 3]], [[0, 1]]]
 
 
 def test_intersection_bound_on_masks():
