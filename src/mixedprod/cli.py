@@ -51,8 +51,15 @@ def _spec_from_args(args):
 
 
 def _names(universe, masks):
-    """The sets of ``masks`` as lists of vertex names, in ``sort_key`` order."""
-    return [[universe.var_name(i) for i in vs] for vs in sweep.vertex_lists(masks)]
+    """The sets of ``masks`` as lists of vertex names, in lex order."""
+    return [[universe.var_name(i) for i in vs] for vs in ideals.vertex_lists(masks)]
+
+
+def _unlisted_skips(record, level, cap_facets):
+    """The facet cap's skip of the shelling search, which a record leaves out of ``skipped``."""
+    if level == "full" and sweep.shelling_capped(record):
+        return [f"shellable (facet cap {cap_facets})"]
+    return []
 
 
 def _emit(payload):
@@ -62,12 +69,13 @@ def _emit(payload):
 def cmd_classify(args):
     spec = _spec_from_args(args)
     universe = spec.universe
-    oracle, skipped, mismatched = {}, [], False
+    oracle, skipped, unlisted, mismatched = {}, [], [], False
     if args.oracle != "none":
         record = sweep.check_spec(spec, args.oracle, cap_vertices=args.cap_vertices,
                                   cap_facets=args.cap_facets)
         oracle = record["oracle"]
         skipped = [s["reason"] for s in record["skipped"]]
+        unlisted = _unlisted_skips(record, args.oracle, args.cap_facets)
         mismatched = bool(record["mismatches"])
     report = products.classify(spec)
     payload = {
@@ -104,7 +112,7 @@ def cmd_classify(args):
             print(line)
         for name, ok in sorted(oracle.items()):
             print(f"oracle {name}: {str(ok).lower()}")
-        for reason in skipped:
+        for reason in skipped + unlisted:
             print(f"oracle skipped: {reason}")
         if args.timing:
             print(f"timing: {payload['timing']} s")
@@ -178,13 +186,15 @@ def cmd_oracle(args):
     if args.json:
         _emit(record)
     else:
+        skipped = ([s["reason"] for s in record["skipped"]]
+                   + _unlisted_skips(record, "full", args.cap_facets))
         for name, ok in sorted(record["oracle"].items()):
             print(f"{name}: {str(ok).lower()}")
-        for skip in record["skipped"]:
-            print(f"skipped: {skip['reason']}")
+        for reason in skipped:
+            print(f"skipped: {reason}")
         if record["mismatches"]:
             print(f"MISMATCHES: {len(record['mismatches'])}")
-        elif not record["skipped"]:
+        elif not skipped:
             print("all oracles agree with the closed forms")
     return 2 if record["mismatches"] else 0
 

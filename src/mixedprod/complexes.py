@@ -2,12 +2,12 @@
 
 A complex is stored by its facets as bitmasks (bit i is vertex i): an
 inclusion antichain over the universe's vertices, in increasing order.
-``facets`` gives them as canonically sorted vertex sets.  The empty face
-is always a face; the complex with facet list [set()] is the
-(-1)-dimensional complex.  Vertices not covered by any facet are simply
-absent from the complex.  ``make_complex`` validates raw input; links
-and skeleta are built directly, because the faces of one size, and
-{G - F : G a facet containing F}, are antichains already.
+Faces are bitmasks too; witnesses alone give a face as a sorted vertex
+list.  The empty face is always a face; the complex with facet list
+[set()] is the (-1)-dimensional complex.  Vertices not covered by any
+facet are simply absent from the complex.  ``make_complex`` validates
+raw vertex sets; links and skeleta are built directly, because the faces
+of one size, and {G - F : G a facet containing F}, are antichains already.
 
 The oracles here are deliberately independent of the closed-form
 classification in mixedprod.products: Reisner's criterion runs on exact
@@ -46,22 +46,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .homology import _canonical_key, _faces_by_dim, reduced_homology_ranks
-from .ideals import (
-    DomainError,
-    InvalidInput,
-    VariableUniverse,
-    mask_of,
-    sorted_supports,
-    support_of,
-)
+from .ideals import DomainError, InvalidInput, VariableUniverse, vertex_lists
 from .kernels import bit_indices
 
 SHELLING_FACET_CAP = 10
-
-Face = FrozenSet[int]
 
 
 @dataclass(frozen=True)
@@ -70,11 +61,6 @@ class SimplicialComplex:
 
     universe: VariableUniverse
     masks: Tuple[int, ...]
-
-    @cached_property
-    def facets(self) -> Tuple[Face, ...]:
-        """The facets as vertex sets, canonically sorted."""
-        return tuple(sorted_supports(self.masks))
 
     @cached_property
     def face_table(self) -> dict[int, list[int]]:
@@ -87,8 +73,8 @@ class SimplicialComplex:
         return _canonical_key(self.masks)
 
     def __repr__(self):
-        parts = ["{" + ",".join(self.universe.var_name(i) for i in sorted(f)) + "}"
-                 for f in self.facets]
+        parts = ["{" + ",".join(map(self.universe.var_name, f)) + "}"
+                 for f in vertex_lists(self.masks)]
         return f"SimplicialComplex({self.universe.n}+{self.universe.m}; {' '.join(parts)})"
 
 
@@ -97,18 +83,15 @@ class ShellingResult:
     """Outcome of a shelling search: shellable / not_shellable / inconclusive."""
 
     status: str
-    order: Optional[Tuple[Face, ...]] = None
+    order: Optional[Tuple[int, ...]] = None     # the shelling found, as facet masks
 
 
 def make_complex(universe: VariableUniverse, facets: Iterable[Iterable[int]]) -> SimplicialComplex:
     """Canonical complex from a raw facet list: validated, maximal, sorted."""
     by_size: dict[int, set[int]] = {}
     for f in facets:
-        s = frozenset(f)
-        if s:
-            universe.check_index(min(s))
-            universe.check_index(max(s))
-        by_size.setdefault(len(s), set()).add(mask_of(s))
+        mask = universe.mask_of(f)
+        by_size.setdefault(mask.bit_count(), set()).add(mask)
     if not by_size:
         raise InvalidInput("a complex needs at least one facet (use [set()] for the (-1)-complex)")
     maximal: list[int] = []
@@ -126,10 +109,10 @@ def is_pure(c: SimplicialComplex) -> bool:
     return len({f.bit_count() for f in c.masks}) == 1
 
 
-def all_faces(c: SimplicialComplex) -> list[Face]:
-    """Every face of c (including the empty face), canonically sorted."""
+def all_faces(c: SimplicialComplex) -> list[int]:
+    """Every face mask of c (including the empty face), by size, then in lex order."""
     table = c.face_table
-    return [f for d in sorted(table) for f in sorted_supports(table[d])]
+    return [f for d in sorted(table) for f in sorted(table[d], key=bit_indices)]
 
 
 def skeleton(c: SimplicialComplex, l: int) -> SimplicialComplex:
@@ -139,14 +122,14 @@ def skeleton(c: SimplicialComplex, l: int) -> SimplicialComplex:
     return SimplicialComplex(c.universe, tuple(c.face_table[l - 1]))
 
 
-def link(c: SimplicialComplex, f: Iterable[int]) -> SimplicialComplex:
-    fs = frozenset(f)
-    containing = []
-    if min(fs, default=0) >= 0:     # a negative index is no vertex
-        face = mask_of(fs)
-        containing = [g & ~face for g in c.masks if g & face == face]
+def link(c: SimplicialComplex, face: int) -> SimplicialComplex:
+    """The link of the face mask ``face``: {G - face : G a facet containing face}."""
+    if not 0 <= face < 1 << c.universe.size:
+        raise InvalidInput(f"face mask {face} is out of range for universe "
+                           f"{c.universe.n}+{c.universe.m}")
+    containing = [g & ~face for g in c.masks if g & face == face]
     if not containing:
-        raise InvalidInput(f"{sorted(fs)} is not a face of the complex")
+        raise InvalidInput(f"{list(bit_indices(face))} is not a face of the complex")
     return SimplicialComplex(c.universe, tuple(sorted(containing)))
 
 
@@ -215,31 +198,33 @@ def verify_shelling_order(c: SimplicialComplex, order: Sequence[int]):
 def find_shelling(c: SimplicialComplex, cap: int = SHELLING_FACET_CAP) -> ShellingResult:
     """Backtracking shelling search with memoized dead prefixes.
 
-    The placed facets are kept as position bitsets per vertex, set and
-    cleared as the search places and takes back a facet.
+    The facets are tried in lex order.  The placed ones are kept as
+    position bitsets per vertex, set and cleared as the search places
+    and takes back a facet.
     """
-    t = len(c.facets)
+    facets = sorted(c.masks, key=bit_indices)
+    t = len(facets)
     if t > cap:
         return ShellingResult("inconclusive")
     if t == 1:
-        return ShellingResult("shellable", c.facets)
-    vertices = [tuple(sorted(f)) for f in c.facets]
+        return ShellingResult("shellable", tuple(facets))
+    vertices = [bit_indices(f) for f in facets]
     has = [0] * c.universe.size
-    dead: set[frozenset] = set()
+    dead: set[int] = set()     # placed sets (bit i is facets[i]) that lead to no shelling
 
-    def extend(used: frozenset, order: list[int]):
+    def extend(used: int, order: list[int]):
         if len(order) == t:
             return list(order)
         if used in dead:
             return None
         bit = 1 << len(order)
         for i in range(t):
-            if i in used or _first_blocker(vertices[i], has, bit - 1) is not None:
+            if used >> i & 1 or _first_blocker(vertices[i], has, bit - 1) is not None:
                 continue
             for v in vertices[i]:
                 has[v] |= bit
             order.append(i)
-            found = extend(used | {i}, order)
+            found = extend(used | 1 << i, order)
             if found is not None:
                 return found
             for v in vertices[i]:
@@ -248,10 +233,10 @@ def find_shelling(c: SimplicialComplex, cap: int = SHELLING_FACET_CAP) -> Shelli
         dead.add(used)
         return None
 
-    found = extend(frozenset(), [])
+    found = extend(0, [])
     if found is None:
         return ShellingResult("not_shellable")
-    return ShellingResult("shellable", tuple(c.facets[i] for i in found))
+    return ShellingResult("shellable", tuple(facets[i] for i in found))
 
 
 def _is_block_symmetric(c: SimplicialComplex) -> bool:
@@ -277,7 +262,7 @@ def _is_block_symmetric(c: SimplicialComplex) -> bool:
 
 
 def _orbit_representatives(c: SimplicialComplex):
-    """The first face of each (|F cap X|, |F cap Y|) class, in canonical face order.
+    """The first face mask of each (|F cap X|, |F cap Y|) class, in ``all_faces`` order.
 
     That face is the first a x-vertices plus the first b y-vertices;
     among faces of one size, more x-vertices come first.
@@ -287,7 +272,7 @@ def _orbit_representatives(c: SimplicialComplex):
         for a in range(min(k, n), max(0, k - c.universe.m) - 1, -1):
             face = (1 << a) - 1 | ((1 << (k - a)) - 1) << n
             if any(g & face == face for g in c.masks):
-                yield support_of(face)
+                yield face
 
 
 def reisner_cm(c: SimplicialComplex):
@@ -295,7 +280,8 @@ def reisner_cm(c: SimplicialComplex):
 
     CM iff for every face F the reduced homology of link(F) vanishes in
     all degrees below its dimension.  Returns (True, None) or
-    (False, (F, i)) with the lexicographically least failing face.  Only
+    (False, (F, i)) with the first failing face in ``all_faces`` order,
+    as a sorted vertex list.  Only
     one face per orbit is checked when the facet set is S_n x S_m
     invariant (see the module docstring).
     """
@@ -308,7 +294,7 @@ def reisner_cm(c: SimplicialComplex):
         ranks = reduced_homology_ranks(lk, below=d)
         for i in range(-1, d):
             if ranks[i]:
-                return False, (f, i)
+                return False, (list(bit_indices(f)), i)
     return True, None
 
 
@@ -332,7 +318,7 @@ def duval_scm(c: SimplicialComplex):
     k_d = {}            # (F, d) -> K_d
     for l in range(0, dim(c) + 2):
         for f in faces:
-            j = l - 1 - len(f)
+            j = l - 1 - f.bit_count()
             if j <= 0:
                 break   # faces come by size; a link of dimension <= 0 has no homology to check
             dims = facet_dims.get(f)
@@ -344,10 +330,10 @@ def duval_scm(c: SimplicialComplex):
             lk = k_d.get((f, d))
             if lk is None:
                 # the d-faces of lk(F) are the links of c's faces of dimension |F| + d
-                d_faces = SimplicialComplex(c.universe, tuple(c.face_table[len(f) + d]))
+                d_faces = SimplicialComplex(c.universe, tuple(c.face_table[f.bit_count() + d]))
                 lk = k_d[f, d] = link(d_faces, f)
             ranks = reduced_homology_ranks(lk, below=j)
             for i in range(-1, j):
                 if ranks[i]:
-                    return False, (l, (f, i))
+                    return False, (l, (list(bit_indices(f)), i))
     return True, None

@@ -1,10 +1,13 @@
 """Squarefree monomial ideals over a two-block variable universe.
 
 Variables are indexed 0..n-1 for the x-block and n..n+m-1 for the
-y-block.  A squarefree monomial is identified with its support, a
-frozenset of variable indices; an ideal is stored by its unique minimal
-(divisibility-antichain) generating set.  All values are immutable and
-every operation is a pure function.
+y-block.  A squarefree monomial, a prime and a face are one object, a
+vertex subset, held as a bitmask (bit i is vertex i) throughout the
+package; an ideal is stored by its unique minimal (divisibility-antichain)
+generating set of masks.  Vertex lists appear only at the edges:
+``VariableUniverse.mask_of`` validates them on the way in, and
+``vertex_lists`` lists masks as vertex lists on the way out.  All values
+are immutable and every operation is a pure function.
 
 Duality rests on one transversal computation: the minimal transversals
 of the generator supports, which the hitting-set kernel returns as
@@ -21,12 +24,11 @@ and ``skeleton`` use too).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import FrozenSet, Iterable
 
 from . import kernels
-
-Monomial = FrozenSet[int]
-PrimeComponent = FrozenSet[int]
 
 
 class MixedProdError(Exception):
@@ -68,31 +70,24 @@ class VariableUniverse:
         if not 0 <= i < self.size:
             raise InvalidInput(f"variable index {i} out of range for universe {self.n}+{self.m}")
 
-
-def sort_key(s: Iterable[int]):
-    return tuple(sorted(s))
-
-
-def mask_of(support: Iterable[int]) -> int:
-    mask = 0
-    for i in support:
-        mask |= 1 << i
-    return mask
+    def mask_of(self, vertices: Iterable[int]) -> int:
+        """The bitmask of the vertex indices ``vertices``, each checked to be in range."""
+        mask = 0
+        for i in vertices:
+            self.check_index(i)
+            mask |= 1 << i
+        return mask
 
 
-def support_of(mask: int) -> Monomial:
-    return frozenset(kernels.bit_indices(mask))
-
-
-def sorted_supports(masks: Iterable[int]) -> list[Monomial]:
-    """The supports of ``masks``, in ``sort_key`` order."""
-    return [frozenset(t) for t in sorted(map(kernels.bit_indices, masks))]
+def vertex_lists(masks: Iterable[int]) -> list[list[int]]:
+    """The sets of ``masks`` as sorted vertex lists, in lex order."""
+    return sorted(list(kernels.bit_indices(h)) for h in masks)
 
 
 @dataclass(frozen=True)
 class SquarefreeIdeal:
     universe: VariableUniverse
-    generators: FrozenSet[Monomial]
+    generators: FrozenSet[int]      # the minimal generators' supports, as bitmasks
 
     @property
     def is_zero(self) -> bool:
@@ -100,32 +95,23 @@ class SquarefreeIdeal:
 
     @property
     def is_unit(self) -> bool:
-        return frozenset() in self.generators
-
-    def sorted_generators(self) -> list[Monomial]:
-        return sorted(self.generators, key=sort_key)
+        return 0 in self.generators
 
     def __repr__(self):
-        gens = ["*".join(self.universe.var_name(i) for i in sorted(g)) or "1"
-                for g in self.sorted_generators()]
+        gens = ["*".join(map(self.universe.var_name, g)) or "1"
+                for g in vertex_lists(self.generators)]
         return f"SquarefreeIdeal({self.universe.n}+{self.universe.m}; {', '.join(gens) or '0'})"
 
 
-def antichain(supports: Iterable[FrozenSet[int]]) -> frozenset:
+def antichain(masks: Iterable[int]) -> frozenset:
     """Minimal elements of a family of sets under inclusion (deduplicated)."""
-    sets = set(supports)
-    return frozenset(g for g in sets if not any(h < g for h in sets))
+    sets = set(masks)
+    return frozenset(g for g in sets if not any(h != g and h & g == h for h in sets))
 
 
 def minimalize(universe: VariableUniverse, raw: Iterable[Iterable[int]]) -> SquarefreeIdeal:
-    """The ideal generated by ``raw``, reduced to its minimal generating set."""
-    supports = []
-    for g in raw:
-        s = frozenset(g)
-        for i in s:
-            universe.check_index(i)
-        supports.append(s)
-    return SquarefreeIdeal(universe, antichain(supports))
+    """The ideal generated by the vertex sets ``raw``, reduced to its minimal generating set."""
+    return SquarefreeIdeal(universe, antichain(map(universe.mask_of, raw)))
 
 
 def _check_same_universe(a: SquarefreeIdeal, b: SquarefreeIdeal) -> None:
@@ -146,9 +132,9 @@ def ideal_product(a: SquarefreeIdeal, b: SquarefreeIdeal) -> SquarefreeIdeal:
     raise InvalidInput.
     """
     _check_same_universe(a, b)
-    shared = frozenset().union(*a.generators) & frozenset().union(*b.generators)
+    shared = reduce(or_, a.generators, 0) & reduce(or_, b.generators, 0)
     if shared:
-        names = ", ".join(a.universe.var_name(i) for i in sorted(shared))
+        names = ", ".join(map(a.universe.var_name, kernels.bit_indices(shared)))
         raise InvalidInput(f"product factors share the variables {names}")
     return SquarefreeIdeal(a.universe, frozenset(g | h for g in a.generators for h in b.generators))
 
@@ -167,12 +153,12 @@ def alexander_dual(ideal: SquarefreeIdeal) -> SquarefreeIdeal:
     Generators of the dual are the minimal transversals (minimal hitting
     sets) of the generator supports, that is, the minimal primes.
     """
-    return SquarefreeIdeal(ideal.universe, frozenset(minimal_primes(ideal)))
+    return SquarefreeIdeal(ideal.universe, frozenset(_prime_masks(ideal)))
 
 
-def minimal_primes(ideal: SquarefreeIdeal) -> list[PrimeComponent]:
-    """Minimal primes of a proper nonzero squarefree ideal, canonically sorted."""
-    return [support_of(h) for h in _prime_masks(ideal)]
+def minimal_primes(ideal: SquarefreeIdeal) -> list[list[int]]:
+    """Minimal primes of a proper nonzero squarefree ideal, as vertex lists in lex order."""
+    return vertex_lists(_prime_masks(ideal))
 
 
 def _prime_masks(ideal: SquarefreeIdeal) -> list[int]:
@@ -185,8 +171,7 @@ def _prime_masks(ideal: SquarefreeIdeal) -> list[int]:
         raise DomainError("dual of the zero ideal is undefined")
     if ideal.is_unit:
         raise DomainError("dual of the unit ideal is undefined")
-    masks = [mask_of(g) for g in ideal.generators]
-    return kernels.minimal_hitting_sets(masks, ideal.universe.size)
+    return kernels.minimal_hitting_sets(list(ideal.generators), ideal.universe.size)
 
 
 def complex_of_primes(universe: VariableUniverse, primes: Iterable[int]):
@@ -206,16 +191,13 @@ def stanley_reisner_complex(ideal: SquarefreeIdeal):
     """The simplicial complex whose non-faces generate ``ideal``.
 
     Facets are the vertex-set complements of the minimal primes; the
-    zero ideal corresponds to the full simplex, the maximal ideal to the
-    (-1)-dimensional complex with facet list [set()].
+    zero ideal, whose one minimal prime is itself (mask 0), corresponds
+    to the full simplex, the maximal ideal to the (-1)-dimensional
+    complex with facet list [set()].
     """
-    from .complexes import make_complex
-
     if ideal.is_unit:
         raise DomainError("the unit ideal has no associated complex here")
-    if ideal.is_zero:
-        return make_complex(ideal.universe, [range(ideal.universe.size)])
-    return complex_of_primes(ideal.universe, _prime_masks(ideal))
+    return complex_of_primes(ideal.universe, [0] if ideal.is_zero else _prime_masks(ideal))
 
 
 def ideal_of_complex(c) -> SquarefreeIdeal:
@@ -228,4 +210,4 @@ def ideal_of_complex(c) -> SquarefreeIdeal:
     full_mask = (1 << c.universe.size) - 1
     comps = [full_mask & ~f for f in c.masks]
     hs = kernels.minimal_hitting_sets(comps, c.universe.size)
-    return SquarefreeIdeal(c.universe, frozenset(support_of(h) for h in hs))
+    return SquarefreeIdeal(c.universe, frozenset(hs))

@@ -16,17 +16,18 @@ block k has the complement type of the k-th dual summand from the end;
 its normalization check guards every closed form.  All verdicts are
 O(s') profile arithmetic.  Only the listings enumerate, all through
 ``sets_by_type``: every set of a x's and b y's as a bitmask (bit i is
-vertex i), in ``sort_key`` order.  The generators, the decomposition's
-components, the facet blocks and the shelling order are listed once, as
-masks, for the sweep's oracles and the CLI alike; they get vertex names
-only in the CLI.  ``expand_generators`` alone turns a listing into a
-``SquarefreeIdeal`` of frozensets, the generic ideal layer's input.
-One budget, ``GENERATOR_CAP``, bounds the listings: ``generator_sets``
-counts the generators it would build, and ``check_listing_size`` the
-variables that ``dual --expand``, ``decompose`` and ``facets`` would
-print.  The oracles, which also read these listings, are gated once per
-spec by the vertex cap in ``sweep.check_spec``, which records a spec
-whose expansion passes the generator cap as skipped.
+vertex i), in lex order of the sorted vertex lists.  The generators,
+the decomposition's components, the facet blocks and the shelling order
+are listed once, as masks, for the sweep's oracles and the CLI alike;
+they become vertex lists (``ideals.vertex_lists``) and vertex names
+only in the CLI.  ``expand_generators`` hands the same masks to the
+generic ideal layer as a ``SquarefreeIdeal``.  One budget,
+``GENERATOR_CAP``, bounds the listings: ``generator_sets`` counts the
+generators it would build, and ``check_listing_size`` the variables
+that ``dual --expand``, ``decompose`` and ``facets`` would print.  The
+oracles, which also read these listings, are gated once per spec by the
+vertex cap in ``sweep.check_spec``, which records a spec whose
+expansion passes the generator cap as skipped.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .ideals import (
     ResourceCapExceeded,
     SquarefreeIdeal,
     VariableUniverse,
-    support_of,
 )
 
 GENERATOR_CAP = 100_000
@@ -205,10 +205,10 @@ def _check_count(n: int, m: int, sizes, cap: int, what: str, weigh: bool = False
 def sets_by_type(universe: VariableUniverse, types) -> list[list[int]]:
     """One list per (a, b) in ``types``: every set of a x's and b y's, as bitmasks.
 
-    This is the one listing of the module.  Each list is in ``sort_key``
-    order: every x index is below every y index, so the x-part and then
-    the y-part, each combined in lex order, give the sorted supports in
-    lex order.
+    This is the one listing of the module.  Each list is in lex order of
+    the sorted vertex lists: every x index is below every y index, so the
+    x-part and then the y-part, each combined in lex order, give the
+    sorted supports in lex order.
     """
     xs = [1 << i for i in range(universe.n)]
     ys = [1 << i for i in range(universe.n, universe.size)]
@@ -234,7 +234,7 @@ def generator_sets(spec: MixedProductSpec, cap: int = GENERATOR_CAP) -> list[int
 
 def expand_generators(spec: MixedProductSpec, cap: int = GENERATOR_CAP) -> SquarefreeIdeal:
     """The minimal generators as a ``SquarefreeIdeal``: all q-subset x r-subset products."""
-    return SquarefreeIdeal(spec.universe, frozenset(map(support_of, generator_sets(spec, cap))))
+    return SquarefreeIdeal(spec.universe, frozenset(generator_sets(spec, cap)))
 
 
 def qr_profile(spec: MixedProductSpec) -> QRProfile:
@@ -378,7 +378,7 @@ def is_scm_closed_form(spec: MixedProductSpec) -> Verdict:
 def facet_partition(spec: MixedProductSpec) -> list[list[int]]:
     """Block k of the facet partition: all sets of q_bar[k] x's and r_bar[k] y's.
 
-    The facets are bitmasks, each block in ``sort_key`` order.
+    The facets are bitmasks, each block in ``sets_by_type`` (lex) order.
     """
     p = spec.profile
     return sets_by_type(spec.universe, zip(p.q_bar, p.r_bar))

@@ -14,13 +14,13 @@ each closed-form statement is compared against an independent oracle:
     set, and each "sequentially CM" verdict against a shelling order of
     it (a nonpure shelling proves sequential CM, Bjorner and Wachs 1996).
 
-The fast tier stays on bitmasks from the spec to the verdict.  The
+Both tiers stay on bitmasks from the spec to the verdict.  The
 closed-form listings (generators of the spec and of its dual, the
 decomposition's components, the facet blocks and the shelling order)
 come as masks from the same ``products`` functions the CLI prints.  They
 are compared with the one transversal search as sorted mask lists and
-become vertex lists only in a mismatch record, vertex names only in the
-CLI.
+become vertex lists (``ideals.vertex_lists``) only in a mismatch record
+or a witness, vertex names only in the CLI.
 
 Any disagreement is recorded as a mismatch; the sweep exits nonzero on
 the first nonempty mismatch list.  ``perturb=True`` deliberately breaks
@@ -37,6 +37,7 @@ from functools import partial
 from itertools import combinations
 
 from . import complexes, ideals, kernels, products
+from .ideals import vertex_lists
 from .products import MixedProductSpec
 
 # The oracles enumerate subsets of the n + m vertices; check_spec, their
@@ -237,11 +238,6 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
     }
 
 
-def vertex_lists(masks):
-    """The sets of ``masks`` as sorted vertex lists, in ``sort_key`` order."""
-    return sorted(list(kernels.bit_indices(h)) for h in masks)
-
-
 def _intersection_bound(profile, blocks):
     """dim(F cap G) <= q(i) + r(j) - 1 for F in block i, G in block j, i < j.
 
@@ -254,8 +250,8 @@ def _intersection_bound(profile, blocks):
             for f in blocks[i]:
                 for g in blocks[j]:
                     if (f & g).bit_count() > limit:
-                        return False, (i + 1, j + 1, sorted(ideals.support_of(f)),
-                                       sorted(ideals.support_of(g)))
+                        return False, (i + 1, j + 1, list(kernels.bit_indices(f)),
+                                       list(kernels.bit_indices(g)))
     return True, None
 
 
@@ -298,20 +294,28 @@ def oracle_coverage(config: SweepConfig, records) -> list[str]:
     lines = []
     for name in ORACLE_CHECKS[config.oracle_level]:
         ran = sum(name in r["oracle"] for r in records)
-        pool, what, limit = records, "specs", None
+        pool, what = records, "specs"
         if name == "shelling_order":
             pool, what = [r for r in records if r["verdicts"]["sequentially_cm"]], "SCM specs"
         elif name == "shellable":
-            pool, what, limit = ([r for r in records if r["verdicts"]["cohen_macaulay"]],
-                                 "CM specs", f"facet cap {config.cap_facets}")
-        reachable = sum(not r["skipped"] for r in pool)
+            pool, what = [r for r in records if r["verdicts"]["cohen_macaulay"]], "CM specs"
         reasons = {skip["reason"] for r in pool for skip in r["skipped"]}
         causes = [f"{reason} {cap}" for reason, cap in caps.items() if reason in reasons]
-        if ran < reachable and limit:
-            causes.append(limit)
+        if name == "shellable" and any(map(shelling_capped, pool)):
+            causes.append(f"facet cap {config.cap_facets}")
         lines.append(f"{name} {ran} of {len(pool)} {what}"
                      + (f" ({', '.join(causes)})" if causes else ""))
     return lines
+
+
+def shelling_capped(record) -> bool:
+    """Whether the facet cap kept the shelling search off a ``full`` level record.
+
+    The search runs on every CM spec that no cap in ``skipped`` stopped,
+    unless it has too many facets, a skip that ``skipped`` does not list.
+    """
+    return (record["verdicts"]["cohen_macaulay"] and not record["skipped"]
+            and "shellable" not in record["oracle"])
 
 
 def profile_as_dict(profile):

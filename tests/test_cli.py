@@ -139,6 +139,36 @@ def test_oracle_command(capsys):
     assert "all oracles agree" in out
 
 
+def test_oracle_reports_the_shelling_search_the_facet_cap_skips(capsys):
+    # I6J6 is CM with 12 facets, past the facet cap of 10
+    argv = ["oracle", "--n", "6", "--m", "6", "--pairs", "6:6"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "shellable:" not in out
+    assert out.splitlines()[-1] == "skipped: shellable (facet cap 10)"
+    # records keep the skip out of their skipped list
+    _, out, _ = run(capsys, *argv, "--json")
+    record = json.loads(out)
+    assert "shellable" not in record["oracle"] and record["skipped"] == []
+    code, out, _ = run(capsys, *argv, "--cap-facets", "12")
+    assert code == 0 and "shellable: true" in out and "skipped" not in out
+    assert out.splitlines()[-1] == "all oracles agree with the closed forms"
+
+
+@pytest.mark.parametrize("pairs, level, skip", [
+    ("3:3", "full", True),      # CM, 6 facets
+    ("3:3", "fast", False),     # the fast level has no shelling search
+    ("1:1", "full", False),     # not CM: no shelling search is due
+])
+def test_classify_reports_the_shelling_search_the_facet_cap_skips(capsys, pairs, level, skip):
+    argv = ["classify", "--n", "3", "--m", "3", "--pairs", pairs, "--oracle", level,
+            "--cap-facets", "0"]
+    code, out, _ = run(capsys, *argv)
+    skipped = [line for line in out.splitlines() if "skipped" in line]
+    assert code == 0 and skipped == (["oracle skipped: shellable (facet cap 0)"] if skip else [])
+    _, out, _ = run(capsys, *argv, "--json")
+    assert json.loads(out)["skipped"] == []
+
+
 def test_sweep_clean_exit_zero(capsys):
     code, out, _ = run(capsys, "sweep", "--max-n", "2", "--max-m", "2", "--max-s", "2",
                        "--oracle", "fast")

@@ -19,7 +19,8 @@ from mixedprod import (
     verify_shelling_order,
 )
 from mixedprod.complexes import _is_block_symmetric, all_faces
-from mixedprod.ideals import mask_of
+from mixedprod.ideals import vertex_lists
+from mixedprod.kernels import bit_indices
 
 
 def complex_on(n, facets):
@@ -34,7 +35,7 @@ MIXED = complex_on(3, [{0, 1}, {2}])
 
 def test_make_complex_canonicalizes():
     c = complex_on(3, [{1, 0}, {0}, {2}, {2}])
-    assert c.facets == (frozenset({0, 1}), frozenset({2}))
+    assert c.masks == (0b011, 0b100)
 
 
 def test_make_complex_validates():
@@ -58,7 +59,7 @@ def test_is_pure():
 
 def test_skeleton():
     assert skeleton(PATH, dim(PATH) + 1) == PATH
-    assert skeleton(MIXED, 1).facets == (frozenset({0}), frozenset({1}), frozenset({2}))
+    assert vertex_lists(skeleton(MIXED, 1).masks) == [[0], [1], [2]]
     assert skeleton(PATH, 0) == complex_on(3, [set()])
     with pytest.raises(InvalidInput):
         skeleton(PATH, 3)
@@ -71,12 +72,16 @@ def test_skeleton_idempotent():
 
 
 def test_link():
-    assert link(PATH, set()) == PATH
-    assert link(PATH, {1}).facets == (frozenset({0}), frozenset({2}))
+    assert link(PATH, 0) == PATH
+    assert vertex_lists(link(PATH, 0b010).masks) == [[0], [2]]
     full = complex_on(3, [{0, 1, 2}])
-    assert link(full, {0}).facets == (frozenset({1, 2}),)
-    with pytest.raises(InvalidInput):
-        link(TWO_EDGES, {0, 2})
+    assert vertex_lists(link(full, 0b001).masks) == [[1, 2]]
+    with pytest.raises(InvalidInput, match=r"\[0, 2\] is not a face"):
+        link(TWO_EDGES, 0b0101)
+    # a negative mask, or one with bits past the universe's 4 vertices
+    for mask in (-1, -0b100, 0b10000, 1 << 70):
+        with pytest.raises(InvalidInput, match=f"face mask {mask} "):
+            link(TWO_EDGES, mask)
 
 
 def test_strong_connectivity():
@@ -115,9 +120,11 @@ def test_verify_shelling_rejects_what_is_no_facet_order(order):
 
 
 def test_find_shelling_path():
+    # the search returns facet masks, the form the checker takes
     res = find_shelling(PATH)
-    assert res.status == "shellable"
-    assert verify_shelling_order(PATH, list(map(mask_of, res.order))) == (True, None)
+    assert res.status == "shellable" and res.order == (0b011, 0b110)
+    assert verify_shelling_order(PATH, res.order) == (True, None)
+    assert find_shelling(complex_on(3, [{0, 2}])).order == (0b101,)
 
 
 def test_find_shelling_disjoint_edges():
@@ -140,7 +147,7 @@ def test_reisner_two_vertices():
 def test_reisner_disjoint_edges():
     ok, witness = reisner_cm(TWO_EDGES)
     assert not ok
-    assert witness == (frozenset(), 0)
+    assert witness == ([], 0)
 
 
 def test_reisner_empty_complex():
@@ -172,7 +179,7 @@ def test_find_shelling_verified_by_checker():
         c = complex_on(n, facets)
         res = find_shelling(c)
         if res.status == "shellable":
-            assert verify_shelling_order(c, list(map(mask_of, res.order))) == (True, None)
+            assert verify_shelling_order(c, list(res.order)) == (True, None)
 
 
 def shelling_reference(order):
@@ -193,6 +200,11 @@ def shelling_reference(order):
     return True, None
 
 
+def vertex_sets(masks):
+    """The sets of ``masks`` as frozensets, the form ``shelling_reference`` reads."""
+    return [frozenset(bit_indices(f)) for f in masks]
+
+
 def random_non_pure_antichains(seed, count, max_facets):
     """Seeded random non-pure complexes on at most 8 vertices."""
     import random
@@ -211,16 +223,18 @@ def random_non_pure_antichains(seed, count, max_facets):
 def test_position_bitsets_match_the_shelling_definition():
     outcomes = {True: 0, False: 0}
     for rng, c in random_non_pure_antichains(31, 400, 12):
-        assert len(c.facets) <= 12
-        orders = [list(c.facets)]
+        facets = vertex_sets(sorted(c.masks, key=bit_indices))
+        assert len(facets) <= 12
+        orders = [facets]
         for _ in range(3):
-            orders.append(rng.sample(c.facets, len(c.facets)))
+            orders.append(rng.sample(facets, len(facets)))
         found = find_shelling(c)
         if found.status == "shellable":
-            orders.append(list(found.order))
+            orders.append(vertex_sets(found.order))
         for order in orders:
             expected = shelling_reference(order)
-            assert verify_shelling_order(c, list(map(mask_of, order))) == expected, (c, order)
+            masks = list(map(c.universe.mask_of, order))
+            assert verify_shelling_order(c, masks) == expected, (c, order)
             outcomes[expected[0]] += 1
     assert outcomes[True] >= 100 and outcomes[False] >= 1000
 
@@ -229,11 +243,11 @@ def test_find_shelling_matches_a_search_over_all_orders():
     from itertools import permutations
     statuses = {"shellable": 0, "not_shellable": 0}
     for _, c in random_non_pure_antichains(37, 150, 6):
-        shellable = any(shelling_reference(p)[0] for p in permutations(c.facets))
+        shellable = any(shelling_reference(p)[0] for p in permutations(vertex_sets(c.masks)))
         found = find_shelling(c)
         assert found.status == ("shellable" if shellable else "not_shellable"), c
         if shellable:
-            assert shelling_reference(list(found.order)) == (True, None)
+            assert shelling_reference(vertex_sets(found.order)) == (True, None)
         statuses[found.status] += 1
     assert min(statuses.values()) >= 20
 
@@ -257,7 +271,7 @@ def test_shellable_pure_implies_reisner_cm():
 def test_link_dimension_identity():
     full = complex_on(4, [{0, 1, 2, 3}])
     for f in ({0}, {0, 1}, {0, 1, 2}):
-        assert dim(link(full, f)) == dim(full) - len(f)
+        assert dim(link(full, full.universe.mask_of(f))) == dim(full) - len(f)
 
 
 def reisner_reference(c):
@@ -270,7 +284,7 @@ def reisner_reference(c):
         ranks = reduced_homology_ranks(lk)
         for i in range(-1, d):
             if ranks.get(i, 0):
-                return False, (f, i)
+                return False, (list(bit_indices(f)), i)
     return True, None
 
 
@@ -329,7 +343,7 @@ def test_one_block_symmetry_checks_every_face(monkeypatch):
     assert not _is_block_symmetric(c)
     seen = []
     real = complexes.link
-    monkeypatch.setattr(complexes, "link", lambda cx, f: seen.append(frozenset(f)) or real(cx, f))
+    monkeypatch.setattr(complexes, "link", lambda cx, f: seen.append(f) or real(cx, f))
     assert reisner_cm(c) == (True, None)
     assert seen == all_faces(c) and len(seen) == 16
     seen.clear()
@@ -363,7 +377,7 @@ def test_orbit_reduction_on_every_invariant_complex():
 
 
 def _has_a_size_gap(c):
-    sizes = sorted({len(f) for f in c.facets})
+    sizes = sorted({f.bit_count() for f in c.masks})
     return any(b - a > 1 for a, b in zip(sizes, sizes[1:]))
 
 

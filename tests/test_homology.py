@@ -81,7 +81,7 @@ def test_boundary_squared_zero_random():
         facets = [frozenset(rng.sample(range(n), rng.randint(1, n)))
                   for _ in range(rng.randint(1, 4))]
         c = complex_on(n, facets)
-        top = max(len(f) for f in c.facets) - 1
+        top = max(f.bit_count() for f in c.masks) - 1
         for d in range(1, top + 1):
             assert not any(compose(boundary_matrix(c, d - 1), boundary_matrix(c, d)))
 

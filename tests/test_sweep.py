@@ -76,12 +76,12 @@ def test_one_transversal_search_per_spec(monkeypatch, level):
 @pytest.mark.parametrize("level", ["fast", "full"])
 def test_check_spec_lists_nothing_as_frozensets(monkeypatch, level):
     # on a spec whose closed forms match, the oracles read the public mask
-    # listings, the ones the CLI prints; the frozenset edges of the generic
-    # ideal layer do not run
+    # listings, the ones the CLI prints; neither the generic ideal layer's
+    # expansion nor its vertex-list primes run
     from mixedprod import complexes, ideals, products
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a frozenset listing in check_spec")
+        raise AssertionError("a generic ideal listing in check_spec")
 
     for module, name in [(products, "expand_generators"), (ideals, "minimal_primes")]:
         monkeypatch.setattr(module, name, refuse)
