@@ -36,15 +36,26 @@ gets a face table of its own.  The link of F in the l-skeleton agrees in
 every degree Reisner asks about with K_d, the complex generated by the
 d-faces of lk(F), where d is the least facet dimension of lk(F) that is
 at least l - 1 - |F| (``duval_scm`` proves it).  So each K_d is built
-once per (F, d), from c's face table, and serves every level whose d it
-is; the orbit representatives of c serve every level too.  On a CM
-complex every link is pure, each K_d is a link that Reisner's check has
-ranked, and Duval's check ranks nothing new.
+once per (F, d) and serves every level whose d it is; the orbit
+representatives of c serve every level too.  A pure link is its own
+K_d.  On a CM complex every link is pure, so each K_d is a link that
+Reisner's check has ranked, and Duval's check builds no table and
+ranks nothing new.
+
+No link is enumerated again: ``link`` returns c itself for the empty
+face, since lk(empty) = {G : G a face} is c, and records c and F as the
+source of any other link, whose table ``homology._faces_by_dim`` then
+restricts from c's.  K_d records its source too when no facet of lk(F)
+has dimension below d, the one case in which its faces are exactly
+those of lk(F) of dimension <= d (the proofs are in ``homology``).  So
+Reisner's check enumerates c's table at the empty face, unless c is a
+cone and needs none there, and the only other tables enumerated are
+those of the K_d whose link has a facet of dimension below d.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -57,10 +68,17 @@ SHELLING_FACET_CAP = 10
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Facet bitmasks, an inclusion antichain, in increasing order."""
+    """Facet bitmasks, an inclusion antichain, in increasing order.
+
+    ``source`` is (parent, F) for a complex whose faces are those of
+    the parent that contain F, minus F, up to its own dimension: a link,
+    or a K_d that is one cut at d.  Its face table is then restricted
+    from the parent's.  It plays no part in equality.
+    """
 
     universe: VariableUniverse
     masks: Tuple[int, ...]
+    source: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @cached_property
     def face_table(self) -> dict[int, list[int]]:
@@ -123,14 +141,21 @@ def skeleton(c: SimplicialComplex, l: int) -> SimplicialComplex:
 
 
 def link(c: SimplicialComplex, face: int) -> SimplicialComplex:
-    """The link of the face mask ``face``: {G - face : G a facet containing face}."""
+    """The link of the face mask ``face``: {G - face : G a facet containing face}.
+
+    The empty face's link is c itself.  Any other link keeps c's facet
+    order, as G -> G - face increases on the G containing face, and has
+    (c, face) as its source.
+    """
     if not 0 <= face < 1 << c.universe.size:
         raise InvalidInput(f"face mask {face} is out of range for universe "
                            f"{c.universe.n}+{c.universe.m}")
-    containing = [g & ~face for g in c.masks if g & face == face]
+    if not face:
+        return c
+    containing = tuple(g ^ face for g in c.masks if g & face == face)
     if not containing:
         raise InvalidInput(f"{list(bit_indices(face))} is not a face of the complex")
-    return SimplicialComplex(c.universe, tuple(sorted(containing)))
+    return SimplicialComplex(c.universe, containing, (c, face))
 
 
 def is_strongly_connected(c: SimplicialComplex) -> bool:
@@ -310,30 +335,44 @@ def duval_scm(c: SimplicialComplex):
     dimension in [j, d), so every j-face of L lies in a d-face: K_j is
     the j-skeleton of K_d, and H~_i(K_j) = H~_i(K_d) for every i < j,
     the degrees Reisner's criterion asks about.  So each K_d is built
-    once, from c's own face table, and asked for the degrees below j at
-    every level it serves; no skeleton gets a face table of its own.
+    once and asked for the degrees below j at every level it serves; no
+    skeleton gets a face table of its own.  A pure L is its own K_d;
+    any other K_d takes its facets from c's face table (``_k_d``).
     """
     faces = list(_orbit_representatives(c)) if _is_block_symmetric(c) else all_faces(c)
-    facet_dims = {}     # F -> the facet dimensions of lk_c(F), ascending
-    k_d = {}            # (F, d) -> K_d
+    links = {}      # F -> (lk_c(F), its facet dimensions ascending)
+    k_d = {}        # (F, d) -> K_d
     for l in range(0, dim(c) + 2):
         for f in faces:
             j = l - 1 - f.bit_count()
             if j <= 0:
                 break   # faces come by size; a link of dimension <= 0 has no homology to check
-            dims = facet_dims.get(f)
-            if dims is None:
-                dims = facet_dims[f] = sorted({g.bit_count() - 1 for g in link(c, f).masks})
+            entry = links.get(f)
+            if entry is None:
+                lk_f = link(c, f)
+                entry = links[f] = lk_f, sorted({g.bit_count() - 1 for g in lk_f.masks})
+            lk_f, dims = entry
             if dims[-1] < j:
                 continue    # F is no face of the l-skeleton
             d = next(e for e in dims if e >= j)
             lk = k_d.get((f, d))
             if lk is None:
-                # the d-faces of lk(F) are the links of c's faces of dimension |F| + d
-                d_faces = SimplicialComplex(c.universe, tuple(c.face_table[f.bit_count() + d]))
-                lk = k_d[f, d] = link(d_faces, f)
+                # a pure link is its own K_d
+                lk = k_d[f, d] = lk_f if len(dims) == 1 else _k_d(c, f, d, dims[0])
             ranks = reduced_homology_ranks(lk, below=j)
             for i in range(-1, j):
                 if ranks[i]:
                     return False, (l, (list(bit_indices(f)), i))
     return True, None
+
+
+def _k_d(c: SimplicialComplex, face: int, d: int, least: int) -> SimplicialComplex:
+    """The complex generated by the d-faces of lk_c(face), whose least facet dimension is ``least``.
+
+    Its facets are c's faces of dimension |face| + d that contain face,
+    minus face.  When least >= d its faces are those of lk_c(face) of
+    dimension <= d, so it has the source (c, face) and its table is
+    restricted from c's; otherwise it enumerates its own.
+    """
+    masks = tuple(g ^ face for g in c.face_table[face.bit_count() + d] if g & face == face)
+    return SimplicialComplex(c.universe, masks, (c, face) if least >= d else None)

@@ -1,10 +1,37 @@
 """Reduced simplicial homology ranks over the rationals.
 
-Faces are bitmasks (bit i is vertex i).  ``_faces_by_dim`` walks the
-submasks of each facet down to the faces already seen and is the one
+Faces are bitmasks (bit i is vertex i).  ``_faces_by_dim`` is the one
 face-table builder; a complex keeps its table
 (``SimplicialComplex.face_table``), and every boundary map is read off
-it.
+it.  A complex built on its own gets its table by enumeration: the
+submasks of each facet, down to the faces already seen.  A link, and
+Duval's K_d where its faces allow, carries a source (the complex it
+comes from and its face F), and its table is a restriction of the
+source's up to its own dimension, never enumerated again:
+
+- The faces of lk(F) of dimension e are {G - F : G a face of dimension
+  e + |F| containing F}, as G - F is a face of lk(F) exactly when G =
+  (G - F) | F is a face.  For G containing F, G - F is G minus the
+  integer F, so G -> G - F strictly increases on those G and each
+  restricted list is in increasing order already: nothing is sorted or
+  hashed.
+- K_d, the complex generated by the d-faces of lk(F), has the faces of
+  lk(F) of dimension <= d that lie in a d-face.  When no facet of lk(F)
+  has dimension below d, every face of lk(F) of dimension <= d lies in
+  a facet of dimension >= d and so in one of that facet's d-faces:
+  K_d's table is the restriction cut at d.  Otherwise K_d enumerates
+  its own.
+- The empty face's link is the complex itself (``complexes.link``
+  returns it), so a complex and its link through the empty face share
+  one table.
+
+Cones are acyclic and are answered before any table: when a vertex v
+lies in every facet, h(sigma) = +-(sigma | v) for v not in sigma (the
+sign of v's position in sigma | v), and h(sigma) = 0 for v in sigma,
+is a chain contraction of the augmented chain complex (del h + h del =
+id, the empty face included), so every reduced homology group
+vanishes, H~_{-1} too.  A nonempty simplex is one; the [set()]
+complex (facet mask 0) never is.
 
 Ranks are exact and never use floating point.  Each boundary map is
 first ranked over GF(2) with an XOR basis (kernels.rank_f2), a one-sided
@@ -34,7 +61,8 @@ boundary ranks found so far.  ``reduced_homology_ranks(c, below=j)``
 settles only del_1 .. del_j, by the rule above restricted to those maps,
 which determines H~_i for every i < j; it returns every degree that the
 known ranks determine, so a complex that is already ranked is answered
-from the cache without a face table.  Reisner's criterion asks a link
+from the cache without a face table; a link's table, restricted or
+not, is built only when a rank misses.  Reisner's criterion asks a link
 for the degrees below its dimension; Duval's asks each skeleton-link
 only for the degrees its level needs, so a level that fails early never
 pays for the maps above it.  The exhaustive oracle sweeps stay cheap
@@ -67,11 +95,18 @@ class BoundaryMatrix:
 def _faces_by_dim(c) -> dict[int, list[int]]:
     """dim -> face masks of that dimension in increasing order, empty face included.
 
-    The submasks of a facet form a tree (remove vertices in increasing
-    order), so each is reached once.  A branch ends at a face seen
-    before: an earlier facet contains it, and everything below it was
-    seen with it.
+    A complex with a source (parent, F) restricts the parent's table to
+    the faces containing F, dimensions -1 up to its own (see the module
+    docstring).  Any other complex enumerates its table: the submasks
+    of a facet form a tree (remove vertices in increasing order), so
+    each is reached once, and a branch ends at a face seen before: an
+    earlier facet contains it, and everything below it was seen with it.
     """
+    if c.source is not None:
+        parent, face = c.source
+        table, k = parent.face_table, face.bit_count()
+        return {e: [g ^ face for g in table[e + k] if g & face == face]
+                for e in range(-1, max(f.bit_count() for f in c.masks))}
     seen = {0}
     for f in c.masks:
         seen.add(f)
@@ -180,8 +215,14 @@ def reduced_homology_ranks(c, below: int | None = None) -> dict[int, int]:
     del_below are settled, which determines every degree below
     ``below``; the default settles every map, so the dict covers
     d = -1..dim.  Degrees that ranks found earlier determine are
-    included too.
+    included too.  A cone (the facets share a vertex) is acyclic and
+    is answered at once, with every degree -1..dim zero.
     """
+    apex = -1
+    for f in c.masks:
+        apex &= f
+    if apex:
+        return dict.fromkeys(range(-1, max(f.bit_count() for f in c.masks)), 0)
     entry = _ranks_cache.get(c.rank_key)
     if entry is None:
         counts = {d: len(faces) for d, faces in c.face_table.items()}

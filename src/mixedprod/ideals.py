@@ -11,7 +11,7 @@ are immutable and every operation is a pure function.
 
 Duality rests on one transversal computation: the minimal transversals
 of the generator supports, which the hitting-set kernel returns as
-bitmasks in canonical order.  They are the minimal primes, the
+bitmasks in increasing order.  They are the minimal primes, the
 generators of the Alexander dual, and the complements of the facets of
 the Stanley-Reisner complex, so a caller that needs all three computes
 them once and passes the prime masks on to ``complex_of_primes``.
@@ -162,10 +162,10 @@ def minimal_primes(ideal: SquarefreeIdeal) -> list[list[int]]:
 
 
 def _prime_masks(ideal: SquarefreeIdeal) -> list[int]:
-    """The minimal primes as bitmasks, in canonical order.
+    """The minimal primes as bitmasks, in increasing order.
 
     These are the minimal transversals of the generator supports, which
-    the kernel returns in canonical order already.
+    the kernel returns in that order already.
     """
     if ideal.is_zero:
         raise DomainError("dual of the zero ideal is undefined")

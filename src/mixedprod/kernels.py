@@ -58,7 +58,7 @@ def minimal_hitting_sets(masks, nbits):
     last such critical set, so every transversal reached is minimal and
     none is reached twice; the family need not be an antichain.
 
-    Returns bitmasks sorted by their sorted index tuple.  A family
+    Returns bitmasks in increasing order.  A family
     containing the empty set has no transversal (returns []); the empty
     family is hit by the empty set (returns [0]).
     """
@@ -76,13 +76,7 @@ def minimal_hitting_sets(masks, nbits):
     union = sum(occ)
     out = []
     _mmcs(sets, occ, (1 << len(sets)) - 1, union, 0, [], out)
-    # Minimal transversals form an antichain, so no index tuple is a
-    # prefix of another and two tuples compare at their least differing
-    # index: the set holding it comes first.  Spelt out bit by bit from
-    # index 0 (one width for all, the top marker bit last), that is
-    # descending string order.
-    top = 1 << union.bit_length()
-    out.sort(key=lambda h: bin(h | top)[::-1], reverse=True)
+    out.sort()
     return out
 
 

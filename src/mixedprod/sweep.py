@@ -158,7 +158,7 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
         universe = spec.universe
         # the one transversal computation: the dual's generators are the
         # minimal primes, whose complements are the facets of the complex
-        primes = sorted(kernels.minimal_hitting_sets(gens, universe.size))
+        primes = kernels.minimal_hitting_sets(gens, universe.size)
         oracle["dual_generators"] = sorted(dual_closed) == primes
         if not oracle["dual_generators"]:
             mismatches.append(_mismatch(spec, "dual_generators",

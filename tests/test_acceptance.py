@@ -6,6 +6,8 @@ every s (842 specs).  One PASS line is printed per criterion (run with
 -s to see them).
 """
 
+import hashlib
+import json
 import time
 from itertools import combinations
 
@@ -43,6 +45,17 @@ from mixedprod.sweep import SweepConfig, enumerate_specs, run_sweep
 
 MAX_N, MAX_M = 4, 4
 MAX_S = min(MAX_N, MAX_M) + 1   # every s: no normalized spec has more summands
+
+# The SHA-256 of the records as ``sweep --json`` prints them (canonical
+# JSON, one line each): of this suite's full sweep, and of the
+# ``--perturb`` full sweep of n, m <= 3, whose records carry Reisner
+# witnesses.  Either digest changes with any verdict, oracle result or
+# witness, so a change to the oracles' internals must leave both alone.
+# Recompute with
+#   python -m mixedprod.cli sweep --max-n 4 --max-m 4 --max-s 5 --oracle full --json | sha256sum
+#   python -m mixedprod.cli sweep --max-n 3 --max-m 3 --max-s 4 --oracle full --perturb --json | sha256sum
+FULL_SWEEP_SHA256 = "e85688e65683e9c90b0c9b3613986efbe13e8fda61464c882d7b0a7b06f38a8c"
+PERTURBED_SWEEP_SHA256 = "bcf3d52b68b07685fe3bcf6f4d30deb228902d67cf667d137e6d3c55c96e0316"
 
 
 @pytest.fixture(scope="module")
@@ -197,3 +210,15 @@ def test_sweep_has_no_mismatches_at_all(full_sweep):
     assert full_sweep.mismatches == []
     count = sum(1 for _ in enumerate_specs(MAX_N, MAX_M, MAX_S))
     assert full_sweep.configs_checked == count == 842
+
+
+def _records_sha256(records):
+    text = "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_sweep_records_are_pinned(full_sweep):
+    assert _records_sha256(full_sweep.records) == FULL_SWEEP_SHA256
+    perturbed = run_sweep(SweepConfig(3, 3, 4, "full", perturb=True))
+    assert sum(m["check"] == "cm_reisner" for m in perturbed.mismatches) > 0
+    assert _records_sha256(perturbed.records) == PERTURBED_SWEEP_SHA256

@@ -1,5 +1,8 @@
 """Complex combinatorics: skeleta, links, connectivity, shellings, oracles."""
 
+from functools import reduce
+from operator import and_
+
 import pytest
 
 from mixedprod import (
@@ -82,6 +85,50 @@ def test_link():
     for mask in (-1, -0b100, 0b10000, 1 << 70):
         with pytest.raises(InvalidInput, match=f"face mask {mask} "):
             link(TWO_EDGES, mask)
+
+
+def test_the_empty_face_s_link_is_the_complex():
+    for c in (PATH, TWO_EDGES, MIXED, EMPTYC):
+        assert link(c, 0) is c
+
+
+def test_restricted_tables_match_enumeration():
+    # Every link's table, and the table of each K_d whose link has no
+    # facet below d, is restricted from c's; each must equal, order
+    # included, the table enumerated from the same facets.
+    import random
+    from mixedprod.complexes import SimplicialComplex, _k_d
+    from mixedprod.homology import _faces_by_dim
+
+    def enumerated(c):
+        return _faces_by_dim(SimplicialComplex(c.universe, c.masks))
+
+    rng = random.Random(47)
+    kinds = {True: 0, False: 0}     # pure or not
+    branches = {"restricted": 0, "enumerated": 0}     # K_d
+    while min(kinds.values()) < 40:
+        n = rng.randint(2, 7)
+        u = VariableUniverse(n, rng.randint(0, 7 - n))
+        pure = rng.random() < 0.5
+        k = rng.randint(1, u.size)
+        facets = [rng.sample(range(u.size), k if pure else rng.randint(1, u.size))
+                  for _ in range(rng.randint(1, 6))]
+        c = make_complex(u, facets)
+        if kinds[is_pure(c)] >= 40:
+            continue
+        kinds[is_pure(c)] += 1
+        for f in all_faces(c):
+            lk = link(c, f)
+            if f:
+                assert lk.source == (c, f)
+            assert lk.face_table == enumerated(lk)
+            dims = sorted({g.bit_count() - 1 for g in lk.masks})
+            for d in dims:
+                k_d = _k_d(c, f, d, dims[0])
+                assert k_d.masks == tuple(lk.face_table[d])
+                branches["enumerated" if k_d.source is None else "restricted"] += 1
+                assert k_d.face_table == enumerated(k_d)
+    assert min(branches.values()) >= 100
 
 
 def test_strong_connectivity():
@@ -424,31 +471,46 @@ def test_duval_on_non_pure_complexes_with_size_gaps():
 
 
 def test_duval_after_reisner_reuses_every_link(monkeypatch):
-    # A CM complex is pure, so each K_d is a link that Reisner's check
-    # has ranked already: Duval's check builds only c's own face table
-    # (for the skeleta) and eliminates nothing.
-    from mixedprod import complexes, expand_generators, kernels, stanley_reisner_complex
+    # Reisner's check builds c's table at the empty face, whose link is c,
+    # and restricts every link's table from it.  A CM complex is pure, and
+    # so is each of its links: every K_d is a link that Reisner's check has
+    # ranked, so Duval's check builds no table and eliminates nothing.
+    # A cone is answered without a table, so a cone whose links are all
+    # cones has its table built by neither check.
+    from mixedprod import complexes, expand_generators, homology, kernels, stanley_reisner_complex
     from mixedprod.products import is_cm_closed_form
     from mixedprod.sweep import enumerate_specs
+    cache = {}
+    monkeypatch.setattr(homology, "_ranks_cache", cache)
     built, eliminated = [], []
     faces = complexes._faces_by_dim
     monkeypatch.setattr(complexes, "_faces_by_dim", lambda c: built.append(c) or faces(c))
     rank_int = kernels.rank_int
     monkeypatch.setattr(kernels, "rank_int", lambda rows: eliminated.append(1) or rank_int(rows))
-    checked = 0
+    counts = {"checked": 0, "cones": 0, "enumerated": 0, "restricted": 0}
     for spec in enumerate_specs(5, 5, 6):
         if not is_cm_closed_form(spec).holds:
             continue
+        cache.clear()
         c = stanley_reisner_complex(expand_generators(spec))
+        cone = reduce(and_, c.masks) != 0
+        built.clear()
         assert reisner_cm(c) == (True, None)
+        enumerated = [b for b in built if b.source is None]
+        assert all(b is c for b in enumerated) and len(enumerated) <= 1
+        assert all(b.source[0] is c for b in built if b.source is not None)
+        if dim(c) >= 1 and not cone:
+            assert built[0] is c    # through the empty face, before any link
+        counts["cones"] += cone
+        counts["enumerated"] += len(enumerated)
+        counts["restricted"] += len(built) - len(enumerated)
         built.clear()
         eliminated.clear()
         assert duval_scm(c) == (True, None)
-        # a 0-dimensional complex has no link of dimension >= 1 in any skeleton
-        assert [b is c for b in built] == ([True] if dim(c) >= 1 else [])
+        assert built == []
         assert eliminated == []
-        checked += 1
-    assert checked == 746
+        counts["checked"] += 1
+    assert counts == {"checked": 746, "cones": 150, "enumerated": 566, "restricted": 2123}
 
 
 def test_duval_reads_skeleton_faces_off_the_face_table(monkeypatch):

@@ -1,6 +1,8 @@
 """Boundary matrices and exact reduced homology ranks."""
 
 import random
+from functools import reduce
+from operator import and_
 
 import pytest
 
@@ -146,6 +148,32 @@ def test_cone_acyclicity():
         apex = n
         cone = complex_on(n + 1, [f | {apex} for f in facets])
         assert all(r == 0 for r in reduced_homology_ranks(cone).values())
+
+
+def test_a_cone_is_answered_without_a_table(monkeypatch):
+    # A complex whose facets share a vertex is acyclic in every degree,
+    # -1 included, and is answered before the rank key, the cache and the
+    # face table; any other complex is ranked from its table.
+    monkeypatch.setattr(homology, "_ranks_cache", {})
+    rng = random.Random(53)
+    cases = [complex_on(3, [{0, 1, 2}]), complex_on(2, [set()])]
+    while len(cases) < 80:
+        n = rng.randint(1, 6)
+        facets = [set(rng.sample(range(n), rng.randint(1, n))) for _ in range(rng.randint(1, 5))]
+        # the apex n, or a complex that is no cone
+        c = complex_on(n + 1, [f | {n} for f in facets]) if len(cases) % 2 else complex_on(n, facets)
+        if len(cases) % 2 or not reduce(and_, c.masks):
+            cases.append(c)
+    for c in cases:
+        cone = reduce(and_, c.masks) != 0
+        fresh = not cone and c.rank_key not in homology._ranks_cache
+        ranks = reduced_homology_ranks(c)
+        assert "face_table" in vars(c) if fresh else "face_table" not in vars(c)
+        if cone:
+            assert "rank_key" not in vars(c)
+            assert ranks == dict.fromkeys(range(-1, max(f.bit_count() for f in c.masks)), 0)
+        assert ranks == _exact_ranks(c)
+    assert homology._ranks_cache.keys() == {c.rank_key for c in cases if not reduce(and_, c.masks)}
 
 
 def test_relabel_invariance():

@@ -26,9 +26,7 @@ def brute_minimal_hitting_sets(masks, nbits):
                 h |= 1 << i
             if all(h & t for t in masks):
                 hits.append(h)
-    return sorted((h for h in hits
-                   if not any(o != h and o & h == o for o in hits)),
-                  key=lambda h: tuple(i for i in range(nbits) if h >> i & 1))
+    return sorted(h for h in hits if not any(o != h and o & h == o for o in hits))
 
 
 @KERNELS
