@@ -23,8 +23,9 @@ O(|f|^2) big-int ANDs instead of passes over the placed list.
 
 Reisner's criterion checks one face per orbit when it can.  If the
 facet set is invariant under S_n x S_m (the x-block and the y-block each
-permuted on their own), which ``_is_block_symmetric`` checks explicitly
-on the generators of both groups, then the faces with the same
+permuted on their own), which ``_is_block_symmetric`` checks with the
+type count of ``kernels.whole_types`` that the hitting-set kernel and
+the intersection bound share, then the faces with the same
 (|F cap X|, |F cap Y|) form one orbit, their links are isomorphic and
 have the same homology.  The first face of each class in canonical
 order is the lex-least of its orbit, so testing only those faces finds
@@ -61,7 +62,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from .homology import _canonical_key, _faces_by_dim, reduced_homology_ranks
 from .ideals import DomainError, InvalidInput, VariableUniverse, vertex_lists
-from .kernels import bit_indices
+from .kernels import bit_indices, whole_types
 
 SHELLING_FACET_CAP = 10
 
@@ -265,25 +266,8 @@ def find_shelling(c: SimplicialComplex, cap: int = SHELLING_FACET_CAP) -> Shelli
 
 
 def _is_block_symmetric(c: SimplicialComplex) -> bool:
-    """Whether the facet set is invariant under S_n x S_m.
-
-    Each symmetric group is generated by the transposition of its
-    block's first two vertices and the cycle i -> i+1 through the block,
-    so only those two maps per block are applied.
-    """
-    facets = set(c.masks)
-    for offset, size in ((0, c.universe.n), (c.universe.n, c.universe.m)):
-        if size < 2:
-            continue
-        block = ((1 << size) - 1) << offset
-        pair = 3 << offset
-        for f in c.masks:
-            swapped = f ^ pair if (f & pair) not in (0, pair) else f
-            inside = f & block
-            cycled = f & ~block | ((inside << 1) | (inside >> (size - 1))) & block
-            if swapped not in facets or cycled not in facets:
-                return False
-    return True
+    """Whether the facet set is invariant under S_n x S_m: every type it holds, it holds whole."""
+    return whole_types(c.masks, c.universe.n, c.universe.m) is not None
 
 
 def _orbit_representatives(c: SimplicialComplex):

@@ -171,7 +171,8 @@ def _prime_masks(ideal: SquarefreeIdeal) -> list[int]:
         raise DomainError("dual of the zero ideal is undefined")
     if ideal.is_unit:
         raise DomainError("dual of the unit ideal is undefined")
-    return kernels.minimal_hitting_sets(list(ideal.generators), ideal.universe.size)
+    u = ideal.universe
+    return kernels.minimal_hitting_sets(list(ideal.generators), u.size, u.n)
 
 
 def complex_of_primes(universe: VariableUniverse, primes: Iterable[int]):
@@ -209,5 +210,5 @@ def ideal_of_complex(c) -> SquarefreeIdeal:
     """
     full_mask = (1 << c.universe.size) - 1
     comps = [full_mask & ~f for f in c.masks]
-    hs = kernels.minimal_hitting_sets(comps, c.universe.size)
+    hs = kernels.minimal_hitting_sets(comps, c.universe.size, c.universe.n)
     return SquarefreeIdeal(c.universe, frozenset(hs))

@@ -1,9 +1,42 @@
 """The hot loops of the oracles: minimal hitting sets, GF(2) rank and exact integer rank.
 
 Bitmasks are Python ints, so the kernels take sets of any width.
+
+Vertex sets over n x-vertices (bits 0..n-1) and m y-vertices (bits
+n..n+m-1) have a type (a, b): a x's and b y's.  The types are the orbits
+of S_n x S_m, which permutes each block on its own, so a family of
+distinct sets is invariant under S_n x S_m exactly when, for each type
+it holds, it holds all C(n, a) * C(m, b) sets of that type
+(``whole_types``).  The ideals the paper studies, and their facet
+blocks, are such families, and three oracles reduce to one set per
+orbit on them: Reisner's and Duval's checks (``complexes``), the
+intersection bound (``sweep``) and the hitting-set search here.
+
+Minimal transversals of an invariant family F come by type.  A
+permutation g in S_n x S_m maps F to itself, so it maps each minimal
+transversal T to one, g(T): the minimal transversals form an invariant
+family, a union of whole types, and a type qualifies exactly when its
+representative T = {x_1..x_a} u {y_1..y_b} does.  T qualifies when it
+hits every set of F and each v in T has a private set, one S in F with
+S cap T = {v}; deleting v from T then misses S, and a transversal in
+which every vertex has one is minimal.  The stabilizer of T in
+S_n x S_m permutes T cap X transitively and fixes F, carrying a private
+set of x_1 to one of any other x in T, so x_1 and y_1 are the only
+vertices to check.  Both checks read the types of F alone: a set of
+type (c, d) meets T in some i x's and j y's for every
+max(0, c - (n - a)) <= i <= min(a, c) and max(0, d - (m - b)) <= j <=
+min(b, d).  So all of its sets meet T when c > n - a or d > m - b, and
+one of them meets T in x_1 alone when 1 <= c <= n - a + 1 and
+d <= m - b (mirror for y_1).  For each a only the least b for which T
+hits every set can qualify: the representative of (a, b') for b' > b
+contains that of (a, b), a transversal, so it is not minimal.  And at
+that b, y_1 has a private set whenever b >= 1: T minus y_1 is the
+representative of (a, b - 1), which misses some set, and that set meets
+T in y_1 alone.  So x_1 is the one vertex left to check.
 """
 
 import heapq
+from math import comb
 
 
 def bit_indices(mask):
@@ -49,14 +82,18 @@ def _mmcs(sets, occ, uncov, cand, chosen, crit, out):
             _mmcs(sets, occ, uncov & ~hit, cand, chosen | v, kept, out)
 
 
-def minimal_hitting_sets(masks, nbits):
-    """All minimal transversals of a family of bitmask sets.
+def minimal_hitting_sets(masks, nbits, n):
+    """All minimal transversals of a family of bitmask sets over ``nbits`` vertices.
 
-    MMCS (Murakami and Uno, 2014): branch on the vertices of an uncovered
-    set with the fewest candidates and keep, per chosen vertex, the sets
-    it alone hits.  A branch dies as soon as a chosen vertex loses its
-    last such critical set, so every transversal reached is minimal and
-    none is reached twice; the family need not be an antichain.
+    The first ``n`` bits are the x-block, the rest the y-block.  A family
+    that ``whole_types`` finds S_n x S_m invariant gets its transversals
+    type by type, one representative each (module docstring), each type
+    listed whole.  Any other goes to MMCS (Murakami and Uno, 2014):
+    branch on the vertices of an uncovered set with the fewest candidates
+    and keep, per chosen vertex, the sets it alone hits.  A branch dies
+    as soon as a chosen vertex loses its last such critical set, so every
+    transversal reached is minimal and none is reached twice; the family
+    need not be an antichain.
 
     Returns bitmasks in increasing order.  A family
     containing the empty set has no transversal (returns []); the empty
@@ -67,6 +104,23 @@ def minimal_hitting_sets(masks, nbits):
         return []
     if not sets:
         return [0]
+    m = nbits - n
+    types = whole_types(set(sets), n, m)
+    if types is not None:
+        out = []
+        for a in range(n + 1):
+            # the one b that can qualify: the least with every set hit
+            b = max((m - d + 1 for c, d in types if c <= n - a), default=0)
+            if b <= m and (not a or any(0 < c <= n - a + 1 and d <= m - b for c, d in types)):
+                xs = _subsets(n, a)
+                out += [y << n | x for y in _subsets(m, b) for x in xs]
+        out.sort()
+        return out
+    return _mmcs_transversals(sets)
+
+
+def _mmcs_transversals(sets):
+    """The minimal transversals of a nonempty family of nonempty sets, by MMCS, in increasing order."""
     occ = {}    # vertex bit -> mask of the positions of the sets holding it
     for i, t in enumerate(sets):
         while t:
@@ -77,6 +131,38 @@ def minimal_hitting_sets(masks, nbits):
     out = []
     _mmcs(sets, occ, (1 << len(sets)) - 1, union, 0, [], out)
     out.sort()
+    return out
+
+
+def whole_types(masks, n, m):
+    """The types (a, b) of a family of distinct masks, if it holds every set of each.
+
+    That is, if the family is invariant under S_n x S_m; otherwise, or
+    if a mask has a bit past the n + m vertices, None.
+    """
+    if masks and max(masks) >> (n + m):
+        return None
+    low = (1 << n) - 1
+    counts = {}
+    for g in masks:
+        t = (g & low).bit_count(), (g >> n).bit_count()
+        counts[t] = counts.get(t, 0) + 1
+    if any(k != comb(n, a) * comb(m, b) for (a, b), k in counts.items()):
+        return None
+    return list(counts)
+
+
+def _subsets(k, r):
+    """The r-subsets of k bits as masks, in increasing order (Gosper's hack)."""
+    if r == 0:
+        return [0]
+    out = []
+    s, end = (1 << r) - 1, 1 << k
+    while s < end:
+        out.append(s)
+        low = s & -s
+        ripple = s + low
+        s = ripple | ((s ^ ripple) >> 2) // low
     return out
 
 

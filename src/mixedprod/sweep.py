@@ -4,6 +4,8 @@ Every normalized spec within the configured bounds is enumerated and
 each closed-form statement is compared against an independent oracle:
 
   - the dual formula against minimal-hitting-set Alexander duality,
+    one representative transversal per S_n x S_m orbit type when the
+    generators are whole types, MMCS otherwise (``kernels``),
   - the primary decomposition against the dual's minimal primes, each
     group against the blocks its primes meet,
   - the CM verdict against purity + strong connectivity (fast) and
@@ -158,7 +160,7 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
         universe = spec.universe
         # the one transversal computation: the dual's generators are the
         # minimal primes, whose complements are the facets of the complex
-        primes = kernels.minimal_hitting_sets(gens, universe.size)
+        primes = kernels.minimal_hitting_sets(gens, universe.size, universe.n)
         oracle["dual_generators"] = sorted(dual_closed) == primes
         if not oracle["dual_generators"]:
             mismatches.append(_mismatch(spec, "dual_generators",
@@ -191,7 +193,7 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
             mismatches.append(_mismatch(spec, "facet_partition",
                                         vertex_lists(tiled), vertex_lists(complex_.masks)))
 
-        bound_ok, bound_witness = _intersection_bound(profile, blocks)
+        bound_ok, bound_witness = _intersection_bound(profile, blocks, universe.n, universe.m)
         oracle["intersection_bound"] = bound_ok
         if not bound_ok:
             mismatches.append(_mismatch(spec, "intersection_bound", None, None, bound_witness))
@@ -238,16 +240,23 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
     }
 
 
-def _intersection_bound(profile, blocks):
+def _intersection_bound(profile, blocks, n, m):
     """dim(F cap G) <= q(i) + r(j) - 1 for F in block i, G in block j, i < j.
 
-    ``blocks`` holds the facets of each block as bitmasks; the witness is
-    the first failing pair, as sorted vertex lists.
+    ``blocks`` holds the facets of each block as bitmasks over n x's and
+    m y's; the witness is the first failing pair, as sorted vertex lists.
+    When each block holds every set of one type, each block is an
+    S_n x S_m orbit: some permutation p takes any F of block i to its
+    first facet F0 and block j to itself, so a failing pair (F, G) gives
+    the failing pair (F0, p(G)).  Block i then fails against block j
+    exactly when F0 does, the first failing pair has F0 in it either
+    way, and F0 alone is compared.  Otherwise every pair is.
     """
+    whole = all(len(kernels.whole_types(b, n, m) or ()) == 1 for b in blocks)
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
             limit = profile.q_bar[i] + profile.r_bar[j]
-            for f in blocks[i]:
+            for f in blocks[i][:1] if whole else blocks[i]:
                 for g in blocks[j]:
                     if (f & g).bit_count() > limit:
                         return False, (i + 1, j + 1, list(kernels.bit_indices(f)),

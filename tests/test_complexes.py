@@ -14,6 +14,7 @@ from mixedprod import (
     find_shelling,
     is_pure,
     is_strongly_connected,
+    kernels,
     link,
     make_complex,
     reduced_homology_ranks,
@@ -343,12 +344,68 @@ def duval_reference(c):
     return True, None
 
 
+def generator_map_symmetric(masks, n, m):
+    """S_n x S_m invariance on the group generators: the reference of ``kernels.whole_types``.
+
+    Each symmetric group is generated by the transposition of its
+    block's first two vertices and the cycle i -> i+1 through the block.
+    """
+    family = set(masks)
+    for offset, size in ((0, n), (n, m)):
+        if size < 2:
+            continue
+        block = ((1 << size) - 1) << offset
+        pair = 3 << offset
+        for f in family:
+            swapped = f ^ pair if (f & pair) not in (0, pair) else f
+            inside = f & block
+            cycled = f & ~block | ((inside << 1) | (inside >> (size - 1))) & block
+            if swapped not in family or cycled not in family:
+                return False
+    return True
+
+
 def test_block_symmetry_needs_both_generators():
     u = VariableUniverse(4, 0)
-    assert _is_block_symmetric(make_complex(u, [{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}]))
-    assert not _is_block_symmetric(make_complex(u, [{0, 1}, {2}, {3}]))     # (0 1) only
-    assert not _is_block_symmetric(make_complex(u, [{0, 1}, {1, 2}, {2, 3}, {0, 3}]))  # cycle only
-    assert _is_block_symmetric(make_complex(VariableUniverse(1, 1), [{0}, {1}]))
+    cases = [(u, [{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}], True),
+             (u, [{0, 1}, {2}, {3}], False),                    # (0 1) only
+             (u, [{0, 1}, {1, 2}, {2, 3}, {0, 3}], False),      # cycle only
+             (VariableUniverse(1, 1), [{0}, {1}], True)]
+    for universe, facets, symmetric in cases:
+        c = make_complex(universe, facets)
+        assert _is_block_symmetric(c) == symmetric
+        assert generator_map_symmetric(c.masks, universe.n, universe.m) == symmetric
+
+
+def test_the_type_count_is_the_generator_map_check():
+    # _is_block_symmetric reads kernels.whole_types; on antichains of whole
+    # types, with a set dropped or added or not, both tests agree
+    from itertools import combinations
+    import random
+    rng = random.Random(47)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        n, m = rng.randint(0, 4), rng.randint(0, 3)
+        if n + m == 0:
+            continue
+        u = VariableUniverse(n, m)
+        types = [(a, b) for a in range(n + 1) for b in range(m + 1)]
+        chosen = rng.sample(types, rng.randint(1, min(3, len(types))))
+        chosen = [s for s in chosen if not any(s != t and s[0] <= t[0] and s[1] <= t[1]
+                                               for t in chosen)]
+        facets = {frozenset(xs) | frozenset(ys) for a, b in chosen
+                  for xs in combinations(range(n), a) for ys in combinations(range(n, n + m), b)}
+        change = rng.random()
+        if change < 0.4:
+            facets.discard(rng.choice(sorted(facets, key=sorted)))
+        elif change < 0.8:
+            facets.add(frozenset(rng.sample(range(u.size), rng.randint(1, u.size))))
+        c = make_complex(u, facets or [set()])
+        symmetric = generator_map_symmetric(c.masks, n, m)
+        assert _is_block_symmetric(c) == symmetric
+        assert (kernels.whole_types(c.masks, n, m) is not None) == symmetric
+        seen[symmetric] += 1
+    assert seen[True] > 100 and seen[False] > 60
 
 
 def test_orbit_reduction_falls_back_on_asymmetric_complexes():

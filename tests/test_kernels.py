@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -32,13 +33,13 @@ def brute_minimal_hitting_sets(masks, nbits):
 @KERNELS
 class TestHittingSets:
     def test_empty_family(self, impl):
-        assert impl.minimal_hitting_sets([], 4) == [0]
+        assert impl.minimal_hitting_sets([], 4, 2) == [0]
 
     def test_empty_set_member(self, impl):
-        assert impl.minimal_hitting_sets([0b101, 0], 4) == []
+        assert impl.minimal_hitting_sets([0b101, 0], 4, 2) == []
 
     def test_single_set(self, impl):
-        assert impl.minimal_hitting_sets([0b1010], 4) == [0b0010, 0b1000]
+        assert impl.minimal_hitting_sets([0b1010], 4, 2) == [0b0010, 0b1000]
 
     def test_matches_brute_force(self, impl):
         rng = random.Random(7)
@@ -46,7 +47,7 @@ class TestHittingSets:
             nbits = rng.randint(1, 6)
             nsets = rng.randint(1, 8)
             masks = [rng.randint(1, (1 << nbits) - 1) for _ in range(nsets)]
-            assert impl.minimal_hitting_sets(masks, nbits) == \
+            assert impl.minimal_hitting_sets(masks, nbits, rng.randint(0, nbits)) == \
                 brute_minimal_hitting_sets(masks, nbits)
 
 
@@ -58,15 +59,83 @@ class TestHittingSets:
     ([0b1, 0b11, 0b111, 0b1], 3),                   # nested and duplicated
 ])
 def test_families_that_are_not_antichains(masks, nbits):
-    assert kernels.minimal_hitting_sets(masks, nbits) == brute_minimal_hitting_sets(masks, nbits)
+    for n in range(nbits + 1):
+        assert kernels.minimal_hitting_sets(masks, nbits, n) == \
+            brute_minimal_hitting_sets(masks, nbits)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 10).flatmap(lambda nbits: st.tuples(
-    st.lists(st.integers(1, (1 << nbits) - 1), min_size=1, max_size=12), st.just(nbits))))
+    st.lists(st.integers(1, (1 << nbits) - 1), min_size=1, max_size=12), st.just(nbits),
+    st.integers(0, nbits))))
 def test_hitting_sets_match_brute_force_property(family):
-    masks, nbits = family
-    assert kernels.minimal_hitting_sets(masks, nbits) == brute_minimal_hitting_sets(masks, nbits)
+    masks, nbits, n = family
+    assert kernels.minimal_hitting_sets(masks, nbits, n) == brute_minimal_hitting_sets(masks, nbits)
+
+
+def family_of_types(n, m, types):
+    """Every set of each (a, b) in ``types``: a x's among bits 0..n-1, b y's among n..n+m-1."""
+    return [sum(1 << i for i in xs) | sum(1 << (n + j) for j in ys)
+            for a, b in types for xs in combinations(range(n), a)
+            for ys in combinations(range(m), b)]
+
+
+def test_whole_type_families_take_the_orbit_path(monkeypatch):
+    # the generators of every normalized spec with n, m <= 5, and of its dual
+    from mixedprod.products import generator_sets
+    from mixedprod.sweep import enumerate_specs
+    mmcs = kernels._mmcs_transversals
+    fallbacks = []
+    monkeypatch.setattr(kernels, "_mmcs_transversals",
+                        lambda sets: fallbacks.append(sets) or mmcs(sets))
+    checked = 0
+    for spec in enumerate_specs(5, 5, 6):
+        u = spec.universe
+        for family in (generator_sets(spec), generator_sets(spec.dual)):
+            assert kernels.minimal_hitting_sets(family, u.size, u.n) == mmcs(family), spec
+            checked += 1
+    assert checked == 2 * 3316 and fallbacks == []
+
+
+def test_families_that_are_not_whole_types_fall_back(monkeypatch):
+    mmcs = kernels._mmcs_transversals
+    fallbacks = []
+    monkeypatch.setattr(kernels, "_mmcs_transversals",
+                        lambda sets: fallbacks.append(sets) or mmcs(sets))
+
+    def check(family, n, m, invariant):
+        before = len(fallbacks)
+        assert kernels.minimal_hitting_sets(family, n + m, n) == \
+            brute_minimal_hitting_sets(family, n + m)
+        assert (kernels.whole_types(set(family), n, m) is not None) == invariant
+        # a family holding the empty set, or no set, needs neither path
+        assert len(fallbacks) - before == (not invariant and 0 not in family and bool(family))
+
+    rng = random.Random(19)
+    for n, m in [(3, 3), (2, 4), (1, 4), (4, 1), (1, 1), (0, 5), (5, 0)]:
+        types = [(a, b) for a in range(n + 1) for b in range(m + 1) if a + b]
+        for _ in range(30):
+            chosen = rng.sample(types, rng.randint(1, min(4, len(types))))
+            family = family_of_types(n, m, chosen)
+            check(family, n, m, True)
+            check(family + [rng.choice(family)], n, m, True)     # a set twice
+            # one set dropped: its type stays whole only if it was that one set
+            dropped = family.pop(rng.randrange(len(family)))
+            size = comb(n, (dropped & (1 << n) - 1).bit_count()) * comb(m, (dropped >> n).bit_count())
+            check(family, n, m, size == 1)
+    # invariant under S_3 but not S_2: every x-pair with y_1, then also x_1 x_2 x_3
+    only_x = [g | 1 << 3 for g in family_of_types(3, 0, [(2, 0)])]
+    check(only_x, 3, 2, False)
+    check(only_x + family_of_types(3, 2, [(3, 0)]), 3, 2, False)
+    check([0b01001], 3, 2, False)           # one set of a type of C(3, 1) * C(2, 1) = 6
+    check([], 3, 2, True)                   # hit by the empty set
+    check([0], 3, 2, True)                  # the empty set is a whole type of one set
+    check([0, 0b00011], 3, 2, False)        # no transversal either way
+    assert len(fallbacks) > 100
+    # a bit past the n + m vertices is no type of the universe, even where
+    # the counts match: {x_1} and {bit 2} over 1 + 1 vertices
+    assert kernels.whole_types({0b001, 0b100}, 1, 1) is None
+    assert kernels.minimal_hitting_sets([0b001, 0b100], 2, 1) == [0b101]
 
 
 def sparse(rows):
@@ -167,13 +236,13 @@ def test_rank_f2():
 
 
 def test_masks_wider_than_64_bits():
-    assert kernels.minimal_hitting_sets([1 << 70, 1 << 3 | 1 << 65], 71) == \
+    assert kernels.minimal_hitting_sets([1 << 70, 1 << 3 | 1 << 65], 71, 35) == \
         [1 << 3 | 1 << 70, 1 << 65 | 1 << 70]
     rng = random.Random(5)
     for _ in range(30):
         nbits = rng.randint(1, 6)
         masks = [rng.randint(1, (1 << nbits) - 1) for _ in range(rng.randint(1, 8))]
-        assert kernels.minimal_hitting_sets([t << 64 for t in masks], nbits + 64) == \
+        assert kernels.minimal_hitting_sets([t << 64 for t in masks], nbits + 64, 64) == \
             [h << 64 for h in brute_minimal_hitting_sets(masks, nbits)]
 
 

@@ -59,9 +59,9 @@ def test_one_transversal_search_per_spec(monkeypatch, level):
     calls = []
     search = kernels.minimal_hitting_sets
 
-    def counted(masks, nbits):
+    def counted(masks, nbits, n):
         calls.append(len(masks))
-        return search(masks, nbits)
+        return search(masks, nbits, n)
 
     monkeypatch.setattr(kernels, "minimal_hitting_sets", counted)
     specs = list(enumerate_specs(2, 2, 3))
@@ -128,12 +128,54 @@ def test_primary_decomposition_check_reads_the_grouping(monkeypatch):
 
 def test_intersection_bound_on_masks():
     blocks = [[0b0011, 0b1100], [0b0101, 0b1010, 0b0110]]   # {0,1} {2,3} | {0,2} {1,3} {1,2}
-    # every pair across the two blocks meets in one vertex: limit q_bar[0] + r_bar[1]
-    assert _intersection_bound(SimpleNamespace(q_bar=(0, 1), r_bar=(2, 1)), blocks) == \
+    # no block is one whole type of 2 + 2 vertices, so every pair is compared;
+    # each pair across the two blocks meets in one vertex: limit q_bar[0] + r_bar[1]
+    assert _intersection_bound(SimpleNamespace(q_bar=(0, 1), r_bar=(2, 1)), blocks, 2, 2) == \
         (True, None)
     # below that, the first pair in block order is the witness, as sorted vertex lists
-    assert _intersection_bound(SimpleNamespace(q_bar=(0, 1), r_bar=(2, 0)), blocks) == \
+    assert _intersection_bound(SimpleNamespace(q_bar=(0, 1), r_bar=(2, 0)), blocks, 2, 2) == \
         (False, (1, 2, [0, 1], [0, 2]))
+    # block 1 is invariant but holds two types: its first facet {0,1} passes, {2,3} does not
+    two_types = [[0b0011, 0b1100], [0b1100]]
+    assert _intersection_bound(SimpleNamespace(q_bar=(0, 1), r_bar=(2, 1)), two_types, 2, 2) == \
+        (False, (1, 2, [2, 3], [2, 3]))
+
+
+def all_pairs_bound(profile, blocks):
+    """The intersection bound over every pair of facets: the reference of the orbit path."""
+    for i in range(len(blocks)):
+        for j in range(i + 1, len(blocks)):
+            limit = profile.q_bar[i] + profile.r_bar[j]
+            for f in blocks[i]:
+                for g in blocks[j]:
+                    if (f & g).bit_count() > limit:
+                        return False, (i + 1, j + 1, list(kernels.bit_indices(f)),
+                                       list(kernels.bit_indices(g)))
+    return True, None
+
+
+def test_intersection_bound_first_facets_give_the_all_pairs_witness():
+    from mixedprod import products
+    failing, pairs = 0, set()    # pairs: the failing block pairs (i, j)
+    for spec in enumerate_specs(4, 4, 5):
+        u, p = spec.universe, spec.profile
+        blocks = products.facet_partition(spec)
+        assert all(len(kernels.whole_types(b, u.n, u.m)) == 1 for b in blocks)
+        # the spec's own profile, then one block's q or r lowered so that
+        # the bound fails at the pairs that block takes part in
+        profiles = [(p.q_bar, p.r_bar)]
+        for k in range(len(blocks)):
+            lower = [int(i == k) for i in range(len(blocks))]
+            profiles += [([q - d for q, d in zip(p.q_bar, lower)], p.r_bar),
+                         (p.q_bar, [r - d for r, d in zip(p.r_bar, lower)])]
+        for q_bar, r_bar in profiles:
+            profile = SimpleNamespace(q_bar=q_bar, r_bar=r_bar)
+            expected = all_pairs_bound(profile, blocks)
+            assert _intersection_bound(profile, blocks, u.n, u.m) == expected, spec
+            failing += not expected[0]
+            if not expected[0]:
+                pairs.add(expected[1][:2])
+    assert failing > 1000 and len(pairs) >= 5
 
 
 def test_generator_cap_is_a_recorded_skip():
