@@ -160,23 +160,28 @@ def link(c: SimplicialComplex, face: int) -> SimplicialComplex:
 
 
 def is_strongly_connected(c: SimplicialComplex) -> bool:
-    """Connectivity of the ridge graph of a pure complex."""
+    """Connectivity of the ridge graph of a pure complex.
+
+    A search from the first facet compares each facet it reaches only
+    with the facets not reached yet, which it then splits into the
+    reached and the rest.  Each pair of facets is compared at most once,
+    and the rest shrinks fast where the ridge graph is dense.
+    """
     if not is_pure(c):
         raise DomainError("strong connectivity is defined for pure complexes only")
-    t = len(c.masks)
-    if t == 1:
-        return True
-    size = c.masks[0].bit_count()
-    masks = c.masks
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(t):
-            if j not in seen and (masks[i] & masks[j]).bit_count() == size - 1:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == t
+    ridge = c.masks[0].bit_count() - 1
+    rest = c.masks[1:]
+    stack = [c.masks[0]]
+    while stack and rest:
+        f = stack.pop()
+        far = []
+        for g in rest:
+            if (f & g).bit_count() == ridge:
+                stack.append(g)
+            else:
+                far.append(g)
+        rest = far
+    return not rest
 
 
 def _first_blocker(vertices: Sequence[int], has: Sequence[int], placed: int) -> Optional[int]:

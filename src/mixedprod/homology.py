@@ -25,26 +25,43 @@ source's up to its own dimension, never enumerated again:
   returns it), so a complex and its link through the empty face share
   one table.
 
+Every complex is ranked relative to the star of one vertex v, which
+shrinks each boundary map before it is ranked.  The star st(v) = v *
+lk(v) is a cone, so it is acyclic (below), and the long exact sequence
+of the pair (c, st v) gives H~_i(c) = H_i(c, st v) for every i.  The
+relative cells are the faces G with G | v no face, that is the faces of
+del(v) not in lk(v) (``_relative_table``); the empty face lies in the
+star, so there is no relative (-1)-cell, and the relative boundary is
+the absolute one with the star's faces dropped.  v is the lowest used
+vertex: the order-preserving relabel of ``_canonical_key`` sends it to
+vertex 0, so complexes that share a rank key share their relative cells
+up to that relabel, and with them the cached relative ranks.  The
+[set()] complex has no vertex and is ranked on its own table.
+
 Cones are acyclic and are answered before any table: when a vertex v
 lies in every facet, h(sigma) = +-(sigma | v) for v not in sigma (the
 sign of v's position in sigma | v), and h(sigma) = 0 for v in sigma,
 is a chain contraction of the augmented chain complex (del h + h del =
 id, the empty face included), so every reduced homology group
 vanishes, H~_{-1} too.  A nonempty simplex is one; the [set()]
-complex (facet mask 0) never is.
+complex (facet mask 0) never is.  A cone on v is the case st(v) = c,
+with no relative cell at all.
 
-Ranks are exact and never use floating point.  Each boundary map is
-first ranked over GF(2) with an XOR basis (kernels.rank_f2), a one-sided
-certificate that falls back to exact elimination where it settles
-nothing: ``boundary_matrix`` reads the map off the face table as one
-sparse row {(d-1)-face index: +-1} per d-face, and kernels.rank_int
-pivots on unit entries, shortest row first, leaving the rest to
-fraction-free (Bareiss) elimination.
-Why it is sound: write f_d for the number of d-faces, r_d for the rank
-of the boundary map del_d over Q and r'_d for its rank over GF(2).
-Reducing mod 2 cannot raise a rank, so r'_d <= r_d, and del_d del_{d+1}
-= 0 gives r_d + r_{d+1} <= f_d.  The two ends are exact: the
-augmentation del_0 has rank 1 and del_{top+1} is zero.  If r_{d-1} is
+Ranks are exact and never use floating point.  Each relative boundary
+map is first ranked over GF(2) with an XOR basis (kernels.rank_f2), a
+one-sided certificate that falls back to exact elimination where it
+settles nothing: ``_boundary_rows`` reads the map off a face table as
+one sparse row {(d-1)-cell index: +-1} per d-cell (``boundary_matrix``
+is the absolute map), and kernels.rank_int pivots on unit entries,
+shortest row first, leaving the rest to fraction-free (Bareiss)
+elimination.
+Why it is sound, for any chain complex with integer boundary maps, the
+relative one included: write f_d for the number of d-cells, r_d for
+the rank of the boundary map del_d over Q and r'_d for its rank over
+GF(2).  Reducing mod 2 cannot raise a rank, so r'_d <= r_d, and del_d
+del_{d+1} = 0 gives r_d + r_{d+1} <= f_d.  The two ends are exact:
+del_0 is zero, as there is no relative (-1)-cell (for the [set()]
+complex there is no 0-cell), and del_{top+1} is zero.  If r_{d-1} is
 known and f_{d-1} - r_{d-1} = r'_d (no GF(2) homology left in degree
 d-1), then r'_d <= r_d <= f_{d-1} - r_{d-1} = r'_d, so r_d = r'_d; the
 same holds from above when r_{d+1} is known and f_d - r_{d+1} = r'_d.
@@ -56,13 +73,14 @@ the real projective plane) is eliminated exactly, smallest matrix first,
 and the certificates are tried again.
 
 The cache is filled on demand.  Per relabeling-canonical complex
-(``SimplicialComplex.rank_key``) it holds the face counts and the exact
-boundary ranks found so far.  ``reduced_homology_ranks(c, below=j)``
-settles only del_1 .. del_j, by the rule above restricted to those maps,
-which determines H~_i for every i < j; it returns every degree that the
-known ranks determine, so a complex that is already ranked is answered
-from the cache without a face table; a link's table, restricted or
-not, is built only when a rank misses.  Reisner's criterion asks a link
+(``SimplicialComplex.rank_key``) it holds the relative cell counts and
+the exact relative boundary ranks found so far, never the cells.
+``reduced_homology_ranks(c, below=j)`` settles only del_1 .. del_j, by
+the rule above restricted to those maps, which determines H~_i for
+every i < j; it returns every degree that the known ranks determine, so
+a complex that is already ranked is answered from the cache without a
+face table; a link's table, restricted or not, and its relative cells
+are built only when a rank misses.  Reisner's criterion asks a link
 for the degrees below its dimension; Duval's asks each skeleton-link
 only for the degrees its level needs, so a level that fails early never
 pays for the maps above it.  The exhaustive oracle sweeps stay cheap
@@ -76,7 +94,7 @@ from dataclasses import dataclass
 from . import kernels
 from .ideals import InvalidInput
 
-# rank key -> (face counts by dimension, {d: exact rank of del_d} found so far)
+# rank key -> (relative cell counts by dimension, {d: exact rank of relative del_d} so far)
 _ranks_cache: dict = {}
 
 
@@ -126,6 +144,27 @@ def _faces_by_dim(c) -> dict[int, list[int]]:
     return by_dim
 
 
+def _boundary_rows(table, d: int) -> list:
+    """One sparse row {(d-1)-cell index: +-1} per d-cell of ``table``.
+
+    A (d-1)-face that ``table`` does not hold (a face of the star, in a
+    relative table) is dropped from the row.
+    """
+    index = {f: j for j, f in enumerate(table[d - 1])}
+    rows = []
+    for f in table[d]:
+        row, sign, s = {}, 1, f
+        while s:
+            low = s & -s
+            j = index.get(f ^ low)
+            if j is not None:
+                row[j] = sign
+            sign = -sign
+            s ^= low
+        rows.append(row)
+    return rows
+
+
 def boundary_matrix(c, d: int) -> BoundaryMatrix:
     """The d-th boundary map of the augmented (reduced) chain complex.
 
@@ -137,32 +176,39 @@ def boundary_matrix(c, d: int) -> BoundaryMatrix:
     top = max(table)
     if not 0 <= d <= top:
         raise InvalidInput(f"boundary dimension {d} out of range for dim {top}")
-    cols = table[d - 1]
-    index = {f: j for j, f in enumerate(cols)}
-    rows = []
-    for f in table[d]:
-        row, sign, s = {}, 1, f
-        while s:
-            low = s & -s
-            row[index[f ^ low]] = sign
-            sign = -sign
-            s ^= low
-        rows.append(row)
-    return BoundaryMatrix(rows, cols)
+    return BoundaryMatrix(_boundary_rows(table, d), table[d - 1])
 
 
 def _rank_f2(table, d: int) -> int:
-    """Rank of the d-th boundary map over GF(2), one bitmask column per d-face."""
+    """Rank over GF(2) of the d-th boundary map of ``table``, one bitmask column per d-cell."""
     row_bit = {f: 1 << i for i, f in enumerate(table[d - 1])}
     cols = []
     for f in table[d]:
         col, s = 0, f
         while s:
             low = s & -s
-            col |= row_bit[f ^ low]
+            col |= row_bit.get(f ^ low, 0)
             s ^= low
         cols.append(col)
     return kernels.rank_f2(cols)
+
+
+def _relative_table(c) -> dict[int, list[int]]:
+    """dim -> the cells of (c, st v) in increasing order, v the lowest used vertex.
+
+    The cells are the faces G with G | v no face: the faces without v
+    that are not in lk(v).  The [set()] complex has no vertex and keeps
+    its own table.
+    """
+    table = c.face_table
+    union = 0
+    for f in c.masks:
+        union |= f
+    v = union & -union
+    if not v:
+        return table
+    star = {g for faces in table.values() for g in faces if g & v}
+    return {d: [g for g in faces if g | v not in star] for d, faces in table.items()}
 
 
 def _canonical_key(masks) -> tuple:
@@ -182,41 +228,41 @@ def _canonical_key(masks) -> tuple:
                         for f in masks))
 
 
-def _settle(c, counts, rank, below) -> None:
-    """Add the exact ranks of del_1 .. del_below to ``rank`` (see the module docstring).
+def _settle(table, counts, rank, wanted) -> None:
+    """Add the exact ranks of del_d, d in ``wanted``, to ``rank`` (see the module docstring).
 
     A GF(2) rank is taken as exact when the degree below or above
     certifies it; elimination ranks the smallest matrix left unsettled,
-    and the certificates are tried again.  Maps above ``below`` are
+    and the certificates are tried again.  Maps outside ``wanted`` are
     neither ranked nor eliminated.
     """
     f2 = {}
-    wanted = range(1, below + 1)
     while any(d not in rank for d in wanted):
         for d in [*wanted, *reversed(wanted)]:
             if d in rank:
                 continue
             if d not in f2:
-                f2[d] = _rank_f2(c.face_table, d)
+                f2[d] = _rank_f2(table, d)
             if (d - 1 in rank and counts[d - 1] - rank[d - 1] == f2[d]
                     or d + 1 in rank and counts[d] - rank[d + 1] == f2[d]):
                 rank[d] = f2[d]
         unsettled = [d for d in wanted if d not in rank]
         if unsettled:
             d = min(unsettled, key=lambda d: counts[d - 1] * counts[d])
-            rank[d] = kernels.rank_int(boundary_matrix(c, d).rows)
+            rank[d] = kernels.rank_int(_boundary_rows(table, d))
 
 
 def reduced_homology_ranks(c, below: int | None = None) -> dict[int, int]:
     """Ranks of the reduced homology groups H~_d, for every d the known ranks determine.
 
-    rank H~_d = (#d-faces) - rank del_d - rank del_{d+1}; the (-1)-st
-    rank is 1 for the [set()] complex and 0 otherwise.  Only del_1 ..
-    del_below are settled, which determines every degree below
-    ``below``; the default settles every map, so the dict covers
-    d = -1..dim.  Degrees that ranks found earlier determine are
-    included too.  A cone (the facets share a vertex) is acyclic and
-    is answered at once, with every degree -1..dim zero.
+    rank H~_d = rank H_d(c, st v) = (#relative d-cells) - rank del_d -
+    rank del_{d+1}, with v the lowest used vertex; the (-1)-st rank is 1
+    for the [set()] complex and 0 otherwise.  Only del_1 .. del_below
+    are settled, which determines every degree below ``below``; the
+    default settles every map, so the dict covers d = -1..dim.  Degrees
+    that ranks found earlier determine are included too.  A cone (the
+    facets share a vertex) is acyclic and is answered at once, with
+    every degree -1..dim zero.
     """
     apex = -1
     for f in c.masks:
@@ -224,14 +270,17 @@ def reduced_homology_ranks(c, below: int | None = None) -> dict[int, int]:
     if apex:
         return dict.fromkeys(range(-1, max(f.bit_count() for f in c.masks)), 0)
     entry = _ranks_cache.get(c.rank_key)
+    table = None
     if entry is None:
-        counts = {d: len(faces) for d, faces in c.face_table.items()}
-        top = max(counts)
-        entry = _ranks_cache[c.rank_key] = (counts, {0: 1, top + 1: 0} if top >= 0 else {0: 0})
+        table = _relative_table(c)
+        counts = {d: len(cells) for d, cells in table.items()}
+        entry = _ranks_cache[c.rank_key] = (counts, {0: 0, max(counts) + 1: 0})
     counts, rank = entry
     top = max(counts)
-    _settle(c, counts, rank, top if below is None else min(below, top))
-    ranks = {-1: 1 - rank[0]}
+    wanted = range(1, (top if below is None else min(below, top)) + 1)
+    if any(d not in rank for d in wanted):
+        _settle(_relative_table(c) if table is None else table, counts, rank, wanted)
+    ranks = {-1: counts[-1] - rank[0]}
     for d in range(0, top + 1):
         if d in rank and d + 1 in rank:
             ranks[d] = counts[d] - rank[d] - rank[d + 1]

@@ -140,6 +140,34 @@ def test_strong_connectivity():
         is_strongly_connected(MIXED)
 
 
+def strongly_connected_reference(masks):
+    """The ridge graph searched pair by pair: facets meeting in all but one vertex."""
+    size = masks[0].bit_count()
+    seen, stack = {0}, [0]
+    while stack:
+        i = stack.pop()
+        for j, g in enumerate(masks):
+            if j not in seen and (masks[i] & g).bit_count() == size - 1:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(masks)
+
+
+def test_strong_connectivity_matches_the_pairwise_definition():
+    import random
+    rng = random.Random(43)
+    found = {"one facet": 0, "points": 0, True: 0, False: 0}
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        k = rng.randint(1, min(n, 4))
+        c = complex_on(n, [rng.sample(range(n), k) for _ in range(rng.randint(1, 10))])
+        expected = strongly_connected_reference(c.masks)
+        assert is_strongly_connected(c) == expected
+        key = "one facet" if len(c.masks) == 1 else "points" if k == 1 else expected
+        found[key] += 1
+    assert min(found.values()) >= 20
+
+
 def test_verify_shelling_single_facet():
     c = complex_on(2, [{0, 1}])
     assert verify_shelling_order(c, [0b11]) == (True, None)

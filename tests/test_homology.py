@@ -19,6 +19,8 @@ from mixedprod import (
     reisner_cm,
     stanley_reisner_complex,
 )
+from mixedprod.complexes import all_faces
+from mixedprod.kernels import bit_indices
 
 U4 = VariableUniverse(4, 0)
 U5 = VariableUniverse(5, 0)
@@ -222,7 +224,10 @@ def test_projective_plane_takes_the_exact_fallback(monkeypatch):
     monkeypatch.setattr(kernels, "rank_int", lambda rows: calls.append(len(rows)) or rank_int(rows))
     monkeypatch.setattr(homology, "_ranks_cache", {})
     assert reisner_cm(c) == (True, None)
-    assert calls == [10]    # only del_2 (10 triangle rows over 15 edges) needed elimination
+    # ranked relative to the star of vertex 0, only the relative del_2 (the
+    # 5 triangles without vertex 0 over the 5 edges off its star) needed
+    # elimination: it has rank 5 over Q and 4 over GF(2)
+    assert calls == [5]
     assert reduced_homology_ranks(c) == {-1: 0, 0: 0, 1: 0, 2: 0}
     assert _exact_ranks(c) == {-1: 0, 0: 0, 1: 0, 2: 0}
 
@@ -298,9 +303,9 @@ def test_partial_ranks_are_the_truncated_full_ranks(monkeypatch, order):
 
 
 def test_partial_ranks_settle_no_map_above_below(monkeypatch):
-    # RP2's del_2 is the one map that needs elimination (see above), so
-    # asking for the degrees below 1 (del_0 and del_1) eliminates nothing,
-    # and asking for all of them afterwards eliminates del_2 once
+    # RP2's relative del_2 is the one map that needs elimination (see
+    # above), so asking for the degrees below 1 (del_0 and del_1) eliminates
+    # nothing, and asking for all of them afterwards eliminates del_2 once
     c = complex_on(6, RP2)
     calls = []
     rank_int = kernels.rank_int
@@ -309,9 +314,9 @@ def test_partial_ranks_settle_no_map_above_below(monkeypatch):
     assert reduced_homology_ranks(c, below=1) == {-1: 0, 0: 0}
     assert calls == []
     assert reduced_homology_ranks(c) == {-1: 0, 0: 0, 1: 0, 2: 0}
-    assert calls == [10]
+    assert calls == [5]
     assert reduced_homology_ranks(c, below=1) == {-1: 0, 0: 0, 1: 0, 2: 0}
-    assert calls == [10]    # answered from the cache
+    assert calls == [5]     # answered from the cache
 
 
 def test_a_warm_cache_needs_no_face_table(monkeypatch):
@@ -324,3 +329,78 @@ def test_a_warm_cache_needs_no_face_table(monkeypatch):
     relabeled = complex_on(7, [{v + 1 for v in f} for f in RP2])
     assert reduced_homology_ranks(relabeled, below=2) == {-1: 0, 0: 0, 1: 0, 2: 0}
     assert built == []
+
+
+def _star_reference(c):
+    """The cells of (c, st v), v the lowest used vertex, from the definition."""
+    faces = set(all_faces(c))
+    v = min(v for f in c.masks for v in bit_indices(f))
+    return sorted(f for f in faces if not f >> v & 1 and f | 1 << v not in faces)
+
+
+def test_relative_cells_are_the_faces_off_the_star():
+    rng = random.Random(37)
+    for _ in range(60):
+        c = _random_complex(rng)
+        table = homology._relative_table(c)
+        assert table.keys() == c.face_table.keys()
+        assert all(cells == sorted(cells) for cells in table.values())
+        assert sorted(f for cells in table.values() for f in cells) == _star_reference(c)
+    # RP2 off the star of vertex 0: no vertex, 5 edges, 5 triangles
+    rel = homology._relative_table(complex_on(6, RP2))
+    assert {d: len(cells) for d, cells in rel.items()} == {-1: 0, 0: 0, 1: 5, 2: 5}
+    # the [set()] complex has no vertex and keeps its table
+    empty = complex_on(2, [set()])
+    assert homology._relative_table(empty) is empty.face_table
+
+
+def test_relative_ranks_match_the_absolute_ranks(monkeypatch):
+    monkeypatch.setattr(homology, "_ranks_cache", {})
+    rng = random.Random(41)
+    with_homology = 0
+    for _ in range(2000):
+        n = rng.randint(1, 8)
+        facets = [rng.sample(range(n), rng.randint(1, min(n, 4))) for _ in range(rng.randint(1, 8))]
+        c = complex_on(n, facets)
+        exact = _exact_ranks(c)
+        with_homology += any(exact.values())
+        assert reduced_homology_ranks(c) == exact
+    assert with_homology >= 300
+
+
+@pytest.mark.parametrize("facets, expected", [
+    ([set()], {-1: 1}),                                      # no vertex, no star
+    ([{0, 1, 2, 3}], {-1: 0, 0: 0, 1: 0, 2: 0, 3: 0}),       # a simplex
+    ([{0, 1}, {0, 2}, {0, 3, 4}], {-1: 0, 0: 0, 1: 0, 2: 0}),  # a cone on vertex 0
+    ([{1, 2}, {0, 2}, {2, 3, 4}], {-1: 0, 0: 0, 1: 0, 2: 0}),  # a cone off vertex 0
+    ([{0}, {1}], {-1: 0, 0: 1}),                             # two points
+    ([{0}, {1, 2}], {-1: 0, 0: 1, 1: 0}),                    # a point and an edge
+    (RP2, {-1: 0, 0: 0, 1: 0, 2: 0}),                        # torsion only
+])
+def test_relative_ranks_on_small_complexes(monkeypatch, facets, expected):
+    monkeypatch.setattr(homology, "_ranks_cache", {})
+    c = complex_on(6, facets)
+    assert _exact_ranks(c) == expected
+    assert reduced_homology_ranks(c) == expected
+    monkeypatch.setattr(homology, "_ranks_cache", {})
+    below = min(1, max(expected))
+    _assert_partial(reduced_homology_ranks(c, below=below), expected, below)
+    assert reduced_homology_ranks(c) == expected
+
+
+def test_relabeled_copies_share_one_relative_entry(monkeypatch):
+    # vertex 0 of the first copy and vertex 2 of the second are each the
+    # lowest used vertex, and the order-preserving relabel of the rank key
+    # sends both to 0, so the cached relative ranks serve both
+    cache = {}
+    monkeypatch.setattr(homology, "_ranks_cache", cache)
+    a = complex_on(6, [{0, 1}, {1, 2}, {2, 0}, {3}])
+    b = complex_on(8, [{2, 4}, {4, 5}, {5, 2}, {7}])
+    assert a.rank_key == b.rank_key
+    assert reduced_homology_ranks(a, below=1) == {-1: 0, 0: 1, 1: 1}    # del_2 is zero
+    assert len(cache) == 1
+    assert reduced_homology_ranks(b) == _exact_ranks(b) == {-1: 0, 0: 1, 1: 1}
+    assert len(cache) == 1
+    ((counts, rank),) = cache.values()
+    assert counts == {-1: 0, 0: 1, 1: 1}      # the relative cells: {3} and the edge {1, 2}
+    assert rank == {0: 0, 1: 0, 2: 0}

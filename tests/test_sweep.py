@@ -1,5 +1,6 @@
 """Sweep plumbing: the process pool, the enumeration and the one transversal search per spec."""
 
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -199,3 +200,14 @@ def test_generator_cap_is_a_recorded_skip():
     assert lines[-1] == "shellable 0 of 0 CM specs"
     only_big = oracle_coverage(SweepConfig(11, 11, 1, "fast", cap_vertices=22), records[:1])
     assert only_big[0] == "dual_generators 0 of 1 specs (generator cap 100000)"
+
+
+def test_full_check_on_specs_with_13_and_14_vertices():
+    # a seeded panel past the exhaustive tiers: Reisner's and Duval's
+    # checks on complexes of dimension up to 12 agree with the closed forms
+    large = [s for s in enumerate_specs(7, 7, 8) if s.universe.n + s.universe.m >= 13]
+    assert len(large) == 25734
+    for spec in random.Random(3).sample(large, 20):
+        record = check_spec(spec, "full")
+        assert record["mismatches"] == [] and record["skipped"] == []
+        assert {"cm_reisner", "scm_duval"} <= record["oracle"].keys()
