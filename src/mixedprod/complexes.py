@@ -6,8 +6,9 @@ Faces are bitmasks too; witnesses alone give a face as a sorted vertex
 list.  The empty face is always a face; the complex with facet list
 [set()] is the (-1)-dimensional complex.  Vertices not covered by any
 facet are simply absent from the complex.  ``make_complex`` validates
-raw vertex sets; links and skeleta are built directly, because the faces
-of one size, and {G - F : G a facet containing F}, are antichains already.
+raw vertex sets; links, skeleta and Duval's facet cuts are built
+directly, because the faces of one size, {G - F : G a facet containing
+F} and any subset of the facets are antichains already.
 
 The oracles here are deliberately independent of the closed-form
 classification in mixedprod.products: Reisner's criterion runs on exact
@@ -33,25 +34,24 @@ the same first failing face, hence the same witness.  A facet set that
 is not invariant has every face checked.
 
 Duval's criterion runs Reisner's on every pure skeleton, yet no skeleton
-gets a face table of its own.  The link of F in the l-skeleton agrees in
-every degree Reisner asks about with K_d, the complex generated by the
-d-faces of lk(F), where d is the least facet dimension of lk(F) that is
-at least l - 1 - |F| (``duval_scm`` proves it).  So each K_d is built
-once per (F, d) and serves every level whose d it is; the orbit
-representatives of c serve every level too.  A pure link is its own
-K_d.  On a CM complex every link is pure, so each K_d is a link that
-Reisner's check has ranked, and Duval's check builds no table and
-ranks nothing new.
+gets a face table of its own.  At level l, the link of F in the
+l-skeleton agrees in every degree Reisner asks about with lk_{c_l}(F),
+where the facet cut c_l is the complex generated by the facets of c of
+dimension >= l - 1 (``duval_scm`` proves it).  c_l is c until l - 1
+passes the least facet dimension, so there is one c_l per facet size,
+and each link of a c_l serves every level that c_l does; the orbit
+representatives of c serve every level too.  A CM complex is pure, so
+c_l is c at every level and each link is one that Reisner's check has
+ranked: Duval's check then builds no table and ranks nothing new.
 
 No link is enumerated again: ``link`` returns c itself for the empty
 face, since lk(empty) = {G : G a face} is c, and records c and F as the
 source of any other link, whose table ``homology._faces_by_dim`` then
-restricts from c's.  K_d records its source too when no facet of lk(F)
-has dimension below d, the one case in which its faces are exactly
-those of lk(F) of dimension <= d (the proofs are in ``homology``).  So
-Reisner's check enumerates c's table at the empty face, unless c is a
-cone and needs none there, and the only other tables enumerated are
-those of the K_d whose link has a facet of dimension below d.
+restricts from c's.  So Reisner's check enumerates c's table at the
+empty face, unless c is a cone and needs none there, and the only other
+tables enumerated are those of the c_l other than c, at most one per
+facet size above the least, from which their links' tables are
+restricted.
 """
 
 from __future__ import annotations
@@ -71,10 +71,9 @@ SHELLING_FACET_CAP = 10
 class SimplicialComplex:
     """Facet bitmasks, an inclusion antichain, in increasing order.
 
-    ``source`` is (parent, F) for a complex whose faces are those of
-    the parent that contain F, minus F, up to its own dimension: a link,
-    or a K_d that is one cut at d.  Its face table is then restricted
-    from the parent's.  It plays no part in equality.
+    ``source`` is (parent, F) for a link, lk_parent(F): its faces are
+    those of the parent that contain F, minus F, and its face table is
+    restricted from the parent's.  It plays no part in equality.
     """
 
     universe: VariableUniverse
@@ -318,50 +317,38 @@ def duval_scm(c: SimplicialComplex):
     Returns (True, None) or (False, (l, reisner_witness)), the witness
     that ``reisner_cm(skeleton(c, l))`` gives at the least failing l.
 
-    The link of a face F in the pure l-skeleton is K_j, the complex
-    generated by the j-faces of L = lk_c(F), with j = l - 1 - |F|.  Let d
-    be the least facet dimension of L that is >= j.  No facet of L has
-    dimension in [j, d), so every j-face of L lies in a d-face: K_j is
-    the j-skeleton of K_d, and H~_i(K_j) = H~_i(K_d) for every i < j,
-    the degrees Reisner's criterion asks about.  So each K_d is built
-    once and asked for the degrees below j at every level it serves; no
-    skeleton gets a face table of its own.  A pure L is its own K_d;
-    any other K_d takes its facets from c's face table (``_k_d``).
+    At level l let c_l be the complex generated by the facets of c of
+    dimension >= l - 1.  A face F of c is a face of the l-skeleton
+    exactly when it lies in a facet of c_l.  For such an F, with j = l -
+    1 - |F|, the link of F in the l-skeleton is generated by the j-faces
+    of lk_c(F); each lies in an (l-1)-face of c that contains F, hence in
+    a facet of c_l, so these are the j-faces of L = lk_{c_l}(F).  Every
+    facet of L has dimension >= j, so every face of L of dimension <= j
+    lies in a j-face: the link is the j-skeleton of L, and H~_i of the
+    two agree for every i < j, the degrees Reisner's criterion asks
+    about.  So L is asked for the degrees below j and no skeleton is
+    built.  c_l is c until l passes the least facet size; a new c_l is
+    built only when l passes the least facet size of the current one,
+    so there is one per facet size, and each keeps its links across the
+    levels it serves.  c_l is S_n x S_m invariant when c is, so the
+    orbit representatives of c serve every level.
     """
     faces = list(_orbit_representatives(c)) if _is_block_symmetric(c) else all_faces(c)
-    links = {}      # F -> (lk_c(F), its facet dimensions ascending)
-    k_d = {}        # (F, d) -> K_d
+    c_l, least, links = c, min(f.bit_count() for f in c.masks), {}
     for l in range(0, dim(c) + 2):
+        if l > least:
+            c_l = SimplicialComplex(c.universe, tuple(g for g in c.masks if g.bit_count() >= l))
+            least, links = min(f.bit_count() for f in c_l.masks), {}
         for f in faces:
             j = l - 1 - f.bit_count()
             if j <= 0:
                 break   # faces come by size; a link of dimension <= 0 has no homology to check
-            entry = links.get(f)
-            if entry is None:
-                lk_f = link(c, f)
-                entry = links[f] = lk_f, sorted({g.bit_count() - 1 for g in lk_f.masks})
-            lk_f, dims = entry
-            if dims[-1] < j:
+            if f not in links:
+                links[f] = link(c_l, f) if any(g & f == f for g in c_l.masks) else None
+            if links[f] is None:
                 continue    # F is no face of the l-skeleton
-            d = next(e for e in dims if e >= j)
-            lk = k_d.get((f, d))
-            if lk is None:
-                # a pure link is its own K_d
-                lk = k_d[f, d] = lk_f if len(dims) == 1 else _k_d(c, f, d, dims[0])
-            ranks = reduced_homology_ranks(lk, below=j)
+            ranks = reduced_homology_ranks(links[f], below=j)
             for i in range(-1, j):
                 if ranks[i]:
                     return False, (l, (list(bit_indices(f)), i))
     return True, None
-
-
-def _k_d(c: SimplicialComplex, face: int, d: int, least: int) -> SimplicialComplex:
-    """The complex generated by the d-faces of lk_c(face), whose least facet dimension is ``least``.
-
-    Its facets are c's faces of dimension |face| + d that contain face,
-    minus face.  When least >= d its faces are those of lk_c(face) of
-    dimension <= d, so it has the source (c, face) and its table is
-    restricted from c's; otherwise it enumerates its own.
-    """
-    masks = tuple(g ^ face for g in c.face_table[face.bit_count() + d] if g & face == face)
-    return SimplicialComplex(c.universe, masks, (c, face) if least >= d else None)

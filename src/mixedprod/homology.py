@@ -4,10 +4,9 @@ Faces are bitmasks (bit i is vertex i).  ``_faces_by_dim`` is the one
 face-table builder; a complex keeps its table
 (``SimplicialComplex.face_table``), and every boundary map is read off
 it.  A complex built on its own gets its table by enumeration: the
-submasks of each facet, down to the faces already seen.  A link, and
-Duval's K_d where its faces allow, carries a source (the complex it
-comes from and its face F), and its table is a restriction of the
-source's up to its own dimension, never enumerated again:
+submasks of each facet, down to the faces already seen.  A link
+carries a source (the complex it comes from and its face F), and its
+table is a restriction of the source's, never enumerated again:
 
 - The faces of lk(F) of dimension e are {G - F : G a face of dimension
   e + |F| containing F}, as G - F is a face of lk(F) exactly when G =
@@ -15,12 +14,6 @@ source's up to its own dimension, never enumerated again:
   integer F, so G -> G - F strictly increases on those G and each
   restricted list is in increasing order already: nothing is sorted or
   hashed.
-- K_d, the complex generated by the d-faces of lk(F), has the faces of
-  lk(F) of dimension <= d that lie in a d-face.  When no facet of lk(F)
-  has dimension below d, every face of lk(F) of dimension <= d lies in
-  a facet of dimension >= d and so in one of that facet's d-faces:
-  K_d's table is the restriction cut at d.  Otherwise K_d enumerates
-  its own.
 - The empty face's link is the complex itself (``complexes.link``
   returns it), so a complex and its link through the empty face share
   one table.
@@ -113,9 +106,9 @@ class BoundaryMatrix:
 def _faces_by_dim(c) -> dict[int, list[int]]:
     """dim -> face masks of that dimension in increasing order, empty face included.
 
-    A complex with a source (parent, F) restricts the parent's table to
-    the faces containing F, dimensions -1 up to its own (see the module
-    docstring).  Any other complex enumerates its table: the submasks
+    A link, whose source is (parent, F), restricts the parent's table
+    to the faces containing F, dimensions -1 up to its own (see the
+    module docstring).  Any other complex enumerates its table: the submasks
     of a facet form a tree (remove vertices in increasing order), so
     each is reached once, and a branch ends at a face seen before: an
     earlier facet contains it, and everything below it was seen with it.

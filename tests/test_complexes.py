@@ -94,11 +94,12 @@ def test_the_empty_face_s_link_is_the_complex():
 
 
 def test_restricted_tables_match_enumeration():
-    # Every link's table, and the table of each K_d whose link has no
-    # facet below d, is restricted from c's; each must equal, order
-    # included, the table enumerated from the same facets.
+    # Every link's table is restricted from its complex's: the links of c
+    # and of each c_l (the facets of c of size >= l) that Duval's check
+    # ranks.  Each must equal, order included, the table enumerated from
+    # the same facets.
     import random
-    from mixedprod.complexes import SimplicialComplex, _k_d
+    from mixedprod.complexes import SimplicialComplex
     from mixedprod.homology import _faces_by_dim
 
     def enumerated(c):
@@ -106,7 +107,7 @@ def test_restricted_tables_match_enumeration():
 
     rng = random.Random(47)
     kinds = {True: 0, False: 0}     # pure or not
-    branches = {"restricted": 0, "enumerated": 0}     # K_d
+    proper = 0      # links of a c_l other than c
     while min(kinds.values()) < 40:
         n = rng.randint(2, 7)
         u = VariableUniverse(n, rng.randint(0, 7 - n))
@@ -118,18 +119,44 @@ def test_restricted_tables_match_enumeration():
         if kinds[is_pure(c)] >= 40:
             continue
         kinds[is_pure(c)] += 1
-        for f in all_faces(c):
-            lk = link(c, f)
-            if f:
-                assert lk.source == (c, f)
-            assert lk.face_table == enumerated(lk)
-            dims = sorted({g.bit_count() - 1 for g in lk.masks})
-            for d in dims:
-                k_d = _k_d(c, f, d, dims[0])
-                assert k_d.masks == tuple(lk.face_table[d])
-                branches["enumerated" if k_d.source is None else "restricted"] += 1
-                assert k_d.face_table == enumerated(k_d)
-    assert min(branches.values()) >= 100
+        sizes = sorted({g.bit_count() for g in c.masks})
+        cuts = [SimplicialComplex(u, tuple(g for g in c.masks if g.bit_count() >= size))
+                for size in sizes[1:]]
+        for c_l in [c, *cuts]:
+            for f in all_faces(c_l):
+                lk = link(c_l, f)
+                if f:
+                    assert lk.source == (c_l, f)
+                assert lk.face_table == enumerated(lk)
+                proper += c_l is not c
+    assert proper >= 300
+
+
+def test_duval_after_reisner_enumerates_one_table_per_cut(monkeypatch):
+    # Reisner's check enumerates c's table; Duval's check after it
+    # enumerates only the tables of the c_l other than c, one per facet
+    # size above the least, and restricts every link's table from those.
+    from mixedprod import complexes, expand_generators, homology, stanley_reisner_complex
+    from mixedprod.sweep import enumerate_specs
+    cache = {}
+    monkeypatch.setattr(homology, "_ranks_cache", cache)
+    built = []
+    faces = complexes._faces_by_dim
+    monkeypatch.setattr(complexes, "_faces_by_dim", lambda c: built.append(c) or faces(c))
+    checked = 0
+    for spec in enumerate_specs(5, 5, 6):
+        c = stanley_reisner_complex(expand_generators(spec))
+        if is_pure(c):
+            continue
+        cache.clear()
+        reisner_cm(c)
+        built.clear()
+        duval_scm(c)
+        cuts = [b for b in built if b.source is None]
+        assert len(cuts) <= len({g.bit_count() for g in c.masks}) - 1
+        assert all(any(b.source[0] is k for k in [c, *cuts]) for b in built if b.source)
+        checked += 1
+    assert checked == 2284
 
 
 def test_strong_connectivity():
@@ -514,8 +541,8 @@ def _has_a_size_gap(c):
 
 
 def test_duval_on_non_pure_complexes_with_size_gaps():
-    # Facet sizes with gaps make the least facet dimension d >= j of a
-    # link differ from j, so each K_d serves several skeleton levels.
+    # Facet sizes with gaps keep one c_l (the facets of size >= l) over
+    # several skeleton levels, so each of its links serves several j.
     import random
     from itertools import combinations
     rng = random.Random(43)
@@ -557,9 +584,9 @@ def test_duval_on_non_pure_complexes_with_size_gaps():
 
 def test_duval_after_reisner_reuses_every_link(monkeypatch):
     # Reisner's check builds c's table at the empty face, whose link is c,
-    # and restricts every link's table from it.  A CM complex is pure, and
-    # so is each of its links: every K_d is a link that Reisner's check has
-    # ranked, so Duval's check builds no table and eliminates nothing.
+    # and restricts every link's table from it.  A CM complex is pure, so
+    # each c_l is c and every link Duval's check asks is one that Reisner's
+    # check has ranked: Duval's check builds no table and eliminates nothing.
     # A cone is answered without a table, so a cone whose links are all
     # cones has its table built by neither check.
     from mixedprod import complexes, expand_generators, homology, kernels, stanley_reisner_complex
@@ -599,7 +626,7 @@ def test_duval_after_reisner_reuses_every_link(monkeypatch):
 
 
 def test_duval_reads_skeleton_faces_off_the_face_table(monkeypatch):
-    # K_d comes from c's own face table, not from a skeleton complex
+    # Duval's check ranks links of c and of its facet cuts c_l, never a skeleton complex
     from mixedprod import complexes
 
     def no_skeleton(c, l):
