@@ -22,11 +22,12 @@ whether a new facet f may follow, and which placed facet blocks it, takes
 O(|f|^2) big-int ANDs instead of passes over the placed list.
 ``find_shelling`` sets and clears the bits as it backtracks.
 
-Reisner's criterion checks one face per orbit when it can.  If the
-facet set is invariant under S_n x S_m (the x-block and the y-block each
-permuted on their own), which ``_is_block_symmetric`` checks with the
-type count of ``kernels.whole_types`` that the hitting-set kernel and
-the intersection bound share, then the faces with the same
+Reisner's and Duval's checks visit the same faces of c, listed once per
+complex (``SimplicialComplex.checked_faces``), one per orbit when it
+can.  If the facet set is invariant under S_n x S_m (the x-block and the
+y-block each permuted on their own), which ``_is_block_symmetric`` checks
+with the type count of ``kernels.whole_types`` that the hitting-set
+kernel and the intersection bound share, then the faces with the same
 (|F cap X|, |F cap Y|) form one orbit, their links are isomorphic and
 have the same homology.  The first face of each class in canonical
 order is the lex-least of its orbit, so testing only those faces finds
@@ -39,10 +40,11 @@ l-skeleton agrees in every degree Reisner asks about with lk_{c_l}(F),
 where the facet cut c_l is the complex generated by the facets of c of
 dimension >= l - 1 (``duval_scm`` proves it).  c_l is c until l - 1
 passes the least facet dimension, so there is one c_l per facet size,
-and each link of a c_l serves every level that c_l does; the orbit
-representatives of c serve every level too.  A CM complex is pure, so
-c_l is c at every level and each link is one that Reisner's check has
-ranked: Duval's check then builds no table and ranks nothing new.
+and each link of a c_l serves every level that c_l does; the faces c
+lists serve every level too.  ``link`` keeps each link on its complex,
+face table and rank key included.  A CM complex is pure, so c_l is c
+at every level and each link is one that Reisner's check has built and
+ranked: Duval's check then builds, keys and ranks nothing new.
 
 No link is enumerated again: ``link`` returns c itself for the empty
 face, since lk(empty) = {G : G a face} is c, and records c and F as the
@@ -73,17 +75,24 @@ class SimplicialComplex:
 
     ``source`` is (parent, F) for a link, lk_parent(F): its faces are
     those of the parent that contain F, minus F, and its face table is
-    restricted from the parent's.  It plays no part in equality.
+    restricted from the parent's.  ``links`` holds the links ``link``
+    built, by face.  Neither plays a part in equality.
     """
 
     universe: VariableUniverse
     masks: Tuple[int, ...]
     source: Optional[tuple] = field(default=None, compare=False, repr=False)
+    links: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
     def face_table(self) -> dict[int, list[int]]:
         """dim -> face masks in increasing order, built once per complex."""
         return _faces_by_dim(self)
+
+    @cached_property
+    def checked_faces(self) -> list[int]:
+        """The faces Reisner's and Duval's checks visit: one per orbit if invariant, else all."""
+        return list(_orbit_representatives(self)) if _is_block_symmetric(self) else all_faces(self)
 
     @cached_property
     def rank_key(self) -> tuple:
@@ -144,9 +153,12 @@ def link(c: SimplicialComplex, face: int) -> SimplicialComplex:
     """The link of the face mask ``face``: {G - face : G a facet containing face}.
 
     The empty face's link is c itself.  Any other link keeps c's facet
-    order, as G -> G - face increases on the G containing face, and has
-    (c, face) as its source.
+    order, as G -> G - face increases on the G containing face, has
+    (c, face) as its source, and is built once and kept in ``c.links``.
     """
+    lk = c.links.get(face)
+    if lk is not None:
+        return lk
     if not 0 <= face < 1 << c.universe.size:
         raise InvalidInput(f"face mask {face} is out of range for universe "
                            f"{c.universe.n}+{c.universe.m}")
@@ -155,7 +167,8 @@ def link(c: SimplicialComplex, face: int) -> SimplicialComplex:
     containing = tuple(g ^ face for g in c.masks if g & face == face)
     if not containing:
         raise InvalidInput(f"{list(bit_indices(face))} is not a face of the complex")
-    return SimplicialComplex(c.universe, containing, (c, face))
+    lk = c.links[face] = SimplicialComplex(c.universe, containing, (c, face))
+    return lk
 
 
 def is_strongly_connected(c: SimplicialComplex) -> bool:
@@ -294,12 +307,11 @@ def reisner_cm(c: SimplicialComplex):
     CM iff for every face F the reduced homology of link(F) vanishes in
     all degrees below its dimension.  Returns (True, None) or
     (False, (F, i)) with the first failing face in ``all_faces`` order,
-    as a sorted vertex list.  Only
-    one face per orbit is checked when the facet set is S_n x S_m
-    invariant (see the module docstring).
+    as a sorted vertex list.  Only ``c.checked_faces`` are checked: one
+    face per orbit when the facet set is S_n x S_m invariant (see the
+    module docstring).
     """
-    faces = _orbit_representatives(c) if _is_block_symmetric(c) else all_faces(c)
-    for f in faces:
+    for f in c.checked_faces:
         lk = link(c, f)
         d = dim(lk)
         if d <= 0:
@@ -329,25 +341,22 @@ def duval_scm(c: SimplicialComplex):
     about.  So L is asked for the degrees below j and no skeleton is
     built.  c_l is c until l passes the least facet size; a new c_l is
     built only when l passes the least facet size of the current one,
-    so there is one per facet size, and each keeps its links across the
-    levels it serves.  c_l is S_n x S_m invariant when c is, so the
-    orbit representatives of c serve every level.
+    so there is one per facet size, and ``link`` keeps each link on its
+    c_l (while c_l is c, the ones Reisner's check built).  c_l is S_n x
+    S_m invariant when c is, so ``c.checked_faces`` serve every level.
     """
-    faces = list(_orbit_representatives(c)) if _is_block_symmetric(c) else all_faces(c)
-    c_l, least, links = c, min(f.bit_count() for f in c.masks), {}
+    c_l, least = c, min(f.bit_count() for f in c.masks)
     for l in range(0, dim(c) + 2):
         if l > least:
             c_l = SimplicialComplex(c.universe, tuple(g for g in c.masks if g.bit_count() >= l))
-            least, links = min(f.bit_count() for f in c_l.masks), {}
-        for f in faces:
+            least = min(f.bit_count() for f in c_l.masks)
+        for f in c.checked_faces:
             j = l - 1 - f.bit_count()
             if j <= 0:
                 break   # faces come by size; a link of dimension <= 0 has no homology to check
-            if f not in links:
-                links[f] = link(c_l, f) if any(g & f == f for g in c_l.masks) else None
-            if links[f] is None:
+            if not any(g & f == f for g in c_l.masks):
                 continue    # F is no face of the l-skeleton
-            ranks = reduced_homology_ranks(links[f], below=j)
+            ranks = reduced_homology_ranks(link(c_l, f), below=j)
             for i in range(-1, j):
                 if ranks[i]:
                     return False, (l, (list(bit_indices(f)), i))

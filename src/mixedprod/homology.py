@@ -54,30 +54,29 @@ the rank of the boundary map del_d over Q and r'_d for its rank over
 GF(2).  Reducing mod 2 cannot raise a rank, so r'_d <= r_d, and del_d
 del_{d+1} = 0 gives r_d + r_{d+1} <= f_d.  The two ends are exact:
 del_0 is zero, as there is no relative (-1)-cell (for the [set()]
-complex there is no 0-cell), and del_{top+1} is zero.  If r_{d-1} is
-known and f_{d-1} - r_{d-1} = r'_d (no GF(2) homology left in degree
-d-1), then r'_d <= r_d <= f_{d-1} - r_{d-1} = r'_d, so r_d = r'_d; the
-same holds from above when r_{d+1} is known and f_d - r_{d+1} = r'_d.
-Climbing from degree 0 shows that when the GF(2) homology vanishes below
-the top degree, the GF(2) ranks are the rational ones, top degree
-included, and nothing is eliminated.  A rank that neither neighbour
-settles (homology in two adjacent degrees, or torsion such as the Z/2 of
-the real projective plane) is eliminated exactly, smallest matrix first,
-and the certificates are tried again.
+complex there is no 0-cell), and del_{top+1} is zero.  The maps are
+settled in one upward pass from del_1: when r_{d-1} is known and
+f_{d-1} - r_{d-1} = r'_d (no GF(2) homology left in degree d-1), then
+r'_d <= r_d <= f_{d-1} - r_{d-1} = r'_d, so r_d = r'_d; otherwise
+(homology in degree d-1, or torsion such as the Z/2 of the real
+projective plane) del_d is eliminated exactly.  Either way r_d is
+known before del_{d+1} is reached.  So when the GF(2) homology
+vanishes below the top degree, nothing is eliminated.
 
 The cache is filled on demand.  Per relabeling-canonical complex
 (``SimplicialComplex.rank_key``) it holds the relative cell counts and
-the exact relative boundary ranks found so far, never the cells.
-``reduced_homology_ranks(c, below=j)`` settles only del_1 .. del_j, by
-the rule above restricted to those maps, which determines H~_i for
-every i < j; it returns every degree that the known ranks determine, so
-a complex that is already ranked is answered from the cache without a
-face table; a link's table, restricted or not, and its relative cells
-are built only when a rank misses.  Reisner's criterion asks a link
-for the degrees below its dimension; Duval's asks each skeleton-link
-only for the degrees its level needs, so a level that fails early never
-pays for the maps above it.  The exhaustive oracle sweeps stay cheap
-because the links showing up there repeat heavily.
+the exact relative boundary ranks found so far, never the cells: those
+of the two ends and of a prefix del_1 .. del_k, which the upward pass
+extends.  ``reduced_homology_ranks(c, below=j)`` settles only del_1 ..
+del_j, which determines H~_i for every i < j; it returns every degree
+that the known ranks determine, so a complex that is already ranked is
+answered from the cache without a face table; a link's table,
+restricted or not, and its relative cells are built only when a rank
+misses.  Reisner's criterion asks a link for the degrees below its
+dimension; Duval's asks each skeleton-link only for the degrees its
+level needs, so a level that fails early never pays for the maps above
+it.  The exhaustive oracle sweeps stay cheap because the links showing
+up there repeat heavily.
 """
 
 from __future__ import annotations
@@ -221,30 +220,6 @@ def _canonical_key(masks) -> tuple:
                         for f in masks))
 
 
-def _settle(table, counts, rank, wanted) -> None:
-    """Add the exact ranks of del_d, d in ``wanted``, to ``rank`` (see the module docstring).
-
-    A GF(2) rank is taken as exact when the degree below or above
-    certifies it; elimination ranks the smallest matrix left unsettled,
-    and the certificates are tried again.  Maps outside ``wanted`` are
-    neither ranked nor eliminated.
-    """
-    f2 = {}
-    while any(d not in rank for d in wanted):
-        for d in [*wanted, *reversed(wanted)]:
-            if d in rank:
-                continue
-            if d not in f2:
-                f2[d] = _rank_f2(table, d)
-            if (d - 1 in rank and counts[d - 1] - rank[d - 1] == f2[d]
-                    or d + 1 in rank and counts[d] - rank[d + 1] == f2[d]):
-                rank[d] = f2[d]
-        unsettled = [d for d in wanted if d not in rank]
-        if unsettled:
-            d = min(unsettled, key=lambda d: counts[d - 1] * counts[d])
-            rank[d] = kernels.rank_int(_boundary_rows(table, d))
-
-
 def reduced_homology_ranks(c, below: int | None = None) -> dict[int, int]:
     """Ranks of the reduced homology groups H~_d, for every d the known ranks determine.
 
@@ -270,9 +245,14 @@ def reduced_homology_ranks(c, below: int | None = None) -> dict[int, int]:
         entry = _ranks_cache[c.rank_key] = (counts, {0: 0, max(counts) + 1: 0})
     counts, rank = entry
     top = max(counts)
-    wanted = range(1, (top if below is None else min(below, top)) + 1)
-    if any(d not in rank for d in wanted):
-        _settle(_relative_table(c) if table is None else table, counts, rank, wanted)
+    for d in range(1, (top if below is None else min(below, top)) + 1):
+        if d in rank:
+            continue
+        if table is None:
+            table = _relative_table(c)
+        f2 = _rank_f2(table, d)
+        rank[d] = (f2 if counts[d - 1] - rank[d - 1] == f2
+                   else kernels.rank_int(_boundary_rows(table, d)))
     ranks = {-1: counts[-1] - rank[0]}
     for d in range(0, top + 1):
         if d in rank and d + 1 in rank:

@@ -71,8 +71,12 @@ class SweepConfig:
     def __post_init__(self):
         if self.max_n < 1 or self.max_m < 1 or self.max_s < 1:
             raise ideals.InvalidInput("sweep bounds must be >= 1")
-        if self.oracle_level not in ORACLE_LEVELS:
-            raise ideals.InvalidInput(f"oracle level must be one of {ORACLE_LEVELS}")
+        _check_level(self.oracle_level)
+
+
+def _check_level(level):
+    if level not in ORACLE_LEVELS:
+        raise ideals.InvalidInput(f"oracle level must be one of {ORACLE_LEVELS}")
 
 
 @dataclass
@@ -125,8 +129,10 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
     mismatches and skipped (capped) oracle checks.  The oracles are
     skipped with the reason "vertex cap" above ``cap_vertices`` vertices,
     and with "generator cap" when the spec or its dual expands to more
-    than ``products.GENERATOR_CAP`` generators.
+    than ``products.GENERATOR_CAP`` generators.  An oracle level outside
+    ``ORACLE_LEVELS`` raises InvalidInput.
     """
+    _check_level(oracle_level)
     mismatches = []
     skipped = []
     profile = spec.profile

@@ -78,6 +78,8 @@ def test_skeleton_idempotent():
 def test_link():
     assert link(PATH, 0) == PATH
     assert vertex_lists(link(PATH, 0b010).masks) == [[0], [2]]
+    assert link(PATH, 0b010) is link(PATH, 0b010)     # built once, kept on PATH
+    assert PATH.links[0b010] is link(PATH, 0b010)
     full = complex_on(3, [{0, 1, 2}])
     assert vertex_lists(link(full, 0b001).masks) == [[1, 2]]
     with pytest.raises(InvalidInput, match=r"\[0, 2\] is not a face"):
@@ -511,6 +513,24 @@ def test_one_block_symmetry_checks_every_face(monkeypatch):
     assert len(seen) == 12      # one face per (x-count, y-count) class
 
 
+def test_one_symmetry_check_per_complex(monkeypatch):
+    # Reisner's and Duval's checks read one face list off the complex, so
+    # a full check tests the Stanley-Reisner complex for S_n x S_m
+    # invariance once
+    from mixedprod import complexes, expand_generators, normalize, stanley_reisner_complex
+    from mixedprod.sweep import check_spec
+    spec = normalize(VariableUniverse(3, 3), [(1, 2), (2, 1)])
+    c = stanley_reisner_complex(expand_generators(spec))
+    assert _is_block_symmetric(c)
+    calls = []
+    types = complexes.whole_types
+    monkeypatch.setattr(complexes, "whole_types", lambda *a: calls.append(a) or types(*a))
+    record = check_spec(spec, "full")
+    assert {"cm_reisner", "scm_duval"} <= record["oracle"].keys()
+    assert record["mismatches"] == []
+    assert calls == [(c.masks, 3, 3)]
+
+
 def test_orbit_reduction_on_every_invariant_complex():
     # An S_n x S_m invariant facet set is the union of the sets of each
     # (x-count, y-count) type in an antichain of types.
@@ -588,7 +608,8 @@ def test_duval_after_reisner_reuses_every_link(monkeypatch):
     # each c_l is c and every link Duval's check asks is one that Reisner's
     # check has ranked: Duval's check builds no table and eliminates nothing.
     # A cone is answered without a table, so a cone whose links are all
-    # cones has its table built by neither check.
+    # cones has its table built by neither check.  The links live on c,
+    # rank keys included, so Duval's check keys no complex either.
     from mixedprod import complexes, expand_generators, homology, kernels, stanley_reisner_complex
     from mixedprod.products import is_cm_closed_form
     from mixedprod.sweep import enumerate_specs
@@ -599,6 +620,9 @@ def test_duval_after_reisner_reuses_every_link(monkeypatch):
     monkeypatch.setattr(complexes, "_faces_by_dim", lambda c: built.append(c) or faces(c))
     rank_int = kernels.rank_int
     monkeypatch.setattr(kernels, "rank_int", lambda rows: eliminated.append(1) or rank_int(rows))
+    keyed = []
+    key = complexes._canonical_key
+    monkeypatch.setattr(complexes, "_canonical_key", lambda masks: keyed.append(1) or key(masks))
     counts = {"checked": 0, "cones": 0, "enumerated": 0, "restricted": 0}
     for spec in enumerate_specs(5, 5, 6):
         if not is_cm_closed_form(spec).holds:
@@ -618,9 +642,11 @@ def test_duval_after_reisner_reuses_every_link(monkeypatch):
         counts["restricted"] += len(built) - len(enumerated)
         built.clear()
         eliminated.clear()
+        keyed.clear()
         assert duval_scm(c) == (True, None)
         assert built == []
         assert eliminated == []
+        assert keyed == []
         counts["checked"] += 1
     assert counts == {"checked": 746, "cones": 150, "enumerated": 566, "restricted": 2123}
 

@@ -281,6 +281,18 @@ def _assert_partial(partial, full, below):
     assert partial.items() <= full.items()
 
 
+def _assert_prefix_cache():
+    """Each cache entry holds the ranks of the two ends and of del_1 .. del_k for some k.
+
+    The upward pass reads r_{d-1} when it settles del_d, so the exact
+    ranks it keeps must never skip a map.
+    """
+    for counts, rank in homology._ranks_cache.values():
+        inner = rank.keys() - {0, max(counts) + 1}
+        assert inner == set(range(1, len(inner) + 1))
+        assert {0, max(counts) + 1} <= rank.keys()
+
+
 @pytest.mark.parametrize("order", ["fresh", "partial_first", "full_first", "shuffled"])
 def test_partial_ranks_are_the_truncated_full_ranks(monkeypatch, order):
     rng = random.Random(31)
@@ -293,13 +305,16 @@ def test_partial_ranks_are_the_truncated_full_ranks(monkeypatch, order):
         monkeypatch.setattr(homology, "_ranks_cache", {})
         if order == "full_first":
             assert reduced_homology_ranks(c) == full
+            _assert_prefix_cache()
         if order == "shuffled":
             rng.shuffle(belows)
         for below in belows:
             if order == "fresh":
                 monkeypatch.setattr(homology, "_ranks_cache", {})
             _assert_partial(reduced_homology_ranks(c, below=below), full, below)
+            _assert_prefix_cache()
         assert reduced_homology_ranks(c) == full
+        _assert_prefix_cache()
 
 
 def test_partial_ranks_settle_no_map_above_below(monkeypatch):

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from mixedprod import VariableUniverse, kernels, normalize, sweep
+from mixedprod import InvalidInput, VariableUniverse, kernels, normalize, sweep
 from mixedprod.sweep import (
     SweepConfig,
     _intersection_bound,
@@ -47,6 +47,16 @@ def test_pool_size_is_bounded_by_cores_and_chunks(monkeypatch, max_n, cores, siz
     result = run_sweep(SweepConfig(max_n, max_n, 2, "none", workers=5000))
     assert result.configs_checked == (4 if max_n == 1 else 37)
     assert sizes == ([size] if size else [])
+
+
+@pytest.mark.parametrize("level", ["Full", "", "slow"])
+def test_an_unknown_oracle_level_is_invalid_input(level):
+    spec = normalize(VariableUniverse(2, 2), [(1, 1)])
+    message = r"oracle level must be one of \('none', 'fast', 'full'\)"
+    with pytest.raises(InvalidInput, match=message):
+        check_spec(spec, level)
+    with pytest.raises(InvalidInput, match=message):
+        SweepConfig(oracle_level=level)
 
 
 def test_summand_count_bound_past_the_block_sizes():
