@@ -22,38 +22,49 @@ whether a new facet f may follow, and which placed facet blocks it, takes
 O(|f|^2) big-int ANDs instead of passes over the placed list.
 ``find_shelling`` sets and clears the bits as it backtracks.
 
-Reisner's and Duval's checks visit the same faces of c, listed once per
-complex (``SimplicialComplex.checked_faces``), one per orbit when it
-can.  If the facet set is invariant under S_n x S_m (the x-block and the
-y-block each permuted on their own), which ``_is_block_symmetric`` checks
-with the type count of ``kernels.whole_types`` that the hitting-set
-kernel and the intersection bound share, then the faces with the same
-(|F cap X|, |F cap Y|) form one orbit, their links are isomorphic and
-have the same homology.  The first face of each class in canonical
-order is the lex-least of its orbit, so testing only those faces finds
-the same first failing face, hence the same witness.  A facet set that
-is not invariant has every face checked.
+Reisner's and Duval's checks run on facet types when they can.  A
+complex whose facet set is invariant under S_n x S_m (the x-block and
+the y-block each permuted on their own) is a down-closed set of types
+(a, b), a x's and b y's, and ``SimplicialComplex.type_signature`` holds
+it as (n', m', sorted facet types T), read with the type count of
+``kernels.whole_types`` that the hitting-set kernel and the intersection
+bound share; n' is n, or 0 when no facet holds an x (m' likewise).  A
+face of type (a, b) lies in exactly the facets of the types (A, B) in T
+with A >= a and B >= b, so its link is, up to an order-preserving
+relabel of the vertices, the type complex
+(n' - a, m' - b, {(A - a, B - b) : (A, B) in T, A >= a, B >= b}),
+and Duval's facet cut c_l (below) is (n', m', {t in T : |t| >= l}).
+Faces of one type form one orbit, their links are isomorphic and have
+the same homology, and the first face of each type in ``all_faces``
+order, the first a x's and the first b y's, is the lex-least of its
+orbit.  So both checks walk the types in that order (``_face_types``),
+rank each link by its signature (``homology.reduced_homology_ranks``
+takes one), and find the same first failing face, hence the same
+witness, as a walk over every face.  They build no mask link, no cut,
+no face table and no rank key.  A complex without a signature has every
+face checked on its masks (``SimplicialComplex.checked_faces``).
 
 Duval's criterion runs Reisner's on every pure skeleton, yet no skeleton
 gets a face table of its own.  At level l, the link of F in the
 l-skeleton agrees in every degree Reisner asks about with lk_{c_l}(F),
 where the facet cut c_l is the complex generated by the facets of c of
-dimension >= l - 1 (``duval_scm`` proves it).  c_l is c until l - 1
-passes the least facet dimension, so there is one c_l per facet size,
-and each link of a c_l serves every level that c_l does; the faces c
-lists serve every level too.  ``link`` keeps each link on its complex,
-face table and rank key included.  A CM complex is pure, so c_l is c
-at every level and each link is one that Reisner's check has built and
-ranked: Duval's check then builds, keys and ranks nothing new.
+dimension >= l - 1 (``duval_scm`` proves it).  On the mask path c_l is
+c until l - 1 passes the least facet dimension, so there is one c_l per
+facet size, and each link of a c_l serves every level that c_l does;
+the faces c lists serve every level too.  ``link`` keeps each link on
+its complex, face table and rank key included.  A CM complex is pure,
+so c_l is c at every level and each link is one that Reisner's check
+has built and ranked: Duval's check then builds, keys and ranks nothing
+new.
 
 No link is enumerated again: ``link`` returns c itself for the empty
 face, since lk(empty) = {G : G a face} is c, and records c and F as the
 source of any other link, whose table ``homology._faces_by_dim`` then
-restricts from c's.  So Reisner's check enumerates c's table at the
-empty face, unless c is a cone and needs none there, and the only other
-tables enumerated are those of the c_l other than c, at most one per
-facet size above the least, from which their links' tables are
-restricted.
+restricts from c's.  So on the mask path Reisner's check enumerates c's
+table at the empty face, unless c is a cone and needs none there, and
+the only other tables enumerated are those of the c_l other than c, at
+most one per facet size above the least, from which their links' tables
+are restricted.
 """
 
 from __future__ import annotations
@@ -91,8 +102,18 @@ class SimplicialComplex:
 
     @cached_property
     def checked_faces(self) -> list[int]:
-        """The faces Reisner's and Duval's checks visit: one per orbit if invariant, else all."""
-        return list(_orbit_representatives(self)) if _is_block_symmetric(self) else all_faces(self)
+        """The faces Reisner's and Duval's checks visit on a complex with no type signature."""
+        return all_faces(self)
+
+    @cached_property
+    def type_signature(self) -> Optional[tuple]:
+        """(n', m', sorted facet types) if the facets are S_n x S_m invariant, else None.
+
+        n' is n, or 0 when no facet holds an x (m' likewise); the facet
+        types are read with ``kernels.whole_types``.
+        """
+        types = whole_types(self.masks, self.universe.n, self.universe.m)
+        return None if types is None else _signature(self.universe.n, self.universe.m, types)
 
     @cached_property
     def rank_key(self) -> tuple:
@@ -282,23 +303,39 @@ def find_shelling(c: SimplicialComplex, cap: int = SHELLING_FACET_CAP) -> Shelli
     return ShellingResult("shellable", tuple(facets[i] for i in found))
 
 
-def _is_block_symmetric(c: SimplicialComplex) -> bool:
-    """Whether the facet set is invariant under S_n x S_m: every type it holds, it holds whole."""
-    return whole_types(c.masks, c.universe.n, c.universe.m) is not None
+def _signature(n, m, types) -> tuple:
+    """The type signature (n', m', sorted types) of the type complex with facet types ``types``."""
+    return (n if any(a for a, _ in types) else 0, m if any(b for _, b in types) else 0,
+            tuple(sorted(types)))
 
 
-def _orbit_representatives(c: SimplicialComplex):
-    """The first face mask of each (|F cap X|, |F cap Y|) class, in ``all_faces`` order.
+def _face_types(signature):
+    """The face types (a, b) of a type complex, by size, more x's first: ``all_faces`` order."""
+    n, m, types = signature
+    for k in range(max(a + b for a, b in types) + 1):
+        for a in range(min(k, n), max(0, k - m) - 1, -1):
+            if any(a <= fa and k - a <= fb for fa, fb in types):
+                yield a, k - a
 
-    That face is the first a x-vertices plus the first b y-vertices;
-    among faces of one size, more x-vertices come first.
-    """
-    n = c.universe.n
-    for k in range(dim(c) + 2):
-        for a in range(min(k, n), max(0, k - c.universe.m) - 1, -1):
-            face = (1 << a) - 1 | ((1 << (k - a)) - 1) << n
-            if any(g & face == face for g in c.masks):
-                yield face
+
+def _type_link(signature, a, b) -> Optional[tuple]:
+    """The signature of the link of a type-(a, b) face, or None if there is no such face."""
+    n, m, types = signature
+    kept = [(fa - a, fb - b) for fa, fb in types if fa >= a and fb >= b]
+    return _signature(n - a, m - b, kept) if kept else None
+
+
+def _witness(c: SimplicialComplex, a: int, b: int) -> list[int]:
+    """The lex-least face of type (a, b): the first a x's and the first b y's."""
+    return [*range(a), *range(c.universe.n, c.universe.n + b)]
+
+
+def _failing_degree(lk, below: int) -> Optional[int]:
+    """The least i < below with H~_i(lk) nonzero, or None; ``lk`` is a complex or a signature."""
+    if below <= 0:
+        return None     # nothing below dim 0 but H~_{-1}, which vanishes off the [set()] complex
+    ranks = reduced_homology_ranks(lk, below=below)
+    return next((i for i in range(-1, below) if ranks[i]), None)
 
 
 def reisner_cm(c: SimplicialComplex):
@@ -307,19 +344,22 @@ def reisner_cm(c: SimplicialComplex):
     CM iff for every face F the reduced homology of link(F) vanishes in
     all degrees below its dimension.  Returns (True, None) or
     (False, (F, i)) with the first failing face in ``all_faces`` order,
-    as a sorted vertex list.  Only ``c.checked_faces`` are checked: one
-    face per orbit when the facet set is S_n x S_m invariant (see the
-    module docstring).
+    as a sorted vertex list.  A complex with a type signature is walked
+    type by type (see the module docstring).
     """
+    signature = c.type_signature
+    if signature is not None:
+        for a, b in _face_types(signature):
+            lk = _type_link(signature, a, b)
+            i = _failing_degree(lk, max(fa + fb for fa, fb in lk[2]) - 1)
+            if i is not None:
+                return False, (_witness(c, a, b), i)
+        return True, None
     for f in c.checked_faces:
         lk = link(c, f)
-        d = dim(lk)
-        if d <= 0:
-            continue  # nothing below dim 0 but H~_{-1}, which vanishes off the [set()] complex
-        ranks = reduced_homology_ranks(lk, below=d)
-        for i in range(-1, d):
-            if ranks[i]:
-                return False, (list(bit_indices(f)), i)
+        i = _failing_degree(lk, dim(lk))
+        if i is not None:
+            return False, (list(bit_indices(f)), i)
     return True, None
 
 
@@ -339,25 +379,38 @@ def duval_scm(c: SimplicialComplex):
     lies in a j-face: the link is the j-skeleton of L, and H~_i of the
     two agree for every i < j, the degrees Reisner's criterion asks
     about.  So L is asked for the degrees below j and no skeleton is
-    built.  c_l is c until l passes the least facet size; a new c_l is
-    built only when l passes the least facet size of the current one,
-    so there is one per facet size, and ``link`` keeps each link on its
-    c_l (while c_l is c, the ones Reisner's check built).  c_l is S_n x
-    S_m invariant when c is, so ``c.checked_faces`` serve every level.
+    built.  With a type signature, c_l is the facet types of size >= l
+    and L its link signature.  Otherwise c_l is c until l passes the
+    least facet size; a new c_l is built only when l passes the least
+    facet size of the current one, so there is one per facet size, and
+    ``link`` keeps each link on its c_l (while c_l is c, the ones
+    Reisner's check built).
     """
+    signature = c.type_signature
+    if signature is not None:
+        n, m, types = signature
+        faces = list(_face_types(signature))
+        for l in range(0, max(a + b for a, b in types) + 1):
+            cut = (n, m, [t for t in types if t[0] + t[1] >= l])
+            for a, b in faces:
+                if a + b >= l - 1:
+                    break   # faces come by size; a link of dimension <= 0 has no homology to check
+                lk = _type_link(cut, a, b)
+                i = None if lk is None else _failing_degree(lk, l - 1 - a - b)
+                if i is not None:
+                    return False, (l, (_witness(c, a, b), i))
+        return True, None
     c_l, least = c, min(f.bit_count() for f in c.masks)
     for l in range(0, dim(c) + 2):
         if l > least:
             c_l = SimplicialComplex(c.universe, tuple(g for g in c.masks if g.bit_count() >= l))
             least = min(f.bit_count() for f in c_l.masks)
         for f in c.checked_faces:
-            j = l - 1 - f.bit_count()
-            if j <= 0:
+            if f.bit_count() >= l - 1:
                 break   # faces come by size; a link of dimension <= 0 has no homology to check
             if not any(g & f == f for g in c_l.masks):
                 continue    # F is no face of the l-skeleton
-            ranks = reduced_homology_ranks(link(c_l, f), below=j)
-            for i in range(-1, j):
-                if ranks[i]:
-                    return False, (l, (list(bit_indices(f)), i))
+            i = _failing_degree(link(c_l, f), l - 1 - f.bit_count())
+            if i is not None:
+                return False, (l, (list(bit_indices(f)), i))
     return True, None

@@ -29,7 +29,32 @@ the absolute one with the star's faces dropped.  v is the lowest used
 vertex: the order-preserving relabel of ``_canonical_key`` sends it to
 vertex 0, so complexes that share a rank key share their relative cells
 up to that relabel, and with them the cached relative ranks.  The
-[set()] complex has no vertex and is ranked on its own table.
+[set()] complex has no vertex (nor star) and is ranked on its own
+table.
+
+A complex with a type signature (n, m, T) (``complexes``: its faces
+are the sets of a x's and b y's with (a, b) below some facet type in
+T, up to an order-preserving relabel of the used vertices) is ranked
+without a face table.  Put x_1..x_n at bits 0..n-1 and y_1..y_m at
+n..n+m-1, swapping the blocks when n = 0 (then T holds one type), so
+that x_1 is the lowest used vertex v, as on the mask path.  Let
+reach[i] = max{B : (A, B) in T, A >= i}, or -1 if there is none: the
+most y's of a face with i x's, so a set of type (i, j) is a face
+exactly when j <= reach[i], and reach never grows with i.  A relative
+cell is a face G without x_1 with G | x_1 no face.  If G has type
+(i, j), G | x_1 has type (i + 1, j) and G misses x_1 only if i < n, so
+the cells are all the sets of x_2..x_n and y_1..y_m of the types
+(i, j) with i < n and reach[i+1] < j <= reach[i] (``_TypeCells``).
+The count of type (i, j) is C(n - 1, i) * C(m, j), so the cell counts
+come by arithmetic and a dimension is listed only when a rank asks for
+it.  These are the cells of ``_relative_table`` after the relabel, the
+same boundary matrices, and they are ranked the same way.  The order of
+the cells within a dimension does not matter: another order permutes
+the rows and columns of each boundary map, which changes no rank over
+Q or over GF(2).  A cone is read off the types too: every facet holds
+every x when every A = n > 0 (every y when every B = m > 0), and a
+type complex with a vertex in every facet holds that vertex's whole
+block in every facet, as the facet set is invariant.
 
 Cones are acyclic and are answered before any table: when a vertex v
 lies in every facet, h(sigma) = +-(sigma | v) for v not in sigma (the
@@ -63,8 +88,9 @@ projective plane) del_d is eliminated exactly.  Either way r_d is
 known before del_{d+1} is reached.  So when the GF(2) homology
 vanishes below the top degree, nothing is eliminated.
 
-The cache is filled on demand.  Per relabeling-canonical complex
-(``SimplicialComplex.rank_key``) it holds the relative cell counts and
+The cache is filled on demand.  Per type signature, or per
+relabeling-canonical complex (``SimplicialComplex.rank_key``) when a
+complex has no signature, it holds the relative cell counts and
 the exact relative boundary ranks found so far, never the cells: those
 of the two ends and of a prefix del_1 .. del_k, which the upward pass
 extends.  ``reduced_homology_ranks(c, below=j)`` settles only del_1 ..
@@ -72,16 +98,19 @@ del_j, which determines H~_i for every i < j; it returns every degree
 that the known ranks determine, so a complex that is already ranked is
 answered from the cache without a face table; a link's table,
 restricted or not, and its relative cells are built only when a rank
-misses.  Reisner's criterion asks a link for the degrees below its
-dimension; Duval's asks each skeleton-link only for the degrees its
-level needs, so a level that fails early never pays for the maps above
-it.  The exhaustive oracle sweeps stay cheap because the links showing
-up there repeat heavily.
+misses.  Two signatures are keyed apart even when their complexes are
+isomorphic (the k-skeleton of one simplex read with two block splits):
+a miss more, never a wrong rank.  Reisner's criterion asks a link for
+the degrees below its dimension; Duval's asks each skeleton-link only
+for the degrees its level needs, so a level that fails early never
+pays for the maps above it.  The exhaustive oracle sweeps stay cheap
+because the links showing up there repeat heavily.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from . import kernels
 from .ideals import InvalidInput
@@ -189,16 +218,14 @@ def _relative_table(c) -> dict[int, list[int]]:
     """dim -> the cells of (c, st v) in increasing order, v the lowest used vertex.
 
     The cells are the faces G with G | v no face: the faces without v
-    that are not in lk(v).  The [set()] complex has no vertex and keeps
-    its own table.
+    that are not in lk(v).  The [set()] complex has no vertex (v = 0)
+    and no star, so its one face is its one cell.
     """
     table = c.face_table
     union = 0
     for f in c.masks:
         union |= f
     v = union & -union
-    if not v:
-        return table
     star = {g for faces in table.values() for g in faces if g & v}
     return {d: [g for g in faces if g | v not in star] for d, faces in table.items()}
 
@@ -220,9 +247,55 @@ def _canonical_key(masks) -> tuple:
                         for f in masks))
 
 
+class _TypeCells(dict):
+    """dim -> the relative cells of a type complex that is no cone, in increasing order.
+
+    The x-block comes first (the blocks swap when no x is used): the
+    x-vertices are bits 0..n-1, the y-vertices n..n+m-1, and v is x_1,
+    bit 0.  The cells are the sets of the types (i, j) with i < n and
+    reach[i+1] < j <= reach[i] (module docstring), and a dimension is
+    listed when a rank first asks for it.  The [set()] complex has no
+    vertex: its one cell is the empty face.
+    """
+
+    def __init__(self, signature):
+        super().__init__()
+        n, m, types = signature
+        if not n:
+            n, m, types = m, n, [(b, a) for a, b in types]
+        reach = [-1] * (n + 2)  # reach[i]: the most y's of a face with i x's, or -1
+        for a, b in types:
+            reach[a] = b        # an antichain has one type per x-count
+        for i in range(n - 1, -1, -1):
+            reach[i] = max(reach[i], reach[i + 1])
+        self.n, self.m = n, m
+        self.types = {d: [] for d in range(-1, max(a + b for a, b in types))}
+        for i in range(n):
+            for j in range(reach[i + 1] + 1, reach[i] + 1):
+                self.types[i + j - 1].append((i, j))
+
+    def counts(self) -> dict[int, int]:
+        """dim -> the number of cells, by arithmetic."""
+        if not self.n:
+            return {-1: 1}
+        return {d: sum(comb(self.n - 1, i) * comb(self.m, j) for i, j in types)
+                for d, types in self.types.items()}
+
+    def __missing__(self, d):
+        n = self.n
+        cells = [] if n else [0]
+        for i, j in self.types[d]:
+            xs = [x << 1 for x in kernels.subsets(n - 1, i)]
+            cells += [y << n | x for y in kernels.subsets(self.m, j) for x in xs]
+        cells.sort()
+        self[d] = cells
+        return cells
+
+
 def reduced_homology_ranks(c, below: int | None = None) -> dict[int, int]:
     """Ranks of the reduced homology groups H~_d, for every d the known ranks determine.
 
+    ``c`` is a complex or a type signature (n, m, facet types).
     rank H~_d = rank H_d(c, st v) = (#relative d-cells) - rank del_d -
     rank del_{d+1}, with v the lowest used vertex; the (-1)-st rank is 1
     for the [set()] complex and 0 otherwise.  Only del_1 .. del_below
@@ -232,24 +305,33 @@ def reduced_homology_ranks(c, below: int | None = None) -> dict[int, int]:
     facets share a vertex) is acyclic and is answered at once, with
     every degree -1..dim zero.
     """
-    apex = -1
-    for f in c.masks:
-        apex &= f
-    if apex:
-        return dict.fromkeys(range(-1, max(f.bit_count() for f in c.masks)), 0)
-    entry = _ranks_cache.get(c.rank_key)
+    signature = c if type(c) is tuple else c.type_signature
+    if signature is None:
+        apex = -1
+        for f in c.masks:
+            apex &= f
+        cone, size = apex, max(f.bit_count() for f in c.masks)
+    else:
+        n, m, types = signature
+        cone = (n and all(a == n for a, _ in types)) or (m and all(b == m for _, b in types))
+        size = max(a + b for a, b in types)
+    if cone:
+        return dict.fromkeys(range(-1, size), 0)
+    key = c.rank_key if signature is None else signature
+    entry = _ranks_cache.get(key)
     table = None
     if entry is None:
-        table = _relative_table(c)
-        counts = {d: len(cells) for d, cells in table.items()}
-        entry = _ranks_cache[c.rank_key] = (counts, {0: 0, max(counts) + 1: 0})
+        table = _relative_table(c) if signature is None else _TypeCells(signature)
+        counts = ({d: len(cells) for d, cells in table.items()} if signature is None
+                  else table.counts())
+        entry = _ranks_cache[key] = (counts, {0: 0, max(counts) + 1: 0})
     counts, rank = entry
     top = max(counts)
     for d in range(1, (top if below is None else min(below, top)) + 1):
         if d in rank:
             continue
         if table is None:
-            table = _relative_table(c)
+            table = _relative_table(c) if signature is None else _TypeCells(signature)
         f2 = _rank_f2(table, d)
         rank[d] = (f2 if counts[d - 1] - rank[d - 1] == f2
                    else kernels.rank_int(_boundary_rows(table, d)))

@@ -112,8 +112,8 @@ def minimal_hitting_sets(masks, nbits, n):
             # the one b that can qualify: the least with every set hit
             b = max((m - d + 1 for c, d in types if c <= n - a), default=0)
             if b <= m and (not a or any(0 < c <= n - a + 1 and d <= m - b for c, d in types)):
-                xs = _subsets(n, a)
-                out += [y << n | x for y in _subsets(m, b) for x in xs]
+                xs = subsets(n, a)
+                out += [y << n | x for y in subsets(m, b) for x in xs]
         out.sort()
         return out
     return _mmcs_transversals(sets)
@@ -152,7 +152,7 @@ def whole_types(masks, n, m):
     return list(counts)
 
 
-def _subsets(k, r):
+def subsets(k, r):
     """The r-subsets of k bits as masks, in increasing order (Gosper's hack)."""
     if r == 0:
         return [0]

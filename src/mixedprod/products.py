@@ -387,6 +387,16 @@ def facet_partition(spec: MixedProductSpec) -> list[list[int]]:
 def shelling_order(spec: MixedProductSpec) -> Optional[list[int]]:
     """A shelling order of the facets (bitmasks) when the spec is sequentially CM, else None.
 
+    See ``shell_blocks``, which orders the blocks of ``facet_partition``.
+    """
+    if not is_scm_closed_form(spec).holds:
+        return None
+    return shell_blocks(spec.profile.sigma, facet_partition(spec))
+
+
+def shell_blocks(sigma, blocks) -> list[int]:
+    """The facets of a sequentially CM spec in shelling order, from its sigma and facet blocks.
+
     Start at the block of largest sigma (leftmost on ties) and grow an
     interval by appending the neighbour of larger sigma (left on ties),
     each block in ``facet_partition`` (lex) order, which shells it.
@@ -397,14 +407,10 @@ def shelling_order(spec: MixedProductSpec) -> Optional[list[int]]:
     a facet of block k + 1, which came earlier.  Mirror x and y right of
     the peak.  With unit q-steps this is the paper's ascending order.
     """
-    if not is_scm_closed_form(spec).holds:
-        return None
-    sigma = spec.profile.sigma
     peak = sigma.index(max(sigma))
     # sigma is unimodal, so both sides descend from the peak, and a stable
     # sort by sigma merges them, the left side first on ties
     ks = sorted([*range(peak, -1, -1), *range(peak + 1, len(sigma))], key=lambda k: -sigma[k])
-    blocks = facet_partition(spec)
     return [f for k in ks for f in blocks[k]]
 
 

@@ -211,8 +211,8 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
             mismatches.append(_mismatch(spec, "cm_strongly_connected",
                                         cm.holds, strong, cm.witness))
 
-        order = products.shelling_order(spec)
-        if order is not None:
+        if scm.holds:
+            order = products.shell_blocks(profile.sigma, blocks)
             ok, witness = complexes.verify_shelling_order(complex_, order)
             oracle["shelling_order"] = ok
             if not ok:

@@ -22,13 +22,27 @@ from mixedprod import (
     skeleton,
     verify_shelling_order,
 )
-from mixedprod.complexes import _is_block_symmetric, all_faces
+from mixedprod.complexes import SimplicialComplex, all_faces
 from mixedprod.ideals import vertex_lists
 from mixedprod.kernels import bit_indices
 
 
 def complex_on(n, facets):
     return make_complex(VariableUniverse(n, 0), facets)
+
+
+def on_one_block(c):
+    """c with its vertices in one block of n + m x's: the same faces, no longer S_n x S_m
+    invariant unless c is a skeleton of the simplex, so the checks take the mask path."""
+    return SimplicialComplex(VariableUniverse(c.universe.size, 0), c.masks)
+
+
+def masks_only(c):
+    """A copy of c that Reisner's, Duval's and the rank checks treat as having no type
+    signature: the mask path, the reference of the type path."""
+    copy = SimplicialComplex(c.universe, c.masks)
+    copy.__dict__["type_signature"] = None      # the slot the cached property fills
+    return copy
 
 
 EMPTYC = complex_on(2, [set()])
@@ -135,9 +149,12 @@ def test_restricted_tables_match_enumeration():
 
 
 def test_duval_after_reisner_enumerates_one_table_per_cut(monkeypatch):
-    # Reisner's check enumerates c's table; Duval's check after it
-    # enumerates only the tables of the c_l other than c, one per facet
-    # size above the least, and restricts every link's table from those.
+    # On the mask path, Reisner's check enumerates c's table; Duval's check
+    # after it enumerates only the tables of the c_l other than c, one per
+    # facet size above the least, and restricts every link's table from
+    # those.  The Stanley-Reisner complexes go on one block, which leaves
+    # them without a type signature; the mask path checks every face, so
+    # they stop at n + m <= 8 vertices.
     from mixedprod import complexes, expand_generators, homology, stanley_reisner_complex
     from mixedprod.sweep import enumerate_specs
     cache = {}
@@ -147,8 +164,10 @@ def test_duval_after_reisner_enumerates_one_table_per_cut(monkeypatch):
     monkeypatch.setattr(complexes, "_faces_by_dim", lambda c: built.append(c) or faces(c))
     checked = 0
     for spec in enumerate_specs(5, 5, 6):
-        c = stanley_reisner_complex(expand_generators(spec))
-        if is_pure(c):
+        if spec.universe.size > 8:
+            continue
+        c = on_one_block(stanley_reisner_complex(expand_generators(spec)))
+        if is_pure(c) or c.type_signature is not None:
             continue
         cache.clear()
         reisner_cm(c)
@@ -158,7 +177,7 @@ def test_duval_after_reisner_enumerates_one_table_per_cut(monkeypatch):
         assert len(cuts) <= len({g.bit_count() for g in c.masks}) - 1
         assert all(any(b.source[0] is k for k in [c, *cuts]) for b in built if b.source)
         checked += 1
-    assert checked == 2284
+    assert checked == 844
 
 
 def test_strong_connectivity():
@@ -430,12 +449,12 @@ def test_block_symmetry_needs_both_generators():
              (VariableUniverse(1, 1), [{0}, {1}], True)]
     for universe, facets, symmetric in cases:
         c = make_complex(universe, facets)
-        assert _is_block_symmetric(c) == symmetric
+        assert (c.type_signature is not None) == symmetric
         assert generator_map_symmetric(c.masks, universe.n, universe.m) == symmetric
 
 
 def test_the_type_count_is_the_generator_map_check():
-    # _is_block_symmetric reads kernels.whole_types; on antichains of whole
+    # the type signature reads kernels.whole_types; on antichains of whole
     # types, with a set dropped or added or not, both tests agree
     from itertools import combinations
     import random
@@ -459,7 +478,7 @@ def test_the_type_count_is_the_generator_map_check():
             facets.add(frozenset(rng.sample(range(u.size), rng.randint(1, u.size))))
         c = make_complex(u, facets or [set()])
         symmetric = generator_map_symmetric(c.masks, n, m)
-        assert _is_block_symmetric(c) == symmetric
+        assert (c.type_signature is not None) == symmetric
         assert (kernels.whole_types(c.masks, n, m) is not None) == symmetric
         seen[symmetric] += 1
     assert seen[True] > 100 and seen[False] > 60
@@ -474,7 +493,7 @@ def test_orbit_reduction_falls_back_on_asymmetric_complexes():
         facets = [rng.sample(range(u.size), rng.randint(1, min(3, u.size)))
                   for _ in range(rng.randint(2, 6))]
         c = make_complex(u, facets)
-        if _is_block_symmetric(c):
+        if c.type_signature is not None:
             continue
         checked += 1
         expected = reisner_reference(c)
@@ -490,7 +509,7 @@ def test_orbit_reduction_on_stanley_reisner_complexes():
     failing = 0
     for spec in enumerate_specs(3, 3, 3):
         c = stanley_reisner_complex(expand_generators(spec))
-        assert _is_block_symmetric(c)
+        assert c.type_signature is not None
         expected = reisner_reference(c)
         assert reisner_cm(c) == expected
         assert duval_scm(c) == duval_reference(c)
@@ -499,18 +518,26 @@ def test_orbit_reduction_on_stanley_reisner_complexes():
 
 
 def test_one_block_symmetry_checks_every_face(monkeypatch):
+    # a complex with no type signature has every face linked; one with a
+    # signature has one link signature per (x-count, y-count) class and
+    # no mask link
     from mixedprod import complexes
     c = make_complex(VariableUniverse(3, 2), [{0, 1, 2, 3}])   # y2 is absent
-    assert not _is_block_symmetric(c)
-    seen = []
-    real = complexes.link
+    assert c.type_signature is None
+    seen, typed = [], []
+    real, real_type_link = complexes.link, complexes._type_link
     monkeypatch.setattr(complexes, "link", lambda cx, f: seen.append(f) or real(cx, f))
+    monkeypatch.setattr(complexes, "_type_link",
+                        lambda sig, a, b: typed.append((a, b)) or real_type_link(sig, a, b))
     assert reisner_cm(c) == (True, None)
-    assert seen == all_faces(c) and len(seen) == 16
+    assert seen == all_faces(c) and len(seen) == 16 and typed == []
     seen.clear()
     full = make_complex(VariableUniverse(3, 2), [{0, 1, 2, 3, 4}])
+    assert full.type_signature == (3, 2, ((3, 2),))
     assert reisner_cm(full) == (True, None)
-    assert len(seen) == 12      # one face per (x-count, y-count) class
+    assert seen == [] and len(typed) == 12      # one face per (x-count, y-count) class
+    assert typed == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
+                     (3, 0), (2, 1), (1, 2), (3, 1), (2, 2), (3, 2)]
 
 
 def test_one_symmetry_check_per_complex(monkeypatch):
@@ -521,7 +548,7 @@ def test_one_symmetry_check_per_complex(monkeypatch):
     from mixedprod.sweep import check_spec
     spec = normalize(VariableUniverse(3, 3), [(1, 2), (2, 1)])
     c = stanley_reisner_complex(expand_generators(spec))
-    assert _is_block_symmetric(c)
+    assert c.type_signature == (3, 3, ((0, 3), (1, 1), (3, 0)))
     calls = []
     types = complexes.whole_types
     monkeypatch.setattr(complexes, "whole_types", lambda *a: calls.append(a) or types(*a))
@@ -548,11 +575,80 @@ def test_orbit_reduction_on_every_invariant_complex():
                     c = make_complex(u, [set(xs) | set(ys) for a, b in chosen
                                          for xs in combinations(range(n), a)
                                          for ys in combinations(range(n, n + m), b)])
-                    assert _is_block_symmetric(c)
+                    assert c.type_signature is not None
                     assert reisner_cm(c) == reisner_reference(c)
                     assert duval_scm(c) == duval_reference(c)
                     checked += 1
     assert checked == 207
+
+
+def type_complexes(max_n, max_m):
+    """(universe, facet types, complex) for every antichain of types with n <= max_n, m <= max_m."""
+    from itertools import combinations
+    for n in range(max_n + 1):
+        for m in range(0 if n else 1, max_m + 1):
+            u = VariableUniverse(n, m)
+            types = [(a, b) for a in range(n + 1) for b in range(m + 1)]
+            for k in range(1, min(n, m) + 2):     # an antichain has at most min(n, m) + 1 types
+                for chosen in combinations(types, k):
+                    if any(s != t and s[0] <= t[0] and s[1] <= t[1]
+                           for s in chosen for t in chosen):
+                        continue
+                    yield u, chosen, make_complex(u, [set(xs) | set(ys) for a, b in chosen
+                                                      for xs in combinations(range(n), a)
+                                                      for ys in combinations(range(n, n + m), b)])
+
+
+def test_the_type_path_matches_the_mask_path(monkeypatch):
+    # Every invariant complex with n, m <= 4: its type signature, its ranks
+    # and Reisner's and Duval's verdicts and witnesses, type path against
+    # mask path.  Each path keys the rank cache its own way, so neither
+    # reads the other's entries.
+    from mixedprod import homology
+    monkeypatch.setattr(homology, "_ranks_cache", {})
+    counts = {"checked": 0, "not_cm": 0, "not_scm": 0, "homology": 0}
+    for u, chosen, c in type_complexes(4, 4):
+        n, m = (u.n if any(a for a, _ in chosen) else 0), (u.m if any(b for _, b in chosen) else 0)
+        assert c.type_signature == (n, m, tuple(sorted(chosen)))
+        reference = masks_only(c)
+        ranks = reduced_homology_ranks(c)
+        assert ranks == reduced_homology_ranks(reference)
+        assert set(ranks) == set(range(-1, dim(c) + 1))
+        cm, scm = reisner_cm(c), duval_scm(c)
+        assert cm == reisner_cm(reference)
+        assert scm == duval_scm(reference)
+        counts["checked"] += 1
+        counts["not_cm"] += not cm[0]
+        counts["not_scm"] += not scm[0]
+        counts["homology"] += any(ranks.values())
+    empty = make_complex(VariableUniverse(2, 2), [set()])
+    assert empty.type_signature == (0, 0, ((0, 0),))
+    for c in (empty, masks_only(empty)):
+        assert reduced_homology_ranks(c) == {-1: 1}
+        assert reisner_cm(c) == duval_scm(c) == (True, None)
+    assert counts == {"checked": 886, "not_cm": 516, "not_scm": 171, "homology": 782}
+
+
+def test_typed_relative_cells_are_the_mask_cells_relabeled():
+    # The cells listed by type, dimension by dimension, are those of
+    # ``homology._relative_table`` after the order-preserving relabel of
+    # the used vertices, which ``_canonical_key`` makes.
+    from mixedprod import homology
+    checked = 0
+    for u, chosen, c in type_complexes(4, 4):
+        signature = c.type_signature
+        if reduce(and_, c.masks):
+            continue    # a cone has no relative cells to list
+        union = reduce(lambda x, y: x | y, c.masks)
+        used = bit_indices(union)
+        table = homology._relative_table(masks_only(c))
+        typed = homology._TypeCells(signature)
+        assert typed.counts() == {d: len(cells) for d, cells in table.items()}
+        for d, cells in table.items():
+            relabeled = sorted(sum(1 << used.index(v) for v in bit_indices(f)) for f in cells)
+            assert typed[d] == relabeled
+        checked += 1
+    assert checked == 782
 
 
 def _has_a_size_gap(c):
@@ -595,7 +691,7 @@ def test_duval_on_non_pure_complexes_with_size_gaps():
             continue
         expected = duval_reference(c)
         assert duval_scm(c) == expected
-        symmetric = _is_block_symmetric(c)
+        symmetric = c.type_signature is not None
         checked[symmetric] += 1
         failing[symmetric] += not expected[0]
     assert checked[True] >= 100 and checked[False] >= 100
@@ -603,13 +699,13 @@ def test_duval_on_non_pure_complexes_with_size_gaps():
 
 
 def test_duval_after_reisner_reuses_every_link(monkeypatch):
-    # Reisner's check builds c's table at the empty face, whose link is c,
-    # and restricts every link's table from it.  A CM complex is pure, so
-    # each c_l is c and every link Duval's check asks is one that Reisner's
-    # check has ranked: Duval's check builds no table and eliminates nothing.
-    # A cone is answered without a table, so a cone whose links are all
-    # cones has its table built by neither check.  The links live on c,
-    # rank keys included, so Duval's check keys no complex either.
+    # The mask path, on Stanley-Reisner complexes put on one block, where
+    # they have no type signature: Reisner's check builds c's table at the
+    # empty face, whose link is c, and restricts every link's table from
+    # it.  A CM complex is pure, so each c_l is c and every link Duval's
+    # check asks is one that Reisner's check has ranked: Duval's check
+    # builds no table and eliminates nothing.  The links live on c, rank
+    # keys included, so Duval's check keys no complex either.
     from mixedprod import complexes, expand_generators, homology, kernels, stanley_reisner_complex
     from mixedprod.products import is_cm_closed_form
     from mixedprod.sweep import enumerate_specs
@@ -628,7 +724,9 @@ def test_duval_after_reisner_reuses_every_link(monkeypatch):
         if not is_cm_closed_form(spec).holds:
             continue
         cache.clear()
-        c = stanley_reisner_complex(expand_generators(spec))
+        c = on_one_block(stanley_reisner_complex(expand_generators(spec)))
+        if c.type_signature is not None:
+            continue
         cone = reduce(and_, c.masks) != 0
         built.clear()
         assert reisner_cm(c) == (True, None)
@@ -648,7 +746,7 @@ def test_duval_after_reisner_reuses_every_link(monkeypatch):
         assert eliminated == []
         assert keyed == []
         counts["checked"] += 1
-    assert counts == {"checked": 746, "cones": 150, "enumerated": 566, "restricted": 2123}
+    assert counts == {"checked": 596, "cones": 150, "enumerated": 596, "restricted": 1923}
 
 
 def test_duval_reads_skeleton_faces_off_the_face_table(monkeypatch):

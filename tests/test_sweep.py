@@ -112,9 +112,60 @@ def test_check_spec_lists_nothing_as_frozensets(monkeypatch, level):
         assert set(record["oracle"]) >= set(sweep.ORACLE_CHECKS["fast"]) - {"shelling_order"}
         shelled += record["oracle"].get("shelling_order", False)
     assert shelled == 2
-    # the facet blocks are listed once more for each shelling order
+    # the shelling order is read off the facet blocks, which are listed once per spec
     assert sorted(calls) == sorted(["closed_form_primary_decomposition"] * 4
-                                   + ["facet_partition"] * 6 + ["verify_shelling_order"] * 2)
+                                   + ["facet_partition"] * 4 + ["verify_shelling_order"] * 2)
+
+
+@pytest.mark.parametrize("level", ["fast", "full"])
+def test_each_closed_form_is_computed_once_per_spec(monkeypatch, level):
+    # the shelling order comes from the facet blocks and the SCM verdict
+    # that check_spec holds already
+    from mixedprod import products
+    calls = []
+    for name in ("facet_partition", "is_scm_closed_form", "shelling_order"):
+        def counted(*args, name=name, real=getattr(products, name)):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(products, name, counted)
+    specs = list(enumerate_specs(3, 3, 3))
+    shelled = 0
+    for spec in specs:
+        calls.clear()
+        record = check_spec(spec, level)
+        assert record["mismatches"] == []
+        assert sorted(calls) == ["facet_partition", "is_scm_closed_form"]
+        shelled += record["oracle"].get("shelling_order", False)
+    assert shelled == sum(products.is_scm_closed_form(s).holds for s in specs) > 0
+
+
+def test_a_full_check_of_an_invariant_spec_builds_no_face_table(monkeypatch):
+    # every Stanley-Reisner complex of a spec is S_n x S_m invariant, so
+    # Reisner's and Duval's checks run on its facet types: no face table,
+    # no mask link and no rank key of relabeled masks
+    from mixedprod import complexes, homology
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a mask-path step in a full check")
+
+    for module, name in [(complexes, "_faces_by_dim"), (homology, "_faces_by_dim"),
+                         (complexes, "_canonical_key"), (homology, "_canonical_key"),
+                         (complexes, "link")]:
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(homology, "_ranks_cache", {})
+    ranked = []
+    real = complexes.reduced_homology_ranks
+    monkeypatch.setattr(complexes, "reduced_homology_ranks",
+                        lambda lk, below: ranked.append(lk) or real(lk, below))
+    verdicts = set()
+    for spec in enumerate_specs(4, 4, 3):
+        record = check_spec(spec, "full")
+        assert record["mismatches"] == [] and record["skipped"] == []
+        verdicts.add((record["oracle"]["cm_reisner"], record["oracle"]["scm_duval"]))
+    assert verdicts == {(True, True), (False, True), (False, False)}
+    assert ranked and all(type(lk) is tuple for lk in ranked)
+    assert homology._ranks_cache and all(type(k[2]) is tuple for k in homology._ranks_cache)
 
 
 def test_primary_decomposition_check_reads_the_grouping(monkeypatch):
