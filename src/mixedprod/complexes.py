@@ -40,40 +40,25 @@ order, the first a x's and the first b y's, is the lex-least of its
 orbit.  So both checks walk the types in that order (``_face_types``),
 rank each link by its signature (``homology.reduced_homology_ranks``
 takes one), and find the same first failing face, hence the same
-witness, as a walk over every face.  They build no mask link, no cut,
-no face table and no rank key.  A complex without a signature has every
-face checked on its masks (``SimplicialComplex.checked_faces``).
+witness, as a walk over every face.  They build no mask link, no cut
+and no face table.  A complex without a signature has every face
+checked on its masks, from the definitions.  ``_walk`` makes the choice
+between the two, so each check is one loop over it.
 
 Duval's criterion runs Reisner's on every pure skeleton, yet no skeleton
-gets a face table of its own.  At level l, the link of F in the
-l-skeleton agrees in every degree Reisner asks about with lk_{c_l}(F),
-where the facet cut c_l is the complex generated by the facets of c of
-dimension >= l - 1 (``duval_scm`` proves it).  On the mask path c_l is
-c until l - 1 passes the least facet dimension, so there is one c_l per
-facet size, and each link of a c_l serves every level that c_l does;
-the faces c lists serve every level too.  ``link`` keeps each link on
-its complex, face table and rank key included.  A CM complex is pure,
-so c_l is c at every level and each link is one that Reisner's check
-has built and ranked: Duval's check then builds, keys and ranks nothing
-new.
-
-No link is enumerated again: ``link`` returns c itself for the empty
-face, since lk(empty) = {G : G a face} is c, and records c and F as the
-source of any other link, whose table ``homology._faces_by_dim`` then
-restricts from c's.  So on the mask path Reisner's check enumerates c's
-table at the empty face, unless c is a cone and needs none there, and
-the only other tables enumerated are those of the c_l other than c, at
-most one per facet size above the least, from which their links' tables
-are restricted.
+is built.  At level l, the link of F in the l-skeleton agrees in every
+degree Reisner asks about with lk_{c_l}(F), where the facet cut c_l is
+the complex generated by the facets of c of dimension >= l - 1
+(``duval_scm`` proves it).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .homology import _canonical_key, _faces_by_dim, reduced_homology_ranks
+from .homology import _faces_by_dim, reduced_homology_ranks
 from .ideals import DomainError, InvalidInput, VariableUniverse, vertex_lists
 from .kernels import bit_indices, whole_types
 
@@ -84,26 +69,17 @@ SHELLING_FACET_CAP = 10
 class SimplicialComplex:
     """Facet bitmasks, an inclusion antichain, in increasing order.
 
-    ``source`` is (parent, F) for a link, lk_parent(F): its faces are
-    those of the parent that contain F, minus F, and its face table is
-    restricted from the parent's.  ``links`` holds the links ``link``
-    built, by face.  Neither plays a part in equality.
+    The face table and the type signature are computed on first use and
+    kept on the complex.
     """
 
     universe: VariableUniverse
     masks: Tuple[int, ...]
-    source: Optional[tuple] = field(default=None, compare=False, repr=False)
-    links: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
     def face_table(self) -> dict[int, list[int]]:
-        """dim -> face masks in increasing order, built once per complex."""
+        """dim -> face masks in increasing order, enumerated once per complex."""
         return _faces_by_dim(self)
-
-    @cached_property
-    def checked_faces(self) -> list[int]:
-        """The faces Reisner's and Duval's checks visit on a complex with no type signature."""
-        return all_faces(self)
 
     @cached_property
     def type_signature(self) -> Optional[tuple]:
@@ -114,11 +90,6 @@ class SimplicialComplex:
         """
         types = whole_types(self.masks, self.universe.n, self.universe.m)
         return None if types is None else _signature(self.universe.n, self.universe.m, types)
-
-    @cached_property
-    def rank_key(self) -> tuple:
-        """The relabeling-canonical key of the homology rank cache."""
-        return _canonical_key(self.masks)
 
     def __repr__(self):
         parts = ["{" + ",".join(map(self.universe.var_name, f)) + "}"
@@ -174,12 +145,8 @@ def link(c: SimplicialComplex, face: int) -> SimplicialComplex:
     """The link of the face mask ``face``: {G - face : G a facet containing face}.
 
     The empty face's link is c itself.  Any other link keeps c's facet
-    order, as G -> G - face increases on the G containing face, has
-    (c, face) as its source, and is built once and kept in ``c.links``.
+    order, as G -> G - face increases on the G containing face.
     """
-    lk = c.links.get(face)
-    if lk is not None:
-        return lk
     if not 0 <= face < 1 << c.universe.size:
         raise InvalidInput(f"face mask {face} is out of range for universe "
                            f"{c.universe.n}+{c.universe.m}")
@@ -188,8 +155,7 @@ def link(c: SimplicialComplex, face: int) -> SimplicialComplex:
     containing = tuple(g ^ face for g in c.masks if g & face == face)
     if not containing:
         raise InvalidInput(f"{list(bit_indices(face))} is not a face of the complex")
-    lk = c.links[face] = SimplicialComplex(c.universe, containing, (c, face))
-    return lk
+    return SimplicialComplex(c.universe, containing)
 
 
 def is_strongly_connected(c: SimplicialComplex) -> bool:
@@ -325,11 +291,6 @@ def _type_link(signature, a, b) -> Optional[tuple]:
     return _signature(n - a, m - b, kept) if kept else None
 
 
-def _witness(c: SimplicialComplex, a: int, b: int) -> list[int]:
-    """The lex-least face of type (a, b): the first a x's and the first b y's."""
-    return [*range(a), *range(c.universe.n, c.universe.n + b)]
-
-
 def _failing_degree(lk, below: int) -> Optional[int]:
     """The least i < below with H~_i(lk) nonzero, or None; ``lk`` is a complex or a signature."""
     if below <= 0:
@@ -338,28 +299,56 @@ def _failing_degree(lk, below: int) -> Optional[int]:
     return next((i for i in range(-1, below) if ranks[i]), None)
 
 
+def _walk(c: SimplicialComplex, skeleta: bool = False):
+    """(l, face mask, link, below) for each link Reisner's or Duval's check ranks, lazily.
+
+    Reisner's check (l None) takes every face F of c, with lk_c(F) and
+    its dimension.  Duval's (``skeleta``) takes, at each level l, each
+    face F of c_l with |F| < l - 1, with lk_{c_l}(F) and l - 1 - |F|;
+    c_l is generated by the facets of c of size >= l.  The faces come
+    in ``all_faces`` order, and the link is ranked in the degrees below
+    ``below``.  With a type signature, the link is the link's signature
+    and F the first face of its type (module docstring); otherwise both
+    come from the definitions.
+    """
+    signature = c.type_signature
+    if signature is None:
+        for l in range(dim(c) + 2) if skeleta else [None]:
+            cut = c if l is None else SimplicialComplex(
+                c.universe, tuple(g for g in c.masks if g.bit_count() >= l))
+            for f in all_faces(cut):
+                if l is not None and f.bit_count() >= l - 1:
+                    break   # faces come by size; a link of dimension <= 0 has no homology to check
+                lk = link(cut, f)
+                yield l, f, lk, dim(lk) if l is None else l - 1 - f.bit_count()
+        return
+    n, m, types = signature
+    # each of Duval's levels walks a prefix of the face types, so they are
+    # listed once; Reisner's single walk lists them only up to a failure
+    faces = list(_face_types(signature)) if skeleta else _face_types(signature)
+    for l in range(max(a + b for a, b in types) + 1) if skeleta else [None]:
+        cut = signature if l is None else (n, m, [t for t in types if t[0] + t[1] >= l])
+        for a, b in faces:
+            if l is not None and a + b >= l - 1:
+                break
+            lk = _type_link(cut, a, b)
+            if lk is not None:  # (a, b) is a face type of c_l
+                yield (l, (1 << a) - 1 | ((1 << b) - 1) << c.universe.n, lk,
+                       max(fa + fb for fa, fb in lk[2]) - 1 if l is None else l - 1 - a - b)
+
+
 def reisner_cm(c: SimplicialComplex):
     """Reisner's criterion over the rationals.
 
     CM iff for every face F the reduced homology of link(F) vanishes in
     all degrees below its dimension.  Returns (True, None) or
     (False, (F, i)) with the first failing face in ``all_faces`` order,
-    as a sorted vertex list.  A complex with a type signature is walked
-    type by type (see the module docstring).
+    as a sorted vertex list.
     """
-    signature = c.type_signature
-    if signature is not None:
-        for a, b in _face_types(signature):
-            lk = _type_link(signature, a, b)
-            i = _failing_degree(lk, max(fa + fb for fa, fb in lk[2]) - 1)
-            if i is not None:
-                return False, (_witness(c, a, b), i)
-        return True, None
-    for f in c.checked_faces:
-        lk = link(c, f)
-        i = _failing_degree(lk, dim(lk))
+    for _, face, lk, below in _walk(c):
+        i = _failing_degree(lk, below)
         if i is not None:
-            return False, (list(bit_indices(f)), i)
+            return False, (list(bit_indices(face)), i)
     return True, None
 
 
@@ -380,37 +369,10 @@ def duval_scm(c: SimplicialComplex):
     two agree for every i < j, the degrees Reisner's criterion asks
     about.  So L is asked for the degrees below j and no skeleton is
     built.  With a type signature, c_l is the facet types of size >= l
-    and L its link signature.  Otherwise c_l is c until l passes the
-    least facet size; a new c_l is built only when l passes the least
-    facet size of the current one, so there is one per facet size, and
-    ``link`` keeps each link on its c_l (while c_l is c, the ones
-    Reisner's check built).
+    and L its link signature.
     """
-    signature = c.type_signature
-    if signature is not None:
-        n, m, types = signature
-        faces = list(_face_types(signature))
-        for l in range(0, max(a + b for a, b in types) + 1):
-            cut = (n, m, [t for t in types if t[0] + t[1] >= l])
-            for a, b in faces:
-                if a + b >= l - 1:
-                    break   # faces come by size; a link of dimension <= 0 has no homology to check
-                lk = _type_link(cut, a, b)
-                i = None if lk is None else _failing_degree(lk, l - 1 - a - b)
-                if i is not None:
-                    return False, (l, (_witness(c, a, b), i))
-        return True, None
-    c_l, least = c, min(f.bit_count() for f in c.masks)
-    for l in range(0, dim(c) + 2):
-        if l > least:
-            c_l = SimplicialComplex(c.universe, tuple(g for g in c.masks if g.bit_count() >= l))
-            least = min(f.bit_count() for f in c_l.masks)
-        for f in c.checked_faces:
-            if f.bit_count() >= l - 1:
-                break   # faces come by size; a link of dimension <= 0 has no homology to check
-            if not any(g & f == f for g in c_l.masks):
-                continue    # F is no face of the l-skeleton
-            i = _failing_degree(link(c_l, f), l - 1 - f.bit_count())
-            if i is not None:
-                return False, (l, (list(bit_indices(f)), i))
+    for l, face, lk, below in _walk(c, skeleta=True):
+        i = _failing_degree(lk, below)
+        if i is not None:
+            return False, (l, (list(bit_indices(face)), i))
     return True, None

@@ -2,21 +2,8 @@
 
 Faces are bitmasks (bit i is vertex i).  ``_faces_by_dim`` is the one
 face-table builder; a complex keeps its table
-(``SimplicialComplex.face_table``), and every boundary map is read off
-it.  A complex built on its own gets its table by enumeration: the
-submasks of each facet, down to the faces already seen.  A link
-carries a source (the complex it comes from and its face F), and its
-table is a restriction of the source's, never enumerated again:
-
-- The faces of lk(F) of dimension e are {G - F : G a face of dimension
-  e + |F| containing F}, as G - F is a face of lk(F) exactly when G =
-  (G - F) | F is a face.  For G containing F, G - F is G minus the
-  integer F, so G -> G - F strictly increases on those G and each
-  restricted list is in increasing order already: nothing is sorted or
-  hashed.
-- The empty face's link is the complex itself (``complexes.link``
-  returns it), so a complex and its link through the empty face share
-  one table.
+(``SimplicialComplex.face_table``), enumerated from its own facets, and
+every boundary map is read off it.
 
 Every complex is ranked relative to the star of one vertex v, which
 shrinks each boundary map before it is ranked.  The star st(v) = v *
@@ -26,11 +13,8 @@ relative cells are the faces G with G | v no face, that is the faces of
 del(v) not in lk(v) (``_relative_table``); the empty face lies in the
 star, so there is no relative (-1)-cell, and the relative boundary is
 the absolute one with the star's faces dropped.  v is the lowest used
-vertex: the order-preserving relabel of ``_canonical_key`` sends it to
-vertex 0, so complexes that share a rank key share their relative cells
-up to that relabel, and with them the cached relative ranks.  The
-[set()] complex has no vertex (nor star) and is ranked on its own
-table.
+vertex.  The [set()] complex has no vertex (nor star) and is ranked on
+its own table.
 
 A complex with a type signature (n, m, T) (``complexes``: its faces
 are the sets of a x's and b y's with (a, b) below some facet type in
@@ -88,23 +72,23 @@ projective plane) del_d is eliminated exactly.  Either way r_d is
 known before del_{d+1} is reached.  So when the GF(2) homology
 vanishes below the top degree, nothing is eliminated.
 
-The cache is filled on demand.  Per type signature, or per
-relabeling-canonical complex (``SimplicialComplex.rank_key``) when a
-complex has no signature, it holds the relative cell counts and
-the exact relative boundary ranks found so far, never the cells: those
-of the two ends and of a prefix del_1 .. del_k, which the upward pass
-extends.  ``reduced_homology_ranks(c, below=j)`` settles only del_1 ..
-del_j, which determines H~_i for every i < j; it returns every degree
-that the known ranks determine, so a complex that is already ranked is
-answered from the cache without a face table; a link's table,
-restricted or not, and its relative cells are built only when a rank
-misses.  Two signatures are keyed apart even when their complexes are
-isomorphic (the k-skeleton of one simplex read with two block splits):
-a miss more, never a wrong rank.  Reisner's criterion asks a link for
-the degrees below its dimension; Duval's asks each skeleton-link only
-for the degrees its level needs, so a level that fails early never
-pays for the maps above it.  The exhaustive oracle sweeps stay cheap
-because the links showing up there repeat heavily.
+The cache is filled on demand and is keyed by type signature alone.
+Per signature it holds the relative cell counts and the exact relative
+boundary ranks found so far, never the cells: those of the two ends and
+of a prefix del_1 .. del_k, which the upward pass extends.
+``reduced_homology_ranks(c, below=j)`` settles only del_1 .. del_j,
+which determines H~_i for every i < j.  For a signature it returns
+every degree that the known ranks determine, so a signature that is
+already ranked is answered from the cache, and its relative cells are
+listed only when a rank misses.  Two signatures are keyed apart even
+when their complexes are isomorphic (the k-skeleton of one simplex
+read with two block splits): a miss more, never a wrong rank.  A
+complex without a signature is ranked from its own relative table
+every time it is asked.  Reisner's criterion asks a link for the
+degrees below its dimension; Duval's asks each skeleton-link only for
+the degrees its level needs, so a level that fails early never pays for
+the maps above it.  The exhaustive oracle sweeps stay cheap because the
+link signatures showing up there repeat heavily.
 """
 
 from __future__ import annotations
@@ -115,7 +99,7 @@ from math import comb
 from . import kernels
 from .ideals import InvalidInput
 
-# rank key -> (relative cell counts by dimension, {d: exact rank of relative del_d} so far)
+# type signature -> (relative cell counts by dimension, {d: exact rank of relative del_d} so far)
 _ranks_cache: dict = {}
 
 
@@ -134,18 +118,11 @@ class BoundaryMatrix:
 def _faces_by_dim(c) -> dict[int, list[int]]:
     """dim -> face masks of that dimension in increasing order, empty face included.
 
-    A link, whose source is (parent, F), restricts the parent's table
-    to the faces containing F, dimensions -1 up to its own (see the
-    module docstring).  Any other complex enumerates its table: the submasks
-    of a facet form a tree (remove vertices in increasing order), so
-    each is reached once, and a branch ends at a face seen before: an
-    earlier facet contains it, and everything below it was seen with it.
+    The submasks of a facet form a tree (remove vertices in increasing
+    order), so each is reached once, and a branch ends at a face seen
+    before: an earlier facet contains it, and everything below it was
+    seen with it.
     """
-    if c.source is not None:
-        parent, face = c.source
-        table, k = parent.face_table, face.bit_count()
-        return {e: [g ^ face for g in table[e + k] if g & face == face]
-                for e in range(-1, max(f.bit_count() for f in c.masks))}
     seen = {0}
     for f in c.masks:
         seen.add(f)
@@ -230,23 +207,6 @@ def _relative_table(c) -> dict[int, list[int]]:
     return {d: [g for g in faces if g | v not in star] for d, faces in table.items()}
 
 
-def _canonical_key(masks) -> tuple:
-    """The sorted facet masks after relabeling the used vertices 0, 1, ... in order."""
-    union = 0
-    for f in masks:
-        union |= f
-    runs = []   # (first vertex, mask of its width, new first vertex) per run of used vertices
-    at = 0
-    while union:
-        start = (union & -union).bit_length() - 1
-        width = (~(union >> start) & ((union >> start) + 1)).bit_length() - 1
-        runs.append((start, (1 << width) - 1, at))
-        at += width
-        union &= ~(((1 << width) - 1) << start)
-    return tuple(sorted(sum(((f >> start) & ones) << to for start, ones, to in runs)
-                        for f in masks))
-
-
 class _TypeCells(dict):
     """dim -> the relative cells of a type complex that is no cone, in increasing order.
 
@@ -300,10 +260,11 @@ def reduced_homology_ranks(c, below: int | None = None) -> dict[int, int]:
     rank del_{d+1}, with v the lowest used vertex; the (-1)-st rank is 1
     for the [set()] complex and 0 otherwise.  Only del_1 .. del_below
     are settled, which determines every degree below ``below``; the
-    default settles every map, so the dict covers d = -1..dim.  Degrees
-    that ranks found earlier determine are included too.  A cone (the
-    facets share a vertex) is acyclic and is answered at once, with
-    every degree -1..dim zero.
+    default settles every map, so the dict covers d = -1..dim.  Only
+    signatures are cached, and for a signature the degrees that ranks
+    found earlier determine are included too.  A cone (the facets share
+    a vertex) is acyclic and is answered at once, with every degree
+    -1..dim zero.
     """
     signature = c if type(c) is tuple else c.type_signature
     if signature is None:
@@ -317,21 +278,23 @@ def reduced_homology_ranks(c, below: int | None = None) -> dict[int, int]:
         size = max(a + b for a, b in types)
     if cone:
         return dict.fromkeys(range(-1, size), 0)
-    key = c.rank_key if signature is None else signature
-    entry = _ranks_cache.get(key)
-    table = None
-    if entry is None:
-        table = _relative_table(c) if signature is None else _TypeCells(signature)
-        counts = ({d: len(cells) for d, cells in table.items()} if signature is None
-                  else table.counts())
-        entry = _ranks_cache[key] = (counts, {0: 0, max(counts) + 1: 0})
+    if signature is None:
+        table = _relative_table(c)
+        counts = {d: len(cells) for d, cells in table.items()}
+        entry = (counts, {0: 0, max(counts) + 1: 0})
+    else:
+        table, entry = None, _ranks_cache.get(signature)
+        if entry is None:
+            table = _TypeCells(signature)
+            counts = table.counts()
+            entry = _ranks_cache[signature] = (counts, {0: 0, max(counts) + 1: 0})
     counts, rank = entry
     top = max(counts)
     for d in range(1, (top if below is None else min(below, top)) + 1):
         if d in rank:
             continue
         if table is None:
-            table = _relative_table(c) if signature is None else _TypeCells(signature)
+            table = _TypeCells(signature)
         f2 = _rank_f2(table, d)
         rank[d] = (f2 if counts[d - 1] - rank[d - 1] == f2
                    else kernels.rank_int(_boundary_rows(table, d)))

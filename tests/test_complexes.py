@@ -31,12 +31,6 @@ def complex_on(n, facets):
     return make_complex(VariableUniverse(n, 0), facets)
 
 
-def on_one_block(c):
-    """c with its vertices in one block of n + m x's: the same faces, no longer S_n x S_m
-    invariant unless c is a skeleton of the simplex, so the checks take the mask path."""
-    return SimplicialComplex(VariableUniverse(c.universe.size, 0), c.masks)
-
-
 def masks_only(c):
     """A copy of c that Reisner's, Duval's and the rank checks treat as having no type
     signature: the mask path, the reference of the type path."""
@@ -92,8 +86,6 @@ def test_skeleton_idempotent():
 def test_link():
     assert link(PATH, 0) == PATH
     assert vertex_lists(link(PATH, 0b010).masks) == [[0], [2]]
-    assert link(PATH, 0b010) is link(PATH, 0b010)     # built once, kept on PATH
-    assert PATH.links[0b010] is link(PATH, 0b010)
     full = complex_on(3, [{0, 1, 2}])
     assert vertex_lists(link(full, 0b001).masks) == [[1, 2]]
     with pytest.raises(InvalidInput, match=r"\[0, 2\] is not a face"):
@@ -107,77 +99,6 @@ def test_link():
 def test_the_empty_face_s_link_is_the_complex():
     for c in (PATH, TWO_EDGES, MIXED, EMPTYC):
         assert link(c, 0) is c
-
-
-def test_restricted_tables_match_enumeration():
-    # Every link's table is restricted from its complex's: the links of c
-    # and of each c_l (the facets of c of size >= l) that Duval's check
-    # ranks.  Each must equal, order included, the table enumerated from
-    # the same facets.
-    import random
-    from mixedprod.complexes import SimplicialComplex
-    from mixedprod.homology import _faces_by_dim
-
-    def enumerated(c):
-        return _faces_by_dim(SimplicialComplex(c.universe, c.masks))
-
-    rng = random.Random(47)
-    kinds = {True: 0, False: 0}     # pure or not
-    proper = 0      # links of a c_l other than c
-    while min(kinds.values()) < 40:
-        n = rng.randint(2, 7)
-        u = VariableUniverse(n, rng.randint(0, 7 - n))
-        pure = rng.random() < 0.5
-        k = rng.randint(1, u.size)
-        facets = [rng.sample(range(u.size), k if pure else rng.randint(1, u.size))
-                  for _ in range(rng.randint(1, 6))]
-        c = make_complex(u, facets)
-        if kinds[is_pure(c)] >= 40:
-            continue
-        kinds[is_pure(c)] += 1
-        sizes = sorted({g.bit_count() for g in c.masks})
-        cuts = [SimplicialComplex(u, tuple(g for g in c.masks if g.bit_count() >= size))
-                for size in sizes[1:]]
-        for c_l in [c, *cuts]:
-            for f in all_faces(c_l):
-                lk = link(c_l, f)
-                if f:
-                    assert lk.source == (c_l, f)
-                assert lk.face_table == enumerated(lk)
-                proper += c_l is not c
-    assert proper >= 300
-
-
-def test_duval_after_reisner_enumerates_one_table_per_cut(monkeypatch):
-    # On the mask path, Reisner's check enumerates c's table; Duval's check
-    # after it enumerates only the tables of the c_l other than c, one per
-    # facet size above the least, and restricts every link's table from
-    # those.  The Stanley-Reisner complexes go on one block, which leaves
-    # them without a type signature; the mask path checks every face, so
-    # they stop at n + m <= 8 vertices.
-    from mixedprod import complexes, expand_generators, homology, stanley_reisner_complex
-    from mixedprod.sweep import enumerate_specs
-    cache = {}
-    monkeypatch.setattr(homology, "_ranks_cache", cache)
-    built = []
-    faces = complexes._faces_by_dim
-    monkeypatch.setattr(complexes, "_faces_by_dim", lambda c: built.append(c) or faces(c))
-    checked = 0
-    for spec in enumerate_specs(5, 5, 6):
-        if spec.universe.size > 8:
-            continue
-        c = on_one_block(stanley_reisner_complex(expand_generators(spec)))
-        if is_pure(c) or c.type_signature is not None:
-            continue
-        cache.clear()
-        reisner_cm(c)
-        built.clear()
-        duval_scm(c)
-        cuts = [b for b in built if b.source is None]
-        assert len(cuts) <= len({g.bit_count() for g in c.masks}) - 1
-        assert all(any(b.source[0] is k for k in [c, *cuts]) for b in built if b.source)
-        checked += 1
-    assert checked == 844
 
 
 def test_strong_connectivity():
@@ -602,8 +523,8 @@ def type_complexes(max_n, max_m):
 def test_the_type_path_matches_the_mask_path(monkeypatch):
     # Every invariant complex with n, m <= 4: its type signature, its ranks
     # and Reisner's and Duval's verdicts and witnesses, type path against
-    # mask path.  Each path keys the rank cache its own way, so neither
-    # reads the other's entries.
+    # mask path.  The mask path ranks the complex from its own relative
+    # table, without the rank cache the type path fills.
     from mixedprod import homology
     monkeypatch.setattr(homology, "_ranks_cache", {})
     counts = {"checked": 0, "not_cm": 0, "not_scm": 0, "homology": 0}
@@ -632,7 +553,7 @@ def test_the_type_path_matches_the_mask_path(monkeypatch):
 def test_typed_relative_cells_are_the_mask_cells_relabeled():
     # The cells listed by type, dimension by dimension, are those of
     # ``homology._relative_table`` after the order-preserving relabel of
-    # the used vertices, which ``_canonical_key`` makes.
+    # the used vertices.
     from mixedprod import homology
     checked = 0
     for u, chosen, c in type_complexes(4, 4):
@@ -657,8 +578,8 @@ def _has_a_size_gap(c):
 
 
 def test_duval_on_non_pure_complexes_with_size_gaps():
-    # Facet sizes with gaps keep one c_l (the facets of size >= l) over
-    # several skeleton levels, so each of its links serves several j.
+    # Facet sizes with gaps give one c_l (the facets of size >= l) to
+    # several skeleton levels, each asking its links for another j.
     import random
     from itertools import combinations
     rng = random.Random(43)
@@ -696,57 +617,6 @@ def test_duval_on_non_pure_complexes_with_size_gaps():
         failing[symmetric] += not expected[0]
     assert checked[True] >= 100 and checked[False] >= 100
     assert failing[True] >= 5 and failing[False] >= 30
-
-
-def test_duval_after_reisner_reuses_every_link(monkeypatch):
-    # The mask path, on Stanley-Reisner complexes put on one block, where
-    # they have no type signature: Reisner's check builds c's table at the
-    # empty face, whose link is c, and restricts every link's table from
-    # it.  A CM complex is pure, so each c_l is c and every link Duval's
-    # check asks is one that Reisner's check has ranked: Duval's check
-    # builds no table and eliminates nothing.  The links live on c, rank
-    # keys included, so Duval's check keys no complex either.
-    from mixedprod import complexes, expand_generators, homology, kernels, stanley_reisner_complex
-    from mixedprod.products import is_cm_closed_form
-    from mixedprod.sweep import enumerate_specs
-    cache = {}
-    monkeypatch.setattr(homology, "_ranks_cache", cache)
-    built, eliminated = [], []
-    faces = complexes._faces_by_dim
-    monkeypatch.setattr(complexes, "_faces_by_dim", lambda c: built.append(c) or faces(c))
-    rank_int = kernels.rank_int
-    monkeypatch.setattr(kernels, "rank_int", lambda rows: eliminated.append(1) or rank_int(rows))
-    keyed = []
-    key = complexes._canonical_key
-    monkeypatch.setattr(complexes, "_canonical_key", lambda masks: keyed.append(1) or key(masks))
-    counts = {"checked": 0, "cones": 0, "enumerated": 0, "restricted": 0}
-    for spec in enumerate_specs(5, 5, 6):
-        if not is_cm_closed_form(spec).holds:
-            continue
-        cache.clear()
-        c = on_one_block(stanley_reisner_complex(expand_generators(spec)))
-        if c.type_signature is not None:
-            continue
-        cone = reduce(and_, c.masks) != 0
-        built.clear()
-        assert reisner_cm(c) == (True, None)
-        enumerated = [b for b in built if b.source is None]
-        assert all(b is c for b in enumerated) and len(enumerated) <= 1
-        assert all(b.source[0] is c for b in built if b.source is not None)
-        if dim(c) >= 1 and not cone:
-            assert built[0] is c    # through the empty face, before any link
-        counts["cones"] += cone
-        counts["enumerated"] += len(enumerated)
-        counts["restricted"] += len(built) - len(enumerated)
-        built.clear()
-        eliminated.clear()
-        keyed.clear()
-        assert duval_scm(c) == (True, None)
-        assert built == []
-        assert eliminated == []
-        assert keyed == []
-        counts["checked"] += 1
-    assert counts == {"checked": 596, "cones": 150, "enumerated": 596, "restricted": 1923}
 
 
 def test_duval_reads_skeleton_faces_off_the_face_table(monkeypatch):

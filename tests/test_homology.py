@@ -152,33 +152,6 @@ def test_cone_acyclicity():
         assert all(r == 0 for r in reduced_homology_ranks(cone).values())
 
 
-def test_a_cone_is_answered_without_a_table(monkeypatch):
-    # On the mask path (complexes without a type signature), a complex
-    # whose facets share a vertex is acyclic in every degree, -1 included,
-    # and is answered before the rank key, the cache and the face table;
-    # any other complex is ranked from its table.
-    monkeypatch.setattr(homology, "_ranks_cache", {})
-    rng = random.Random(53)
-    cases = [complex_on(4, [{0, 1, 2}])]    # a simplex on 3 of the 4 vertices
-    while len(cases) < 80:
-        n = rng.randint(1, 6)
-        facets = [set(rng.sample(range(n), rng.randint(1, n))) for _ in range(rng.randint(1, 5))]
-        # the apex n, or a complex that is no cone
-        c = complex_on(n + 1, [f | {n} for f in facets]) if len(cases) % 2 else complex_on(n, facets)
-        if (len(cases) % 2 or not reduce(and_, c.masks)) and c.type_signature is None:
-            cases.append(c)
-    for c in cases:
-        cone = reduce(and_, c.masks) != 0
-        fresh = not cone and c.rank_key not in homology._ranks_cache
-        ranks = reduced_homology_ranks(c)
-        assert "face_table" in vars(c) if fresh else "face_table" not in vars(c)
-        if cone:
-            assert "rank_key" not in vars(c)
-            assert ranks == dict.fromkeys(range(-1, max(f.bit_count() for f in c.masks)), 0)
-        assert ranks == _exact_ranks(c)
-    assert homology._ranks_cache.keys() == {c.rank_key for c in cases if not reduce(and_, c.masks)}
-
-
 def test_relabel_invariance():
     rng = random.Random(17)
     for _ in range(15):
@@ -296,9 +269,13 @@ def _assert_prefix_cache():
 
 @pytest.mark.parametrize("order", ["fresh", "partial_first", "full_first", "shuffled"])
 def test_partial_ranks_are_the_truncated_full_ranks(monkeypatch, order):
+    # mask complexes, and type signatures, the one kind the cache keeps
+    from test_complexes import type_complexes
     rng = random.Random(31)
     cases = [complex_on(6, RP2)] + [_random_complex(rng) for _ in range(40)]
     cases += [_union_of_spheres(rng) for _ in range(20)]
+    cases += [c for _, _, c in type_complexes(3, 3)]
+    cached = 0
     for c in cases:
         full = _exact_ranks(c)
         top = max(full)
@@ -316,12 +293,18 @@ def test_partial_ranks_are_the_truncated_full_ranks(monkeypatch, order):
             _assert_prefix_cache()
         assert reduced_homology_ranks(c) == full
         _assert_prefix_cache()
+        cone = reduce(and_, c.masks) != 0
+        signature = c.type_signature
+        assert homology._ranks_cache.keys() == ({signature} if signature and not cone else set())
+        cached += bool(homology._ranks_cache)
+    assert cached > 100
 
 
 def test_partial_ranks_settle_no_map_above_below(monkeypatch):
     # RP2's relative del_2 is the one map that needs elimination (see
     # above), so asking for the degrees below 1 (del_0 and del_1) eliminates
-    # nothing, and asking for all of them afterwards eliminates del_2 once
+    # nothing, and asking for all of them afterwards eliminates del_2 once.
+    # A mask complex is not cached: asked again, it settles del_1 again.
     c = complex_on(6, RP2)
     calls = []
     rank_int = kernels.rank_int
@@ -331,20 +314,53 @@ def test_partial_ranks_settle_no_map_above_below(monkeypatch):
     assert calls == []
     assert reduced_homology_ranks(c) == {-1: 0, 0: 0, 1: 0, 2: 0}
     assert calls == [5]
-    assert reduced_homology_ranks(c, below=1) == {-1: 0, 0: 0, 1: 0, 2: 0}
-    assert calls == [5]     # answered from the cache
+    assert reduced_homology_ranks(c, below=1) == {-1: 0, 0: 0}
+    assert calls == [5]
+    # The x-edge and the two triangles x_i y1 y2, a circle: its relative
+    # del_2 (one row) needs elimination.  A signature is cached, so asked
+    # again below 1 it is answered with every degree the known ranks fix.
+    signature = (2, 2, ((1, 2), (2, 0)))
+    assert reduced_homology_ranks(signature, below=1) == {-1: 0, 0: 0}
+    assert calls == [5]
+    assert reduced_homology_ranks(signature) == {-1: 0, 0: 0, 1: 1, 2: 0}
+    assert calls == [5, 1]
+    assert reduced_homology_ranks(signature, below=1) == {-1: 0, 0: 0, 1: 1, 2: 0}
+    assert calls == [5, 1]     # answered from the cache
 
 
-def test_a_warm_cache_needs_no_face_table(monkeypatch):
-    from mixedprod import complexes
+def test_a_warm_signature_builds_no_type_cells(monkeypatch):
     monkeypatch.setattr(homology, "_ranks_cache", {})
-    assert reduced_homology_ranks(complex_on(6, RP2)) == {-1: 0, 0: 0, 1: 0, 2: 0}
-    built = []
-    faces = complexes._faces_by_dim
-    monkeypatch.setattr(complexes, "_faces_by_dim", lambda c: built.append(c) or faces(c))
-    relabeled = complex_on(7, [{v + 1 for v in f} for f in RP2])
-    assert reduced_homology_ranks(relabeled, below=2) == {-1: 0, 0: 0, 1: 0, 2: 0}
-    assert built == []
+    edges = [{x, y} for x in range(3) for y in range(3, 6)]
+    bipartite = make_complex(VariableUniverse(3, 3), edges)
+    assert bipartite.type_signature == (3, 3, ((1, 1),))
+    assert reduced_homology_ranks(bipartite) == {-1: 0, 0: 0, 1: 4}    # K_{3,3}: 9 - 6 + 1 cycles
+
+    def refuse(signature):
+        raise AssertionError("relative cells listed for a cached signature")
+
+    monkeypatch.setattr(homology, "_TypeCells", refuse)
+    again = make_complex(VariableUniverse(3, 3), edges)
+    assert reduced_homology_ranks(again, below=1) == {-1: 0, 0: 0, 1: 4}
+    assert reduced_homology_ranks((3, 3, ((1, 1),))) == {-1: 0, 0: 0, 1: 4}
+
+
+def test_the_mask_path_caches_nothing(monkeypatch):
+    # complexes without a type signature, cones and not, are ranked from
+    # their own relative tables and leave the rank cache empty
+    monkeypatch.setattr(homology, "_ranks_cache", {})
+    rng = random.Random(53)
+    checked = cones = 0
+    while checked < 80:
+        c = _random_complex(rng)
+        if c.type_signature is not None:
+            continue
+        cones += reduce(and_, c.masks) != 0
+        exact = _exact_ranks(c)
+        assert reduced_homology_ranks(c) == exact
+        _assert_partial(reduced_homology_ranks(c, below=1), exact, 1)
+        checked += 1
+    assert homology._ranks_cache == {}
+    assert 10 < cones < 70
 
 
 def _star_reference(c):
@@ -402,21 +418,3 @@ def test_relative_ranks_on_small_complexes(monkeypatch, facets, expected):
     below = min(1, max(expected))
     _assert_partial(reduced_homology_ranks(c, below=below), expected, below)
     assert reduced_homology_ranks(c) == expected
-
-
-def test_relabeled_copies_share_one_relative_entry(monkeypatch):
-    # vertex 0 of the first copy and vertex 2 of the second are each the
-    # lowest used vertex, and the order-preserving relabel of the rank key
-    # sends both to 0, so the cached relative ranks serve both
-    cache = {}
-    monkeypatch.setattr(homology, "_ranks_cache", cache)
-    a = complex_on(6, [{0, 1}, {1, 2}, {2, 0}, {3}])
-    b = complex_on(8, [{2, 4}, {4, 5}, {5, 2}, {7}])
-    assert a.rank_key == b.rank_key
-    assert reduced_homology_ranks(a, below=1) == {-1: 0, 0: 1, 1: 1}    # del_2 is zero
-    assert len(cache) == 1
-    assert reduced_homology_ranks(b) == _exact_ranks(b) == {-1: 0, 0: 1, 1: 1}
-    assert len(cache) == 1
-    ((counts, rank),) = cache.values()
-    assert counts == {-1: 0, 0: 1, 1: 1}      # the relative cells: {3} and the edge {1, 2}
-    assert rank == {0: 0, 1: 0, 2: 0}

@@ -143,14 +143,14 @@ def test_each_closed_form_is_computed_once_per_spec(monkeypatch, level):
 def test_a_full_check_of_an_invariant_spec_builds_no_face_table(monkeypatch):
     # every Stanley-Reisner complex of a spec is S_n x S_m invariant, so
     # Reisner's and Duval's checks run on its facet types: no face table,
-    # no mask link and no rank key of relabeled masks
+    # no face list, no mask link and no mask relative table
     from mixedprod import complexes, homology
 
     def refuse(*args, **kwargs):
         raise AssertionError("a mask-path step in a full check")
 
     for module, name in [(complexes, "_faces_by_dim"), (homology, "_faces_by_dim"),
-                         (complexes, "_canonical_key"), (homology, "_canonical_key"),
+                         (complexes, "all_faces"), (homology, "_relative_table"),
                          (complexes, "link")]:
         monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(homology, "_ranks_cache", {})
