@@ -211,13 +211,11 @@ def cmd_sweep(args):
         out = open(args.out, "w") if args.out else None
     except OSError as exc:
         raise MixedProdError(f"cannot write --out {args.out}: {exc.strerror}") from None
-    sink = None
-    if out is not None or args.json:
-        def sink(record):   # to stdout when out is None
-            print(json.dumps(record, sort_keys=True, separators=(",", ":")), file=out)
-
     with out or contextlib.nullcontext():
-        result = sweep.run_sweep(config, record_sink=sink)
+        result = sweep.run_sweep(config)
+        if out is not None or args.json:
+            for record in result.records:   # to stdout when out is None
+                print(json.dumps(record, sort_keys=True, separators=(",", ":")), file=out)
     summary = (f"checked {result.configs_checked} specs, "
                f"{len(result.mismatches)} mismatches, "
                f"{len(result.skipped)} skipped, {result.elapsed:.1f}s")

@@ -303,17 +303,18 @@ def _walk(c: SimplicialComplex, skeleta: bool = False):
     """(l, face mask, link, below) for each link Reisner's or Duval's check ranks, lazily.
 
     Reisner's check (l None) takes every face F of c, with lk_c(F) and
-    its dimension.  Duval's (``skeleta``) takes, at each level l, each
-    face F of c_l with |F| < l - 1, with lk_{c_l}(F) and l - 1 - |F|;
-    c_l is generated by the facets of c of size >= l.  The faces come
-    in ``all_faces`` order, and the link is ranked in the degrees below
-    ``below``.  With a type signature, the link is the link's signature
-    and F the first face of its type (module docstring); otherwise both
-    come from the definitions.
+    its dimension.  Duval's (``skeleta``) takes, at each level l >= 2,
+    each face F of c_l with |F| < l - 1, with lk_{c_l}(F) and
+    l - 1 - |F|; c_l is generated by the facets of c of size >= l.
+    Levels 0 and 1 have no such face, so they are not walked.  The
+    faces come in ``all_faces`` order, and the link is ranked in the
+    degrees below ``below``.  With a type signature, the link is the
+    link's signature and F the first face of its type (module
+    docstring); otherwise both come from the definitions.
     """
     signature = c.type_signature
     if signature is None:
-        for l in range(dim(c) + 2) if skeleta else [None]:
+        for l in range(2, dim(c) + 2) if skeleta else [None]:
             cut = c if l is None else SimplicialComplex(
                 c.universe, tuple(g for g in c.masks if g.bit_count() >= l))
             for f in all_faces(cut):
@@ -326,7 +327,7 @@ def _walk(c: SimplicialComplex, skeleta: bool = False):
     # each of Duval's levels walks a prefix of the face types, so they are
     # listed once; Reisner's single walk lists them only up to a failure
     faces = list(_face_types(signature)) if skeleta else _face_types(signature)
-    for l in range(max(a + b for a, b in types) + 1) if skeleta else [None]:
+    for l in range(2, max(a + b for a, b in types) + 1) if skeleta else [None]:
         cut = signature if l is None else (n, m, [t for t in types if t[0] + t[1] >= l])
         for a, b in faces:
             if l is not None and a + b >= l - 1:

@@ -40,14 +40,16 @@ every x when every A = n > 0 (every y when every B = m > 0), and a
 type complex with a vertex in every facet holds that vertex's whole
 block in every facet, as the facet set is invariant.
 
-Cones are acyclic and are answered before any table: when a vertex v
-lies in every facet, h(sigma) = +-(sigma | v) for v not in sigma (the
-sign of v's position in sigma | v), and h(sigma) = 0 for v in sigma,
-is a chain contraction of the augmented chain complex (del h + h del =
-id, the empty face included), so every reduced homology group
-vanishes, H~_{-1} too.  A nonempty simplex is one; the [set()]
-complex (facet mask 0) never is.  A cone on v is the case st(v) = c,
-with no relative cell at all.
+Cones are acyclic: when a vertex v lies in every facet, h(sigma) =
++-(sigma | v) for v not in sigma (the sign of v's position in
+sigma | v), and h(sigma) = 0 for v in sigma, is a chain contraction of
+the augmented chain complex (del h + h del = id, the empty face
+included), so every reduced homology group vanishes, H~_{-1} too.  A
+nonempty simplex is one; the [set()] complex (facet mask 0) never is.
+A type complex that is a cone is answered before any table.  A cone
+without a signature is ranked like any other complex: when its lowest
+used vertex v is an apex, st(v) = c and there is no relative cell;
+otherwise its exact ranks come out zero.
 
 Ranks are exact and never use floating point.  Each relative boundary
 map is first ranked over GF(2) with an XOR basis (kernels.rank_f2), a
@@ -55,8 +57,7 @@ one-sided certificate that falls back to exact elimination where it
 settles nothing: ``_boundary_rows`` reads the map off a face table as
 one sparse row {(d-1)-cell index: +-1} per d-cell (``boundary_matrix``
 is the absolute map), and kernels.rank_int pivots on unit entries,
-shortest row first, leaving the rest to fraction-free (Bareiss)
-elimination.
+shortest row first, dividing a row without one over Q.
 Why it is sound, for any chain complex with integer boundary maps, the
 relative one included: write f_d for the number of d-cells, r_d for
 the rank of the boundary map del_d over Q and r'_d for its rank over
@@ -262,27 +263,19 @@ def reduced_homology_ranks(c, below: int | None = None) -> dict[int, int]:
     are settled, which determines every degree below ``below``; the
     default settles every map, so the dict covers d = -1..dim.  Only
     signatures are cached, and for a signature the degrees that ranks
-    found earlier determine are included too.  A cone (the facets share
-    a vertex) is acyclic and is answered at once, with every degree
-    -1..dim zero.
+    found earlier determine are included too.  A type complex that is a
+    cone (its facets share a vertex) is acyclic and is answered at once,
+    with every degree -1..dim zero.
     """
     signature = c if type(c) is tuple else c.type_signature
-    if signature is None:
-        apex = -1
-        for f in c.masks:
-            apex &= f
-        cone, size = apex, max(f.bit_count() for f in c.masks)
-    else:
-        n, m, types = signature
-        cone = (n and all(a == n for a, _ in types)) or (m and all(b == m for _, b in types))
-        size = max(a + b for a, b in types)
-    if cone:
-        return dict.fromkeys(range(-1, size), 0)
     if signature is None:
         table = _relative_table(c)
         counts = {d: len(cells) for d, cells in table.items()}
         entry = (counts, {0: 0, max(counts) + 1: 0})
     else:
+        n, m, types = signature
+        if (n and all(a == n for a, _ in types)) or (m and all(b == m for _, b in types)):
+            return dict.fromkeys(range(-1, max(a + b for a, b in types)), 0)    # a cone
         table, entry = None, _ranks_cache.get(signature)
         if entry is None:
             table = _TypeCells(signature)

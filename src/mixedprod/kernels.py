@@ -183,17 +183,17 @@ def rank_f2(vectors):
 def rank_int(rows):
     """Exact rank of a sparse integer matrix, one ``{column: nonzero entry}`` dict per row.
 
-    Entries +-1 are pivoted on first: subtracting an integer multiple of
-    a unit pivot row keeps the matrix integral and its rank unchanged.
     A heap keyed on row length, with stale entries skipped when popped,
-    yields the shortest row holding a unit entry; its pivot column is
-    the unit column held by the fewest rows, and a column -> rows index
-    names the rows to clear.  A row that a pivot changes goes back on the
-    heap under its new length; a row without a unit entry waits until a
-    pivot changes it.  Boundary matrices of simplicial complexes mostly
-    reduce to nothing this way; rows left without a unit entry are ranked
-    by fraction-free (Bareiss) elimination.  The input dicts are not
-    modified.
+    yields the shortest row; its pivot column is the unit (+-1) column
+    held by the fewest rows, and a column -> rows index names the rows
+    to clear.  Subtracting a multiple of a unit pivot row keeps an
+    integer matrix integral and its rank unchanged.  A row with no unit
+    entry is first divided over Q by one of its entries, which leaves
+    the rank exact too, and pivoted on at once.  A row that a pivot
+    changes goes back on the heap under its new length.  Boundary
+    matrices of simplicial complexes mostly reduce by unit pivots alone;
+    torsion, such as the Z/2 of the real projective plane, leaves rows
+    to divide.  The input dicts are not modified.
     """
     rows = [dict(r) for r in rows]
     holders = {}    # column -> indices of the live rows holding it
@@ -213,7 +213,9 @@ def rank_int(rows):
             if (v == 1 or v == -1) and (pivot is None or len(holders[j]) < fewest):
                 pivot, fewest = j, len(holders[j])
         if pivot is None:
-            continue
+            from fractions import Fraction  # a top-level import adds ~2.5 ms to every start
+            pivot = next(iter(p))
+            p = {k: Fraction(v, p[pivot]) for k, v in p.items()}
         rank += 1
         rows[i] = None
         for j in p:
@@ -233,42 +235,4 @@ def rank_int(rows):
                     holders[k].discard(t)
             if r:
                 heapq.heappush(heap, (len(r), t))
-    rest = [r for r in rows if r]
-    if not rest:
-        return rank
-    cols = sorted(set().union(*rest))
-    return rank + _rank_bareiss([[r.get(c, 0) for c in cols] for r in rest])
-
-
-def _rank_bareiss(rows):
-    """Exact rank of an integer matrix via fraction-free (Bareiss) elimination."""
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    prev = 1
-    pr = 0
-    for pc in range(nc):
-        piv = -1
-        for r in range(pr, nr):
-            if m[r][pc]:
-                piv = r
-                break
-        if piv < 0:
-            continue
-        if piv != pr:
-            m[pr], m[piv] = m[piv], m[pr]
-        pivval = m[pr][pc]
-        for r in range(pr + 1, nr):
-            mr = m[r]
-            mp = m[pr]
-            frv = mr[pc]
-            for c in range(pc + 1, nc):
-                mr[c] = (mr[c] * pivval - frv * mp[c]) // prev
-            mr[pc] = 0
-        prev = pivval
-        pr += 1
-        rank += 1
-        if pr == nr:
-            break
     return rank

@@ -270,12 +270,8 @@ def _intersection_bound(profile, blocks, n, m):
     return True, None
 
 
-def run_sweep(config: SweepConfig, record_sink=None) -> SweepResult:
-    """Enumerate and check every spec within bounds.
-
-    ``record_sink`` (optional callable) receives each per-spec record as
-    it is produced, in enumeration order.
-    """
+def run_sweep(config: SweepConfig) -> SweepResult:
+    """Enumerate and check every spec within bounds; the records come in enumeration order."""
     start = time.monotonic()
     result = SweepResult()
     specs = list(enumerate_specs(config.max_n, config.max_m, config.max_s))
@@ -293,8 +289,6 @@ def run_sweep(config: SweepConfig, record_sink=None) -> SweepResult:
         result.mismatches.extend(record["mismatches"])
         result.skipped.extend(record["skipped"])
         result.records.append(record)
-        if record_sink is not None:
-            record_sink(record)
     result.elapsed = time.monotonic() - start
     return result
 

@@ -1,6 +1,8 @@
 """Correctness tests for the minimal-hitting-set and exact-rank kernels."""
 
 import random
+import sys
+import types
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -186,8 +188,8 @@ class TestRank:
             rows = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
             assert impl.rank_int(sparse(rows)) == rank_frac(rows)
 
-    def test_unit_pivots_then_bareiss_remainder(self, impl):
-        assert impl.rank_int(sparse([[1, 1], [1, -1]])) == 2    # leaves [[-2]] to Bareiss
+    def test_unit_pivots_then_division_over_q(self, impl):
+        assert impl.rank_int(sparse([[1, 1], [1, -1]])) == 2    # leaves [[-2]] to divide over Q
         assert impl.rank_int(sparse([[2, 4], [4, 8]])) == 1     # no unit entry at all
         assert impl.rank_int(sparse([[2, 0, 1], [0, 3, 1], [2, 3, 2]])) == 2
         rng = random.Random(13)
@@ -195,14 +197,14 @@ class TestRank:
             for _ in range(40):
                 nr, nc = rng.randint(1, 9), rng.randint(1, 9)
                 rows = [[rng.choice(values) for _ in range(nc)] for _ in range(nr)]
-                assert impl.rank_int(sparse(rows)) == impl._rank_bareiss(rows)
+                assert impl.rank_int(sparse(rows)) == rank_frac(rows)
 
 
 def test_sparse_rank_vs_fraction_elimination(monkeypatch):
-    remainders = []
-    bareiss = kernels._rank_bareiss
-    monkeypatch.setattr(kernels, "_rank_bareiss",
-                        lambda rows: remainders.append(len(rows)) or bareiss(rows))
+    divided = set()     # the trials in which rank_int built a Fraction
+    spy = types.ModuleType("fractions")
+    spy.Fraction = lambda *args: divided.add(trial) or Fraction(*args)
+    monkeypatch.setitem(sys.modules, "fractions", spy)
     rng = random.Random(17)
     # mostly zero, units common: pivots fill rows in and re-queue them
     values = (0,) * 12 + (1, -1) * 3 + (2, -2, 3, 6)
@@ -215,7 +217,7 @@ def test_sparse_rank_vs_fraction_elimination(monkeypatch):
         given = sparse(rows)
         assert kernels.rank_int(given) == rank_frac(rows)
         assert given == sparse(rows)     # the input is left as it was
-    assert 0 < len(remainders) < 150     # both the unit pivots alone and Bareiss ran
+    assert 0 < len(divided) < 150     # both the unit pivots alone and the division over Q ran
 
 
 def test_rank_f2():
