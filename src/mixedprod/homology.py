@@ -35,10 +35,10 @@ it.  These are the cells of ``_relative_table`` after the relabel, the
 same boundary matrices, and they are ranked the same way.  The order of
 the cells within a dimension does not matter: another order permutes
 the rows and columns of each boundary map, which changes no rank over
-Q or over GF(2).  A cone is read off the types too: every facet holds
-every x when every A = n > 0 (every y when every B = m > 0), and a
-type complex with a vertex in every facet holds that vertex's whole
-block in every facet, as the facet set is invariant.
+Q.  A cone is read off the types too: every facet holds every x when
+every A = n > 0 (every y when every B = m > 0), and a type complex with
+a vertex in every facet holds that vertex's whole block in every facet,
+as the facet set is invariant.
 
 Cones are acyclic: when a vertex v lies in every facet, h(sigma) =
 +-(sigma | v) for v not in sigma (the sign of v's position in
@@ -52,31 +52,18 @@ used vertex v is an apex, st(v) = c and there is no relative cell;
 otherwise its exact ranks come out zero.
 
 Ranks are exact and never use floating point.  Each relative boundary
-map is first ranked over GF(2) with an XOR basis (kernels.rank_f2), a
-one-sided certificate that falls back to exact elimination where it
-settles nothing: ``_boundary_rows`` reads the map off a face table as
-one sparse row {(d-1)-cell index: +-1} per d-cell (``boundary_matrix``
-is the absolute map), and kernels.rank_int pivots on unit entries,
-shortest row first, dividing a row without one over Q.
-Why it is sound, for any chain complex with integer boundary maps, the
-relative one included: write f_d for the number of d-cells, r_d for
-the rank of the boundary map del_d over Q and r'_d for its rank over
-GF(2).  Reducing mod 2 cannot raise a rank, so r'_d <= r_d, and del_d
-del_{d+1} = 0 gives r_d + r_{d+1} <= f_d.  The two ends are exact:
-del_0 is zero, as there is no relative (-1)-cell (for the [set()]
-complex there is no 0-cell), and del_{top+1} is zero.  The maps are
-settled in one upward pass from del_1: when r_{d-1} is known and
-f_{d-1} - r_{d-1} = r'_d (no GF(2) homology left in degree d-1), then
-r'_d <= r_d <= f_{d-1} - r_{d-1} = r'_d, so r_d = r'_d; otherwise
-(homology in degree d-1, or torsion such as the Z/2 of the real
-projective plane) del_d is eliminated exactly.  Either way r_d is
-known before del_{d+1} is reached.  So when the GF(2) homology
-vanishes below the top degree, nothing is eliminated.
+map is ranked by kernels.rank_int: ``_boundary_rows`` reads the map off
+a face table as one sparse row {(d-1)-cell index: +-1} per d-cell
+(``boundary_matrix`` is the absolute map), and kernels.rank_int pivots
+on unit entries, shortest row first, dividing a row without one over
+Q.  The two ends need no elimination: del_0 is zero, as there is no
+relative (-1)-cell (for the [set()] complex there is no 0-cell), and
+del_{top+1} is zero.
 
 The cache is filled on demand and is keyed by type signature alone.
 Per signature it holds the relative cell counts and the exact relative
 boundary ranks found so far, never the cells: those of the two ends and
-of a prefix del_1 .. del_k, which the upward pass extends.
+of a prefix del_1 .. del_k, as ``below`` always asks for a prefix.
 ``reduced_homology_ranks(c, below=j)`` settles only del_1 .. del_j,
 which determines H~_i for every i < j.  For a signature it returns
 every degree that the known ranks determine, so a signature that is
@@ -178,20 +165,6 @@ def boundary_matrix(c, d: int) -> BoundaryMatrix:
     return BoundaryMatrix(_boundary_rows(table, d), table[d - 1])
 
 
-def _rank_f2(table, d: int) -> int:
-    """Rank over GF(2) of the d-th boundary map of ``table``, one bitmask column per d-cell."""
-    row_bit = {f: 1 << i for i, f in enumerate(table[d - 1])}
-    cols = []
-    for f in table[d]:
-        col, s = 0, f
-        while s:
-            low = s & -s
-            col |= row_bit.get(f ^ low, 0)
-            s ^= low
-        cols.append(col)
-    return kernels.rank_f2(cols)
-
-
 def _relative_table(c) -> dict[int, list[int]]:
     """dim -> the cells of (c, st v) in increasing order, v the lowest used vertex.
 
@@ -284,13 +257,10 @@ def reduced_homology_ranks(c, below: int | None = None) -> dict[int, int]:
     counts, rank = entry
     top = max(counts)
     for d in range(1, (top if below is None else min(below, top)) + 1):
-        if d in rank:
-            continue
-        if table is None:
-            table = _TypeCells(signature)
-        f2 = _rank_f2(table, d)
-        rank[d] = (f2 if counts[d - 1] - rank[d - 1] == f2
-                   else kernels.rank_int(_boundary_rows(table, d)))
+        if d not in rank:
+            if table is None:
+                table = _TypeCells(signature)
+            rank[d] = kernels.rank_int(_boundary_rows(table, d))
     ranks = {-1: counts[-1] - rank[0]}
     for d in range(0, top + 1):
         if d in rank and d + 1 in rank:

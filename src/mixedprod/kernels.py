@@ -1,4 +1,4 @@
-"""The hot loops of the oracles: minimal hitting sets, GF(2) rank and exact integer rank.
+"""The hot loops of the oracles: minimal hitting sets and exact integer rank.
 
 Bitmasks are Python ints, so the kernels take sets of any width.
 
@@ -164,20 +164,6 @@ def subsets(k, r):
         ripple = s + low
         s = ripple | ((s ^ ripple) >> 2) // low
     return out
-
-
-def rank_f2(vectors):
-    """Rank over GF(2) of bitmask vectors, by an XOR basis keyed on the top bit."""
-    basis = {}
-    for v in vectors:
-        while v:
-            top = v.bit_length()
-            b = basis.get(top)
-            if b is None:
-                basis[top] = v
-                break
-            v ^= b
-    return len(basis)
 
 
 def rank_int(rows):

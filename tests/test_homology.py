@@ -1,6 +1,9 @@
 """Boundary matrices and exact reduced homology ranks."""
 
 import random
+import sys
+import types
+from fractions import Fraction
 from functools import reduce
 from operator import and_
 
@@ -172,14 +175,15 @@ def test_facet_order_invariance():
     assert reduced_homology_ranks(a) == reduced_homology_ranks(b)
 
 
-# The 6-vertex real projective plane: H_1 = Z/2, so its GF(2) homology
-# is nonzero in degrees 1 and 2 while its rational homology vanishes.
+# The 6-vertex real projective plane: H_1 = Z/2 is torsion, so its
+# rational homology vanishes, yet over GF(2) it is nonzero in degrees 1
+# and 2.
 RP2 = [{0, 1, 3}, {0, 1, 5}, {0, 2, 4}, {0, 2, 5}, {0, 3, 4},
        {1, 2, 3}, {1, 2, 4}, {1, 4, 5}, {2, 3, 5}, {3, 4, 5}]
 
 
 def _exact_ranks(c):
-    """Reduced homology ranks from rank_int of every boundary matrix, no certificate."""
+    """Reduced homology ranks from rank_int of every absolute boundary matrix: no star, no cache."""
     by_dim = homology._faces_by_dim(c)
     top = max(by_dim)
     if top == -1:
@@ -190,25 +194,28 @@ def _exact_ranks(c):
             **{d: len(by_dim[d]) - rank[d] - rank[d + 1] for d in range(top + 1)}}
 
 
-def test_projective_plane_takes_the_exact_fallback(monkeypatch):
+def test_projective_plane_divides_over_q(monkeypatch):
+    # Relative to the star of vertex 0, RP2 has no vertex, 5 edges and 5
+    # triangles, so del_1 (5 empty rows) and del_2 (5 rows over the 5 edges)
+    # are eliminated.  del_2 has rank 5 over Q and 4 over GF(2) (the Z/2
+    # torsion), and its elimination divides a row over Q.
     c = complex_on(6, RP2)
-    assert homology._rank_f2(c.face_table, 2) == 9      # over Q the rank is 10
-    calls = []
+    calls, divided = [], set()     # the row counts of the maps ranked; the calls that divided
     rank_int = kernels.rank_int
     monkeypatch.setattr(kernels, "rank_int", lambda rows: calls.append(len(rows)) or rank_int(rows))
-    monkeypatch.setattr(homology, "_ranks_cache", {})
-    assert reisner_cm(c) == (True, None)
-    # ranked relative to the star of vertex 0, only the relative del_2 (the
-    # 5 triangles without vertex 0 over the 5 edges off its star) needed
-    # elimination: it has rank 5 over Q and 4 over GF(2)
-    assert calls == [5]
+    spy = types.ModuleType("fractions")
+    spy.Fraction = lambda *args: divided.add(len(calls)) or Fraction(*args)
+    monkeypatch.setitem(sys.modules, "fractions", spy)
     assert reduced_homology_ranks(c) == {-1: 0, 0: 0, 1: 0, 2: 0}
+    assert calls == [5, 5]
+    assert divided == {2}
+    assert reisner_cm(c) == (True, None)
     assert _exact_ranks(c) == {-1: 0, 0: 0, 1: 0, 2: 0}
 
 
 def _union_of_spheres(rng):
     """Simplex boundaries and random pieces on disjoint vertex sets, so that
-    homology often sits in adjacent degrees, where GF(2) settles nothing."""
+    homology often sits in several degrees, adjacent ones included."""
     facets, start = [], 0
     for _ in range(rng.randint(1, 3)):
         k = rng.randint(1, 4)
@@ -221,20 +228,12 @@ def _union_of_spheres(rng):
     return complex_on(start, facets)
 
 
-def test_certified_ranks_match_exact_elimination(monkeypatch):
+def test_unions_of_spheres_match_exact_elimination(monkeypatch):
     monkeypatch.setattr(homology, "_ranks_cache", {})
-    calls = []
-    rank_int = kernels.rank_int
-    monkeypatch.setattr(kernels, "rank_int", lambda rows: calls.append(1) or rank_int(rows))
     rng = random.Random(29)
-    fell_back = 0
     for _ in range(50):
         c = _union_of_spheres(rng)
-        before = len(calls)
-        ranks = reduced_homology_ranks(c)
-        fell_back += len(calls) > before
-        assert ranks == _exact_ranks(c)
-    assert 0 < fell_back < 50     # both the certificate alone and the fallback ran
+        assert reduced_homology_ranks(c) == _exact_ranks(c)
 
 
 def _random_complex(rng):
@@ -258,8 +257,8 @@ def _assert_partial(partial, full, below):
 def _assert_prefix_cache():
     """Each cache entry holds the ranks of the two ends and of del_1 .. del_k for some k.
 
-    The upward pass reads r_{d-1} when it settles del_d, so the exact
-    ranks it keeps must never skip a map.
+    ``below`` always asks for a prefix of the maps, so the exact ranks
+    kept never skip one.
     """
     for counts, rank in homology._ranks_cache.values():
         inner = rank.keys() - {0, max(counts) + 1}
@@ -301,31 +300,34 @@ def test_partial_ranks_are_the_truncated_full_ranks(monkeypatch, order):
 
 
 def test_partial_ranks_settle_no_map_above_below(monkeypatch):
-    # RP2's relative del_2 is the one map that needs elimination (see
-    # above), so asking for the degrees below 1 (del_0 and del_1) eliminates
-    # nothing, and asking for all of them afterwards eliminates del_2 once.
-    # A mask complex is not cached: asked again, it settles del_1 again.
+    # The maps eliminated, by row count.  RP2's relative del_1 and del_2
+    # have 5 rows each (see above): asking for the degrees below 1 settles
+    # del_1 alone.  A mask complex is not cached: asked for every degree,
+    # it settles del_1 and del_2, and asked again below 1, del_1 again.
     c = complex_on(6, RP2)
     calls = []
     rank_int = kernels.rank_int
     monkeypatch.setattr(kernels, "rank_int", lambda rows: calls.append(len(rows)) or rank_int(rows))
     monkeypatch.setattr(homology, "_ranks_cache", {})
     assert reduced_homology_ranks(c, below=1) == {-1: 0, 0: 0}
-    assert calls == []
+    assert calls == [5]
     assert reduced_homology_ranks(c) == {-1: 0, 0: 0, 1: 0, 2: 0}
-    assert calls == [5]
+    assert calls == [5, 5, 5]
     assert reduced_homology_ranks(c, below=1) == {-1: 0, 0: 0}
-    assert calls == [5]
+    assert calls == [5, 5, 5, 5]
     # The x-edge and the two triangles x_i y1 y2, a circle: its relative
-    # del_2 (one row) needs elimination.  A signature is cached, so asked
-    # again below 1 it is answered with every degree the known ranks fix.
+    # del_1 has 2 rows and del_2 one.  A signature is cached, so a later
+    # full call settles only the map above, and asked again below 1 it
+    # eliminates nothing and is answered with every degree the known
+    # ranks fix.
+    calls.clear()
     signature = (2, 2, ((1, 2), (2, 0)))
     assert reduced_homology_ranks(signature, below=1) == {-1: 0, 0: 0}
-    assert calls == [5]
+    assert calls == [2]
     assert reduced_homology_ranks(signature) == {-1: 0, 0: 0, 1: 1, 2: 0}
-    assert calls == [5, 1]
+    assert calls == [2, 1]
     assert reduced_homology_ranks(signature, below=1) == {-1: 0, 0: 0, 1: 1, 2: 0}
-    assert calls == [5, 1]     # answered from the cache
+    assert calls == [2, 1]     # answered from the cache
 
 
 def test_a_warm_signature_builds_no_type_cells(monkeypatch):

@@ -1,6 +1,8 @@
 """Correctness tests for the minimal-hitting-set and exact-rank kernels."""
 
+import os
 import random
+import subprocess
 import sys
 import types
 from fractions import Fraction
@@ -220,21 +222,14 @@ def test_sparse_rank_vs_fraction_elimination(monkeypatch):
     assert 0 < len(divided) < 150     # both the unit pivots alone and the division over Q ran
 
 
-def test_rank_f2():
-    assert kernels.rank_f2([]) == 0
-    assert kernels.rank_f2([0, 0]) == 0
-    assert kernels.rank_f2([0b011, 0b110, 0b101]) == 2      # the three sum to zero
-    assert kernels.rank_f2([1 << 70, 1 << 70 | 1, 1]) == 2
-    rng = random.Random(7)
-    for _ in range(40):
-        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
-        rows = [[rng.randint(0, 1) for _ in range(nc)] for _ in range(nr)]
-        masks = [sum(b << j for j, b in enumerate(r)) for r in rows]
-        # a 0/1 matrix's rank over GF(2) is at most its rank over Q
-        assert kernels.rank_f2(masks) <= kernels.rank_int(sparse(rows))
-        # over GF(2), row rank equals column rank
-        cols = [sum(r[j] << i for i, r in enumerate(rows)) for j in range(nc)]
-        assert kernels.rank_f2(masks) == kernels.rank_f2(cols)
+def test_import_loads_no_fractions():
+    # rank_int imports fractions inside its division branch, as a top-level
+    # import adds about 2.5 ms to every start
+    code = "import sys, mixedprod, mixedprod.cli; print('fractions' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mixedprod.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_masks_wider_than_64_bits():
