@@ -27,11 +27,11 @@ complex whose facet set is invariant under S_n x S_m (the x-block and
 the y-block each permuted on their own) is a down-closed set of types
 (a, b), a x's and b y's, and ``SimplicialComplex.type_signature`` holds
 it as (n', m', sorted facet types T), read with the type count of
-``kernels.whole_types`` that the hitting-set kernel and the intersection
-bound share; n' is n, or 0 when no facet holds an x (m' likewise).  A
-face of type (a, b) lies in exactly the facets of the types (A, B) in T
-with A >= a and B >= b, so its link is, up to an order-preserving
-relabel of the vertices, the type complex
+``kernels.whole_types``, or set from the prime types by
+``ideals.complex_of_primes``; n' is n, or 0 when no facet holds an x
+(m' likewise).  A face of type (a, b) lies in exactly the facets of the
+types (A, B) in T with A >= a and B >= b, so its link is, up to an
+order-preserving relabel of the vertices, the type complex
 (n' - a, m' - b, {(A - a, B - b) : (A, B) in T, A >= a, B >= b}),
 and Duval's facet cut c_l (below) is (n', m', {t in T : |t| >= l}).
 Faces of one type form one orbit, their links are isomorphic and have
@@ -86,7 +86,8 @@ class SimplicialComplex:
         """(n', m', sorted facet types) if the facets are S_n x S_m invariant, else None.
 
         n' is n, or 0 when no facet holds an x (m' likewise); the facet
-        types are read with ``kernels.whole_types``.
+        types are read with ``kernels.whole_types``, unless
+        ``ideals.complex_of_primes`` set them from the prime types.
         """
         types = whole_types(self.masks, self.universe.n, self.universe.m)
         return None if types is None else _signature(self.universe.n, self.universe.m, types)

@@ -175,17 +175,27 @@ def _prime_masks(ideal: SquarefreeIdeal) -> list[int]:
     return kernels.minimal_hitting_sets(list(ideal.generators), u.size, u.n)
 
 
-def complex_of_primes(universe: VariableUniverse, primes: Iterable[int]):
+def complex_of_primes(universe: VariableUniverse, primes: Iterable[int], types=None):
     """The complex whose facets are the complements of the bitmasks ``primes``.
 
     ``primes`` must be the minimal primes of an ideal: they form an
     antichain, so their complements do too and the facet masks need no
-    maximality pass through ``make_complex``.
+    maximality pass through ``make_complex``.  ``types``, if given, must
+    be the types (a, b) of the primes, each held whole, as
+    ``kernels.transversal_types`` gives them.  Complementing commutes
+    with S_n x S_m, so the facets are then whole types too, each
+    (n - a, m - b), and the complex's type signature is set from them
+    instead of counting the facets (``kernels.whole_types``).
     """
-    from .complexes import SimplicialComplex
+    from .complexes import SimplicialComplex, _signature
 
     full = (1 << universe.size) - 1
-    return SimplicialComplex(universe, tuple(sorted(full & ~p for p in primes)))
+    c = SimplicialComplex(universe, tuple(sorted(full & ~p for p in primes)))
+    if types is not None:
+        n, m = universe.n, universe.m
+        # fills the cached property, which a frozen dataclass will not assign
+        c.__dict__["type_signature"] = _signature(n, m, [(n - a, m - b) for a, b in types])
+    return c
 
 
 def stanley_reisner_complex(ideal: SquarefreeIdeal):

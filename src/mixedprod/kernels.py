@@ -12,7 +12,11 @@ blocks, are such families, and three oracles reduce to one set per
 orbit on them: Reisner's and Duval's checks (``complexes``), the
 intersection bound (``sweep``) and the hitting-set search here.
 
-Minimal transversals of an invariant family F come by type.  A
+Minimal transversals of an invariant family F come by type, and
+``transversal_types`` is the rule that finds them from the types of F
+alone; ``minimal_hitting_sets`` lists its answer (``list_types``) when
+``whole_types`` finds a family invariant, and the sweep applies it to a
+spec's summand types directly, without listing the generators.  A
 permutation g in S_n x S_m maps F to itself, so it maps each minimal
 transversal T to one, g(T): the minimal transversals form an invariant
 family, a union of whole types, and a type qualifies exactly when its
@@ -87,9 +91,8 @@ def minimal_hitting_sets(masks, nbits, n):
 
     The first ``n`` bits are the x-block, the rest the y-block.  A family
     that ``whole_types`` finds S_n x S_m invariant gets its transversals
-    type by type, one representative each (module docstring), each type
-    listed whole.  Any other goes to MMCS (Murakami and Uno, 2014):
-    branch on the vertices of an uncovered set with the fewest candidates
+    type by type from ``transversal_types``, each type listed whole.
+    Any other goes to MMCS (Murakami and Uno, 2014): branch on the vertices of an uncovered set with the fewest candidates
     and keep, per chosen vertex, the sets it alone hits.  A branch dies
     as soon as a chosen vertex loses its last such critical set, so every
     transversal reached is minimal and none is reached twice; the family
@@ -107,16 +110,36 @@ def minimal_hitting_sets(masks, nbits, n):
     m = nbits - n
     types = whole_types(set(sets), n, m)
     if types is not None:
-        out = []
-        for a in range(n + 1):
-            # the one b that can qualify: the least with every set hit
-            b = max((m - d + 1 for c, d in types if c <= n - a), default=0)
-            if b <= m and (not a or any(0 < c <= n - a + 1 and d <= m - b for c, d in types)):
-                xs = subsets(n, a)
-                out += [y << n | x for y in subsets(m, b) for x in xs]
-        out.sort()
-        return out
+        return list_types(transversal_types(types, n, m), n, m)
     return _mmcs_transversals(sets)
+
+
+def transversal_types(types, n, m):
+    """The types of the minimal transversals of the invariant family with types ``types``.
+
+    The family holds every set of a x's and b y's for each (a, b) in
+    ``types``, over n x's and m y's; the answer is one (a, b) per
+    qualifying x-count a, increasing in a (module docstring).  The empty
+    family gives [(0, 0)], and a family holding the empty set, (0, 0) in
+    ``types``, gives [].
+    """
+    out = []
+    for a in range(n + 1):
+        # the one b that can qualify: the least with every set hit
+        b = max((m - d + 1 for c, d in types if c <= n - a), default=0)
+        if b <= m and (not a or any(0 < c <= n - a + 1 and d <= m - b for c, d in types)):
+            out.append((a, b))
+    return out
+
+
+def list_types(types, n, m):
+    """Every set of a x's and b y's, for each (a, b) in ``types``, as masks in increasing order."""
+    out = []
+    for a, b in types:
+        xs = subsets(n, a)
+        out += [y << n | x for y in subsets(m, b) for x in xs]
+    out.sort()
+    return out
 
 
 def _mmcs_transversals(sets):

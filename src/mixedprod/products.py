@@ -16,18 +16,20 @@ block k has the complement type of the k-th dual summand from the end;
 its normalization check guards every closed form.  All verdicts are
 O(s') profile arithmetic.  Only the listings enumerate, all through
 ``sets_by_type``: every set of a x's and b y's as a bitmask (bit i is
-vertex i), in lex order of the sorted vertex lists.  The generators,
-the decomposition's components, the facet blocks and the shelling order
-are listed once, as masks, for the sweep's oracles and the CLI alike;
-they become vertex lists (``ideals.vertex_lists``) and vertex names
-only in the CLI.  ``expand_generators`` hands the same masks to the
-generic ideal layer as a ``SquarefreeIdeal``.  One budget,
-``GENERATOR_CAP``, bounds the listings: ``generator_sets`` counts the
-generators it would build, and ``check_listing_size`` the variables
-that ``dual --expand``, ``decompose`` and ``facets`` would print.  The
-oracles, which also read these listings, are gated once per spec by the
-vertex cap in ``sweep.check_spec``, which records a spec whose
-expansion passes the generator cap as skipped.
+vertex i), in lex order of the sorted vertex lists.  The dual's
+generators, the decomposition's components, the facet blocks and the
+shelling order are listed once, as masks, for the sweep's oracles and
+the CLI alike; they become vertex lists (``ideals.vertex_lists``) and
+vertex names only in the CLI.  The sweep's oracles start from the
+spec's summand types and do not list its generators;
+``expand_generators`` hands them to the generic ideal layer as a
+``SquarefreeIdeal``.  One budget, ``GENERATOR_CAP``, bounds the
+listings: ``check_generator_count`` counts the generators
+``generator_sets`` would build, and ``check_listing_size`` the
+variables that ``dual --expand``, ``decompose`` and ``facets`` would
+print.  The oracles are gated once per spec by the vertex cap in
+``sweep.check_spec``, which records as skipped a spec whose generators,
+or its dual's, pass the generator cap.
 """
 
 from __future__ import annotations
@@ -227,9 +229,18 @@ def generator_sets(spec: MixedProductSpec, cap: int = GENERATOR_CAP) -> list[int
     normalized spec's (q, r) pairs are pairwise incomparable; the dual's
     normalization check rejects any other spec.
     """
+    check_generator_count(spec, cap)
+    return [g for sets in sets_by_type(spec.universe, spec.summands) for g in sets]
+
+
+def check_generator_count(spec: MixedProductSpec, cap: int = GENERATOR_CAP) -> None:
+    """Raise before ``generator_sets`` would list more than ``cap`` generators of ``spec``.
+
+    Raises InvalidInput unless ``spec`` is normalized, and
+    ResourceCapExceeded past the cap; nothing is listed.
+    """
     spec.dual   # raises InvalidInput unless spec is normalized
     _check_count(spec.universe.n, spec.universe.m, spec.summands, cap, "generators")
-    return [g for sets in sets_by_type(spec.universe, spec.summands) for g in sets]
 
 
 def expand_generators(spec: MixedProductSpec, cap: int = GENERATOR_CAP) -> SquarefreeIdeal:

@@ -3,9 +3,12 @@
 Every normalized spec within the configured bounds is enumerated and
 each closed-form statement is compared against an independent oracle:
 
-  - the dual formula against minimal-hitting-set Alexander duality,
-    one representative transversal per S_n x S_m orbit type when the
-    generators are whole types, MMCS otherwise (``kernels``),
+  - the dual formula against minimal-hitting-set Alexander duality:
+    the ideal is the sum of its summands I_q J_r, each every set of q
+    x's and r y's, so it is S_n x S_m invariant with the summand types
+    as its types, and the prime types follow from them by the orbit
+    rule (``kernels.transversal_types``), one representative
+    transversal per type, without listing the generators,
   - the primary decomposition against the dual's minimal primes, each
     group against the blocks its primes meet,
   - the CM verdict against purity + strong connectivity (fast) and
@@ -17,10 +20,10 @@ each closed-form statement is compared against an independent oracle:
     it (a nonpure shelling proves sequential CM, Bjorner and Wachs 1996).
 
 Both tiers stay on bitmasks from the spec to the verdict.  The
-closed-form listings (generators of the spec and of its dual, the
-decomposition's components, the facet blocks and the shelling order)
-come as masks from the same ``products`` functions the CLI prints.  They
-are compared with the one transversal search as sorted mask lists and
+closed-form listings (generators of the dual, the decomposition's
+components, the facet blocks and the shelling order) come as masks from
+the same ``products`` functions the CLI prints.  They are compared with
+the primes listed from the prime types as sorted mask lists and
 become vertex lists (``ideals.vertex_lists``) only in a mismatch record
 or a witness, vertex names only in the CLI.
 
@@ -152,21 +155,24 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
         mismatches.append(_mismatch(spec, "cm_implies_scm", cm.holds, scm.holds))
 
     oracle = {}
-    gens = None
+    dual_closed = None
     if oracle_level in ("fast", "full"):
         if spec.universe.size > cap_vertices:
             skipped.append({"spec": spec_as_dict(spec), "reason": "vertex cap"})
         else:
             try:
                 # both or neither: the spec fits the cap while its dual may not
-                gens, dual_closed = products.generator_sets(spec), products.generator_sets(dual)
+                products.check_generator_count(spec)
+                dual_closed = products.generator_sets(dual)
             except ideals.ResourceCapExceeded:
                 skipped.append({"spec": spec_as_dict(spec), "reason": "generator cap"})
-    if gens is not None:
+    if dual_closed is not None:
         universe = spec.universe
-        # the one transversal computation: the dual's generators are the
-        # minimal primes, whose complements are the facets of the complex
-        primes = kernels.minimal_hitting_sets(gens, universe.size, universe.n)
+        # the one transversal computation, from the summand types that
+        # define the ideal: the dual's generators are the minimal primes,
+        # whose complements are the facets of the complex
+        prime_types = kernels.transversal_types(spec.summands, universe.n, universe.m)
+        primes = kernels.list_types(prime_types, universe.n, universe.m)
         oracle["dual_generators"] = sorted(dual_closed) == primes
         if not oracle["dual_generators"]:
             mismatches.append(_mismatch(spec, "dual_generators",
@@ -191,7 +197,7 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
             mismatches.append(_mismatch(spec, "unmixed", unmixed.holds,
                                         oracle["unmixed"], unmixed.witness))
 
-        complex_ = ideals.complex_of_primes(universe, primes)
+        complex_ = ideals.complex_of_primes(universe, primes, prime_types)
         blocks = products.facet_partition(spec)
         tiled = [f for b in blocks for f in b]
         oracle["facet_partition"] = sorted(tiled) == list(complex_.masks)

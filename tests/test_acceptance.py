@@ -97,9 +97,11 @@ def test_criterion_2_primary_decomposition():
 
 
 def test_oracle_input_matches_generic_ideal_arithmetic():
-    # The oracles' one input from the closed forms is ``generator_sets``:
-    # it must list exactly the minimal generators that generic ideal
-    # arithmetic builds for the sum of the I_q * J_r, each once.
+    # The oracles' input is the summand types: the sum of the I_q * J_r
+    # holds every set of q x's and r y's for each summand (q, r).
+    # ``generator_sets`` lists exactly those sets, each once, and they
+    # must be the minimal generators that generic ideal arithmetic
+    # builds, so the summand types are the ideal's types.
     start = time.monotonic()
     bad = []
     count = 0

@@ -462,21 +462,25 @@ def test_one_block_symmetry_checks_every_face(monkeypatch):
 
 
 def test_one_symmetry_check_per_complex(monkeypatch):
-    # Reisner's and Duval's checks read one face list off the complex, so
-    # a full check tests the Stanley-Reisner complex for S_n x S_m
-    # invariance once
-    from mixedprod import complexes, expand_generators, normalize, stanley_reisner_complex
+    # Reisner's and Duval's checks read one type signature off the
+    # complex, and a full check's complex has it set from the prime
+    # types, so its facets are not tested for S_n x S_m invariance at all
+    from mixedprod import complexes, expand_generators, ideals, normalize, stanley_reisner_complex
     from mixedprod.sweep import check_spec
     spec = normalize(VariableUniverse(3, 3), [(1, 2), (2, 1)])
     c = stanley_reisner_complex(expand_generators(spec))
     assert c.type_signature == (3, 3, ((0, 3), (1, 1), (3, 0)))
-    calls = []
-    types = complexes.whole_types
+    calls, supplied = [], []
+    types, of_primes = complexes.whole_types, ideals.complex_of_primes
     monkeypatch.setattr(complexes, "whole_types", lambda *a: calls.append(a) or types(*a))
+    monkeypatch.setattr(ideals, "complex_of_primes",
+                        lambda *a: supplied.append(of_primes(*a)) or supplied[-1])
     record = check_spec(spec, "full")
     assert {"cm_reisner", "scm_duval"} <= record["oracle"].keys()
     assert record["mismatches"] == []
-    assert calls == [(c.masks, 3, 3)]
+    assert calls == [] and supplied == [c]
+    # the supplied signature is the one the facet count reads
+    assert supplied[0].type_signature[2] == tuple(sorted(types(c.masks, 3, 3)))
 
 
 def test_orbit_reduction_on_every_invariant_complex():

@@ -101,6 +101,30 @@ def test_whole_type_families_take_the_orbit_path(monkeypatch):
     assert checked == 2 * 3316 and fallbacks == []
 
 
+def test_the_type_chain_matches_mmcs():
+    # the sweep's oracle chain: the prime types by the orbit rule from the
+    # summand types, and the signature the complex takes from them, on
+    # every normalized spec with n, m <= 5 and on a one-block universe
+    # (n = 0 or m = 0) with up to 8 vertices, against MMCS on the listed
+    # generators and against the facet count
+    from mixedprod.ideals import complex_of_primes
+    from mixedprod.products import MixedProductSpec, generator_sets
+    from mixedprod.sweep import enumerate_specs
+    one_block = [MixedProductSpec(u, (t,)) for k in range(1, 9) for i in range(1, k + 1)
+                 for u, t in [(VariableUniverse(0, k), (0, i)), (VariableUniverse(k, 0), (i, 0))]]
+    checked = 0
+    for spec in [*enumerate_specs(5, 5, 6), *one_block]:
+        u = spec.universe
+        types = kernels.transversal_types(spec.summands, u.n, u.m)
+        primes = kernels.list_types(types, u.n, u.m)
+        assert primes == kernels._mmcs_transversals(generator_sets(spec)), spec
+        signature = complex_of_primes(u, primes).type_signature     # by the facet count
+        assert signature is not None, spec
+        assert complex_of_primes(u, primes, types).type_signature == signature, spec
+        checked += 1
+    assert checked == 3316 + 72
+
+
 def test_families_that_are_not_whole_types_fall_back(monkeypatch):
     mmcs = kernels._mmcs_transversals
     fallbacks = []

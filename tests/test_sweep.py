@@ -67,19 +67,27 @@ def test_summand_count_bound_past_the_block_sizes():
 
 @pytest.mark.parametrize("level", ["fast", "full"])
 def test_one_transversal_search_per_spec(monkeypatch, level):
-    calls = []
-    search = kernels.minimal_hitting_sets
+    # the search runs once, on the summand types that define the ideal:
+    # the spec's generators are neither listed nor searched by mask, and
+    # the dual's are listed once, as the closed form under test
+    from mixedprod import products
+    searched, listed = [], []
+    rule, listing = kernels.transversal_types, products.generator_sets
 
-    def counted(masks, nbits, n):
-        calls.append(len(masks))
-        return search(masks, nbits, n)
+    def refuse(*args):
+        raise AssertionError("a mask search in check_spec")
 
-    monkeypatch.setattr(kernels, "minimal_hitting_sets", counted)
+    monkeypatch.setattr(kernels, "transversal_types",
+                        lambda types, n, m: searched.append(types) or rule(types, n, m))
+    monkeypatch.setattr(kernels, "minimal_hitting_sets", refuse)
+    monkeypatch.setattr(products, "generator_sets",
+                        lambda spec, *a: listed.append(spec) or listing(spec, *a))
     specs = list(enumerate_specs(2, 2, 3))
     for spec in specs:
-        before = len(calls)
+        searched.clear()
+        listed.clear()
         record = check_spec(spec, level)
-        assert len(calls) == before + 1, spec
+        assert searched == [spec.summands] and listed == [spec.dual], spec
         assert "dual_generators" in record["oracle"] and not record["mismatches"]
     assert len(specs) == 38
 
