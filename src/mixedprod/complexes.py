@@ -22,15 +22,15 @@ whether a new facet f may follow, and which placed facet blocks it, takes
 O(|f|^2) big-int ANDs instead of passes over the placed list.
 ``find_shelling`` sets and clears the bits as it backtracks.
 
-Reisner's and Duval's checks run on facet types when they can.  A
-complex whose facet set is invariant under S_n x S_m (the x-block and
-the y-block each permuted on their own) is a down-closed set of types
-(a, b), a x's and b y's, and ``SimplicialComplex.type_signature`` holds
-it as (n', m', sorted facet types T), read with the type count of
-``kernels.whole_types``, or set from the prime types by
-``ideals.complex_of_primes``; n' is n, or 0 when no facet holds an x
-(m' likewise).  A face of type (a, b) lies in exactly the facets of the
-types (A, B) in T with A >= a and B >= b, so its link is, up to an
+Reisner's and Duval's checks run on facet types when they are given
+them.  A complex whose facet set is invariant under S_n x S_m (the
+x-block and the y-block each permuted on their own) is a down-closed
+set of types (a, b), a x's and b y's, and
+``SimplicialComplex.type_signature`` holds it as (n', m', sorted facet
+types T), set from the prime types by ``ideals.complex_of_primes`` and
+by nothing else; n' is n, or 0 when no facet holds an x (m' likewise).
+A face of type (a, b) lies in exactly the facets of the types (A, B) in
+T with A >= a and B >= b, so its link is, up to an
 order-preserving relabel of the vertices, the type complex
 (n' - a, m' - b, {(A - a, B - b) : (A, B) in T, A >= a, B >= b}),
 and Duval's facet cut c_l (below) is (n', m', {t in T : |t| >= l}).
@@ -41,9 +41,11 @@ orbit.  So both checks walk the types in that order (``_face_types``),
 rank each link by its signature (``homology.reduced_homology_ranks``
 takes one), and find the same first failing face, hence the same
 witness, as a walk over every face.  They build no mask link, no cut
-and no face table.  A complex without a signature has every face
-checked on its masks, from the definitions.  ``_walk`` makes the choice
-between the two, so each check is one loop over it.
+and no face table.  A complex without a signature, such as every one
+from ``make_complex``, ``link``, ``skeleton`` or
+``ideals.stanley_reisner_complex``, has every face checked on its
+masks, from the definitions.  ``_walk`` makes the choice between the
+two, so each check is one loop over it.
 
 Duval's criterion runs Reisner's on every pure skeleton, yet no skeleton
 is built.  At level l, the link of F in the l-skeleton agrees in every
@@ -54,13 +56,13 @@ the complex generated by the facets of c of dimension >= l - 1
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .homology import _faces_by_dim, reduced_homology_ranks
 from .ideals import DomainError, InvalidInput, VariableUniverse, vertex_lists
-from .kernels import bit_indices, whole_types
+from .kernels import bit_indices
 
 SHELLING_FACET_CAP = 10
 
@@ -69,28 +71,19 @@ SHELLING_FACET_CAP = 10
 class SimplicialComplex:
     """Facet bitmasks, an inclusion antichain, in increasing order.
 
-    The face table and the type signature are computed on first use and
-    kept on the complex.
+    ``type_signature`` is set by ``ideals.complex_of_primes`` alone
+    (module docstring), and equality and hashing ignore it.  The face
+    table is computed on first use and kept on the complex.
     """
 
     universe: VariableUniverse
     masks: Tuple[int, ...]
+    type_signature: Optional[tuple] = field(default=None, compare=False)
 
     @cached_property
     def face_table(self) -> dict[int, list[int]]:
         """dim -> face masks in increasing order, enumerated once per complex."""
         return _faces_by_dim(self)
-
-    @cached_property
-    def type_signature(self) -> Optional[tuple]:
-        """(n', m', sorted facet types) if the facets are S_n x S_m invariant, else None.
-
-        n' is n, or 0 when no facet holds an x (m' likewise); the facet
-        types are read with ``kernels.whole_types``, unless
-        ``ideals.complex_of_primes`` set them from the prime types.
-        """
-        types = whole_types(self.masks, self.universe.n, self.universe.m)
-        return None if types is None else _signature(self.universe.n, self.universe.m, types)
 
     def __repr__(self):
         parts = ["{" + ",".join(map(self.universe.var_name, f)) + "}"

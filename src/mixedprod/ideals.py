@@ -19,6 +19,12 @@ Minimal transversals form an inclusion antichain, and so do their
 complements, so that complex is built directly from the facet masks,
 without the maximality pass of ``make_complex`` (the argument ``link``
 and ``skeleton`` use too).
+
+A caller that knows the primes' types, as the sweep does from a spec's
+summands, hands them to ``complex_of_primes`` too, and only then does
+the complex get a type signature, on which Reisner's and Duval's checks
+walk types instead of faces.  Nothing here guesses types by counting
+masks: every other complex is checked on its masks.
 """
 
 from __future__ import annotations
@@ -171,8 +177,7 @@ def _prime_masks(ideal: SquarefreeIdeal) -> list[int]:
         raise DomainError("dual of the zero ideal is undefined")
     if ideal.is_unit:
         raise DomainError("dual of the unit ideal is undefined")
-    u = ideal.universe
-    return kernels.minimal_hitting_sets(list(ideal.generators), u.size, u.n)
+    return kernels.minimal_hitting_sets(ideal.generators)
 
 
 def complex_of_primes(universe: VariableUniverse, primes: Iterable[int], types=None):
@@ -184,18 +189,15 @@ def complex_of_primes(universe: VariableUniverse, primes: Iterable[int], types=N
     be the types (a, b) of the primes, each held whole, as
     ``kernels.transversal_types`` gives them.  Complementing commutes
     with S_n x S_m, so the facets are then whole types too, each
-    (n - a, m - b), and the complex's type signature is set from them
-    instead of counting the facets (``kernels.whole_types``).
+    (n - a, m - b), and they make the complex's type signature.  This is
+    the one place a complex gets one; without ``types`` it has none.
     """
     from .complexes import SimplicialComplex, _signature
 
     full = (1 << universe.size) - 1
-    c = SimplicialComplex(universe, tuple(sorted(full & ~p for p in primes)))
-    if types is not None:
-        n, m = universe.n, universe.m
-        # fills the cached property, which a frozen dataclass will not assign
-        c.__dict__["type_signature"] = _signature(n, m, [(n - a, m - b) for a, b in types])
-    return c
+    n, m = universe.n, universe.m
+    signature = None if types is None else _signature(n, m, [(n - a, m - b) for a, b in types])
+    return SimplicialComplex(universe, tuple(sorted(full & ~p for p in primes)), signature)
 
 
 def stanley_reisner_complex(ideal: SquarefreeIdeal):
@@ -220,5 +222,4 @@ def ideal_of_complex(c) -> SquarefreeIdeal:
     """
     full_mask = (1 << c.universe.size) - 1
     comps = [full_mask & ~f for f in c.masks]
-    hs = kernels.minimal_hitting_sets(comps, c.universe.size, c.universe.n)
-    return SquarefreeIdeal(c.universe, frozenset(hs))
+    return SquarefreeIdeal(c.universe, frozenset(kernels.minimal_hitting_sets(comps)))

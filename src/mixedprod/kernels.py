@@ -6,20 +6,23 @@ Vertex sets over n x-vertices (bits 0..n-1) and m y-vertices (bits
 n..n+m-1) have a type (a, b): a x's and b y's.  The types are the orbits
 of S_n x S_m, which permutes each block on its own, so a family of
 distinct sets is invariant under S_n x S_m exactly when, for each type
-it holds, it holds all C(n, a) * C(m, b) sets of that type
-(``whole_types``).  The ideals the paper studies, and their facet
-blocks, are such families, and three oracles reduce to one set per
-orbit on them: Reisner's and Duval's checks (``complexes``), the
-intersection bound (``sweep``) and the hitting-set search here.
+it holds, it holds all C(n, a) * C(m, b) sets of that type.  The ideals
+the paper studies, and their facet blocks, are such families, and the
+sweep's oracles take one set per orbit on them: the prime types
+(``transversal_types``), Reisner's and Duval's checks on the complex of
+those types (``complexes``) and the intersection bound (``sweep``).  The
+types come from the spec's summands.  ``whole_types`` counts them only
+in the intersection bound, whose facet blocks are the closed form under
+test, masks whose types the oracle does not know.
+``minimal_hitting_sets`` is MMCS on any family, the reference.
 
 Minimal transversals of an invariant family F come by type, and
 ``transversal_types`` is the rule that finds them from the types of F
-alone; ``minimal_hitting_sets`` lists its answer (``list_types``) when
-``whole_types`` finds a family invariant, and the sweep applies it to a
-spec's summand types directly, without listing the generators.  A
-permutation g in S_n x S_m maps F to itself, so it maps each minimal
-transversal T to one, g(T): the minimal transversals form an invariant
-family, a union of whole types, and a type qualifies exactly when its
+alone; ``list_types`` lists its answer, and the sweep applies it to a
+spec's summand types without listing the generators.  A permutation g
+in S_n x S_m maps F to itself, so it maps each minimal transversal T to
+one, g(T): the minimal transversals form an invariant family, a union
+of whole types, and a type qualifies exactly when its
 representative T = {x_1..x_a} u {y_1..y_b} does.  T qualifies when it
 hits every set of F and each v in T has a private set, one S in F with
 S cap T = {v}; deleting v from T then misses S, and a transversal in
@@ -86,32 +89,35 @@ def _mmcs(sets, occ, uncov, cand, chosen, crit, out):
             _mmcs(sets, occ, uncov & ~hit, cand, chosen | v, kept, out)
 
 
-def minimal_hitting_sets(masks, nbits, n):
-    """All minimal transversals of a family of bitmask sets over ``nbits`` vertices.
+def minimal_hitting_sets(masks):
+    """All minimal transversals of a family of bitmask sets, by MMCS.
 
-    The first ``n`` bits are the x-block, the rest the y-block.  A family
-    that ``whole_types`` finds S_n x S_m invariant gets its transversals
-    type by type from ``transversal_types``, each type listed whole.
-    Any other goes to MMCS (Murakami and Uno, 2014): branch on the vertices of an uncovered set with the fewest candidates
-    and keep, per chosen vertex, the sets it alone hits.  A branch dies
-    as soon as a chosen vertex loses its last such critical set, so every
-    transversal reached is minimal and none is reached twice; the family
-    need not be an antichain.
+    MMCS (Murakami and Uno, 2014) branches on the vertices of an
+    uncovered set with the fewest candidates and keeps, per chosen
+    vertex, the sets it alone hits.  A branch dies as soon as a chosen
+    vertex loses its last such critical set, so every transversal
+    reached is minimal and none is reached twice; the family need not be
+    an antichain.
 
-    Returns bitmasks in increasing order.  A family
-    containing the empty set has no transversal (returns []); the empty
-    family is hit by the empty set (returns [0]).
+    Returns bitmasks in increasing order.  A family containing the
+    empty set has no transversal (returns []); the empty family is hit
+    by the empty set (returns [0]).
     """
     sets = list(masks)
     if 0 in sets:
         return []
     if not sets:
         return [0]
-    m = nbits - n
-    types = whole_types(set(sets), n, m)
-    if types is not None:
-        return list_types(transversal_types(types, n, m), n, m)
-    return _mmcs_transversals(sets)
+    occ = {}    # vertex bit -> mask of the positions of the sets holding it
+    for i, t in enumerate(sets):
+        while t:
+            v = t & -t
+            t ^= v
+            occ[v] = occ.get(v, 0) | 1 << i
+    out = []
+    _mmcs(sets, occ, (1 << len(sets)) - 1, sum(occ), 0, [], out)
+    out.sort()
+    return out
 
 
 def transversal_types(types, n, m):
@@ -138,21 +144,6 @@ def list_types(types, n, m):
     for a, b in types:
         xs = subsets(n, a)
         out += [y << n | x for y in subsets(m, b) for x in xs]
-    out.sort()
-    return out
-
-
-def _mmcs_transversals(sets):
-    """The minimal transversals of a nonempty family of nonempty sets, by MMCS, in increasing order."""
-    occ = {}    # vertex bit -> mask of the positions of the sets holding it
-    for i, t in enumerate(sets):
-        while t:
-            v = t & -t
-            t ^= v
-            occ[v] = occ.get(v, 0) | 1 << i
-    union = sum(occ)
-    out = []
-    _mmcs(sets, occ, (1 << len(sets)) - 1, union, 0, [], out)
     out.sort()
     return out
 

@@ -221,7 +221,7 @@ def sets_by_type(universe: VariableUniverse, types) -> list[list[int]]:
     return out
 
 
-def generator_sets(spec: MixedProductSpec, cap: int = GENERATOR_CAP) -> list[int]:
+def generator_sets(spec: MixedProductSpec) -> list[int]:
     """The minimal generators of ``spec`` as bitmasks, summand by summand.
 
     Summand i contributes the generators with exactly q_i x's and r_i
@@ -229,23 +229,23 @@ def generator_sets(spec: MixedProductSpec, cap: int = GENERATOR_CAP) -> list[int
     normalized spec's (q, r) pairs are pairwise incomparable; the dual's
     normalization check rejects any other spec.
     """
-    check_generator_count(spec, cap)
+    check_generator_count(spec)
     return [g for sets in sets_by_type(spec.universe, spec.summands) for g in sets]
 
 
-def check_generator_count(spec: MixedProductSpec, cap: int = GENERATOR_CAP) -> None:
-    """Raise before ``generator_sets`` would list more than ``cap`` generators of ``spec``.
+def check_generator_count(spec: MixedProductSpec) -> None:
+    """Raise before ``generator_sets(spec)`` would list more than ``GENERATOR_CAP`` generators.
 
     Raises InvalidInput unless ``spec`` is normalized, and
     ResourceCapExceeded past the cap; nothing is listed.
     """
     spec.dual   # raises InvalidInput unless spec is normalized
-    _check_count(spec.universe.n, spec.universe.m, spec.summands, cap, "generators")
+    _check_count(spec.universe.n, spec.universe.m, spec.summands, GENERATOR_CAP, "generators")
 
 
-def expand_generators(spec: MixedProductSpec, cap: int = GENERATOR_CAP) -> SquarefreeIdeal:
+def expand_generators(spec: MixedProductSpec) -> SquarefreeIdeal:
     """The minimal generators as a ``SquarefreeIdeal``: all q-subset x r-subset products."""
-    return SquarefreeIdeal(spec.universe, frozenset(generator_sets(spec, cap)))
+    return SquarefreeIdeal(spec.universe, frozenset(generator_sets(spec)))
 
 
 def qr_profile(spec: MixedProductSpec) -> QRProfile:
@@ -310,13 +310,13 @@ def closed_form_dual(spec: MixedProductSpec) -> MixedProductSpec:
     return MixedProductSpec(spec.universe, tuple(dual))
 
 
-def check_listing_size(universe: VariableUniverse, types, what: str,
-                       cap: int = GENERATOR_CAP) -> None:
-    """Raise before listing more than ``cap`` variables in all.
+def check_listing_size(universe: VariableUniverse, types, what: str) -> None:
+    """Raise before listing more than ``GENERATOR_CAP`` variables in all.
 
     Each (a, b) in ``types`` stands for every set of a x's and b y's.
     """
-    _check_count(universe.n, universe.m, types, cap, f"variables in the {what}", weigh=True)
+    _check_count(universe.n, universe.m, types, GENERATOR_CAP, f"variables in the {what}",
+                 weigh=True)
 
 
 def decomposition_types(spec: MixedProductSpec):

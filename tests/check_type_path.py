@@ -1,0 +1,60 @@
+"""The type path against the mask path on every type antichain with n, m <= N (default 5).
+
+For each antichain T of types (a, b) over n x's and m y's, the complex
+whose facets are every set of each type in T is built as the sweep
+builds it, by ``ideals.complex_of_primes`` from the prime types
+(n - a, m - b), so it carries its type signature.  Reisner's check,
+Duval's check and ``reduced_homology_ranks`` then run on it and on the
+same facets without a signature, and must agree, witnesses included.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/check_type_path.py [N]
+
+It prints one line of counts and exits 1 at the first disagreement.
+The tier-1 test ``test_the_type_path_matches_the_mask_path`` makes the
+same comparison for n, m <= 4.
+"""
+
+import sys
+from itertools import combinations
+
+from mixedprod import duval_scm, reduced_homology_ranks, reisner_cm
+from mixedprod.complexes import SimplicialComplex
+from mixedprod.ideals import VariableUniverse, complex_of_primes
+from mixedprod.kernels import list_types
+
+
+def type_antichains(max_n, max_m):
+    """(universe, types) for every antichain of types (a, b) with n <= max_n, m <= max_m."""
+    for n in range(max_n + 1):
+        for m in range(0 if n else 1, max_m + 1):
+            types = [(a, b) for a in range(n + 1) for b in range(m + 1)]
+            for k in range(1, min(n, m) + 2):     # an antichain has at most min(n, m) + 1 types
+                for chosen in combinations(types, k):
+                    if not any(s != t and s[0] <= t[0] and s[1] <= t[1]
+                               for s in chosen for t in chosen):
+                        yield VariableUniverse(n, m), chosen
+
+
+def main(bound):
+    checked = 0
+    for u, chosen in type_antichains(bound, bound):
+        prime_types = [(u.n - a, u.m - b) for a, b in chosen]
+        typed = complex_of_primes(u, list_types(prime_types, u.n, u.m), prime_types)
+        masks = SimplicialComplex(u, typed.masks)
+        for name, check in (("reisner_cm", reisner_cm), ("duval_scm", duval_scm),
+                            ("reduced_homology_ranks", reduced_homology_ranks)):
+            by_type, by_mask = check(typed), check(masks)
+            if by_type != by_mask:
+                print(f"{name} on {u.n}+{u.m} types {list(chosen)}: "
+                      f"type path {by_type!r}, mask path {by_mask!r}")
+                return 1
+        checked += 1
+    print(f"{checked} type antichains with n, m <= {bound}: "
+          "Reisner, Duval and the reduced homology ranks agree on both paths")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(int(sys.argv[1]) if len(sys.argv) > 1 else 5))

@@ -1,6 +1,7 @@
 """Complex combinatorics: skeleta, links, connectivity, shellings, oracles."""
 
 from functools import reduce
+from itertools import combinations
 from operator import and_
 
 import pytest
@@ -22,7 +23,7 @@ from mixedprod import (
     skeleton,
     verify_shelling_order,
 )
-from mixedprod.complexes import SimplicialComplex, all_faces
+from mixedprod.complexes import SimplicialComplex, _signature, all_faces
 from mixedprod.ideals import vertex_lists
 from mixedprod.kernels import bit_indices
 
@@ -32,11 +33,17 @@ def complex_on(n, facets):
 
 
 def masks_only(c):
-    """A copy of c that Reisner's, Duval's and the rank checks treat as having no type
-    signature: the mask path, the reference of the type path."""
-    copy = SimplicialComplex(c.universe, c.masks)
-    copy.__dict__["type_signature"] = None      # the slot the cached property fills
-    return copy
+    """c without its type signature: the mask path, the reference of the type path."""
+    return SimplicialComplex(c.universe, c.masks)
+
+
+def type_complex(u, types):
+    """The complex of every set of each type (a, b) in the antichain ``types``, handed the
+    type signature of those types, as ``ideals.complex_of_primes`` hands it: the type path."""
+    c = make_complex(u, [set(xs) | set(ys) for a, b in types
+                         for xs in combinations(range(u.n), a)
+                         for ys in combinations(range(u.n, u.size), b)])
+    return SimplicialComplex(u, c.masks, _signature(u.n, u.m, types))
 
 
 EMPTYC = complex_on(2, [set()])
@@ -370,14 +377,14 @@ def test_block_symmetry_needs_both_generators():
              (VariableUniverse(1, 1), [{0}, {1}], True)]
     for universe, facets, symmetric in cases:
         c = make_complex(universe, facets)
-        assert (c.type_signature is not None) == symmetric
+        assert (kernels.whole_types(c.masks, universe.n, universe.m) is not None) == symmetric
         assert generator_map_symmetric(c.masks, universe.n, universe.m) == symmetric
 
 
 def test_the_type_count_is_the_generator_map_check():
-    # the type signature reads kernels.whole_types; on antichains of whole
-    # types, with a set dropped or added or not, both tests agree
-    from itertools import combinations
+    # the type count the intersection bound reads, kernels.whole_types: on
+    # antichains of whole types, with a set dropped or added or not, it
+    # agrees with the generator map check
     import random
     rng = random.Random(47)
     seen = {True: 0, False: 0}
@@ -399,10 +406,41 @@ def test_the_type_count_is_the_generator_map_check():
             facets.add(frozenset(rng.sample(range(u.size), rng.randint(1, u.size))))
         c = make_complex(u, facets or [set()])
         symmetric = generator_map_symmetric(c.masks, n, m)
-        assert (c.type_signature is not None) == symmetric
         assert (kernels.whole_types(c.masks, n, m) is not None) == symmetric
         seen[symmetric] += 1
     assert seen[True] > 100 and seen[False] > 60
+
+
+def test_the_type_signature_is_data_not_identity():
+    # Only complex_of_primes, handed the prime types, sets a signature, the
+    # one of the facets' type count; equality and hashing ignore it.  The
+    # same invariant facets from any other constructor carry none.
+    from mixedprod import expand_generators, stanley_reisner_complex
+    from mixedprod.ideals import complex_of_primes
+    from mixedprod.sweep import enumerate_specs
+    checked = 0
+    for spec in enumerate_specs(3, 3, 3):
+        u = spec.universe
+        types = kernels.transversal_types(spec.summands, u.n, u.m)
+        primes = kernels.list_types(types, u.n, u.m)
+        typed, untyped = complex_of_primes(u, primes, types), complex_of_primes(u, primes)
+        assert typed == untyped and hash(typed) == hash(untyped) and len({typed, untyped}) == 1
+        assert untyped.type_signature is None
+        facet_types = kernels.whole_types(typed.masks, u.n, u.m)
+        assert typed.type_signature == _signature(u.n, u.m, facet_types)
+        others = [stanley_reisner_complex(expand_generators(spec)),
+                  make_complex(u, vertex_lists(typed.masks)),
+                  skeleton(typed, dim(typed) + 1)]
+        if typed.masks[0]:
+            others.append(link(typed, typed.masks[0] & -typed.masks[0]))
+        for c in others:
+            assert c.type_signature is None
+        assert others[0] == others[1] == typed
+        checked += 1
+    assert checked == 197
+    simplex = make_complex(VariableUniverse(2, 1), [{0, 1, 2}])
+    assert kernels.whole_types(simplex.masks, 2, 1) == [(2, 1)]
+    assert simplex.type_signature is None
 
 
 def test_orbit_reduction_falls_back_on_asymmetric_complexes():
@@ -414,7 +452,7 @@ def test_orbit_reduction_falls_back_on_asymmetric_complexes():
         facets = [rng.sample(range(u.size), rng.randint(1, min(3, u.size)))
                   for _ in range(rng.randint(2, 6))]
         c = make_complex(u, facets)
-        if c.type_signature is not None:
+        if kernels.whole_types(c.masks, u.n, u.m) is not None:
             continue
         checked += 1
         expected = reisner_reference(c)
@@ -425,11 +463,16 @@ def test_orbit_reduction_falls_back_on_asymmetric_complexes():
 
 
 def test_orbit_reduction_on_stanley_reisner_complexes():
+    # the Stanley-Reisner complex, handed the prime types as the sweep hands them
     from mixedprod import expand_generators, stanley_reisner_complex
+    from mixedprod.ideals import complex_of_primes
     from mixedprod.sweep import enumerate_specs
     failing = 0
     for spec in enumerate_specs(3, 3, 3):
-        c = stanley_reisner_complex(expand_generators(spec))
+        u = spec.universe
+        types = kernels.transversal_types(spec.summands, u.n, u.m)
+        c = complex_of_primes(u, kernels.list_types(types, u.n, u.m), types)
+        assert c == stanley_reisner_complex(expand_generators(spec))
         assert c.type_signature is not None
         expected = reisner_reference(c)
         assert reisner_cm(c) == expected
@@ -453,8 +496,8 @@ def test_one_block_symmetry_checks_every_face(monkeypatch):
     assert reisner_cm(c) == (True, None)
     assert seen == all_faces(c) and len(seen) == 16 and typed == []
     seen.clear()
-    full = make_complex(VariableUniverse(3, 2), [{0, 1, 2, 3, 4}])
-    assert full.type_signature == (3, 2, ((3, 2),))
+    full = type_complex(VariableUniverse(3, 2), [(3, 2)])
+    assert full.masks == (0b11111,) and full.type_signature == (3, 2, ((3, 2),))
     assert reisner_cm(full) == (True, None)
     assert seen == [] and len(typed) == 12      # one face per (x-count, y-count) class
     assert typed == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
@@ -464,21 +507,23 @@ def test_one_block_symmetry_checks_every_face(monkeypatch):
 def test_one_symmetry_check_per_complex(monkeypatch):
     # Reisner's and Duval's checks read one type signature off the
     # complex, and a full check's complex has it set from the prime
-    # types, so its facets are not tested for S_n x S_m invariance at all
-    from mixedprod import complexes, expand_generators, ideals, normalize, stanley_reisner_complex
+    # types, so its facets are not tested for S_n x S_m invariance at
+    # all: the type count runs on the intersection bound's blocks alone
+    from mixedprod import expand_generators, ideals, normalize, products, stanley_reisner_complex
     from mixedprod.sweep import check_spec
     spec = normalize(VariableUniverse(3, 3), [(1, 2), (2, 1)])
     c = stanley_reisner_complex(expand_generators(spec))
-    assert c.type_signature == (3, 3, ((0, 3), (1, 1), (3, 0)))
+    assert c.type_signature is None
     calls, supplied = [], []
-    types, of_primes = complexes.whole_types, ideals.complex_of_primes
-    monkeypatch.setattr(complexes, "whole_types", lambda *a: calls.append(a) or types(*a))
+    types, of_primes = kernels.whole_types, ideals.complex_of_primes
+    monkeypatch.setattr(kernels, "whole_types", lambda *a: calls.append(a[0]) or types(*a))
     monkeypatch.setattr(ideals, "complex_of_primes",
                         lambda *a: supplied.append(of_primes(*a)) or supplied[-1])
     record = check_spec(spec, "full")
     assert {"cm_reisner", "scm_duval"} <= record["oracle"].keys()
     assert record["mismatches"] == []
-    assert calls == [] and supplied == [c]
+    assert calls == products.facet_partition(spec) and supplied == [c]
+    assert supplied[0].type_signature == (3, 3, ((0, 3), (1, 1), (3, 0)))
     # the supplied signature is the one the facet count reads
     assert supplied[0].type_signature[2] == tuple(sorted(types(c.masks, 3, 3)))
 
@@ -486,7 +531,6 @@ def test_one_symmetry_check_per_complex(monkeypatch):
 def test_orbit_reduction_on_every_invariant_complex():
     # An S_n x S_m invariant facet set is the union of the sets of each
     # (x-count, y-count) type in an antichain of types.
-    from itertools import combinations
     checked = 0
     for n in range(1, 4):
         for m in range(1, 4):
@@ -497,10 +541,7 @@ def test_orbit_reduction_on_every_invariant_complex():
                     if any(s != t and s[0] <= t[0] and s[1] <= t[1]
                            for s in chosen for t in chosen):
                         continue
-                    c = make_complex(u, [set(xs) | set(ys) for a, b in chosen
-                                         for xs in combinations(range(n), a)
-                                         for ys in combinations(range(n, n + m), b)])
-                    assert c.type_signature is not None
+                    c = type_complex(u, chosen)
                     assert reisner_cm(c) == reisner_reference(c)
                     assert duval_scm(c) == duval_reference(c)
                     checked += 1
@@ -508,8 +549,8 @@ def test_orbit_reduction_on_every_invariant_complex():
 
 
 def type_complexes(max_n, max_m):
-    """(universe, facet types, complex) for every antichain of types with n <= max_n, m <= max_m."""
-    from itertools import combinations
+    """(universe, facet types, typed complex) for every antichain of types with n <= max_n,
+    m <= max_m."""
     for n in range(max_n + 1):
         for m in range(0 if n else 1, max_m + 1):
             u = VariableUniverse(n, m)
@@ -519,9 +560,7 @@ def type_complexes(max_n, max_m):
                     if any(s != t and s[0] <= t[0] and s[1] <= t[1]
                            for s in chosen for t in chosen):
                         continue
-                    yield u, chosen, make_complex(u, [set(xs) | set(ys) for a, b in chosen
-                                                      for xs in combinations(range(n), a)
-                                                      for ys in combinations(range(n, n + m), b)])
+                    yield u, chosen, type_complex(u, chosen)
 
 
 def test_the_type_path_matches_the_mask_path(monkeypatch):
@@ -546,8 +585,8 @@ def test_the_type_path_matches_the_mask_path(monkeypatch):
         counts["not_cm"] += not cm[0]
         counts["not_scm"] += not scm[0]
         counts["homology"] += any(ranks.values())
-    empty = make_complex(VariableUniverse(2, 2), [set()])
-    assert empty.type_signature == (0, 0, ((0, 0),))
+    empty = type_complex(VariableUniverse(2, 2), [(0, 0)])
+    assert empty.masks == (0,) and empty.type_signature == (0, 0, ((0, 0),))
     for c in (empty, masks_only(empty)):
         assert reduced_homology_ranks(c) == {-1: 1}
         assert reisner_cm(c) == duval_scm(c) == (True, None)
@@ -585,7 +624,6 @@ def test_duval_on_non_pure_complexes_with_size_gaps():
     # Facet sizes with gaps give one c_l (the facets of size >= l) to
     # several skeleton levels, each asking its links for another j.
     import random
-    from itertools import combinations
     rng = random.Random(43)
     checked = {True: 0, False: 0}     # by block symmetry
     failing = {True: 0, False: 0}
@@ -604,19 +642,13 @@ def test_duval_on_non_pure_complexes_with_size_gaps():
             options = [t for t in options if not any(
                 (t[0] <= g[0] and t[1] <= g[1]) if symmetric else t <= g for g in chosen)]
             chosen += rng.sample(options, min(len(options), 1 if symmetric else 2 if not chosen else 3))
-        if symmetric:
-            # whole classes, so the facet set is S_n x S_m invariant
-            facets = [set(xs) | set(ys) for a, b in chosen
-                      for xs in combinations(range(n), a)
-                      for ys in combinations(range(n, u.size), b)]
-        else:
-            facets = chosen
-        c = make_complex(u, facets)
+        # whole classes, so the facet set is S_n x S_m invariant, on the type path
+        c = type_complex(u, chosen) if symmetric else make_complex(u, chosen)
         if not _has_a_size_gap(c):
             continue
         expected = duval_reference(c)
         assert duval_scm(c) == expected
-        symmetric = c.type_signature is not None
+        symmetric = kernels.whole_types(c.masks, u.n, u.m) is not None
         checked[symmetric] += 1
         failing[symmetric] += not expected[0]
     assert checked[True] >= 100 and checked[False] >= 100

@@ -22,7 +22,7 @@ from mixedprod import (
     reisner_cm,
     stanley_reisner_complex,
 )
-from mixedprod.complexes import all_faces
+from mixedprod.complexes import SimplicialComplex, _signature, all_faces
 from mixedprod.kernels import bit_indices
 
 U4 = VariableUniverse(4, 0)
@@ -268,11 +268,17 @@ def _assert_prefix_cache():
 
 @pytest.mark.parametrize("order", ["fresh", "partial_first", "full_first", "shuffled"])
 def test_partial_ranks_are_the_truncated_full_ranks(monkeypatch, order):
-    # mask complexes, and type signatures, the one kind the cache keeps
+    # mask complexes, and type signatures, the one kind the cache keeps:
+    # the invariant random complexes are ranked on both paths
     from test_complexes import type_complexes
     rng = random.Random(31)
     cases = [complex_on(6, RP2)] + [_random_complex(rng) for _ in range(40)]
     cases += [_union_of_spheres(rng) for _ in range(20)]
+    for c in list(cases):
+        types = kernels.whole_types(c.masks, c.universe.n, c.universe.m)
+        if types is not None:
+            cases.append(SimplicialComplex(c.universe, c.masks,
+                                           _signature(c.universe.n, c.universe.m, types)))
     cases += [c for _, _, c in type_complexes(3, 3)]
     cached = 0
     for c in cases:
@@ -331,9 +337,11 @@ def test_partial_ranks_settle_no_map_above_below(monkeypatch):
 
 
 def test_a_warm_signature_builds_no_type_cells(monkeypatch):
+    from test_complexes import type_complex
     monkeypatch.setattr(homology, "_ranks_cache", {})
     edges = [{x, y} for x in range(3) for y in range(3, 6)]
-    bipartite = make_complex(VariableUniverse(3, 3), edges)
+    bipartite = type_complex(VariableUniverse(3, 3), [(1, 1)])
+    assert bipartite == make_complex(VariableUniverse(3, 3), edges)
     assert bipartite.type_signature == (3, 3, ((1, 1),))
     assert reduced_homology_ranks(bipartite) == {-1: 0, 0: 0, 1: 4}    # K_{3,3}: 9 - 6 + 1 cycles
 
@@ -341,7 +349,7 @@ def test_a_warm_signature_builds_no_type_cells(monkeypatch):
         raise AssertionError("relative cells listed for a cached signature")
 
     monkeypatch.setattr(homology, "_TypeCells", refuse)
-    again = make_complex(VariableUniverse(3, 3), edges)
+    again = type_complex(VariableUniverse(3, 3), [(1, 1)])
     assert reduced_homology_ranks(again, below=1) == {-1: 0, 0: 0, 1: 4}
     assert reduced_homology_ranks((3, 3, ((1, 1),))) == {-1: 0, 0: 0, 1: 4}
 
@@ -354,7 +362,7 @@ def test_the_mask_path_caches_nothing(monkeypatch):
     checked = cones = 0
     while checked < 80:
         c = _random_complex(rng)
-        if c.type_signature is not None:
+        if kernels.whole_types(c.masks, c.universe.n, c.universe.m) is not None:
             continue
         cones += reduce(and_, c.masks) != 0
         exact = _exact_ranks(c)

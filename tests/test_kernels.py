@@ -37,13 +37,13 @@ def brute_minimal_hitting_sets(masks, nbits):
 @KERNELS
 class TestHittingSets:
     def test_empty_family(self, impl):
-        assert impl.minimal_hitting_sets([], 4, 2) == [0]
+        assert impl.minimal_hitting_sets([]) == [0]
 
     def test_empty_set_member(self, impl):
-        assert impl.minimal_hitting_sets([0b101, 0], 4, 2) == []
+        assert impl.minimal_hitting_sets([0b101, 0]) == []
 
     def test_single_set(self, impl):
-        assert impl.minimal_hitting_sets([0b1010], 4, 2) == [0b0010, 0b1000]
+        assert impl.minimal_hitting_sets([0b1010]) == [0b0010, 0b1000]
 
     def test_matches_brute_force(self, impl):
         rng = random.Random(7)
@@ -51,8 +51,7 @@ class TestHittingSets:
             nbits = rng.randint(1, 6)
             nsets = rng.randint(1, 8)
             masks = [rng.randint(1, (1 << nbits) - 1) for _ in range(nsets)]
-            assert impl.minimal_hitting_sets(masks, nbits, rng.randint(0, nbits)) == \
-                brute_minimal_hitting_sets(masks, nbits)
+            assert impl.minimal_hitting_sets(masks) == brute_minimal_hitting_sets(masks, nbits)
 
 
 @pytest.mark.parametrize("masks, nbits", [
@@ -63,18 +62,15 @@ class TestHittingSets:
     ([0b1, 0b11, 0b111, 0b1], 3),                   # nested and duplicated
 ])
 def test_families_that_are_not_antichains(masks, nbits):
-    for n in range(nbits + 1):
-        assert kernels.minimal_hitting_sets(masks, nbits, n) == \
-            brute_minimal_hitting_sets(masks, nbits)
+    assert kernels.minimal_hitting_sets(masks) == brute_minimal_hitting_sets(masks, nbits)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 10).flatmap(lambda nbits: st.tuples(
-    st.lists(st.integers(1, (1 << nbits) - 1), min_size=1, max_size=12), st.just(nbits),
-    st.integers(0, nbits))))
+    st.lists(st.integers(1, (1 << nbits) - 1), min_size=1, max_size=12), st.just(nbits))))
 def test_hitting_sets_match_brute_force_property(family):
-    masks, nbits, n = family
-    assert kernels.minimal_hitting_sets(masks, nbits, n) == brute_minimal_hitting_sets(masks, nbits)
+    masks, nbits = family
+    assert kernels.minimal_hitting_sets(masks) == brute_minimal_hitting_sets(masks, nbits)
 
 
 def family_of_types(n, m, types):
@@ -84,21 +80,20 @@ def family_of_types(n, m, types):
             for ys in combinations(range(m), b)]
 
 
-def test_whole_type_families_take_the_orbit_path(monkeypatch):
-    # the generators of every normalized spec with n, m <= 5, and of its dual
+def test_whole_type_families_take_the_orbit_path():
+    # the orbit rule on the types counted off the generators of every
+    # normalized spec with n, m <= 5, and of its dual, against MMCS
     from mixedprod.products import generator_sets
     from mixedprod.sweep import enumerate_specs
-    mmcs = kernels._mmcs_transversals
-    fallbacks = []
-    monkeypatch.setattr(kernels, "_mmcs_transversals",
-                        lambda sets: fallbacks.append(sets) or mmcs(sets))
     checked = 0
     for spec in enumerate_specs(5, 5, 6):
         u = spec.universe
         for family in (generator_sets(spec), generator_sets(spec.dual)):
-            assert kernels.minimal_hitting_sets(family, u.size, u.n) == mmcs(family), spec
+            types = kernels.whole_types(family, u.n, u.m)
+            assert kernels.list_types(kernels.transversal_types(types, u.n, u.m), u.n, u.m) == \
+                kernels.minimal_hitting_sets(family), spec
             checked += 1
-    assert checked == 2 * 3316 and fallbacks == []
+    assert checked == 2 * 3316
 
 
 def test_the_type_chain_matches_mmcs():
@@ -106,7 +101,8 @@ def test_the_type_chain_matches_mmcs():
     # summand types, and the signature the complex takes from them, on
     # every normalized spec with n, m <= 5 and on a one-block universe
     # (n = 0 or m = 0) with up to 8 vertices, against MMCS on the listed
-    # generators and against the facet count
+    # generators and against the type count of the facets
+    from mixedprod.complexes import _signature
     from mixedprod.ideals import complex_of_primes
     from mixedprod.products import MixedProductSpec, generator_sets
     from mixedprod.sweep import enumerate_specs
@@ -117,27 +113,20 @@ def test_the_type_chain_matches_mmcs():
         u = spec.universe
         types = kernels.transversal_types(spec.summands, u.n, u.m)
         primes = kernels.list_types(types, u.n, u.m)
-        assert primes == kernels._mmcs_transversals(generator_sets(spec)), spec
-        signature = complex_of_primes(u, primes).type_signature     # by the facet count
-        assert signature is not None, spec
-        assert complex_of_primes(u, primes, types).type_signature == signature, spec
+        assert primes == kernels.minimal_hitting_sets(generator_sets(spec)), spec
+        c = complex_of_primes(u, primes, types)
+        facet_types = kernels.whole_types(c.masks, u.n, u.m)
+        assert facet_types is not None, spec
+        assert c.type_signature == _signature(u.n, u.m, facet_types), spec
         checked += 1
     assert checked == 3316 + 72
 
 
-def test_families_that_are_not_whole_types_fall_back(monkeypatch):
-    mmcs = kernels._mmcs_transversals
-    fallbacks = []
-    monkeypatch.setattr(kernels, "_mmcs_transversals",
-                        lambda sets: fallbacks.append(sets) or mmcs(sets))
-
+def test_families_that_are_not_whole_types_fall_back():
+    # MMCS on families with and without whole types, and the type count on them
     def check(family, n, m, invariant):
-        before = len(fallbacks)
-        assert kernels.minimal_hitting_sets(family, n + m, n) == \
-            brute_minimal_hitting_sets(family, n + m)
+        assert kernels.minimal_hitting_sets(family) == brute_minimal_hitting_sets(family, n + m)
         assert (kernels.whole_types(set(family), n, m) is not None) == invariant
-        # a family holding the empty set, or no set, needs neither path
-        assert len(fallbacks) - before == (not invariant and 0 not in family and bool(family))
 
     rng = random.Random(19)
     for n, m in [(3, 3), (2, 4), (1, 4), (4, 1), (1, 1), (0, 5), (5, 0)]:
@@ -159,11 +148,10 @@ def test_families_that_are_not_whole_types_fall_back(monkeypatch):
     check([], 3, 2, True)                   # hit by the empty set
     check([0], 3, 2, True)                  # the empty set is a whole type of one set
     check([0, 0b00011], 3, 2, False)        # no transversal either way
-    assert len(fallbacks) > 100
     # a bit past the n + m vertices is no type of the universe, even where
     # the counts match: {x_1} and {bit 2} over 1 + 1 vertices
     assert kernels.whole_types({0b001, 0b100}, 1, 1) is None
-    assert kernels.minimal_hitting_sets([0b001, 0b100], 2, 1) == [0b101]
+    assert kernels.minimal_hitting_sets([0b001, 0b100]) == [0b101]
 
 
 def sparse(rows):
@@ -257,13 +245,13 @@ def test_import_loads_no_fractions():
 
 
 def test_masks_wider_than_64_bits():
-    assert kernels.minimal_hitting_sets([1 << 70, 1 << 3 | 1 << 65], 71, 35) == \
+    assert kernels.minimal_hitting_sets([1 << 70, 1 << 3 | 1 << 65]) == \
         [1 << 3 | 1 << 70, 1 << 65 | 1 << 70]
     rng = random.Random(5)
     for _ in range(30):
         nbits = rng.randint(1, 6)
         masks = [rng.randint(1, (1 << nbits) - 1) for _ in range(rng.randint(1, 8))]
-        assert kernels.minimal_hitting_sets([t << 64 for t in masks], nbits + 64, 64) == \
+        assert kernels.minimal_hitting_sets([t << 64 for t in masks]) == \
             [h << 64 for h in brute_minimal_hitting_sets(masks, nbits)]
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import mixedprod
 
-from mixedprod import ideals
+from mixedprod import ideals, products
 from mixedprod import (
     InvalidInput,
     MixedProductSpec,
@@ -123,10 +123,12 @@ class TestExpand:
         with pytest.raises(InvalidInput, match="spec is not normalized"):
             expand_generators(s)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(products, "GENERATOR_CAP", 3)
         with pytest.raises(ResourceCapExceeded, match="more than the cap of 3"):
-            expand_generators(spec(2, 2, [(1, 1)]), cap=3)
-        assert len(expand_generators(spec(2, 2, [(1, 1)]), cap=4).generators) == 4
+            expand_generators(spec(2, 2, [(1, 1)]))
+        monkeypatch.setattr(products, "GENERATOR_CAP", 4)
+        assert len(expand_generators(spec(2, 2, [(1, 1)])).generators) == 4
 
     def test_cap_on_a_long_spec(self):
         # 3,999 summands: the normalization check and the count are O(s)
@@ -212,30 +214,37 @@ class TestPrimaryDecomposition:
         assert len(d.px) == 1 and len(d.pxy) == 4 and len(d.py) == 1
         assert vertex_lists(d.pxy) == [[0, 2], [1, 2], [0, 3], [1, 3]]   # increasing masks
 
-    def test_size_check_counts_variables(self):
+    def test_size_check_counts_variables(self, monkeypatch):
         s = spec(2, 2, [(1, 2), (2, 1)])   # six components of two variables
         types = closed_form_dual(s).summands
+        monkeypatch.setattr(products, "GENERATOR_CAP", 11)
         with pytest.raises(ResourceCapExceeded,
                            match="more than the cap of 11 variables in the components"):
-            check_listing_size(s.universe, types, "components", cap=11)
-        check_listing_size(s.universe, types, "components", cap=12)
+            check_listing_size(s.universe, types, "components")
+        monkeypatch.setattr(products, "GENERATOR_CAP", 12)
+        check_listing_size(s.universe, types, "components")
         assert sum(p.bit_count() for p in closed_form_primary_decomposition(s).components) == 12
 
-    def test_expansion_size_check_counts_variables(self):
+    def test_expansion_size_check_counts_variables(self, monkeypatch):
         s = spec(2, 2, [(1, 2), (2, 1)])   # four generators of three variables
+        monkeypatch.setattr(products, "GENERATOR_CAP", 11)
         with pytest.raises(ResourceCapExceeded,
                            match="more than the cap of 11 variables in the generators"):
-            check_listing_size(s.universe, s.summands, "generators", cap=11)
-        check_listing_size(s.universe, s.summands, "generators", cap=12)
+            check_listing_size(s.universe, s.summands, "generators")
+        monkeypatch.setattr(products, "GENERATOR_CAP", 12)
+        check_listing_size(s.universe, s.summands, "generators")
         assert sum(g.bit_count() for g in expand_generators(s).generators) == 12
 
-    def test_listing_size_is_the_printed_size_exhaustive(self):
+    def test_listing_size_is_the_printed_size_exhaustive(self, monkeypatch):
         # the types each command passes count exactly the variables it lists
         def exact(universe, types, listed):
             total = sum(h.bit_count() for h in listed)
-            check_listing_size(universe, types, "sets", cap=total)
-            with pytest.raises(ResourceCapExceeded):
-                check_listing_size(universe, types, "sets", cap=total - 1)
+            with monkeypatch.context() as patch:
+                patch.setattr(products, "GENERATOR_CAP", total)
+                check_listing_size(universe, types, "sets")
+                patch.setattr(products, "GENERATOR_CAP", total - 1)
+                with pytest.raises(ResourceCapExceeded):
+                    check_listing_size(universe, types, "sets")
 
         for s in enumerate_specs(4, 4, 3):
             p = qr_profile(s)
