@@ -31,11 +31,12 @@ the cells are all the sets of x_2..x_n and y_1..y_m of the types
 (i, j) with i < n and reach[i+1] < j <= reach[i] (``_TypeCells``).
 The count of type (i, j) is C(n - 1, i) * C(m, j), so the cell counts
 come by arithmetic and a dimension is listed only when a rank asks for
-it.  These are the cells of ``_relative_table`` after the relabel, the
-same boundary matrices, and they are ranked the same way.  The order of
-the cells within a dimension does not matter: another order permutes
-the rows and columns of each boundary map, which changes no rank over
-Q.  A cone is read off the types too: every facet holds every x when
+it, by ``kernels.list_types`` over the n - 1 x's x_2..x_n and the m
+y's, shifted up one bit.  These are the cells of ``_relative_table``
+after the relabel, the same boundary matrices, and they are ranked the
+same way.  The order of the cells within a dimension does not matter:
+another order permutes the rows and columns of each boundary map,
+which changes no rank over Q.  A cone is read off the types too: every facet holds every x when
 every A = n > 0 (every y when every B = m > 0), and a type complex with
 a vertex in every facet holds that vertex's whole block in every facet,
 as the facet set is invariant.
@@ -216,12 +217,9 @@ class _TypeCells(dict):
                 for d, types in self.types.items()}
 
     def __missing__(self, d):
+        # the sets over x_2..x_n and the y's: (y << (n-1) | x) << 1 = y << n | x << 1
         n = self.n
-        cells = [] if n else [0]
-        for i, j in self.types[d]:
-            xs = [x << 1 for x in kernels.subsets(n - 1, i)]
-            cells += [y << n | x for y in kernels.subsets(self.m, j) for x in xs]
-        cells.sort()
+        cells = [c << 1 for c in kernels.list_types(self.types[d], n - 1, self.m)] if n else [0]
         self[d] = cells
         return cells
 

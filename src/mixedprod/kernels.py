@@ -11,9 +11,9 @@ the paper studies, and their facet blocks, are such families, and the
 sweep's oracles take one set per orbit on them: the prime types
 (``transversal_types``), Reisner's and Duval's checks on the complex of
 those types (``complexes``) and the intersection bound (``sweep``).  The
-types come from the spec's summands.  ``whole_types`` counts them only
-in the intersection bound, whose facet blocks are the closed form under
-test, masks whose types the oracle does not know.
+types come from the spec's summands, never from a count of masks, and
+``list_types`` lists the sets of given types: the primes, the facet
+blocks and the relative cells of a type complex (``homology``).
 ``minimal_hitting_sets`` is MMCS on any family, the reference.
 
 Minimal transversals of an invariant family F come by type, and
@@ -43,7 +43,6 @@ T in y_1 alone.  So x_1 is the one vertex left to check.
 """
 
 import heapq
-from math import comb
 
 
 def bit_indices(mask):
@@ -146,24 +145,6 @@ def list_types(types, n, m):
         out += [y << n | x for y in subsets(m, b) for x in xs]
     out.sort()
     return out
-
-
-def whole_types(masks, n, m):
-    """The types (a, b) of a family of distinct masks, if it holds every set of each.
-
-    That is, if the family is invariant under S_n x S_m; otherwise, or
-    if a mask has a bit past the n + m vertices, None.
-    """
-    if masks and max(masks) >> (n + m):
-        return None
-    low = (1 << n) - 1
-    counts = {}
-    for g in masks:
-        t = (g & low).bit_count(), (g >> n).bit_count()
-        counts[t] = counts.get(t, 0) + 1
-    if any(k != comb(n, a) * comb(m, b) for (a, b), k in counts.items()):
-        return None
-    return list(counts)
 
 
 def subsets(k, r):

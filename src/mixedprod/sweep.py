@@ -15,15 +15,21 @@ each closed-form statement is compared against an independent oracle:
     against Reisner link homology (full),
   - the sequential-CM verdict against the pure-skeleton test,
   - the unmixedness verdict against equal component sizes,
-  - the facet partition and intersection bound against the actual facet
-    set, and each "sequentially CM" verdict against a shelling order of
-    it (a nonpure shelling proves sequential CM, Bjorner and Wachs 1996).
+  - the facet partition block by block against the facet types, the
+    complements of the prime types, each block every set of one type,
+  - the intersection bound against the blocks' facets, which learns from
+    the facet partition check that each block is an S_n x S_m orbit and
+    then compares each block's first facet alone,
+  - each "sequentially CM" verdict against a shelling order of the
+    facets (a nonpure shelling proves sequential CM, Bjorner and Wachs
+    1996).
 
 Both tiers stay on bitmasks from the spec to the verdict.  The
 closed-form listings (generators of the dual, the decomposition's
 components, the facet blocks and the shelling order) come as masks from
 the same ``products`` functions the CLI prints.  They are compared with
-the primes listed from the prime types as sorted mask lists and
+the primes and facet blocks listed from the prime types
+(``kernels.list_types``) as sorted mask lists and
 become vertex lists (``ideals.vertex_lists``) only in a mismatch record
 or a witness, vertex names only in the CLI.
 
@@ -168,11 +174,12 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
                 skipped.append({"spec": spec_as_dict(spec), "reason": "generator cap"})
     if dual_closed is not None:
         universe = spec.universe
+        n, m = universe.n, universe.m
         # the one transversal computation, from the summand types that
         # define the ideal: the dual's generators are the minimal primes,
         # whose complements are the facets of the complex
-        prime_types = kernels.transversal_types(spec.summands, universe.n, universe.m)
-        primes = kernels.list_types(prime_types, universe.n, universe.m)
+        prime_types = kernels.transversal_types(spec.summands, n, m)
+        primes = kernels.list_types(prime_types, n, m)
         oracle["dual_generators"] = sorted(dual_closed) == primes
         if not oracle["dual_generators"]:
             mismatches.append(_mismatch(spec, "dual_generators",
@@ -180,7 +187,7 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
 
         # the union is the primes, and each group's primes meet the blocks it names
         decomp = products.closed_form_primary_decomposition(spec)
-        x_block = (1 << universe.n) - 1
+        x_block = (1 << n) - 1
         oracle["primary_decomposition"] = (
             decomp.components == primes
             and all(not p & ~x_block for p in decomp.px)
@@ -198,14 +205,18 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
                                         oracle["unmixed"], unmixed.witness))
 
         complex_ = ideals.complex_of_primes(universe, primes, prime_types)
+        # one block per facet type, the complements of the prime types,
+        # x-counts rising as q_bar does
+        facet_blocks = [kernels.list_types([(n - a, m - b)], n, m)
+                        for a, b in reversed(prime_types)]
         blocks = products.facet_partition(spec)
-        tiled = [f for b in blocks for f in b]
-        oracle["facet_partition"] = sorted(tiled) == list(complex_.masks)
+        oracle["facet_partition"] = [sorted(b) for b in blocks] == facet_blocks
         if not oracle["facet_partition"]:
             mismatches.append(_mismatch(spec, "facet_partition",
-                                        vertex_lists(tiled), vertex_lists(complex_.masks)))
+                                        [vertex_lists(b) for b in blocks],
+                                        [vertex_lists(b) for b in facet_blocks]))
 
-        bound_ok, bound_witness = _intersection_bound(profile, blocks, universe.n, universe.m)
+        bound_ok, bound_witness = _intersection_bound(profile, blocks, oracle["facet_partition"])
         oracle["intersection_bound"] = bound_ok
         if not bound_ok:
             mismatches.append(_mismatch(spec, "intersection_bound", None, None, bound_witness))
@@ -252,23 +263,22 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
     }
 
 
-def _intersection_bound(profile, blocks, n, m):
+def _intersection_bound(profile, blocks, orbits):
     """dim(F cap G) <= q(i) + r(j) - 1 for F in block i, G in block j, i < j.
 
-    ``blocks`` holds the facets of each block as bitmasks over n x's and
-    m y's; the witness is the first failing pair, as sorted vertex lists.
-    When each block holds every set of one type, each block is an
-    S_n x S_m orbit: some permutation p takes any F of block i to its
-    first facet F0 and block j to itself, so a failing pair (F, G) gives
-    the failing pair (F0, p(G)).  Block i then fails against block j
-    exactly when F0 does, the first failing pair has F0 in it either
-    way, and F0 alone is compared.  Otherwise every pair is.
+    ``blocks`` holds the facets of each block as bitmasks; the witness
+    is the first failing pair, as sorted vertex lists.  ``orbits`` is the
+    facet partition check's verdict: when it holds, block k is every set
+    of one type, an S_n x S_m orbit, and some permutation p takes any F
+    of block i to its first facet F0 and block j to itself, so a failing
+    pair (F, G) gives the failing pair (F0, p(G)).  Block i then fails
+    against block j exactly when F0 does, the first failing pair has F0
+    in it either way, and F0 alone is compared.  Otherwise every pair is.
     """
-    whole = all(len(kernels.whole_types(b, n, m) or ()) == 1 for b in blocks)
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
             limit = profile.q_bar[i] + profile.r_bar[j]
-            for f in blocks[i][:1] if whole else blocks[i]:
+            for f in blocks[i][:1] if orbits else blocks[i]:
                 for g in blocks[j]:
                     if (f & g).bit_count() > limit:
                         return False, (i + 1, j + 1, list(kernels.bit_indices(f)),

@@ -348,8 +348,18 @@ def duval_reference(c):
     return True, None
 
 
+def facet_types(masks, n, m):
+    """The types (a, b) of distinct masks over n x's and m y's, if they hold every set of each.
+
+    Otherwise, that is if the family is not S_n x S_m invariant or a
+    mask has a bit past the n + m vertices, None.
+    """
+    types = sorted({((g & (1 << n) - 1).bit_count(), (g >> n).bit_count()) for g in masks})
+    return types if kernels.list_types(types, n, m) == sorted(masks) else None
+
+
 def generator_map_symmetric(masks, n, m):
-    """S_n x S_m invariance on the group generators: the reference of ``kernels.whole_types``.
+    """S_n x S_m invariance on the group generators: the reference of ``facet_types``.
 
     Each symmetric group is generated by the transposition of its
     block's first two vertices and the cycle i -> i+1 through the block.
@@ -377,14 +387,16 @@ def test_block_symmetry_needs_both_generators():
              (VariableUniverse(1, 1), [{0}, {1}], True)]
     for universe, facets, symmetric in cases:
         c = make_complex(universe, facets)
-        assert (kernels.whole_types(c.masks, universe.n, universe.m) is not None) == symmetric
+        assert (facet_types(c.masks, universe.n, universe.m) is not None) == symmetric
         assert generator_map_symmetric(c.masks, universe.n, universe.m) == symmetric
+    # a bit past the n + m vertices: {x_1} and {bit 2} hold no type of 1 + 1 vertices
+    assert facet_types([0b001, 0b100], 1, 1) is None
 
 
 def test_the_type_count_is_the_generator_map_check():
-    # the type count the intersection bound reads, kernels.whole_types: on
-    # antichains of whole types, with a set dropped or added or not, it
-    # agrees with the generator map check
+    # the test-side type reader, facet_types: on antichains of whole
+    # types, with a set dropped or added or not, it agrees with the
+    # generator map check
     import random
     rng = random.Random(47)
     seen = {True: 0, False: 0}
@@ -406,7 +418,7 @@ def test_the_type_count_is_the_generator_map_check():
             facets.add(frozenset(rng.sample(range(u.size), rng.randint(1, u.size))))
         c = make_complex(u, facets or [set()])
         symmetric = generator_map_symmetric(c.masks, n, m)
-        assert (kernels.whole_types(c.masks, n, m) is not None) == symmetric
+        assert (facet_types(c.masks, n, m) is not None) == symmetric
         seen[symmetric] += 1
     assert seen[True] > 100 and seen[False] > 60
 
@@ -426,8 +438,7 @@ def test_the_type_signature_is_data_not_identity():
         typed, untyped = complex_of_primes(u, primes, types), complex_of_primes(u, primes)
         assert typed == untyped and hash(typed) == hash(untyped) and len({typed, untyped}) == 1
         assert untyped.type_signature is None
-        facet_types = kernels.whole_types(typed.masks, u.n, u.m)
-        assert typed.type_signature == _signature(u.n, u.m, facet_types)
+        assert typed.type_signature == _signature(u.n, u.m, facet_types(typed.masks, u.n, u.m))
         others = [stanley_reisner_complex(expand_generators(spec)),
                   make_complex(u, vertex_lists(typed.masks)),
                   skeleton(typed, dim(typed) + 1)]
@@ -439,7 +450,7 @@ def test_the_type_signature_is_data_not_identity():
         checked += 1
     assert checked == 197
     simplex = make_complex(VariableUniverse(2, 1), [{0, 1, 2}])
-    assert kernels.whole_types(simplex.masks, 2, 1) == [(2, 1)]
+    assert facet_types(simplex.masks, 2, 1) == [(2, 1)]
     assert simplex.type_signature is None
 
 
@@ -452,7 +463,7 @@ def test_orbit_reduction_falls_back_on_asymmetric_complexes():
         facets = [rng.sample(range(u.size), rng.randint(1, min(3, u.size)))
                   for _ in range(rng.randint(2, 6))]
         c = make_complex(u, facets)
-        if kernels.whole_types(c.masks, u.n, u.m) is not None:
+        if generator_map_symmetric(c.masks, u.n, u.m):
             continue
         checked += 1
         expected = reisner_reference(c)
@@ -508,24 +519,31 @@ def test_one_symmetry_check_per_complex(monkeypatch):
     # Reisner's and Duval's checks read one type signature off the
     # complex, and a full check's complex has it set from the prime
     # types, so its facets are not tested for S_n x S_m invariance at
-    # all: the type count runs on the intersection bound's blocks alone
+    # all.  No type is read off masks: the check lists the primes and
+    # then each facet block from the prime types, and every later
+    # listing is of the relative cells of a type complex, over the
+    # n - 1 x's x_2..x_n of its signature.
     from mixedprod import expand_generators, ideals, normalize, products, stanley_reisner_complex
     from mixedprod.sweep import check_spec
     spec = normalize(VariableUniverse(3, 3), [(1, 2), (2, 1)])
     c = stanley_reisner_complex(expand_generators(spec))
     assert c.type_signature is None
-    calls, supplied = [], []
-    types, of_primes = kernels.whole_types, ideals.complex_of_primes
-    monkeypatch.setattr(kernels, "whole_types", lambda *a: calls.append(a[0]) or types(*a))
+    listed, supplied = [], []
+    list_types, of_primes = kernels.list_types, ideals.complex_of_primes
+    monkeypatch.setattr(kernels, "list_types", lambda *a: listed.append(a) or list_types(*a))
     monkeypatch.setattr(ideals, "complex_of_primes",
                         lambda *a: supplied.append(of_primes(*a)) or supplied[-1])
     record = check_spec(spec, "full")
     assert {"cm_reisner", "scm_duval"} <= record["oracle"].keys()
-    assert record["mismatches"] == []
-    assert calls == products.facet_partition(spec) and supplied == [c]
+    assert record["mismatches"] == [] and supplied == [c]
+    assert listed[:4] == [([(0, 3), (2, 2), (3, 0)], 3, 3),
+                          ([(0, 3)], 3, 3), ([(1, 1)], 3, 3), ([(3, 0)], 3, 3)]
+    assert [list_types(*a) for a in listed[1:4]] == \
+        [sorted(b) for b in products.facet_partition(spec)]
+    assert all(n < 3 for _, n, _ in listed[4:])
     assert supplied[0].type_signature == (3, 3, ((0, 3), (1, 1), (3, 0)))
-    # the supplied signature is the one the facet count reads
-    assert supplied[0].type_signature[2] == tuple(sorted(types(c.masks, 3, 3)))
+    # the supplied signature is the one the facets hold
+    assert list(supplied[0].type_signature[2]) == facet_types(c.masks, 3, 3)
 
 
 def test_orbit_reduction_on_every_invariant_complex():
@@ -648,7 +666,7 @@ def test_duval_on_non_pure_complexes_with_size_gaps():
             continue
         expected = duval_reference(c)
         assert duval_scm(c) == expected
-        symmetric = kernels.whole_types(c.masks, u.n, u.m) is not None
+        symmetric = generator_map_symmetric(c.masks, u.n, u.m)
         checked[symmetric] += 1
         failing[symmetric] += not expected[0]
     assert checked[True] >= 100 and checked[False] >= 100

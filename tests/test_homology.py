@@ -270,12 +270,12 @@ def _assert_prefix_cache():
 def test_partial_ranks_are_the_truncated_full_ranks(monkeypatch, order):
     # mask complexes, and type signatures, the one kind the cache keeps:
     # the invariant random complexes are ranked on both paths
-    from test_complexes import type_complexes
+    from test_complexes import facet_types, type_complexes
     rng = random.Random(31)
     cases = [complex_on(6, RP2)] + [_random_complex(rng) for _ in range(40)]
     cases += [_union_of_spheres(rng) for _ in range(20)]
     for c in list(cases):
-        types = kernels.whole_types(c.masks, c.universe.n, c.universe.m)
+        types = facet_types(c.masks, c.universe.n, c.universe.m)
         if types is not None:
             cases.append(SimplicialComplex(c.universe, c.masks,
                                            _signature(c.universe.n, c.universe.m, types)))
@@ -357,12 +357,13 @@ def test_a_warm_signature_builds_no_type_cells(monkeypatch):
 def test_the_mask_path_caches_nothing(monkeypatch):
     # complexes without a type signature, cones and not, are ranked from
     # their own relative tables and leave the rank cache empty
+    from test_complexes import generator_map_symmetric
     monkeypatch.setattr(homology, "_ranks_cache", {})
     rng = random.Random(53)
     checked = cones = 0
     while checked < 80:
         c = _random_complex(rng)
-        if kernels.whole_types(c.masks, c.universe.n, c.universe.m) is not None:
+        if generator_map_symmetric(c.masks, c.universe.n, c.universe.m):
             continue
         cones += reduce(and_, c.masks) != 0
         exact = _exact_ranks(c)

@@ -81,15 +81,16 @@ def family_of_types(n, m, types):
 
 
 def test_whole_type_families_take_the_orbit_path():
-    # the orbit rule on the types counted off the generators of every
+    # the orbit rule on the types read off the generators of every
     # normalized spec with n, m <= 5, and of its dual, against MMCS
+    from test_complexes import facet_types
     from mixedprod.products import generator_sets
     from mixedprod.sweep import enumerate_specs
     checked = 0
     for spec in enumerate_specs(5, 5, 6):
         u = spec.universe
         for family in (generator_sets(spec), generator_sets(spec.dual)):
-            types = kernels.whole_types(family, u.n, u.m)
+            types = facet_types(family, u.n, u.m)
             assert kernels.list_types(kernels.transversal_types(types, u.n, u.m), u.n, u.m) == \
                 kernels.minimal_hitting_sets(family), spec
             checked += 1
@@ -101,7 +102,8 @@ def test_the_type_chain_matches_mmcs():
     # summand types, and the signature the complex takes from them, on
     # every normalized spec with n, m <= 5 and on a one-block universe
     # (n = 0 or m = 0) with up to 8 vertices, against MMCS on the listed
-    # generators and against the type count of the facets
+    # generators and against the types read off the facets
+    from test_complexes import facet_types
     from mixedprod.complexes import _signature
     from mixedprod.ideals import complex_of_primes
     from mixedprod.products import MixedProductSpec, generator_sets
@@ -115,18 +117,21 @@ def test_the_type_chain_matches_mmcs():
         primes = kernels.list_types(types, u.n, u.m)
         assert primes == kernels.minimal_hitting_sets(generator_sets(spec)), spec
         c = complex_of_primes(u, primes, types)
-        facet_types = kernels.whole_types(c.masks, u.n, u.m)
-        assert facet_types is not None, spec
-        assert c.type_signature == _signature(u.n, u.m, facet_types), spec
+        held = facet_types(c.masks, u.n, u.m)
+        assert held is not None, spec
+        assert c.type_signature == _signature(u.n, u.m, held), spec
         checked += 1
     assert checked == 3316 + 72
 
 
 def test_families_that_are_not_whole_types_fall_back():
-    # MMCS on families with and without whole types, and the type count on them
+    # MMCS on families with and without whole types, which the
+    # generator map check tells apart
+    from test_complexes import generator_map_symmetric
+
     def check(family, n, m, invariant):
         assert kernels.minimal_hitting_sets(family) == brute_minimal_hitting_sets(family, n + m)
-        assert (kernels.whole_types(set(family), n, m) is not None) == invariant
+        assert generator_map_symmetric(family, n, m) == invariant
 
     rng = random.Random(19)
     for n, m in [(3, 3), (2, 4), (1, 4), (4, 1), (1, 1), (0, 5), (5, 0)]:
@@ -148,9 +153,7 @@ def test_families_that_are_not_whole_types_fall_back():
     check([], 3, 2, True)                   # hit by the empty set
     check([0], 3, 2, True)                  # the empty set is a whole type of one set
     check([0, 0b00011], 3, 2, False)        # no transversal either way
-    # a bit past the n + m vertices is no type of the universe, even where
-    # the counts match: {x_1} and {bit 2} over 1 + 1 vertices
-    assert kernels.whole_types({0b001, 0b100}, 1, 1) is None
+    # MMCS takes sets past any universe: {x_1} and {bit 2}
     assert kernels.minimal_hitting_sets([0b001, 0b100]) == [0b101]
 
 

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from mixedprod import InvalidInput, VariableUniverse, kernels, normalize, sweep
+from mixedprod.ideals import vertex_lists
 from mixedprod.sweep import (
     SweepConfig,
     _intersection_bound,
@@ -196,19 +197,48 @@ def test_primary_decomposition_check_reads_the_grouping(monkeypatch):
         [[[2, 3]], [[0, 2], [0, 3], [1, 2], [1, 3]], [[0, 1]]]
 
 
+@pytest.mark.parametrize("regroup", ["moved", "swapped"])
+def test_facet_partition_check_reads_the_blocks(monkeypatch, regroup):
+    # one facet of block 1 moved to block 2, or blocks 1 and 2 swapped:
+    # the union is still the facets, the blocks are not
+    from mixedprod import products
+
+    partition = products.facet_partition
+
+    def regrouped(spec):
+        first, second, *rest = partition(spec)
+        if regroup == "moved":
+            return [first[1:], second + first[:1], *rest]
+        return [second, first, *rest]
+
+    spec = normalize(VariableUniverse(3, 3), [(1, 2), (2, 1)])
+    blocks = partition(spec)     # {y1 y2 y3} | x_i y_j | {x1 x2 x3}
+    assert len(blocks) == 3 and check_spec(spec, "fast")["mismatches"] == []
+    monkeypatch.setattr(products, "facet_partition", regrouped)
+    record = check_spec(spec, "fast")
+    assert record["oracle"]["facet_partition"] is False
+    partition_mismatches = [mm for mm in record["mismatches"] if mm["check"] == "facet_partition"]
+    assert len(partition_mismatches) == 1
+    assert partition_mismatches[0]["closed_form"] == \
+        [sorted(vertex_lists(b)) for b in regrouped(spec)]
+    assert partition_mismatches[0]["oracle"] == [vertex_lists(b) for b in blocks]
+
+
 def test_intersection_bound_on_masks():
     blocks = [[0b0011, 0b1100], [0b0101, 0b1010, 0b0110]]   # {0,1} {2,3} | {0,2} {1,3} {1,2}
-    # no block is one whole type of 2 + 2 vertices, so every pair is compared;
+    # blocks that are not the facet partition's orbits: every pair is compared;
     # each pair across the two blocks meets in one vertex: limit q_bar[0] + r_bar[1]
-    assert _intersection_bound(SimpleNamespace(q_bar=(0, 1), r_bar=(2, 1)), blocks, 2, 2) == \
+    assert _intersection_bound(SimpleNamespace(q_bar=(0, 1), r_bar=(2, 1)), blocks, False) == \
         (True, None)
     # below that, the first pair in block order is the witness, as sorted vertex lists
-    assert _intersection_bound(SimpleNamespace(q_bar=(0, 1), r_bar=(2, 0)), blocks, 2, 2) == \
+    assert _intersection_bound(SimpleNamespace(q_bar=(0, 1), r_bar=(2, 0)), blocks, False) == \
         (False, (1, 2, [0, 1], [0, 2]))
-    # block 1 is invariant but holds two types: its first facet {0,1} passes, {2,3} does not
+    # block 1 holds two types: its first facet {0,1} passes, {2,3} does not,
+    # so only the all-pairs path, which a failed partition check takes, sees it
     two_types = [[0b0011, 0b1100], [0b1100]]
-    assert _intersection_bound(SimpleNamespace(q_bar=(0, 1), r_bar=(2, 1)), two_types, 2, 2) == \
-        (False, (1, 2, [2, 3], [2, 3]))
+    profile = SimpleNamespace(q_bar=(0, 1), r_bar=(2, 1))
+    assert _intersection_bound(profile, two_types, False) == (False, (1, 2, [2, 3], [2, 3]))
+    assert _intersection_bound(profile, two_types, True) == (True, None)
 
 
 def all_pairs_bound(profile, blocks):
@@ -230,7 +260,7 @@ def test_intersection_bound_first_facets_give_the_all_pairs_witness():
     for spec in enumerate_specs(4, 4, 5):
         u, p = spec.universe, spec.profile
         blocks = products.facet_partition(spec)
-        assert all(len(kernels.whole_types(b, u.n, u.m)) == 1 for b in blocks)
+        assert check_spec(spec, "fast")["oracle"]["facet_partition"], spec
         # the spec's own profile, then one block's q or r lowered so that
         # the bound fails at the pairs that block takes part in
         profiles = [(p.q_bar, p.r_bar)]
@@ -241,7 +271,7 @@ def test_intersection_bound_first_facets_give_the_all_pairs_witness():
         for q_bar, r_bar in profiles:
             profile = SimpleNamespace(q_bar=q_bar, r_bar=r_bar)
             expected = all_pairs_bound(profile, blocks)
-            assert _intersection_bound(profile, blocks, u.n, u.m) == expected, spec
+            assert _intersection_bound(profile, blocks, True) == expected, spec
             failing += not expected[0]
             if not expected[0]:
                 pairs.add(expected[1][:2])
