@@ -12,8 +12,10 @@ sweep's oracles take one set per orbit on them: the prime types
 (``transversal_types``), Reisner's and Duval's checks on the complex of
 those types (``complexes``) and the intersection bound (``sweep``).  The
 types come from the spec's summands, never from a count of masks, and
-``list_types`` lists the sets of given types: the primes, the facet
-blocks and the relative cells of a type complex (``homology``).
+``list_types``, the package's one lister, lists the sets of given types
+in increasing order: the closed forms' generators, primes and facet
+blocks (``products``), the oracles' primes and facet blocks, and the
+relative cells of a type complex (``homology``).
 ``minimal_hitting_sets`` is MMCS on any family, the reference.
 
 Minimal transversals of an invariant family F come by type, and
@@ -139,10 +141,9 @@ def transversal_types(types, n, m):
 
 def list_types(types, n, m):
     """Every set of a x's and b y's, for each (a, b) in ``types``, as masks in increasing order."""
-    out = []
-    for a, b in types:
-        xs = subsets(n, a)
-        out += [y << n | x for y in subsets(m, b) for x in xs]
+    # each y-part shifted once; y-major with x inner, each type is one increasing run
+    out = [y | x for a, b in types for xs in [subsets(n, a)]
+           for y in [y << n for y in subsets(m, b)] for x in xs]
     out.sort()
     return out
 

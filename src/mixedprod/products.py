@@ -15,15 +15,15 @@ complements are the facets, so its summands are the prime types and
 block k has the complement type of the k-th dual summand from the end;
 its normalization check guards every closed form.  All verdicts are
 O(s') profile arithmetic.  Only the listings enumerate, all through
-``sets_by_type``: every set of a x's and b y's as a bitmask (bit i is
-vertex i), in lex order of the sorted vertex lists.  The dual's
-generators, the decomposition's components, the facet blocks and the
-shelling order are listed once, as masks, for the sweep's oracles and
-the CLI alike; they become vertex lists (``ideals.vertex_lists``) and
-vertex names only in the CLI.  The sweep's oracles start from the
-spec's summand types and do not list its generators;
-``expand_generators`` hands them to the generic ideal layer as a
-``SquarefreeIdeal``.  One budget, ``GENERATOR_CAP``, bounds the
+``kernels.list_types``: every set of a x's and b y's as a bitmask (bit
+i is vertex i), in increasing order, the one listing order of the
+package.  The dual's generators, the decomposition's components, the
+facet blocks and the shelling order are listed once, as masks, for the
+sweep's oracles and the CLI alike; they become vertex lists
+(``ideals.vertex_lists``) and vertex names only in the CLI.  The
+sweep's oracles start from the spec's summand types and do not list its
+generators; ``expand_generators`` hands them to the generic ideal layer
+as a ``SquarefreeIdeal``.  One budget, ``GENERATOR_CAP``, bounds the
 listings: ``check_generator_count`` counts the generators
 ``generator_sets`` would build, and ``check_listing_size`` the
 variables that ``dual --expand``, ``decompose`` and ``facets`` would
@@ -36,9 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Optional, Tuple
 
+from . import kernels
 from .ideals import (
     DomainError,
     InvalidInput,
@@ -204,25 +204,8 @@ def _check_count(n: int, m: int, sizes, cap: int, what: str, weigh: bool = False
             raise ResourceCapExceeded(f"more than the cap of {cap} {what}")
 
 
-def sets_by_type(universe: VariableUniverse, types) -> list[list[int]]:
-    """One list per (a, b) in ``types``: every set of a x's and b y's, as bitmasks.
-
-    This is the one listing of the module.  Each list is in lex order of
-    the sorted vertex lists: every x index is below every y index, so the
-    x-part and then the y-part, each combined in lex order, give the
-    sorted supports in lex order.
-    """
-    xs = [1 << i for i in range(universe.n)]
-    ys = [1 << i for i in range(universe.n, universe.size)]
-    out = []
-    for a, b in types:
-        y_parts = list(map(sum, combinations(ys, b)))
-        out.append([x | y for x in map(sum, combinations(xs, a)) for y in y_parts])
-    return out
-
-
 def generator_sets(spec: MixedProductSpec) -> list[int]:
-    """The minimal generators of ``spec`` as bitmasks, summand by summand.
+    """The minimal generators of ``spec`` as bitmasks, in increasing order.
 
     Summand i contributes the generators with exactly q_i x's and r_i
     y's, so the union is an antichain of the counted size because a
@@ -230,7 +213,7 @@ def generator_sets(spec: MixedProductSpec) -> list[int]:
     normalization check rejects any other spec.
     """
     check_generator_count(spec)
-    return [g for sets in sets_by_type(spec.universe, spec.summands) for g in sets]
+    return kernels.list_types(spec.summands, spec.universe.n, spec.universe.m)
 
 
 def check_generator_count(spec: MixedProductSpec) -> None:
@@ -335,9 +318,9 @@ def decomposition_types(spec: MixedProductSpec):
 
 def closed_form_primary_decomposition(spec: MixedProductSpec) -> PrimaryDecomposition:
     """Minimal primes from the closed form as bitmasks, grouped into P_x / P_xy / P_y."""
-    groups = (sorted(p for sets in sets_by_type(spec.universe, types) for p in sets)
-              for types in decomposition_types(spec))
-    return PrimaryDecomposition(*map(tuple, groups))
+    n, m = spec.universe.n, spec.universe.m
+    return PrimaryDecomposition(*(tuple(kernels.list_types(types, n, m))
+                                  for types in decomposition_types(spec)))
 
 
 def is_unmixed_closed_form(spec: MixedProductSpec) -> Verdict:
@@ -389,10 +372,10 @@ def is_scm_closed_form(spec: MixedProductSpec) -> Verdict:
 def facet_partition(spec: MixedProductSpec) -> list[list[int]]:
     """Block k of the facet partition: all sets of q_bar[k] x's and r_bar[k] y's.
 
-    The facets are bitmasks, each block in ``sets_by_type`` (lex) order.
+    The facets are bitmasks, each block in increasing order.
     """
-    p = spec.profile
-    return sets_by_type(spec.universe, zip(p.q_bar, p.r_bar))
+    p, n, m = spec.profile, spec.universe.n, spec.universe.m
+    return [kernels.list_types([t], n, m) for t in zip(p.q_bar, p.r_bar)]
 
 
 def shelling_order(spec: MixedProductSpec) -> Optional[list[int]]:
@@ -410,13 +393,19 @@ def shell_blocks(sigma, blocks) -> list[int]:
 
     Start at the block of largest sigma (leftmost on ties) and grow an
     interval by appending the neighbour of larger sigma (left on ties),
-    each block in ``facet_partition`` (lex) order, which shells it.
-    Proof: sigma does not fall left of the peak and each step is a unit
-    q- or r-step, so each step there lowers r by one.  A facet F in
-    block k left of the peak follows facets G of blocks right of k only,
-    each with fewer y's; F minus a y outside G contains F & G and lies in
-    a facet of block k + 1, which came earlier.  Mirror x and y right of
-    the peak.  With unit q-steps this is the paper's ascending order.
+    each block in ``facet_partition`` order, increasing masks.  Proof:
+    each earlier facet G must meet a facet F inside an earlier facet H
+    with F & H = F minus one vertex.  Within a block, G < F: the highest
+    bit v of F ^ G lies in F; F and G agree above v and hold as many
+    vertices of v's side (x or y), so below v G holds one more of them
+    than F, and one, u, lies outside F.  H = F - v + u is of F's type and
+    below F, H contains F & G, and F & H = F - v.  Across blocks, sigma
+    does not fall left of the peak and each step is a unit q- or r-step,
+    so each step there lowers r by one.  A facet F in block k left of
+    the peak follows facets G of blocks right of k only, each with fewer
+    y's; F minus a y outside G contains F & G and lies in a facet of
+    block k + 1, which came earlier.  Mirror x and y right of the peak.
+    With unit q-steps the block order is the paper's ascending order.
     """
     peak = sigma.index(max(sigma))
     # sigma is unimodal, so both sides descend from the peak, and a stable

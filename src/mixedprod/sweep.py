@@ -27,15 +27,18 @@ each closed-form statement is compared against an independent oracle:
 Both tiers stay on bitmasks from the spec to the verdict.  The
 closed-form listings (generators of the dual, the decomposition's
 components, the facet blocks and the shelling order) come as masks from
-the same ``products`` functions the CLI prints.  They are compared with
-the primes and facet blocks listed from the prime types
-(``kernels.list_types``) as sorted mask lists and
-become vertex lists (``ideals.vertex_lists``) only in a mismatch record
-or a witness, vertex names only in the CLI.
+the same ``products`` functions the CLI prints.  Both they and the
+primes and facet blocks listed from the prime types come from
+``kernels.list_types`` in increasing order, so they are compared as
+mask lists without re-sorting, and become vertex lists
+(``ideals.vertex_lists``) only in a mismatch record or a witness,
+vertex names only in the CLI.
 
-Any disagreement is recorded as a mismatch; the sweep exits nonzero on
-the first nonempty mismatch list.  ``perturb=True`` deliberately breaks
-the CM closed form so the harness can demonstrate it detects bugs.
+Any disagreement is recorded as a mismatch.  ``run_sweep`` checks every
+spec and collects the mismatches of all of them; the CLI's ``sweep``
+exits 2 after the whole run when any were found.  ``perturb=True``
+deliberately breaks the CM closed form so the harness can demonstrate
+it detects bugs.
 """
 
 from __future__ import annotations
@@ -180,7 +183,7 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
         # whose complements are the facets of the complex
         prime_types = kernels.transversal_types(spec.summands, n, m)
         primes = kernels.list_types(prime_types, n, m)
-        oracle["dual_generators"] = sorted(dual_closed) == primes
+        oracle["dual_generators"] = dual_closed == primes
         if not oracle["dual_generators"]:
             mismatches.append(_mismatch(spec, "dual_generators",
                                         vertex_lists(dual_closed), vertex_lists(primes)))
@@ -210,7 +213,7 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
         facet_blocks = [kernels.list_types([(n - a, m - b)], n, m)
                         for a, b in reversed(prime_types)]
         blocks = products.facet_partition(spec)
-        oracle["facet_partition"] = [sorted(b) for b in blocks] == facet_blocks
+        oracle["facet_partition"] = blocks == facet_blocks
         if not oracle["facet_partition"]:
             mismatches.append(_mismatch(spec, "facet_partition",
                                         [vertex_lists(b) for b in blocks],

@@ -519,10 +519,12 @@ def test_one_symmetry_check_per_complex(monkeypatch):
     # Reisner's and Duval's checks read one type signature off the
     # complex, and a full check's complex has it set from the prime
     # types, so its facets are not tested for S_n x S_m invariance at
-    # all.  No type is read off masks: the check lists the primes and
-    # then each facet block from the prime types, and every later
-    # listing is of the relative cells of a type complex, over the
-    # n - 1 x's x_2..x_n of its signature.
+    # all.  No type is read off masks, and every listing by type is a
+    # list_types call: the closed-form dual generators, the primes, the
+    # decomposition's P_x, P_xy and P_y, each facet block from the prime
+    # types and then from the closed-form profile, and after those only
+    # the relative cells of a type complex, over the n - 1 x's
+    # x_2..x_n of its signature.
     from mixedprod import expand_generators, ideals, normalize, products, stanley_reisner_complex
     from mixedprod.sweep import check_spec
     spec = normalize(VariableUniverse(3, 3), [(1, 2), (2, 1)])
@@ -536,11 +538,12 @@ def test_one_symmetry_check_per_complex(monkeypatch):
     record = check_spec(spec, "full")
     assert {"cm_reisner", "scm_duval"} <= record["oracle"].keys()
     assert record["mismatches"] == [] and supplied == [c]
-    assert listed[:4] == [([(0, 3), (2, 2), (3, 0)], 3, 3),
-                          ([(0, 3)], 3, 3), ([(1, 1)], 3, 3), ([(3, 0)], 3, 3)]
-    assert [list_types(*a) for a in listed[1:4]] == \
-        [sorted(b) for b in products.facet_partition(spec)]
-    assert all(n < 3 for _, n, _ in listed[4:])
+    blocks = [([(0, 3)], 3, 3), ([(1, 1)], 3, 3), ([(3, 0)], 3, 3)]
+    assert listed[:11] == [(((0, 3), (2, 2), (3, 0)), 3, 3), ([(0, 3), (2, 2), (3, 0)], 3, 3),
+                           ([(3, 0)], 3, 3), ([(2, 2)], 3, 3), ([(0, 3)], 3, 3),
+                           *blocks, *blocks]
+    assert all(n < 3 for _, n, _ in listed[11:])
+    assert [list_types(*a) for a in listed[5:8]] == products.facet_partition(spec)
     assert supplied[0].type_signature == (3, 3, ((0, 3), (1, 1), (3, 0)))
     # the supplied signature is the one the facets hold
     assert list(supplied[0].type_signature[2]) == facet_types(c.masks, 3, 3)

@@ -80,6 +80,24 @@ def family_of_types(n, m, types):
             for ys in combinations(range(m), b)]
 
 
+def test_list_types_against_brute_force():
+    # every antichain of types over n, m <= 5, empty blocks and the empty
+    # antichain included: k distinct x-counts rising, k y-counts falling
+    checked = 0
+    for n in range(6):
+        for m in range(6):
+            for k in range(min(n, m) + 2):
+                for a_s in combinations(range(n + 1), k):
+                    for b_s in combinations(range(m, -1, -1), k):
+                        types = list(zip(a_s, b_s))
+                        listed = kernels.list_types(types, n, m)
+                        assert listed == sorted(family_of_types(n, m, types)), (n, m, types)
+                        assert len(set(listed)) == len(listed), (n, m, types)
+                        checked += 1
+    # an antichain of a (n + 1) x (m + 1) grid is a lattice path: C(n + m + 2, n + 1)
+    assert checked == sum(comb(n + m + 2, n + 1) for n in range(6) for m in range(6))
+
+
 def test_whole_type_families_take_the_orbit_path():
     # the orbit rule on the types read off the generators of every
     # normalized spec with n, m <= 5, and of its dual, against MMCS
