@@ -19,17 +19,17 @@ O(s') profile arithmetic.  Only the listings enumerate, all through
 i is vertex i), in increasing order, the one listing order of the
 package.  The dual's generators, the decomposition's components, the
 facet blocks and the shelling order are listed once, as masks, for the
-sweep's oracles and the CLI alike; they become vertex lists
-(``ideals.vertex_lists``) and vertex names only in the CLI.  The
-sweep's oracles start from the spec's summand types and do not list its
-generators; ``expand_generators`` hands them to the generic ideal layer
-as a ``SquarefreeIdeal``.  One budget, ``GENERATOR_CAP``, bounds the
-listings: ``check_generator_count`` counts the generators
-``generator_sets`` would build, and ``check_listing_size`` the
-variables that ``dual --expand``, ``decompose`` and ``facets`` would
-print.  The oracles are gated once per spec by the vertex cap in
-``sweep.check_spec``, which records as skipped a spec whose generators,
-or its dual's, pass the generator cap.
+CLI; they become vertex lists (``ideals.vertex_lists``) and vertex names
+only there.  The sweep's oracles read the closed forms' types (the
+dual's summands, ``decomposition_types`` and the profile) and list only
+the facet blocks, for the shelling order; ``expand_generators`` hands
+the generators to the generic ideal layer as a ``SquarefreeIdeal``.
+One budget, ``GENERATOR_CAP``, bounds the listings:
+``check_generator_count`` counts the generators ``generator_sets``
+would build, and ``check_listing_size`` the variables that
+``dual --expand``, ``decompose`` and ``facets`` would print.  In
+``sweep.check_spec`` the vertex cap and the generator count of the dual,
+one generator per facet, gate only the checks that list the facets.
 """
 
 from __future__ import annotations

@@ -9,30 +9,27 @@ each closed-form statement is compared against an independent oracle:
     as its types, and the prime types follow from them by the orbit
     rule (``kernels.transversal_types``), one representative
     transversal per type, without listing the generators,
-  - the primary decomposition against the dual's minimal primes, each
-    group against the blocks its primes meet,
+  - the primary decomposition against the prime types, each group's
+    types against the blocks they meet,
   - the CM verdict against purity + strong connectivity (fast) and
     against Reisner link homology (full),
   - the sequential-CM verdict against the pure-skeleton test,
   - the unmixedness verdict against equal component sizes,
   - the facet partition block by block against the facet types, the
-    complements of the prime types, each block every set of one type,
-  - the intersection bound against the blocks' facets, which learns from
-    the facet partition check that each block is an S_n x S_m orbit and
-    then compares each block's first facet alone,
+    complements of the prime types,
+  - the intersection bound against the facet types: sets of types
+    (A, B) and (A', B') meet in at most min(A, A') + min(B, B')
+    vertices, and some pair meets in exactly that many,
   - each "sequentially CM" verdict against a shelling order of the
     facets (a nonpure shelling proves sequential CM, Bjorner and Wachs
     1996).
 
-Both tiers stay on bitmasks from the spec to the verdict.  The
-closed-form listings (generators of the dual, the decomposition's
-components, the facet blocks and the shelling order) come as masks from
-the same ``products`` functions the CLI prints.  Both they and the
-primes and facet blocks listed from the prime types come from
-``kernels.list_types`` in increasing order, so they are compared as
-mask lists without re-sorting, and become vertex lists
-(``ideals.vertex_lists``) only in a mismatch record or a witness,
-vertex names only in the CLI.
+``kernels.list_types`` is one-to-one on type antichains, so a listing
+of the closed form equals the oracle's exactly when their types do:
+the first six checks compare types, at any size.  Only the shelling
+order and the ``full`` checks list the facets, as bitmasks, and only
+they are kept off a spec by the vertex cap or by the generator cap on
+the dual, one generator per facet.  Mismatch records give types.
 
 Any disagreement is recorded as a mismatch.  ``run_sweep`` checks every
 spec and collects the mismatches of all of them; the CLI's ``sweep``
@@ -51,11 +48,10 @@ from functools import partial
 from itertools import combinations
 
 from . import complexes, ideals, kernels, products
-from .ideals import vertex_lists
 from .products import MixedProductSpec
 
-# The oracles enumerate subsets of the n + m vertices; check_spec, their
-# one entry point, skips them above this many vertices.
+# The checks that list facets enumerate subsets of the n + m vertices;
+# check_spec, their one entry point, skips them above this many vertices.
 VERTEX_CAP = 16
 CHUNK = 16   # specs handed to a pool worker at a time
 
@@ -138,11 +134,11 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
     """Run every applicable cross-check on one spec.
 
     Returns a record with the closed-form verdicts and the lists of
-    mismatches and skipped (capped) oracle checks.  The oracles are
-    skipped with the reason "vertex cap" above ``cap_vertices`` vertices,
-    and with "generator cap" when the spec or its dual expands to more
-    than ``products.GENERATOR_CAP`` generators.  An oracle level outside
-    ``ORACLE_LEVELS`` raises InvalidInput.
+    mismatches and skipped (capped) oracle checks.  The checks on types
+    run at any size; those that list the facets are skipped with the
+    reason "vertex cap" above ``cap_vertices`` vertices, and "generator
+    cap" above ``products.GENERATOR_CAP`` facets.  An oracle level
+    outside ``ORACLE_LEVELS`` raises InvalidInput.
     """
     _check_level(oracle_level)
     mismatches = []
@@ -164,96 +160,92 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
         mismatches.append(_mismatch(spec, "cm_implies_scm", cm.holds, scm.holds))
 
     oracle = {}
-    dual_closed = None
     if oracle_level in ("fast", "full"):
-        if spec.universe.size > cap_vertices:
-            skipped.append({"spec": spec_as_dict(spec), "reason": "vertex cap"})
-        else:
-            try:
-                # both or neither: the spec fits the cap while its dual may not
-                products.check_generator_count(spec)
-                dual_closed = products.generator_sets(dual)
-            except ideals.ResourceCapExceeded:
-                skipped.append({"spec": spec_as_dict(spec), "reason": "generator cap"})
-    if dual_closed is not None:
         universe = spec.universe
         n, m = universe.n, universe.m
         # the one transversal computation, from the summand types that
         # define the ideal: the dual's generators are the minimal primes,
         # whose complements are the facets of the complex
         prime_types = kernels.transversal_types(spec.summands, n, m)
-        primes = kernels.list_types(prime_types, n, m)
-        oracle["dual_generators"] = dual_closed == primes
+        oracle["dual_generators"] = list(dual.summands) == prime_types
         if not oracle["dual_generators"]:
             mismatches.append(_mismatch(spec, "dual_generators",
-                                        vertex_lists(dual_closed), vertex_lists(primes)))
+                                        _as_lists(dual.summands), _as_lists(prime_types)))
 
-        # the union is the primes, and each group's primes meet the blocks it names
-        decomp = products.closed_form_primary_decomposition(spec)
-        x_block = (1 << n) - 1
+        # the union is the prime types, and each group's types meet the blocks it names
+        px, pxy, py = groups = products.decomposition_types(spec)
         oracle["primary_decomposition"] = (
-            decomp.components == primes
-            and all(not p & ~x_block for p in decomp.px)
-            and all(p & x_block and p & ~x_block for p in decomp.pxy)
-            and all(not p & x_block for p in decomp.py))
+            sorted(px + pxy + py) == prime_types and all(b == 0 for _, b in px)
+            and all(a and b for a, b in pxy) and all(a == 0 for a, _ in py))
         if not oracle["primary_decomposition"]:
-            groups = [vertex_lists(g) for g in (decomp.px, decomp.pxy, decomp.py)]
             mismatches.append(_mismatch(spec, "primary_decomposition",
-                                        groups, vertex_lists(primes)))
+                                        [_as_lists(g) for g in groups], _as_lists(prime_types)))
 
-        sizes = {p.bit_count() for p in primes}
-        oracle["unmixed"] = len(sizes) == 1
+        oracle["unmixed"] = len({a + b for a, b in prime_types}) == 1
         if unmixed.holds != oracle["unmixed"]:
             mismatches.append(_mismatch(spec, "unmixed", unmixed.holds,
                                         oracle["unmixed"], unmixed.witness))
 
-        complex_ = ideals.complex_of_primes(universe, primes, prime_types)
         # one block per facet type, the complements of the prime types,
         # x-counts rising as q_bar does
-        facet_blocks = [kernels.list_types([(n - a, m - b)], n, m)
-                        for a, b in reversed(prime_types)]
-        blocks = products.facet_partition(spec)
-        oracle["facet_partition"] = blocks == facet_blocks
+        facet_types = [(n - a, m - b) for a, b in reversed(prime_types)]
+        block_types = list(zip(profile.q_bar, profile.r_bar))
+        oracle["facet_partition"] = block_types == facet_types
         if not oracle["facet_partition"]:
             mismatches.append(_mismatch(spec, "facet_partition",
-                                        [vertex_lists(b) for b in blocks],
-                                        [vertex_lists(b) for b in facet_blocks]))
+                                        _as_lists(block_types), _as_lists(facet_types)))
 
-        bound_ok, bound_witness = _intersection_bound(profile, blocks, oracle["facet_partition"])
+        bound_ok, bound_witness = _intersection_bound(profile, facet_types)
         oracle["intersection_bound"] = bound_ok
         if not bound_ok:
             mismatches.append(_mismatch(spec, "intersection_bound", None, None, bound_witness))
 
-        pure = complexes.is_pure(complex_)
-        strong = pure and complexes.is_strongly_connected(complex_)
+        strong = _strongly_connected(facet_types)
         oracle["cm_strongly_connected"] = strong
         if cm.holds != strong:
             mismatches.append(_mismatch(spec, "cm_strongly_connected",
                                         cm.holds, strong, cm.witness))
 
-        if scm.holds:
-            order = products.shell_blocks(profile.sigma, blocks)
-            ok, witness = complexes.verify_shelling_order(complex_, order)
-            oracle["shelling_order"] = ok
-            if not ok:
-                mismatches.append(_mismatch(spec, "shelling_order", True, False, witness))
+        # the checks left list the facets, one per prime, a generator of the dual
+        listing, reason = scm.holds or oracle_level == "full", None
+        if listing and universe.size > cap_vertices:
+            reason = "vertex cap"
+        elif listing:
+            try:
+                products.check_generator_count(dual)
+            except ideals.ResourceCapExceeded:
+                reason = "generator cap"
+        if reason:
+            skipped.append({"spec": spec_as_dict(spec), "reason": reason})
+        elif listing:
+            primes = kernels.list_types(prime_types, n, m)
+            complex_ = ideals.complex_of_primes(universe, primes, prime_types)
+            if scm.holds:
+                order = products.shell_blocks(profile.sigma, products.facet_partition(spec))
+                try:
+                    ok, witness = complexes.verify_shelling_order(complex_, order)
+                except ideals.InvalidInput as exc:  # not a permutation of the facets
+                    ok, witness = False, str(exc)
+                oracle["shelling_order"] = ok
+                if not ok:
+                    mismatches.append(_mismatch(spec, "shelling_order", True, False, witness))
 
-        if oracle_level == "full":
-            ok, witness = complexes.reisner_cm(complex_)
-            oracle["cm_reisner"] = ok
-            if cm.holds != ok:
-                mismatches.append(_mismatch(spec, "cm_reisner", cm.holds, ok, witness))
+            if oracle_level == "full":
+                ok, witness = complexes.reisner_cm(complex_)
+                oracle["cm_reisner"] = ok
+                if cm.holds != ok:
+                    mismatches.append(_mismatch(spec, "cm_reisner", cm.holds, ok, witness))
 
-            ok, witness = complexes.duval_scm(complex_)
-            oracle["scm_duval"] = ok
-            if scm.holds != ok:
-                mismatches.append(_mismatch(spec, "scm_duval", scm.holds, ok, witness))
+                ok, witness = complexes.duval_scm(complex_)
+                oracle["scm_duval"] = ok
+                if scm.holds != ok:
+                    mismatches.append(_mismatch(spec, "scm_duval", scm.holds, ok, witness))
 
-            if cm.holds and len(complex_.masks) <= cap_facets:
-                result = complexes.find_shelling(complex_, cap_facets)
-                oracle["shellable"] = result.status == "shellable"
-                if result.status != "shellable":
-                    mismatches.append(_mismatch(spec, "shellable", True, result.status))
+                if cm.holds and len(complex_.masks) <= cap_facets:
+                    result = complexes.find_shelling(complex_, cap_facets)
+                    oracle["shellable"] = result.status == "shellable"
+                    if result.status != "shellable":
+                        mismatches.append(_mismatch(spec, "shellable", True, result.status))
 
     return {
         "spec": spec_as_dict(spec),
@@ -266,27 +258,33 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
     }
 
 
-def _intersection_bound(profile, blocks, orbits):
+def _as_lists(types):
+    return [list(t) for t in types]
+
+
+def _intersection_bound(profile, types):
     """dim(F cap G) <= q(i) + r(j) - 1 for F in block i, G in block j, i < j.
 
-    ``blocks`` holds the facets of each block as bitmasks; the witness
-    is the first failing pair, as sorted vertex lists.  ``orbits`` is the
-    facet partition check's verdict: when it holds, block k is every set
-    of one type, an S_n x S_m orbit, and some permutation p takes any F
-    of block i to its first facet F0 and block j to itself, so a failing
-    pair (F, G) gives the failing pair (F0, p(G)).  Block i then fails
-    against block j exactly when F0 does, the first failing pair has F0
-    in it either way, and F0 alone is compared.  Otherwise every pair is.
+    Block k is every set of type ``types[k]`` (the profile's blocks
+    only; the facet partition check reports the rest), so a pair of
+    blocks is compared by type (module docstring).  The witness is the
+    first failing pair of block numbers, from 1, and their types.
     """
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            limit = profile.q_bar[i] + profile.r_bar[j]
-            for f in blocks[i][:1] if orbits else blocks[i]:
-                for g in blocks[j]:
-                    if (f & g).bit_count() > limit:
-                        return False, (i + 1, j + 1, list(kernels.bit_indices(f)),
-                                       list(kernels.bit_indices(g)))
+    for (i, (a, b)), (j, (c, d)) in combinations(enumerate(types[:len(profile.q_bar)]), 2):
+        if min(a, c) + min(b, d) > profile.q_bar[i] + profile.r_bar[j]:
+            return False, (i + 1, j + 1, [a, b], [c, d])
     return True, None
+
+
+def _strongly_connected(types):
+    """Whether the complex of every set of each type in ``types`` is pure and strongly connected.
+
+    One type's sets are joined by single swaps, and two types of one
+    size share a ridge only when their x-counts differ by one, so the
+    x-counts, sorted, must step by one.
+    """
+    xs = sorted(a for a, _ in types)
+    return len({a + b for a, b in types}) == 1 and all(y == x + 1 for x, y in zip(xs, xs[1:]))
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -315,8 +313,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 def oracle_coverage(config: SweepConfig, records) -> list[str]:
     """One line per oracle check of the level: the specs it ran on, of how many, and why not more.
 
-    Example: ``shellable 215 of 311 CM specs (facet cap 10)``.  Each skip
-    reason found among the records is named with its cap.
+    Example: ``shellable 215 of 311 CM specs (facet cap 10)``.  A skip
+    reason is named, with its cap, only for a check it kept off some
+    record.
     """
     caps = {"vertex cap": config.cap_vertices, "generator cap": products.GENERATOR_CAP}
     lines = []
@@ -327,7 +326,7 @@ def oracle_coverage(config: SweepConfig, records) -> list[str]:
             pool, what = [r for r in records if r["verdicts"]["sequentially_cm"]], "SCM specs"
         elif name == "shellable":
             pool, what = [r for r in records if r["verdicts"]["cohen_macaulay"]], "CM specs"
-        reasons = {skip["reason"] for r in pool for skip in r["skipped"]}
+        reasons = {skip["reason"] for r in pool if name not in r["oracle"] for skip in r["skipped"]}
         causes = [f"{reason} {cap}" for reason, cap in caps.items() if reason in reasons]
         if name == "shellable" and any(map(shelling_capped, pool)):
             causes.append(f"facet cap {config.cap_facets}")

@@ -221,14 +221,18 @@ def test_out_of_range_options_are_one_line_errors(capsys, argv):
 
 
 def test_classify_reports_skipped_oracle(capsys):
+    # the checks on types run at any size; the vertex cap skips the rest
     argv = ["classify", "--n", "2", "--m", "2", "--pairs", "1:1", "--oracle", "full",
             "--cap-vertices", "0"]
     code, out, _ = run(capsys, *argv, "--json")
     payload = json.loads(out)
-    assert code == 0 and payload["oracle"] is None
+    type_checks = set(ORACLE_CHECKS["fast"]) - {"shelling_order"}
+    assert code == 0 and set(payload["oracle"]) == type_checks
     assert payload["skipped"] == ["vertex cap"]
     code, out, _ = run(capsys, *argv)
-    assert code == 0 and out.splitlines()[5] == "oracle skipped: vertex cap"
+    assert code == 0 and out.splitlines()[5:] == [
+        f"oracle {name}: {str(payload['oracle'][name]).lower()}" for name in sorted(type_checks)
+    ] + ["oracle skipped: vertex cap"]
     _, out, _ = run(capsys, "classify", "--n", "2", "--m", "2", "--pairs", "1:1", "--json")
     assert json.loads(out)["oracle"] is None and json.loads(out)["skipped"] == []
 
@@ -313,7 +317,19 @@ def test_sweep_reports_oracle_coverage(capsys):
     ]
     code, out, err = run(capsys, *argv, "--json", "--cap-vertices", "3", "--cap-facets", "1")
     assert code == 0 and all(json.loads(line) for line in out.splitlines())
-    assert err.splitlines()[-1] == "shellable 9 of 30 CM specs (vertex cap 3, facet cap 1)"
+    # a cap is named only beside a check it kept off some spec
+    assert err.splitlines()[1:] == [
+        "dual_generators 37 of 37 specs",
+        "primary_decomposition 37 of 37 specs",
+        "unmixed 37 of 37 specs",
+        "facet_partition 37 of 37 specs",
+        "intersection_bound 37 of 37 specs",
+        "cm_strongly_connected 37 of 37 specs",
+        "shelling_order 20 of 36 SCM specs (vertex cap 3)",
+        "cm_reisner 20 of 37 specs (vertex cap 3)",
+        "scm_duval 20 of 37 specs (vertex cap 3)",
+        "shellable 9 of 30 CM specs (vertex cap 3, facet cap 1)",
+    ]
 
 
 @pytest.mark.parametrize("name", ["missing/x.jsonl", "."])
@@ -351,12 +367,16 @@ def test_raised_vertex_cap_runs_the_oracles(capsys, n, m):
 
 @pytest.mark.parametrize("pairs", ["5:5", "6:0,0:6"])
 def test_raised_vertex_cap_skips_past_the_generator_cap(capsys, pairs):
-    # I5J5 has 462 * 462 generators; I6 + J6 has 924, but its dual I6J6
-    # has 462 * 462: either is reported as a skip, not an error
+    # I5J5 has 462 * 462 generators, which no check lists, and is not
+    # sequentially CM, so no fast check lists its facets.  I6 + J6 is CM,
+    # and its shelling order would list the 462 * 462 generators of its
+    # dual I6J6, one per facet: that check is reported as a skip, not an
+    # error, and the checks on types run on both
     code, out, _ = run(capsys, "classify", "--oracle", "fast", "--json", "--cap-vertices", "22",
                        "--n", "11", "--m", "11", "--pairs", pairs)
     payload = json.loads(out)
-    assert code == 0 and payload["skipped"] == ["generator cap"] and payload["oracle"] is None
+    assert code == 0 and payload["skipped"] == ([] if pairs == "5:5" else ["generator cap"])
+    assert set(payload["oracle"]) == set(ORACLE_CHECKS["fast"]) - {"shelling_order"}
 
 
 SWEEP_JSON = [sys.executable, "-m", "mixedprod.cli", "sweep", "--max-n", "4", "--max-m", "4",

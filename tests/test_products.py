@@ -354,12 +354,16 @@ class TestFacetPartition:
         assert [len(b) for b in blocks] == [1, 4, 1]
 
     def test_tiles_oracle_facets(self):
-        for s in enumerate_specs(3, 3, 3):
-            c = stanley_reisner_complex(expand_generators(s))
-            blocks = facet_partition(s)
-            # each block in increasing mask order, and together exactly the facets
-            assert all(b == sorted(b) for b in blocks), s
-            assert sorted(f for b in blocks for f in b) == list(c.masks)
+        # block k is exactly the oracle's facets of type (q_bar[k], r_bar[k]),
+        # in increasing mask order, and the blocks hold every facet
+        for s in enumerate_specs(4, 4, 5):
+            n, p = s.universe.n, s.profile
+            facets = stanley_reisner_complex(expand_generators(s)).masks
+            blocks = products.facet_partition(s)
+            assert blocks == [[f for f in facets
+                               if ((f & ~(-1 << n)).bit_count(), (f >> n).bit_count()) == t]
+                              for t in zip(p.q_bar, p.r_bar)], s
+            assert sum(map(len, blocks)) == len(facets), s
 
 
 class TestShellingOrder:

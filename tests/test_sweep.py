@@ -6,7 +6,6 @@ from types import SimpleNamespace
 import pytest
 
 from mixedprod import InvalidInput, VariableUniverse, kernels, normalize, sweep
-from mixedprod.ideals import vertex_lists
 from mixedprod.sweep import (
     SweepConfig,
     _intersection_bound,
@@ -69,35 +68,67 @@ def test_summand_count_bound_past_the_block_sizes():
 @pytest.mark.parametrize("level", ["fast", "full"])
 def test_one_transversal_search_per_spec(monkeypatch, level):
     # the search runs once, on the summand types that define the ideal:
-    # the spec's generators are neither listed nor searched by mask, and
-    # the dual's are listed once, as the closed form under test
+    # neither the spec's generators nor the dual's are listed or searched
+    # by mask, and the primes are listed once, from the prime types, only
+    # for the checks that list the facets
     from mixedprod import products
     searched, listed = [], []
-    rule, listing = kernels.transversal_types, products.generator_sets
+    rule, lister = kernels.transversal_types, kernels.list_types
 
     def refuse(*args):
-        raise AssertionError("a mask search in check_spec")
+        raise AssertionError("a mask search or a generator listing in check_spec")
 
     monkeypatch.setattr(kernels, "transversal_types",
                         lambda types, n, m: searched.append(types) or rule(types, n, m))
     monkeypatch.setattr(kernels, "minimal_hitting_sets", refuse)
-    monkeypatch.setattr(products, "generator_sets",
-                        lambda spec, *a: listed.append(spec) or listing(spec, *a))
+    monkeypatch.setattr(products, "generator_sets", refuse)
+    monkeypatch.setattr(kernels, "list_types",
+                        lambda types, n, m: listed.append(types) or lister(types, n, m))
     specs = list(enumerate_specs(2, 2, 3))
     for spec in specs:
         searched.clear()
         listed.clear()
         record = check_spec(spec, level)
-        assert searched == [spec.summands] and listed == [spec.dual], spec
+        assert searched == [spec.summands], spec
         assert "dual_generators" in record["oracle"] and not record["mismatches"]
+        # the primes, then one facet block per profile type for the
+        # shelling order, then at full only a type complex's relative cells
+        u, p = spec.universe, spec.profile
+        shelled = "shelling_order" in record["oracle"]
+        expected = [rule(spec.summands, u.n, u.m)] if level == "full" or shelled else []
+        expected += [[t] for t in zip(p.q_bar, p.r_bar)] if shelled else []
+        assert listed[:len(expected)] == expected, spec
+        assert level == "full" or listed == expected, spec
     assert len(specs) == 38
+
+
+def test_a_fast_check_off_the_shelling_order_lists_nothing(monkeypatch):
+    # a spec that is not sequentially CM is checked on its types alone
+    from mixedprod import products
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a listing in a fast check")
+
+    for module, name in [(kernels, "list_types"), (products, "generator_sets"),
+                         (products, "closed_form_primary_decomposition"),
+                         (products, "facet_partition")]:
+        monkeypatch.setattr(module, name, refuse)
+    checked = 0
+    for spec in enumerate_specs(4, 4, 5):
+        if not products.is_scm_closed_form(spec).holds:
+            record = check_spec(spec, "fast")
+            assert record["mismatches"] == [] and record["skipped"] == []
+            assert set(record["oracle"]) == set(sweep.ORACLE_CHECKS["fast"]) - {"shelling_order"}
+            checked += 1
+    assert checked > 100
 
 
 @pytest.mark.parametrize("level", ["fast", "full"])
 def test_check_spec_lists_nothing_as_frozensets(monkeypatch, level):
-    # on a spec whose closed forms match, the oracles read the public mask
-    # listings, the ones the CLI prints; neither the generic ideal layer's
-    # expansion nor its vertex-list primes run
+    # on a spec whose closed forms match, the oracles read the closed
+    # forms' types; neither the generic ideal layer's expansion nor its
+    # vertex-list primes run, and of the listings the CLI prints only the
+    # facet blocks are read, for the shelling order
     from mixedprod import complexes, ideals, products
 
     def refuse(*args, **kwargs):
@@ -121,15 +152,14 @@ def test_check_spec_lists_nothing_as_frozensets(monkeypatch, level):
         assert set(record["oracle"]) >= set(sweep.ORACLE_CHECKS["fast"]) - {"shelling_order"}
         shelled += record["oracle"].get("shelling_order", False)
     assert shelled == 2
-    # the shelling order is read off the facet blocks, which are listed once per spec
-    assert sorted(calls) == sorted(["closed_form_primary_decomposition"] * 4
-                                   + ["facet_partition"] * 4 + ["verify_shelling_order"] * 2)
+    # the shelling order is read off the facet blocks, which are listed once per SCM spec
+    assert sorted(calls) == sorted(["facet_partition"] * 2 + ["verify_shelling_order"] * 2)
 
 
 @pytest.mark.parametrize("level", ["fast", "full"])
 def test_each_closed_form_is_computed_once_per_spec(monkeypatch, level):
     # the shelling order comes from the facet blocks and the SCM verdict
-    # that check_spec holds already
+    # that check_spec holds already; the blocks are listed for it alone
     from mixedprod import products
     calls = []
     for name in ("facet_partition", "is_scm_closed_form", "shelling_order"):
@@ -144,7 +174,8 @@ def test_each_closed_form_is_computed_once_per_spec(monkeypatch, level):
         calls.clear()
         record = check_spec(spec, level)
         assert record["mismatches"] == []
-        assert sorted(calls) == ["facet_partition", "is_scm_closed_form"]
+        scm = "shelling_order" in record["oracle"]
+        assert sorted(calls) == ["facet_partition"] * scm + ["is_scm_closed_form"]
         shelled += record["oracle"].get("shelling_order", False)
     assert shelled == sum(products.is_scm_closed_form(s).holds for s in specs) > 0
 
@@ -178,71 +209,73 @@ def test_a_full_check_of_an_invariant_spec_builds_no_face_table(monkeypatch):
 
 
 def test_primary_decomposition_check_reads_the_grouping(monkeypatch):
-    # P_x and P_y swapped: the union is still the primes, the grouping is not
+    # P_x and P_y swapped: the union is still the prime types, the grouping is not
     from mixedprod import products
 
-    decompose = products.closed_form_primary_decomposition
+    decompose = products.decomposition_types
 
     def swapped(spec):
-        d = decompose(spec)
-        return products.PrimaryDecomposition(d.py, d.pxy, d.px)
+        px, pxy, py = decompose(spec)
+        return py, pxy, px
 
     spec = normalize(VariableUniverse(2, 2), [(1, 2), (2, 1)])
     assert check_spec(spec, "fast")["mismatches"] == []
-    monkeypatch.setattr(products, "closed_form_primary_decomposition", swapped)
+    monkeypatch.setattr(products, "decomposition_types", swapped)
     record = check_spec(spec, "fast")
     assert record["oracle"]["primary_decomposition"] is False
     assert [mm["check"] for mm in record["mismatches"]] == ["primary_decomposition"]
-    assert record["mismatches"][0]["closed_form"] == \
-        [[[2, 3]], [[0, 2], [0, 3], [1, 2], [1, 3]], [[0, 1]]]
+    assert record["mismatches"][0]["closed_form"] == [[[0, 2]], [[1, 1]], [[2, 0]]]
+    assert record["mismatches"][0]["oracle"] == [[0, 2], [1, 1], [2, 0]]
 
 
 @pytest.mark.parametrize("regroup", ["moved", "swapped"])
 def test_facet_partition_check_reads_the_blocks(monkeypatch, regroup):
     # one facet of block 1 moved to block 2, or blocks 1 and 2 swapped:
     # the union is still the facets, the blocks are not
+    from test_products import TestFacetPartition
+
     from mixedprod import products
 
-    partition = products.facet_partition
-
-    def regrouped(spec):
-        first, second, *rest = partition(spec)
-        if regroup == "moved":
-            return [first[1:], second + first[:1], *rest]
-        return [second, first, *rest]
-
     spec = normalize(VariableUniverse(3, 3), [(1, 2), (2, 1)])
-    blocks = partition(spec)     # {y1 y2 y3} | x_i y_j | {x1 x2 x3}
-    assert len(blocks) == 3 and check_spec(spec, "fast")["mismatches"] == []
-    monkeypatch.setattr(products, "facet_partition", regrouped)
-    record = check_spec(spec, "fast")
+    assert check_spec(spec, "fast")["mismatches"] == []
+    if regroup == "moved":
+        # the check reads the profile's types, not the listing: the
+        # listing test catches a facet moved to another block
+        partition = products.facet_partition
+
+        def moved(spec):
+            blocks = partition(spec)
+            if len(blocks) < 2:
+                return blocks
+            first, second, *rest = blocks
+            return [first[1:], second + first[:1], *rest]
+
+        monkeypatch.setattr(products, "facet_partition", moved)
+        with pytest.raises(AssertionError):
+            TestFacetPartition().test_tiles_oracle_facets()
+        return
+
+    def swapped(spec):
+        p = profile(spec)
+        q_bar, r_bar = list(p.q_bar), list(p.r_bar)
+        q_bar[:2], r_bar[:2] = q_bar[1::-1], r_bar[1::-1]
+        return products.QRProfile(p.universe, p.s_prime, tuple(q_bar), tuple(r_bar))
+
+    profile = products.qr_profile
+    monkeypatch.setattr(products, "qr_profile", swapped)
+    # a swapped profile has no spec to round-trip to
+    monkeypatch.setattr(products, "spec_from_profile", lambda p: spec)
+    record = check_spec(normalize(spec.universe, spec.summands), "fast")
     assert record["oracle"]["facet_partition"] is False
     partition_mismatches = [mm for mm in record["mismatches"] if mm["check"] == "facet_partition"]
     assert len(partition_mismatches) == 1
-    assert partition_mismatches[0]["closed_form"] == \
-        [sorted(vertex_lists(b)) for b in regrouped(spec)]
-    assert partition_mismatches[0]["oracle"] == [vertex_lists(b) for b in blocks]
-
-
-def test_intersection_bound_on_masks():
-    blocks = [[0b0011, 0b1100], [0b0101, 0b1010, 0b0110]]   # {0,1} {2,3} | {0,2} {1,3} {1,2}
-    # blocks that are not the facet partition's orbits: every pair is compared;
-    # each pair across the two blocks meets in one vertex: limit q_bar[0] + r_bar[1]
-    assert _intersection_bound(SimpleNamespace(q_bar=(0, 1), r_bar=(2, 1)), blocks, False) == \
-        (True, None)
-    # below that, the first pair in block order is the witness, as sorted vertex lists
-    assert _intersection_bound(SimpleNamespace(q_bar=(0, 1), r_bar=(2, 0)), blocks, False) == \
-        (False, (1, 2, [0, 1], [0, 2]))
-    # block 1 holds two types: its first facet {0,1} passes, {2,3} does not,
-    # so only the all-pairs path, which a failed partition check takes, sees it
-    two_types = [[0b0011, 0b1100], [0b1100]]
-    profile = SimpleNamespace(q_bar=(0, 1), r_bar=(2, 1))
-    assert _intersection_bound(profile, two_types, False) == (False, (1, 2, [2, 3], [2, 3]))
-    assert _intersection_bound(profile, two_types, True) == (True, None)
+    # {y1 y2 y3} | x_i y_j | {x1 x2 x3}, the first two swapped
+    assert partition_mismatches[0]["closed_form"] == [[1, 1], [0, 3], [3, 0]]
+    assert partition_mismatches[0]["oracle"] == [[0, 3], [1, 1], [3, 0]]
 
 
 def all_pairs_bound(profile, blocks):
-    """The intersection bound over every pair of facets: the reference of the orbit path."""
+    """The intersection bound over every pair of facets: the reference of the type rule."""
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
             limit = profile.q_bar[i] + profile.r_bar[j]
@@ -254,12 +287,27 @@ def all_pairs_bound(profile, blocks):
     return True, None
 
 
-def test_intersection_bound_first_facets_give_the_all_pairs_witness():
-    from mixedprod import products
+def test_intersection_bound_on_types():
+    # blocks {0,1} | {0,2} {0,3} {1,2} {1,3} over 2 + 2 vertices: each pair
+    # across the two blocks meets in one vertex, so a limit of
+    # q_bar[0] + r_bar[1] = 1 holds and 0 fails
+    types = [(2, 0), (1, 1)]
+    blocks = [kernels.list_types([t], 2, 2) for t in types]
+    for r_bar, expected in [((2, 1), (True, None)), ((2, 0), (False, (1, 2, [2, 0], [1, 1])))]:
+        profile = SimpleNamespace(q_bar=(0, 1), r_bar=r_bar)
+        assert _intersection_bound(profile, types) == expected
+        assert all_pairs_bound(profile, blocks)[0] == expected[0]
+    # a block past the profile's last has no bound: the facet partition check reports it
+    profile = SimpleNamespace(q_bar=(0,), r_bar=(0,))
+    assert _intersection_bound(profile, types) == (True, None)
+
+
+def test_intersection_bound_on_types_gives_the_all_pairs_verdict():
     failing, pairs = 0, set()    # pairs: the failing block pairs (i, j)
     for spec in enumerate_specs(4, 4, 5):
         u, p = spec.universe, spec.profile
-        blocks = products.facet_partition(spec)
+        types = list(zip(p.q_bar, p.r_bar))
+        blocks = [kernels.list_types([t], u.n, u.m) for t in types]
         assert check_spec(spec, "fast")["oracle"]["facet_partition"], spec
         # the spec's own profile, then one block's q or r lowered so that
         # the bound fails at the pairs that block takes part in
@@ -271,34 +319,85 @@ def test_intersection_bound_first_facets_give_the_all_pairs_witness():
         for q_bar, r_bar in profiles:
             profile = SimpleNamespace(q_bar=q_bar, r_bar=r_bar)
             expected = all_pairs_bound(profile, blocks)
-            assert _intersection_bound(profile, blocks, True) == expected, spec
-            failing += not expected[0]
-            if not expected[0]:
-                pairs.add(expected[1][:2])
+            ok, witness = _intersection_bound(profile, types)
+            assert ok == expected[0], spec
+            if not ok:
+                assert witness[:2] == expected[1][:2], spec
+                assert list(witness[2:]) == [list(types[i - 1]) for i in witness[:2]], spec
+                failing += 1
+                pairs.add(witness[:2])
     assert failing > 1000 and len(pairs) >= 5
 
 
+def test_strong_connectivity_rule_on_every_pure_type_complex():
+    # the rule on the facet types against the ridge-graph search on the
+    # listed facets, without a type signature
+    from test_complexes import type_complexes
+
+    from mixedprod.complexes import SimplicialComplex, is_pure, is_strongly_connected
+    from mixedprod.sweep import _strongly_connected
+    verdicts = []
+    for u, chosen, c in type_complexes(5, 5):
+        masks = SimplicialComplex(u, c.masks)
+        strong = is_pure(masks) and is_strongly_connected(masks)
+        assert _strongly_connected(chosen) == strong, (u, chosen)
+        verdicts.append(strong)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+
+
+def test_a_shelling_order_off_the_facets_is_a_mismatch(monkeypatch):
+    # a closed-form facet partition that drops the first facet of block 1:
+    # the shelling order is no permutation of the facets, which the sweep
+    # records and goes on
+    from mixedprod import products
+    partition = products.facet_partition
+
+    def dropped(spec):
+        first, *rest = partition(spec)
+        return [first[1:], *rest]
+
+    spec = normalize(VariableUniverse(2, 3), [(1, 2), (2, 1)])
+    monkeypatch.setattr(products, "facet_partition", dropped)
+    record = check_spec(spec, "fast")
+    assert record["oracle"]["shelling_order"] is False
+    assert record["mismatches"] == [{
+        "spec": spec_as_dict(spec), "check": "shelling_order", "closed_form": True,
+        "oracle": False, "witness": repr("order is not a permutation of the facet list")}]
+    result = run_sweep(SweepConfig(2, 3, 2, "fast"))
+    assert result.configs_checked == 79
+    assert {mm["check"] for mm in result.mismatches} == {"shelling_order"}
+
+
 def test_generator_cap_is_a_recorded_skip():
-    # I5J5 on 11 + 11 variables: 462 * 462 generators, past the generator
-    # cap but inside a raised vertex cap
-    big = normalize(VariableUniverse(11, 11), [(5, 5)])
-    record = check_spec(big, "full", cap_vertices=22)
-    assert record["oracle"] == {} and record["mismatches"] == []
-    assert record["skipped"] == [{"spec": spec_as_dict(big), "reason": "generator cap"}]
-    # I6 + J6 has 924 generators, under the cap, but its dual I6J6 is past it
+    # I6 + J6 on 11 + 11 variables has 924 generators, but its dual I6J6
+    # has 462 * 462, one per facet: past the generator cap, inside a
+    # raised vertex cap.  The checks on types run; those that list the
+    # facets are skipped
+    type_checks = set(sweep.ORACLE_CHECKS["fast"]) - {"shelling_order"}
     big_dual = normalize(VariableUniverse(11, 11), [(6, 0), (0, 6)])
-    dual_record = check_spec(big_dual, "full", cap_vertices=22)
-    assert dual_record["oracle"] == {} and dual_record["mismatches"] == []
-    assert dual_record["skipped"] == [{"spec": spec_as_dict(big_dual), "reason": "generator cap"}]
+    record = check_spec(big_dual, "full", cap_vertices=22)
+    assert set(record["oracle"]) == type_checks and record["mismatches"] == []
+    assert record["skipped"] == [{"spec": spec_as_dict(big_dual), "reason": "generator cap"}]
+    # I5J5 has 462 * 462 generators, which are never listed, and its dual
+    # I7 + J7 has 660: it is not sequentially CM, so at fast nothing is skipped
+    big = normalize(VariableUniverse(11, 11), [(5, 5)])
+    big_record = check_spec(big, "fast", cap_vertices=22)
+    assert set(big_record["oracle"]) == type_checks and big_record["mismatches"] == []
+    assert big_record["skipped"] == []
     wide = normalize(VariableUniverse(12, 11), [(1, 1)])     # 23 vertices
     small = normalize(VariableUniverse(2, 2), [(1, 1)])
     records = [record] + [check_spec(s, "full", cap_vertices=22) for s in (wide, small)]
     assert records[1]["skipped"][0]["reason"] == "vertex cap" and not records[2]["skipped"]
+    assert set(records[1]["oracle"]) == type_checks
     lines = oracle_coverage(SweepConfig(12, 11, 1, "full", cap_vertices=22), records)
-    assert lines[0] == "dual_generators 1 of 3 specs (vertex cap 22, generator cap 100000)"
-    assert lines[-1] == "shellable 0 of 0 CM specs"
+    assert lines[0] == "dual_generators 3 of 3 specs"
+    assert lines[-4:] == ["shelling_order 0 of 1 SCM specs (generator cap 100000)",
+                          "cm_reisner 1 of 3 specs (vertex cap 22, generator cap 100000)",
+                          "scm_duval 1 of 3 specs (vertex cap 22, generator cap 100000)",
+                          "shellable 0 of 1 CM specs (generator cap 100000)"]
     only_big = oracle_coverage(SweepConfig(11, 11, 1, "fast", cap_vertices=22), records[:1])
-    assert only_big[0] == "dual_generators 0 of 1 specs (generator cap 100000)"
+    assert only_big[0] == "dual_generators 1 of 1 specs"
+    assert only_big[-1] == "shelling_order 0 of 1 SCM specs (generator cap 100000)"
 
 
 def test_full_check_on_specs_with_13_and_14_vertices():
