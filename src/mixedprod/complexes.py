@@ -289,7 +289,7 @@ def _failing_degree(lk, below: int) -> Optional[int]:
     """The least i < below with H~_i(lk) nonzero, or None; ``lk`` is a complex or a signature."""
     if below <= 0:
         return None     # nothing below dim 0 but H~_{-1}, which vanishes off the [set()] complex
-    ranks = reduced_homology_ranks(lk, below=below)
+    ranks = reduced_homology_ranks(lk)
     return next((i for i in range(-1, below) if ranks[i]), None)
 
 
@@ -301,10 +301,10 @@ def _walk(c: SimplicialComplex, skeleta: bool = False):
     each face F of c_l with |F| < l - 1, with lk_{c_l}(F) and
     l - 1 - |F|; c_l is generated by the facets of c of size >= l.
     Levels 0 and 1 have no such face, so they are not walked.  The
-    faces come in ``all_faces`` order, and the link is ranked in the
-    degrees below ``below``.  With a type signature, the link is the
-    link's signature and F the first face of its type (module
-    docstring); otherwise both come from the definitions.
+    faces come in ``all_faces`` order, and the link's homology is
+    checked in the degrees below ``below``.  With a type signature, the
+    link is the link's signature and F the first face of its type
+    (module docstring); otherwise both come from the definitions.
     """
     signature = c.type_signature
     if signature is None:
@@ -362,7 +362,7 @@ def duval_scm(c: SimplicialComplex):
     facet of L has dimension >= j, so every face of L of dimension <= j
     lies in a j-face: the link is the j-skeleton of L, and H~_i of the
     two agree for every i < j, the degrees Reisner's criterion asks
-    about.  So L is asked for the degrees below j and no skeleton is
+    about.  So L is checked in the degrees below j and no skeleton is
     built.  With a type signature, c_l is the facet types of size >= l
     and L its link signature.
     """

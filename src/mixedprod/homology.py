@@ -28,18 +28,13 @@ exactly when j <= reach[i], and reach never grows with i.  A relative
 cell is a face G without x_1 with G | x_1 no face.  If G has type
 (i, j), G | x_1 has type (i + 1, j) and G misses x_1 only if i < n, so
 the cells are all the sets of x_2..x_n and y_1..y_m of the types
-(i, j) with i < n and reach[i+1] < j <= reach[i] (``_TypeCells``).
-The count of type (i, j) is C(n - 1, i) * C(m, j), so the cell counts
-come by arithmetic and a dimension is listed only when a rank asks for
-it, by ``kernels.list_types`` over the n - 1 x's x_2..x_n and the m
+(i, j) with i < n and reach[i+1] < j <= reach[i] (``_type_cells``),
+listed by ``kernels.list_types`` over the n - 1 x's x_2..x_n and the m
 y's, shifted up one bit.  These are the cells of ``_relative_table``
 after the relabel, the same boundary matrices, and they are ranked the
 same way.  The order of the cells within a dimension does not matter:
 another order permutes the rows and columns of each boundary map,
-which changes no rank over Q.  A cone is read off the types too: every facet holds every x when
-every A = n > 0 (every y when every B = m > 0), and a type complex with
-a vertex in every facet holds that vertex's whole block in every facet,
-as the facet set is invariant.
+which changes no rank over Q.
 
 Cones are acyclic: when a vertex v lies in every facet, h(sigma) =
 +-(sigma | v) for v not in sigma (the sign of v's position in
@@ -47,48 +42,37 @@ sigma | v), and h(sigma) = 0 for v in sigma, is a chain contraction of
 the augmented chain complex (del h + h del = id, the empty face
 included), so every reduced homology group vanishes, H~_{-1} too.  A
 nonempty simplex is one; the [set()] complex (facet mask 0) never is.
-A type complex that is a cone is answered before any table.  A cone
-without a signature is ranked like any other complex: when its lowest
-used vertex v is an apex, st(v) = c and there is no relative cell;
-otherwise its exact ranks come out zero.
+A cone is ranked like any other complex: when its lowest used vertex v
+is an apex, st(v) = c and there is no relative cell; otherwise its
+exact ranks come out zero.
 
-Ranks are exact and never use floating point.  Each relative boundary
-map is ranked by kernels.rank_int: ``_boundary_rows`` reads the map off
-a face table as one sparse row {(d-1)-cell index: +-1} per d-cell
-(``boundary_matrix`` is the absolute map), and kernels.rank_int pivots
-on unit entries, shortest row first, dividing a row without one over
-Q.  The two ends need no elimination: del_0 is zero, as there is no
-relative (-1)-cell (for the [set()] complex there is no 0-cell), and
+Ranks are exact and never use floating point.  ``_ranks`` ranks every
+relative boundary map by kernels.rank_int: ``_boundary_rows`` reads the
+map off a table of cells as one sparse row {(d-1)-cell index: +-1} per
+d-cell (``boundary_matrix`` is the absolute map), and kernels.rank_int
+pivots on unit entries, shortest row first, dividing a row without one
+over Q.  The two ends need no elimination: del_0 is zero, as there is
+no relative (-1)-cell (for the [set()] complex there is no 0-cell), and
 del_{top+1} is zero.
 
-The cache is filled on demand and is keyed by type signature alone.
-Per signature it holds the relative cell counts and the exact relative
-boundary ranks found so far, never the cells: those of the two ends and
-of a prefix del_1 .. del_k, as ``below`` always asks for a prefix.
-``reduced_homology_ranks(c, below=j)`` settles only del_1 .. del_j,
-which determines H~_i for every i < j.  For a signature it returns
-every degree that the known ranks determine, so a signature that is
-already ranked is answered from the cache, and its relative cells are
-listed only when a rank misses.  Two signatures are keyed apart even
-when their complexes are isomorphic (the k-skeleton of one simplex
-read with two block splits): a miss more, never a wrong rank.  A
-complex without a signature is ranked from its own relative table
-every time it is asked.  Reisner's criterion asks a link for the
-degrees below its dimension; Duval's asks each skeleton-link only for
-the degrees its level needs, so a level that fails early never pays for
-the maps above it.  The exhaustive oracle sweeps stay cheap because the
-link signatures showing up there repeat heavily.
+The ranks of a type signature are cached, keyed by the signature alone;
+the cells are never kept.  A signature already ranked is answered from
+the cache.  Two signatures are keyed apart even when their complexes
+are isomorphic (the k-skeleton of one simplex read with two block
+splits): a miss more, never a wrong rank.  A complex without a
+signature is ranked from its own relative table every time it is
+asked.  The exhaustive oracle sweeps stay cheap because the link
+signatures showing up there repeat heavily.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from . import kernels
 from .ideals import InvalidInput
 
-# type signature -> (relative cell counts by dimension, {d: exact rank of relative del_d} so far)
+# type signature -> {d: rank H~_d} for d = -1..dim
 _ranks_cache: dict = {}
 
 
@@ -182,85 +166,60 @@ def _relative_table(c) -> dict[int, list[int]]:
     return {d: [g for g in faces if g | v not in star] for d, faces in table.items()}
 
 
-class _TypeCells(dict):
-    """dim -> the relative cells of a type complex that is no cone, in increasing order.
+def _type_cells(signature) -> dict[int, list[int]]:
+    """dim -> the relative cells of a type complex, in increasing order.
 
     The x-block comes first (the blocks swap when no x is used): the
     x-vertices are bits 0..n-1, the y-vertices n..n+m-1, and v is x_1,
     bit 0.  The cells are the sets of the types (i, j) with i < n and
-    reach[i+1] < j <= reach[i] (module docstring), and a dimension is
-    listed when a rank first asks for it.  The [set()] complex has no
-    vertex: its one cell is the empty face.
+    reach[i+1] < j <= reach[i] (module docstring).  The [set()] complex
+    has no vertex: its one cell is the empty face.
     """
-
-    def __init__(self, signature):
-        super().__init__()
-        n, m, types = signature
-        if not n:
-            n, m, types = m, n, [(b, a) for a, b in types]
-        reach = [-1] * (n + 2)  # reach[i]: the most y's of a face with i x's, or -1
-        for a, b in types:
-            reach[a] = b        # an antichain has one type per x-count
-        for i in range(n - 1, -1, -1):
-            reach[i] = max(reach[i], reach[i + 1])
-        self.n, self.m = n, m
-        self.types = {d: [] for d in range(-1, max(a + b for a, b in types))}
-        for i in range(n):
-            for j in range(reach[i + 1] + 1, reach[i] + 1):
-                self.types[i + j - 1].append((i, j))
-
-    def counts(self) -> dict[int, int]:
-        """dim -> the number of cells, by arithmetic."""
-        if not self.n:
-            return {-1: 1}
-        return {d: sum(comb(self.n - 1, i) * comb(self.m, j) for i, j in types)
-                for d, types in self.types.items()}
-
-    def __missing__(self, d):
-        # the sets over x_2..x_n and the y's: (y << (n-1) | x) << 1 = y << n | x << 1
-        n = self.n
-        cells = [c << 1 for c in kernels.list_types(self.types[d], n - 1, self.m)] if n else [0]
-        self[d] = cells
-        return cells
+    n, m, types = signature
+    if not n:
+        n, m, types = m, n, [(b, a) for a, b in types]
+    if not n:
+        return {-1: [0]}
+    reach = [-1] * (n + 2)  # reach[i]: the most y's of a face with i x's, or -1
+    for a, b in types:
+        reach[a] = b        # an antichain has one type per x-count
+    for i in range(n - 1, -1, -1):
+        reach[i] = max(reach[i], reach[i + 1])
+    by_dim = {d: [] for d in range(-1, max(a + b for a, b in types))}
+    for i in range(n):
+        for j in range(reach[i + 1] + 1, reach[i] + 1):
+            by_dim[i + j - 1].append((i, j))
+    # the sets over x_2..x_n and the y's: (y << (n-1) | x) << 1 = y << n | x << 1
+    return {d: [c << 1 for c in kernels.list_types(cell_types, n - 1, m)]
+            for d, cell_types in by_dim.items()}
 
 
-def reduced_homology_ranks(c, below: int | None = None) -> dict[int, int]:
-    """Ranks of the reduced homology groups H~_d, for every d the known ranks determine.
+def _ranks(table) -> dict[int, int]:
+    """d -> rank H~_d for d = -1..top, from a table of relative cells.
+
+    rank H~_d = (#relative d-cells) - rank del_d - rank del_{d+1}; every
+    map del_1 .. del_top is ranked, and del_0 and del_{top+1} are zero.
+    """
+    top = max(table)
+    rank = {0: 0, top + 1: 0}
+    for d in range(1, top + 1):
+        rank[d] = kernels.rank_int(_boundary_rows(table, d))
+    return {-1: len(table[-1]),
+            **{d: len(table[d]) - rank[d] - rank[d + 1] for d in range(top + 1)}}
+
+
+def reduced_homology_ranks(c) -> dict[int, int]:
+    """Ranks of the reduced homology groups H~_d, for d = -1..dim.
 
     ``c`` is a complex or a type signature (n, m, facet types).
-    rank H~_d = rank H_d(c, st v) = (#relative d-cells) - rank del_d -
-    rank del_{d+1}, with v the lowest used vertex; the (-1)-st rank is 1
-    for the [set()] complex and 0 otherwise.  Only del_1 .. del_below
-    are settled, which determines every degree below ``below``; the
-    default settles every map, so the dict covers d = -1..dim.  Only
-    signatures are cached, and for a signature the degrees that ranks
-    found earlier determine are included too.  A type complex that is a
-    cone (its facets share a vertex) is acyclic and is answered at once,
-    with every degree -1..dim zero.
+    rank H~_d = rank H_d(c, st v), with v the lowest used vertex; the
+    (-1)-st rank is 1 for the [set()] complex and 0 otherwise.  Only
+    signatures are cached.
     """
     signature = c if type(c) is tuple else c.type_signature
     if signature is None:
-        table = _relative_table(c)
-        counts = {d: len(cells) for d, cells in table.items()}
-        entry = (counts, {0: 0, max(counts) + 1: 0})
-    else:
-        n, m, types = signature
-        if (n and all(a == n for a, _ in types)) or (m and all(b == m for _, b in types)):
-            return dict.fromkeys(range(-1, max(a + b for a, b in types)), 0)    # a cone
-        table, entry = None, _ranks_cache.get(signature)
-        if entry is None:
-            table = _TypeCells(signature)
-            counts = table.counts()
-            entry = _ranks_cache[signature] = (counts, {0: 0, max(counts) + 1: 0})
-    counts, rank = entry
-    top = max(counts)
-    for d in range(1, (top if below is None else min(below, top)) + 1):
-        if d not in rank:
-            if table is None:
-                table = _TypeCells(signature)
-            rank[d] = kernels.rank_int(_boundary_rows(table, d))
-    ranks = {-1: counts[-1] - rank[0]}
-    for d in range(0, top + 1):
-        if d in rank and d + 1 in rank:
-            ranks[d] = counts[d] - rank[d] - rank[d + 1]
-    return ranks
+        return _ranks(_relative_table(c))
+    ranks = _ranks_cache.get(signature)
+    if ranks is None:
+        ranks = _ranks_cache[signature] = _ranks(_type_cells(signature))
+    return dict(ranks)

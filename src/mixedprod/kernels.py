@@ -41,7 +41,11 @@ hits every set can qualify: the representative of (a, b') for b' > b
 contains that of (a, b), a transversal, so it is not minimal.  And at
 that b, y_1 has a private set whenever b >= 1: T minus y_1 is the
 representative of (a, b - 1), which misses some set, and that set meets
-T in y_1 alone.  So x_1 is the one vertex left to check.
+T in y_1 alone.  So x_1 is the one vertex left to check.  That least b
+changes with a only where a type (c, d) with c >= 1 leaves the sets
+with c <= n - a, at a = n - c + 1, so only a = 0 and those x-counts are
+tried: within a run of equal b, each later a contains the transversal
+at the run's start, so it is not minimal.
 """
 
 import heapq
@@ -126,12 +130,12 @@ def transversal_types(types, n, m):
 
     The family holds every set of a x's and b y's for each (a, b) in
     ``types``, over n x's and m y's; the answer is one (a, b) per
-    qualifying x-count a, increasing in a (module docstring).  The empty
-    family gives [(0, 0)], and a family holding the empty set, (0, 0) in
-    ``types``, gives [].
+    qualifying x-count a, increasing in a, in O(|types|^2) steps whatever
+    n is (module docstring).  The empty family gives [(0, 0)], and a
+    family holding the empty set, (0, 0) in ``types``, gives [].
     """
     out = []
-    for a in range(n + 1):
+    for a in sorted({0} | {n - c + 1 for c, _ in types if 1 <= c <= n}):
         # the one b that can qualify: the least with every set hit
         b = max((m - d + 1 for c, d in types if c <= n - a), default=0)
         if b <= m and (not a or any(0 < c <= n - a + 1 and d <= m - b for c, d in types)):

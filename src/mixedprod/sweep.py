@@ -149,8 +149,12 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
     scm = products.is_scm_closed_form(spec)
 
     # structural identities need no enumeration
-    if products.spec_from_profile(profile) != spec:
-        mismatches.append(_mismatch(spec, "profile_roundtrip", None, None))
+    try:
+        roundtrip, witness = products.spec_from_profile(profile) == spec, None
+    except ideals.InvalidInput as exc:  # a profile no spec has
+        roundtrip, witness = False, str(exc)
+    if not roundtrip:
+        mismatches.append(_mismatch(spec, "profile_roundtrip", None, None, witness))
     dual = spec.dual
     if dual.dual != spec:
         mismatches.append(_mismatch(spec, "dual_involution", None, None))

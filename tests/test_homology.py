@@ -22,7 +22,7 @@ from mixedprod import (
     reisner_cm,
     stanley_reisner_complex,
 )
-from mixedprod.complexes import SimplicialComplex, _signature, all_faces
+from mixedprod.complexes import all_faces
 from mixedprod.kernels import bit_indices
 
 U4 = VariableUniverse(4, 0)
@@ -243,97 +243,29 @@ def _random_complex(rng):
     return complex_on(n, facets)
 
 
-def _truncated(ranks, below):
-    return {i: r for i, r in ranks.items() if i < below}
-
-
-def _assert_partial(partial, full, below):
-    """The degrees below ``below`` are all there; every degree given is right."""
-    assert _truncated(partial, below) == _truncated(full, below)
-    assert set(range(-1, below)) <= partial.keys()
-    assert partial.items() <= full.items()
-
-
-def _assert_prefix_cache():
-    """Each cache entry holds the ranks of the two ends and of del_1 .. del_k for some k.
-
-    ``below`` always asks for a prefix of the maps, so the exact ranks
-    kept never skip one.
-    """
-    for counts, rank in homology._ranks_cache.values():
-        inner = rank.keys() - {0, max(counts) + 1}
-        assert inner == set(range(1, len(inner) + 1))
-        assert {0, max(counts) + 1} <= rank.keys()
-
-
-@pytest.mark.parametrize("order", ["fresh", "partial_first", "full_first", "shuffled"])
-def test_partial_ranks_are_the_truncated_full_ranks(monkeypatch, order):
-    # mask complexes, and type signatures, the one kind the cache keeps:
-    # the invariant random complexes are ranked on both paths
-    from test_complexes import facet_types, type_complexes
-    rng = random.Random(31)
-    cases = [complex_on(6, RP2)] + [_random_complex(rng) for _ in range(40)]
-    cases += [_union_of_spheres(rng) for _ in range(20)]
-    for c in list(cases):
-        types = facet_types(c.masks, c.universe.n, c.universe.m)
-        if types is not None:
-            cases.append(SimplicialComplex(c.universe, c.masks,
-                                           _signature(c.universe.n, c.universe.m, types)))
-    cases += [c for _, _, c in type_complexes(3, 3)]
-    cached = 0
-    for c in cases:
-        full = _exact_ranks(c)
-        top = max(full)
-        belows = list(range(0, top + 2))
-        monkeypatch.setattr(homology, "_ranks_cache", {})
-        if order == "full_first":
-            assert reduced_homology_ranks(c) == full
-            _assert_prefix_cache()
-        if order == "shuffled":
-            rng.shuffle(belows)
-        for below in belows:
-            if order == "fresh":
-                monkeypatch.setattr(homology, "_ranks_cache", {})
-            _assert_partial(reduced_homology_ranks(c, below=below), full, below)
-            _assert_prefix_cache()
-        assert reduced_homology_ranks(c) == full
-        _assert_prefix_cache()
-        cone = reduce(and_, c.masks) != 0
-        signature = c.type_signature
-        assert homology._ranks_cache.keys() == ({signature} if signature and not cone else set())
-        cached += bool(homology._ranks_cache)
-    assert cached > 100
-
-
-def test_partial_ranks_settle_no_map_above_below(monkeypatch):
+def test_a_signature_ranks_each_map_once(monkeypatch):
     # The maps eliminated, by row count.  RP2's relative del_1 and del_2
-    # have 5 rows each (see above): asking for the degrees below 1 settles
-    # del_1 alone.  A mask complex is not cached: asked for every degree,
-    # it settles del_1 and del_2, and asked again below 1, del_1 again.
+    # have 5 rows each (see above).  A mask complex is not cached: every
+    # call eliminates both maps again.
     c = complex_on(6, RP2)
     calls = []
     rank_int = kernels.rank_int
     monkeypatch.setattr(kernels, "rank_int", lambda rows: calls.append(len(rows)) or rank_int(rows))
     monkeypatch.setattr(homology, "_ranks_cache", {})
-    assert reduced_homology_ranks(c, below=1) == {-1: 0, 0: 0}
-    assert calls == [5]
-    assert reduced_homology_ranks(c) == {-1: 0, 0: 0, 1: 0, 2: 0}
-    assert calls == [5, 5, 5]
-    assert reduced_homology_ranks(c, below=1) == {-1: 0, 0: 0}
+    for _ in range(2):
+        assert reduced_homology_ranks(c) == {-1: 0, 0: 0, 1: 0, 2: 0}
     assert calls == [5, 5, 5, 5]
+    assert homology._ranks_cache == {}
     # The x-edge and the two triangles x_i y1 y2, a circle: its relative
-    # del_1 has 2 rows and del_2 one.  A signature is cached, so a later
-    # full call settles only the map above, and asked again below 1 it
-    # eliminates nothing and is answered with every degree the known
-    # ranks fix.
+    # del_1 has 2 rows and del_2 one.  The first call on the signature
+    # eliminates each map once; the second is answered from the cache.
     calls.clear()
     signature = (2, 2, ((1, 2), (2, 0)))
-    assert reduced_homology_ranks(signature, below=1) == {-1: 0, 0: 0}
-    assert calls == [2]
     assert reduced_homology_ranks(signature) == {-1: 0, 0: 0, 1: 1, 2: 0}
     assert calls == [2, 1]
-    assert reduced_homology_ranks(signature, below=1) == {-1: 0, 0: 0, 1: 1, 2: 0}
-    assert calls == [2, 1]     # answered from the cache
+    assert reduced_homology_ranks(signature) == {-1: 0, 0: 0, 1: 1, 2: 0}
+    assert calls == [2, 1]
+    assert homology._ranks_cache == {signature: {-1: 0, 0: 0, 1: 1, 2: 0}}
 
 
 def test_a_warm_signature_builds_no_type_cells(monkeypatch):
@@ -348,9 +280,9 @@ def test_a_warm_signature_builds_no_type_cells(monkeypatch):
     def refuse(signature):
         raise AssertionError("relative cells listed for a cached signature")
 
-    monkeypatch.setattr(homology, "_TypeCells", refuse)
+    monkeypatch.setattr(homology, "_type_cells", refuse)
     again = type_complex(VariableUniverse(3, 3), [(1, 1)])
-    assert reduced_homology_ranks(again, below=1) == {-1: 0, 0: 0, 1: 4}
+    assert reduced_homology_ranks(again) == {-1: 0, 0: 0, 1: 4}
     assert reduced_homology_ranks((3, 3, ((1, 1),))) == {-1: 0, 0: 0, 1: 4}
 
 
@@ -368,7 +300,6 @@ def test_the_mask_path_caches_nothing(monkeypatch):
         cones += reduce(and_, c.masks) != 0
         exact = _exact_ranks(c)
         assert reduced_homology_ranks(c) == exact
-        _assert_partial(reduced_homology_ranks(c, below=1), exact, 1)
         checked += 1
     assert homology._ranks_cache == {}
     assert 10 < cones < 70
@@ -424,8 +355,4 @@ def test_relative_ranks_on_small_complexes(monkeypatch, facets, expected):
     monkeypatch.setattr(homology, "_ranks_cache", {})
     c = complex_on(6, facets)
     assert _exact_ranks(c) == expected
-    assert reduced_homology_ranks(c) == expected
-    monkeypatch.setattr(homology, "_ranks_cache", {})
-    below = min(1, max(expected))
-    _assert_partial(reduced_homology_ranks(c, below=below), expected, below)
     assert reduced_homology_ranks(c) == expected

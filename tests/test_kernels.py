@@ -142,6 +142,19 @@ def test_the_type_chain_matches_mmcs():
     assert checked == 3316 + 72
 
 
+def test_the_orbit_rule_runs_at_any_size():
+    # only the x-counts where the least b can change are tried, so the
+    # rule gives the closed form's dual at n = m = 10^12 without a pass
+    # over every x-count
+    from mixedprod import normalize
+    big = 10 ** 12
+    u = VariableUniverse(big, big)
+    for pairs in [[(3, 5), (7, 2)], [(1, big), (big, 1)], [(0, 4), (2, 2), (big - 1, 0)],
+                  [(5, 5)], [(0, 1)], [(big, big)]]:
+        spec = normalize(u, pairs)
+        assert kernels.transversal_types(spec.summands, big, big) == list(spec.dual.summands)
+
+
 def test_families_that_are_not_whole_types_fall_back():
     # MMCS on families with and without whole types, which the
     # generator map check tells apart

@@ -197,7 +197,7 @@ def test_a_full_check_of_an_invariant_spec_builds_no_face_table(monkeypatch):
     ranked = []
     real = complexes.reduced_homology_ranks
     monkeypatch.setattr(complexes, "reduced_homology_ranks",
-                        lambda lk, below: ranked.append(lk) or real(lk, below))
+                        lambda lk: ranked.append(lk) or real(lk))
     verdicts = set()
     for spec in enumerate_specs(4, 4, 3):
         record = check_spec(spec, "full")
@@ -229,7 +229,7 @@ def test_primary_decomposition_check_reads_the_grouping(monkeypatch):
 
 
 @pytest.mark.parametrize("regroup", ["moved", "swapped"])
-def test_facet_partition_check_reads_the_blocks(monkeypatch, regroup):
+def test_facet_partition_check_reads_the_blocks(monkeypatch, capsys, regroup):
     # one facet of block 1 moved to block 2, or blocks 1 and 2 swapped:
     # the union is still the facets, the blocks are not
     from test_products import TestFacetPartition
@@ -263,15 +263,21 @@ def test_facet_partition_check_reads_the_blocks(monkeypatch, regroup):
 
     profile = products.qr_profile
     monkeypatch.setattr(products, "qr_profile", swapped)
-    # a swapped profile has no spec to round-trip to
-    monkeypatch.setattr(products, "spec_from_profile", lambda p: spec)
     record = check_spec(normalize(spec.universe, spec.summands), "fast")
     assert record["oracle"]["facet_partition"] is False
-    partition_mismatches = [mm for mm in record["mismatches"] if mm["check"] == "facet_partition"]
-    assert len(partition_mismatches) == 1
+    # a swapped profile has no spec to round-trip to: a mismatch, not an error
+    found = {mm["check"]: mm for mm in record["mismatches"]}
+    assert len(found) == len(record["mismatches"])
+    roundtrip, partition = found["profile_roundtrip"], found["facet_partition"]
+    assert roundtrip["witness"] == repr("q_bar must be strictly increasing within 0..n")
     # {y1 y2 y3} | x_i y_j | {x1 x2 x3}, the first two swapped
-    assert partition_mismatches[0]["closed_form"] == [[1, 1], [0, 3], [3, 0]]
-    assert partition_mismatches[0]["oracle"] == [[0, 3], [1, 1], [3, 0]]
+    assert partition["closed_form"] == [[1, 1], [0, 3], [3, 0]]
+    assert partition["oracle"] == [[0, 3], [1, 1], [3, 0]]
+    # the sweep finishes with its records and reports the mismatches
+    from mixedprod import cli
+    assert cli.main(["sweep", "--max-n", "3", "--max-m", "3", "--json"]) == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == sum(1 for _ in enumerate_specs(3, 3, 3))
 
 
 def all_pairs_bound(profile, blocks):
