@@ -245,8 +245,8 @@ def build_parser():
     def cap_args(p):
         p.add_argument("--cap-vertices", type=int, default=sweep.VERTEX_CAP,
                        dest="cap_vertices",
-                       help="skip the oracle checks that list facets (shelling, homology) "
-                            "on specs with more vertices; at any value, also on more "
+                       help="skip the shelling and homology oracle checks on specs "
+                            "with more vertices; at any value, also on more "
                             f"than {products.GENERATOR_CAP} facets")
         p.add_argument("--cap-facets", type=int, default=complexes.SHELLING_FACET_CAP,
                        dest="cap_facets", help="skip the shelling search above this many facets")

@@ -22,30 +22,27 @@ whether a new facet f may follow, and which placed facet blocks it, takes
 O(|f|^2) big-int ANDs instead of passes over the placed list.
 ``find_shelling`` sets and clears the bits as it backtracks.
 
-Reisner's and Duval's checks run on facet types when they are given
-them.  A complex whose facet set is invariant under S_n x S_m (the
-x-block and the y-block each permuted on their own) is a down-closed
-set of types (a, b), a x's and b y's, and
-``SimplicialComplex.type_signature`` holds it as (n', m', sorted facet
-types T), set from the prime types by ``ideals.complex_of_primes`` and
-by nothing else; n' is n, or 0 when no facet holds an x (m' likewise).
-A face of type (a, b) lies in exactly the facets of the types (A, B) in
-T with A >= a and B >= b, so its link is, up to an
-order-preserving relabel of the vertices, the type complex
-(n' - a, m' - b, {(A - a, B - b) : (A, B) in T, A >= a, B >= b}),
-and Duval's facet cut c_l (below) is (n', m', {t in T : |t| >= l}).
-Faces of one type form one orbit, their links are isomorphic and have
-the same homology, and the first face of each type in ``all_faces``
-order, the first a x's and the first b y's, is the lex-least of its
-orbit.  So both checks walk the types in that order (``_face_types``),
-rank each link by its signature (``homology.reduced_homology_ranks``
-takes one), and find the same first failing face, hence the same
-witness, as a walk over every face.  They build no mask link, no cut
-and no face table.  A complex without a signature, such as every one
-from ``make_complex``, ``link``, ``skeleton`` or
-``ideals.stanley_reisner_complex``, has every face checked on its
-masks, from the definitions.  ``_walk`` makes the choice between the
-two, so each check is one loop over it.
+Reisner's and Duval's checks take a complex or a type complex, the
+tuple (n, m, T).  A facet set invariant under S_n x S_m (the x-block
+and the y-block each permuted on their own) is every set of each type
+(a, b), a x's and b y's, in an antichain of facet types T; the sweep
+hands the checks a spec's complemented prime types this way.  A face
+of type (a, b) lies in exactly the facets of the types (A, B) in T with
+A >= a and B >= b, so its link is, up to an order-preserving relabel
+of the vertices, the type complex
+(n - a, m - b, {(A - a, B - b) : (A, B) in T, A >= a, B >= b}),
+which ``_signature`` normalizes to (n', m', sorted types), n' being 0
+when no type holds an x (m' likewise), one rank-cache key per link.
+Duval's facet cut c_l (below) is (n, m, {t in T : |t| >= l}).  Faces
+of one type form one orbit, their links are isomorphic, and the first
+face of each type in ``all_faces`` order, x_1..x_a and y_1..y_b (x's at
+bits 0..n-1, y's from bit n), is the lex-least of its orbit.  So both
+checks walk the types in that order (``_face_types``), rank each link
+by its signature, and find the same first failing face, hence the same
+witness, as a walk over every face of the listed complex, with no mask
+link, cut or face table.  A ``SimplicialComplex`` has every face
+checked on its masks, from the definitions.  ``_walk`` makes the
+choice, so each check is one loop over it.
 
 Duval's criterion runs Reisner's on every pure skeleton, yet no skeleton
 is built.  At level l, the link of F in the l-skeleton agrees in every
@@ -56,11 +53,11 @@ the complex generated by the facets of c of dimension >= l - 1
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .homology import _faces_by_dim, reduced_homology_ranks
+from .homology import _check_type_complex, _faces_by_dim, reduced_homology_ranks
 from .ideals import DomainError, InvalidInput, VariableUniverse, vertex_lists
 from .kernels import bit_indices
 
@@ -71,14 +68,11 @@ SHELLING_FACET_CAP = 10
 class SimplicialComplex:
     """Facet bitmasks, an inclusion antichain, in increasing order.
 
-    ``type_signature`` is set by ``ideals.complex_of_primes`` alone
-    (module docstring), and equality and hashing ignore it.  The face
-    table is computed on first use and kept on the complex.
+    The face table is computed on first use and kept on the complex.
     """
 
     universe: VariableUniverse
     masks: Tuple[int, ...]
-    type_signature: Optional[tuple] = field(default=None, compare=False)
 
     @cached_property
     def face_table(self) -> dict[int, list[int]]:
@@ -269,18 +263,18 @@ def _signature(n, m, types) -> tuple:
             tuple(sorted(types)))
 
 
-def _face_types(signature):
+def _face_types(c):
     """The face types (a, b) of a type complex, by size, more x's first: ``all_faces`` order."""
-    n, m, types = signature
+    n, m, types = c
     for k in range(max(a + b for a, b in types) + 1):
         for a in range(min(k, n), max(0, k - m) - 1, -1):
             if any(a <= fa and k - a <= fb for fa, fb in types):
                 yield a, k - a
 
 
-def _type_link(signature, a, b) -> Optional[tuple]:
+def _type_link(c, a, b) -> Optional[tuple]:
     """The signature of the link of a type-(a, b) face, or None if there is no such face."""
-    n, m, types = signature
+    n, m, types = c
     kept = [(fa - a, fb - b) for fa, fb in types if fa >= a and fb >= b]
     return _signature(n - a, m - b, kept) if kept else None
 
@@ -293,7 +287,7 @@ def _failing_degree(lk, below: int) -> Optional[int]:
     return next((i for i in range(-1, below) if ranks[i]), None)
 
 
-def _walk(c: SimplicialComplex, skeleta: bool = False):
+def _walk(c, skeleta: bool = False):
     """(l, face mask, link, below) for each link Reisner's or Duval's check ranks, lazily.
 
     Reisner's check (l None) takes every face F of c, with lk_c(F) and
@@ -302,12 +296,11 @@ def _walk(c: SimplicialComplex, skeleta: bool = False):
     l - 1 - |F|; c_l is generated by the facets of c of size >= l.
     Levels 0 and 1 have no such face, so they are not walked.  The
     faces come in ``all_faces`` order, and the link's homology is
-    checked in the degrees below ``below``.  With a type signature, the
-    link is the link's signature and F the first face of its type
-    (module docstring); otherwise both come from the definitions.
+    checked in the degrees below ``below``.  On a type complex the link
+    is the link's signature and F the first face of its type (module
+    docstring); otherwise both come from the definitions.
     """
-    signature = c.type_signature
-    if signature is None:
+    if type(c) is not tuple:
         for l in range(2, dim(c) + 2) if skeleta else [None]:
             cut = c if l is None else SimplicialComplex(
                 c.universe, tuple(g for g in c.masks if g.bit_count() >= l))
@@ -317,23 +310,24 @@ def _walk(c: SimplicialComplex, skeleta: bool = False):
                 lk = link(cut, f)
                 yield l, f, lk, dim(lk) if l is None else l - 1 - f.bit_count()
         return
-    n, m, types = signature
+    _check_type_complex(c)
+    n, m, types = c
     # each of Duval's levels walks a prefix of the face types, so they are
     # listed once; Reisner's single walk lists them only up to a failure
-    faces = list(_face_types(signature)) if skeleta else _face_types(signature)
+    faces = list(_face_types(c)) if skeleta else _face_types(c)
     for l in range(2, max(a + b for a, b in types) + 1) if skeleta else [None]:
-        cut = signature if l is None else (n, m, [t for t in types if t[0] + t[1] >= l])
+        cut = c if l is None else (n, m, [t for t in types if t[0] + t[1] >= l])
         for a, b in faces:
             if l is not None and a + b >= l - 1:
                 break
             lk = _type_link(cut, a, b)
             if lk is not None:  # (a, b) is a face type of c_l
-                yield (l, (1 << a) - 1 | ((1 << b) - 1) << c.universe.n, lk,
+                yield (l, (1 << a) - 1 | ((1 << b) - 1) << n, lk,
                        max(fa + fb for fa, fb in lk[2]) - 1 if l is None else l - 1 - a - b)
 
 
-def reisner_cm(c: SimplicialComplex):
-    """Reisner's criterion over the rationals.
+def reisner_cm(c):
+    """Reisner's criterion over the rationals, on a complex or a type complex (n, m, T).
 
     CM iff for every face F the reduced homology of link(F) vanishes in
     all degrees below its dimension.  Returns (True, None) or
@@ -347,11 +341,12 @@ def reisner_cm(c: SimplicialComplex):
     return True, None
 
 
-def duval_scm(c: SimplicialComplex):
-    """Sequential CM via pure skeleta: every skeleton must pass Reisner.
+def duval_scm(c):
+    """Sequential CM via pure skeleta, on a complex or a type complex (n, m, T).
 
-    Returns (True, None) or (False, (l, reisner_witness)), the witness
-    that ``reisner_cm(skeleton(c, l))`` gives at the least failing l.
+    Every skeleton must pass Reisner.  Returns (True, None) or
+    (False, (l, reisner_witness)), the witness that
+    ``reisner_cm(skeleton(c, l))`` gives at the least failing l.
 
     At level l let c_l be the complex generated by the facets of c of
     dimension >= l - 1.  A face F of c is a face of the l-skeleton
@@ -363,8 +358,8 @@ def duval_scm(c: SimplicialComplex):
     lies in a j-face: the link is the j-skeleton of L, and H~_i of the
     two agree for every i < j, the degrees Reisner's criterion asks
     about.  So L is checked in the degrees below j and no skeleton is
-    built.  With a type signature, c_l is the facet types of size >= l
-    and L its link signature.
+    built.  On a type complex, c_l is the facet types of size >= l and L
+    its link signature.
     """
     for l, face, lk, below in _walk(c, skeleta=True):
         i = _failing_degree(lk, below)

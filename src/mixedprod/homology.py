@@ -16,12 +16,12 @@ the absolute one with the star's faces dropped.  v is the lowest used
 vertex.  The [set()] complex has no vertex (nor star) and is ranked on
 its own table.
 
-A complex with a type signature (n, m, T) (``complexes``: its faces
-are the sets of a x's and b y's with (a, b) below some facet type in
-T, up to an order-preserving relabel of the used vertices) is ranked
-without a face table.  Put x_1..x_n at bits 0..n-1 and y_1..y_m at
-n..n+m-1, swapping the blocks when n = 0 (then T holds one type), so
-that x_1 is the lowest used vertex v, as on the mask path.  Let
+A type complex (n, m, T) (``complexes``: its faces are the sets of a
+x's and b y's with (a, b) below some facet type in the antichain T, up
+to an order-preserving relabel of the used vertices) is ranked without
+a face table.  Put x_1..x_n at bits 0..n-1 and y_1..y_m at n..n+m-1,
+swapping the blocks when no type holds an x (then T holds one type),
+so that x_1 is the lowest used vertex v, as on the mask path.  Let
 reach[i] = max{B : (A, B) in T, A >= i}, or -1 if there is none: the
 most y's of a face with i x's, so a set of type (i, j) is a face
 exactly when j <= reach[i], and reach never grows with i.  A relative
@@ -55,24 +55,25 @@ over Q.  The two ends need no elimination: del_0 is zero, as there is
 no relative (-1)-cell (for the [set()] complex there is no 0-cell), and
 del_{top+1} is zero.
 
-The ranks of a type signature are cached, keyed by the signature alone;
-the cells are never kept.  A signature already ranked is answered from
-the cache.  Two signatures are keyed apart even when their complexes
-are isomorphic (the k-skeleton of one simplex read with two block
-splits): a miss more, never a wrong rank.  A complex without a
-signature is ranked from its own relative table every time it is
-asked.  The exhaustive oracle sweeps stay cheap because the link
-signatures showing up there repeat heavily.
+The ranks of a type complex are cached, keyed by the tuple as given
+(``complexes`` normalizes each link first); the cells are never kept,
+and only a miss checks the tuple (``_check_type_complex``).  Two tuples
+are keyed apart even when their complexes are isomorphic (the
+k-skeleton of one simplex read with two block splits): a miss more,
+never a wrong rank.  A ``SimplicialComplex`` is ranked from its own
+relative table every time.  The exhaustive oracle sweeps stay cheap
+because the link signatures showing up there repeat heavily.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import kernels
 from .ideals import InvalidInput
 
-# type signature -> {d: rank H~_d} for d = -1..dim
+# type complex (n, m, T) -> {d: rank H~_d} for d = -1..dim
 _ranks_cache: dict = {}
 
 
@@ -166,19 +167,29 @@ def _relative_table(c) -> dict[int, list[int]]:
     return {d: [g for g in faces if g | v not in star] for d, faces in table.items()}
 
 
-def _type_cells(signature) -> dict[int, list[int]]:
-    """dim -> the relative cells of a type complex, in increasing order.
+def _check_type_complex(c) -> None:
+    """Raise InvalidInput unless c = (n, m, T) with T a nonempty antichain in 0..n x 0..m."""
+    n, m, types = c
+    comparable = any(s[0] <= t[0] and s[1] <= t[1] or t[0] <= s[0] and t[1] <= s[1]
+                     for s, t in combinations(types, 2))
+    if not types or comparable or not all(0 <= a <= n and 0 <= b <= m for a, b in types):
+        raise InvalidInput(f"{c!r} is no type complex: its facet types must be a nonempty "
+                           f"antichain of (a, b) with 0 <= a <= {n} and 0 <= b <= {m}")
 
-    The x-block comes first (the blocks swap when no x is used): the
-    x-vertices are bits 0..n-1, the y-vertices n..n+m-1, and v is x_1,
-    bit 0.  The cells are the sets of the types (i, j) with i < n and
-    reach[i+1] < j <= reach[i] (module docstring).  The [set()] complex
-    has no vertex: its one cell is the empty face.
+
+def _type_cells(c) -> dict[int, list[int]]:
+    """dim -> the relative cells of a type complex (n, m, T), in increasing order.
+
+    The x-block comes first (the blocks swap when no type holds an x):
+    the x-vertices are bits 0..n-1, the y-vertices n..n+m-1, and v is
+    x_1, bit 0.  The cells are the sets of the types (i, j) with i < n
+    and reach[i+1] < j <= reach[i] (module docstring).  The [set()]
+    complex has no vertex: its one cell is the empty face.
     """
-    n, m, types = signature
-    if not n:
+    n, m, types = c
+    if not any(a for a, _ in types):
         n, m, types = m, n, [(b, a) for a, b in types]
-    if not n:
+    if not any(a for a, _ in types):
         return {-1: [0]}
     reach = [-1] * (n + 2)  # reach[i]: the most y's of a face with i x's, or -1
     for a, b in types:
@@ -211,15 +222,15 @@ def _ranks(table) -> dict[int, int]:
 def reduced_homology_ranks(c) -> dict[int, int]:
     """Ranks of the reduced homology groups H~_d, for d = -1..dim.
 
-    ``c`` is a complex or a type signature (n, m, facet types).
+    ``c`` is a complex or a type complex (n, m, facet types).
     rank H~_d = rank H_d(c, st v), with v the lowest used vertex; the
     (-1)-st rank is 1 for the [set()] complex and 0 otherwise.  Only
-    signatures are cached.
+    type complexes are cached.
     """
-    signature = c if type(c) is tuple else c.type_signature
-    if signature is None:
+    if type(c) is not tuple:
         return _ranks(_relative_table(c))
-    ranks = _ranks_cache.get(signature)
+    ranks = _ranks_cache.get(c)
     if ranks is None:
-        ranks = _ranks_cache[signature] = _ranks(_type_cells(signature))
+        _check_type_complex(c)
+        ranks = _ranks_cache[c] = _ranks(_type_cells(c))
     return dict(ranks)

@@ -19,12 +19,6 @@ Minimal transversals form an inclusion antichain, and so do their
 complements, so that complex is built directly from the facet masks,
 without the maximality pass of ``make_complex`` (the argument ``link``
 and ``skeleton`` use too).
-
-A caller that knows the primes' types, as the sweep does from a spec's
-summands, hands them to ``complex_of_primes`` too, and only then does
-the complex get a type signature, on which Reisner's and Duval's checks
-walk types instead of faces.  Nothing here guesses types by counting
-masks: every other complex is checked on its masks.
 """
 
 from __future__ import annotations
@@ -180,24 +174,17 @@ def _prime_masks(ideal: SquarefreeIdeal) -> list[int]:
     return kernels.minimal_hitting_sets(ideal.generators)
 
 
-def complex_of_primes(universe: VariableUniverse, primes: Iterable[int], types=None):
+def complex_of_primes(universe: VariableUniverse, primes: Iterable[int]):
     """The complex whose facets are the complements of the bitmasks ``primes``.
 
     ``primes`` must be the minimal primes of an ideal: they form an
     antichain, so their complements do too and the facet masks need no
-    maximality pass through ``make_complex``.  ``types``, if given, must
-    be the types (a, b) of the primes, each held whole, as
-    ``kernels.transversal_types`` gives them.  Complementing commutes
-    with S_n x S_m, so the facets are then whole types too, each
-    (n - a, m - b), and they make the complex's type signature.  This is
-    the one place a complex gets one; without ``types`` it has none.
+    maximality pass through ``make_complex``.
     """
-    from .complexes import SimplicialComplex, _signature
+    from .complexes import SimplicialComplex
 
     full = (1 << universe.size) - 1
-    n, m = universe.n, universe.m
-    signature = None if types is None else _signature(n, m, [(n - a, m - b) for a, b in types])
-    return SimplicialComplex(universe, tuple(sorted(full & ~p for p in primes)), signature)
+    return SimplicialComplex(universe, tuple(sorted(full & ~p for p in primes)))
 
 
 def stanley_reisner_complex(ideal: SquarefreeIdeal):

@@ -9,13 +9,14 @@ distinct sets is invariant under S_n x S_m exactly when, for each type
 it holds, it holds all C(n, a) * C(m, b) sets of that type.  The ideals
 the paper studies, and their facet blocks, are such families, and the
 sweep's oracles take one set per orbit on them: the prime types
-(``transversal_types``), Reisner's and Duval's checks on the complex of
-those types (``complexes``) and the type checks of ``sweep``.  The
+(``transversal_types``), Reisner's and Duval's checks on the type
+complex of their complements (``complexes``) and the type checks of
+``sweep``.  The
 types come from the spec's summands, never from a count of masks, and
 ``list_types``, the package's one lister, lists the sets of given types
 in increasing order: the closed forms' generators, primes and facet
-blocks (``products``), the oracles' primes, for the checks that list
-facets, and the relative cells of a type complex (``homology``).
+blocks (``products``), the oracles' primes, for the shelling checks,
+and the relative cells of a type complex (``homology``).
 ``minimal_hitting_sets`` is MMCS on any family, the reference.
 
 Minimal transversals of an invariant family F come by type, and

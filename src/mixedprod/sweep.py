@@ -26,10 +26,11 @@ each closed-form statement is compared against an independent oracle:
 
 ``kernels.list_types`` is one-to-one on type antichains, so a listing
 of the closed form equals the oracle's exactly when their types do:
-the first six checks compare types, at any size.  Only the shelling
-order and the ``full`` checks list the facets, as bitmasks, and only
-they are kept off a spec by the vertex cap or by the generator cap on
-the dual, one generator per facet.  Mismatch records give types.
+the first six checks compare types, at any size.  Reisner's and
+Duval's checks take the type complex (n, m, facet types) too.  Only the
+shelling checks list the facets, as bitmasks, and the vertex cap and
+the generator cap on the dual (one generator per facet) keep them and
+the homology checks off a spec.  Mismatch records give types.
 
 Any disagreement is recorded as a mismatch.  ``run_sweep`` checks every
 spec and collects the mismatches of all of them; the CLI's ``sweep``
@@ -50,8 +51,8 @@ from itertools import combinations
 from . import complexes, ideals, kernels, products
 from .products import MixedProductSpec
 
-# The checks that list facets enumerate subsets of the n + m vertices;
-# check_spec, their one entry point, skips them above this many vertices.
+# The shelling checks list facets, subsets of the n + m vertices, and the
+# homology checks are capped with them: check_spec skips them above this.
 VERTEX_CAP = 16
 CHUNK = 16   # specs handed to a pool worker at a time
 
@@ -135,9 +136,9 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
 
     Returns a record with the closed-form verdicts and the lists of
     mismatches and skipped (capped) oracle checks.  The checks on types
-    run at any size; those that list the facets are skipped with the
-    reason "vertex cap" above ``cap_vertices`` vertices, and "generator
-    cap" above ``products.GENERATOR_CAP`` facets.  An oracle level
+    run at any size; the shelling and homology checks are skipped with
+    the reason "vertex cap" above ``cap_vertices`` vertices, and
+    "generator cap" above ``products.GENERATOR_CAP`` facets.  An oracle level
     outside ``ORACLE_LEVELS`` raises InvalidInput.
     """
     _check_level(oracle_level)
@@ -210,8 +211,10 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
             mismatches.append(_mismatch(spec, "cm_strongly_connected",
                                         cm.holds, strong, cm.witness))
 
-        # the checks left list the facets, one per prime, a generator of the dual
-        listing, reason = scm.holds or oracle_level == "full", None
+        # the checks left are capped as facet listings, one facet per prime,
+        # a generator of the dual; the shelling checks alone list them
+        full = oracle_level == "full"
+        listing, reason = scm.holds or full, None
         if listing and universe.size > cap_vertices:
             reason = "vertex cap"
         elif listing:
@@ -222,8 +225,8 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
         if reason:
             skipped.append({"spec": spec_as_dict(spec), "reason": reason})
         elif listing:
-            primes = kernels.list_types(prime_types, n, m)
-            complex_ = ideals.complex_of_primes(universe, primes, prime_types)
+            if scm.holds or full and cm.holds:
+                complex_ = ideals.complex_of_primes(universe, kernels.list_types(prime_types, n, m))
             if scm.holds:
                 order = products.shell_blocks(profile.sigma, products.facet_partition(spec))
                 try:
@@ -234,13 +237,14 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
                 if not ok:
                     mismatches.append(_mismatch(spec, "shelling_order", True, False, witness))
 
-            if oracle_level == "full":
-                ok, witness = complexes.reisner_cm(complex_)
+            if full:
+                type_complex = (n, m, tuple(facet_types))
+                ok, witness = complexes.reisner_cm(type_complex)
                 oracle["cm_reisner"] = ok
                 if cm.holds != ok:
                     mismatches.append(_mismatch(spec, "cm_reisner", cm.holds, ok, witness))
 
-                ok, witness = complexes.duval_scm(complex_)
+                ok, witness = complexes.duval_scm(type_complex)
                 oracle["scm_duval"] = ok
                 if scm.holds != ok:
                     mismatches.append(_mismatch(spec, "scm_duval", scm.holds, ok, witness))
@@ -317,7 +321,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 def oracle_coverage(config: SweepConfig, records) -> list[str]:
     """One line per oracle check of the level: the specs it ran on, of how many, and why not more.
 
-    Example: ``shellable 215 of 311 CM specs (facet cap 10)``.  A skip
+    Example: ``shellable 215 of 326 CM specs (facet cap 10)``.  A skip
     reason is named, with its cap, only for a check it kept off some
     record.
     """

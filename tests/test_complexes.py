@@ -23,7 +23,7 @@ from mixedprod import (
     skeleton,
     verify_shelling_order,
 )
-from mixedprod.complexes import SimplicialComplex, _signature, all_faces
+from mixedprod.complexes import all_faces
 from mixedprod.ideals import vertex_lists
 from mixedprod.kernels import bit_indices
 
@@ -32,18 +32,18 @@ def complex_on(n, facets):
     return make_complex(VariableUniverse(n, 0), facets)
 
 
-def masks_only(c):
-    """c without its type signature: the mask path, the reference of the type path."""
-    return SimplicialComplex(c.universe, c.masks)
-
-
 def type_complex(u, types):
-    """The complex of every set of each type (a, b) in the antichain ``types``, handed the
-    type signature of those types, as ``ideals.complex_of_primes`` hands it: the type path."""
-    c = make_complex(u, [set(xs) | set(ys) for a, b in types
-                         for xs in combinations(range(u.n), a)
-                         for ys in combinations(range(u.n, u.size), b)])
-    return SimplicialComplex(u, c.masks, _signature(u.n, u.m, types))
+    """The type complex (n, m, T) of the antichain ``types`` over u, as the sweep hands it to
+    Reisner's and Duval's checks: the type path."""
+    return u.n, u.m, tuple(types)
+
+
+def mask_complex(u, types):
+    """The complex of every set of each type (a, b) in ``types``, listed from the definition:
+    the mask path, the reference of the type path."""
+    return make_complex(u, [set(xs) | set(ys) for a, b in types
+                            for xs in combinations(range(u.n), a)
+                            for ys in combinations(range(u.n, u.size), b)])
 
 
 EMPTYC = complex_on(2, [set()])
@@ -423,37 +423,6 @@ def test_the_type_count_is_the_generator_map_check():
     assert seen[True] > 100 and seen[False] > 60
 
 
-def test_the_type_signature_is_data_not_identity():
-    # Only complex_of_primes, handed the prime types, sets a signature, the
-    # one of the facets' type count; equality and hashing ignore it.  The
-    # same invariant facets from any other constructor carry none.
-    from mixedprod import expand_generators, stanley_reisner_complex
-    from mixedprod.ideals import complex_of_primes
-    from mixedprod.sweep import enumerate_specs
-    checked = 0
-    for spec in enumerate_specs(3, 3, 3):
-        u = spec.universe
-        types = kernels.transversal_types(spec.summands, u.n, u.m)
-        primes = kernels.list_types(types, u.n, u.m)
-        typed, untyped = complex_of_primes(u, primes, types), complex_of_primes(u, primes)
-        assert typed == untyped and hash(typed) == hash(untyped) and len({typed, untyped}) == 1
-        assert untyped.type_signature is None
-        assert typed.type_signature == _signature(u.n, u.m, facet_types(typed.masks, u.n, u.m))
-        others = [stanley_reisner_complex(expand_generators(spec)),
-                  make_complex(u, vertex_lists(typed.masks)),
-                  skeleton(typed, dim(typed) + 1)]
-        if typed.masks[0]:
-            others.append(link(typed, typed.masks[0] & -typed.masks[0]))
-        for c in others:
-            assert c.type_signature is None
-        assert others[0] == others[1] == typed
-        checked += 1
-    assert checked == 197
-    simplex = make_complex(VariableUniverse(2, 1), [{0, 1, 2}])
-    assert facet_types(simplex.masks, 2, 1) == [(2, 1)]
-    assert simplex.type_signature is None
-
-
 def test_orbit_reduction_falls_back_on_asymmetric_complexes():
     import random
     rng = random.Random(41)
@@ -474,7 +443,8 @@ def test_orbit_reduction_falls_back_on_asymmetric_complexes():
 
 
 def test_orbit_reduction_on_stanley_reisner_complexes():
-    # the Stanley-Reisner complex, handed the prime types as the sweep hands them
+    # the Stanley-Reisner complex, checked on the complemented prime types
+    # as the sweep hands them, against the complex of the listed primes
     from mixedprod import expand_generators, stanley_reisner_complex
     from mixedprod.ideals import complex_of_primes
     from mixedprod.sweep import enumerate_specs
@@ -482,23 +452,22 @@ def test_orbit_reduction_on_stanley_reisner_complexes():
     for spec in enumerate_specs(3, 3, 3):
         u = spec.universe
         types = kernels.transversal_types(spec.summands, u.n, u.m)
-        c = complex_of_primes(u, kernels.list_types(types, u.n, u.m), types)
+        c = complex_of_primes(u, kernels.list_types(types, u.n, u.m))
         assert c == stanley_reisner_complex(expand_generators(spec))
-        assert c.type_signature is not None
+        facets = (u.n, u.m, tuple((u.n - a, u.m - b) for a, b in reversed(types)))
+        assert list(facets[2]) == facet_types(c.masks, u.n, u.m)
         expected = reisner_reference(c)
-        assert reisner_cm(c) == expected
-        assert duval_scm(c) == duval_reference(c)
+        assert reisner_cm(facets) == expected
+        assert duval_scm(facets) == duval_reference(c)
         failing += not expected[0]
     assert failing > 10
 
 
 def test_one_block_symmetry_checks_every_face(monkeypatch):
-    # a complex with no type signature has every face linked; one with a
-    # signature has one link signature per (x-count, y-count) class and
-    # no mask link
+    # a complex has every face linked; a type complex has one link
+    # signature per (x-count, y-count) class and no mask link
     from mixedprod import complexes
     c = make_complex(VariableUniverse(3, 2), [{0, 1, 2, 3}])   # y2 is absent
-    assert c.type_signature is None
     seen, typed = [], []
     real, real_type_link = complexes.link, complexes._type_link
     monkeypatch.setattr(complexes, "link", lambda cx, f: seen.append(f) or real(cx, f))
@@ -508,7 +477,7 @@ def test_one_block_symmetry_checks_every_face(monkeypatch):
     assert seen == all_faces(c) and len(seen) == 16 and typed == []
     seen.clear()
     full = type_complex(VariableUniverse(3, 2), [(3, 2)])
-    assert full.masks == (0b11111,) and full.type_signature == (3, 2, ((3, 2),))
+    assert mask_complex(VariableUniverse(3, 2), [(3, 2)]).masks == (0b11111,)
     assert reisner_cm(full) == (True, None)
     assert seen == [] and len(typed) == 12      # one face per (x-count, y-count) class
     assert typed == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
@@ -516,34 +485,37 @@ def test_one_block_symmetry_checks_every_face(monkeypatch):
 
 
 def test_one_symmetry_check_per_complex(monkeypatch):
-    # Reisner's and Duval's checks read one type signature off the
-    # complex, and a full check's complex has it set from the prime
-    # types, so its facets are not tested for S_n x S_m invariance at
-    # all.  No type is read off masks, and every listing by type is a
-    # list_types call: the primes, listed once from the prime types (the
-    # spec is not sequentially CM, so no facet block is listed), and
-    # after that only the relative cells of a type complex, over the
-    # n - 1 x's x_2..x_n of its signature.
-    from mixedprod import expand_generators, ideals, normalize, products, stanley_reisner_complex
+    # No facet set is tested for S_n x S_m invariance: Reisner's and
+    # Duval's checks at full get the type complex (n, m, facet types), the
+    # complemented prime types.  The spec is neither sequentially CM nor
+    # CM, so no prime is listed and no complex is built; every listing by
+    # type is a list_types call for the relative cells of a type complex,
+    # over the n - 1 x's x_2..x_n of its signature.
+    from mixedprod import (complexes, expand_generators, homology, ideals, normalize,
+                           stanley_reisner_complex)
     from mixedprod.sweep import check_spec
     spec = normalize(VariableUniverse(3, 3), [(1, 2), (2, 1)])
     c = stanley_reisner_complex(expand_generators(spec))
-    assert c.type_signature is None
-    listed, supplied = [], []
-    list_types, of_primes = kernels.list_types, ideals.complex_of_primes
+    monkeypatch.setattr(homology, "_ranks_cache", {})
+    listed, handed = [], []
+    list_types = kernels.list_types
     monkeypatch.setattr(kernels, "list_types", lambda *a: listed.append(a) or list_types(*a))
-    monkeypatch.setattr(ideals, "complex_of_primes",
-                        lambda *a: supplied.append(of_primes(*a)) or supplied[-1])
+
+    def refuse(*args):
+        raise AssertionError("a complex built for the full checks")
+
+    monkeypatch.setattr(ideals, "complex_of_primes", refuse)
+    for name in ("reisner_cm", "duval_scm"):
+        monkeypatch.setattr(complexes, name, lambda c, check=getattr(complexes, name):
+                            handed.append(c) or check(c))
     record = check_spec(spec, "full")
     assert {"cm_reisner", "scm_duval"} <= record["oracle"].keys()
-    assert "shelling_order" not in record["oracle"]
-    assert record["mismatches"] == [] and supplied == [c]
-    assert listed[:1] == [([(0, 3), (2, 2), (3, 0)], 3, 3)]
-    assert all(n < 3 for _, n, _ in listed[1:])
-    assert list(c.masks) == sorted(f for b in products.facet_partition(spec) for f in b)
-    assert supplied[0].type_signature == (3, 3, ((0, 3), (1, 1), (3, 0)))
-    # the supplied signature is the one the facets hold
-    assert list(supplied[0].type_signature[2]) == facet_types(c.masks, 3, 3)
+    assert "shelling_order" not in record["oracle"] and not record["verdicts"]["cohen_macaulay"]
+    assert record["mismatches"] == []
+    assert handed == [(3, 3, ((0, 3), (1, 1), (3, 0)))] * 2
+    assert listed and all(n < 3 for _, n, _ in listed)
+    # the facet types handed on are the ones the Stanley-Reisner complex holds
+    assert list(handed[0][2]) == facet_types(c.masks, 3, 3)
 
 
 def test_orbit_reduction_on_every_invariant_complex():
@@ -559,16 +531,15 @@ def test_orbit_reduction_on_every_invariant_complex():
                     if any(s != t and s[0] <= t[0] and s[1] <= t[1]
                            for s in chosen for t in chosen):
                         continue
-                    c = type_complex(u, chosen)
-                    assert reisner_cm(c) == reisner_reference(c)
-                    assert duval_scm(c) == duval_reference(c)
+                    c, masks = type_complex(u, chosen), mask_complex(u, chosen)
+                    assert reisner_cm(c) == reisner_reference(masks)
+                    assert duval_scm(c) == duval_reference(masks)
                     checked += 1
     assert checked == 207
 
 
-def type_complexes(max_n, max_m):
-    """(universe, facet types, typed complex) for every antichain of types with n <= max_n,
-    m <= max_m."""
+def type_antichains(max_n, max_m):
+    """(universe, facet types) for every antichain of types with n <= max_n, m <= max_m."""
     for n in range(max_n + 1):
         for m in range(0 if n else 1, max_m + 1):
             u = VariableUniverse(n, m)
@@ -578,24 +549,23 @@ def type_complexes(max_n, max_m):
                     if any(s != t and s[0] <= t[0] and s[1] <= t[1]
                            for s in chosen for t in chosen):
                         continue
-                    yield u, chosen, type_complex(u, chosen)
+                    yield u, chosen
 
 
 def test_the_type_path_matches_the_mask_path(monkeypatch):
-    # Every invariant complex with n, m <= 4: its type signature, its ranks
-    # and Reisner's and Duval's verdicts and witnesses, type path against
-    # mask path.  The mask path ranks the complex from its own relative
-    # table, without the rank cache the type path fills.
+    # Every type complex (n, m, T) with n, m <= 4, as given, an unused
+    # block included: its ranks and Reisner's and Duval's verdicts and
+    # witnesses, type path against mask path.  The mask path ranks the
+    # complex from its own relative table, without the rank cache the
+    # type path fills.
     from mixedprod import homology
     monkeypatch.setattr(homology, "_ranks_cache", {})
-    counts = {"checked": 0, "not_cm": 0, "not_scm": 0, "homology": 0}
-    for u, chosen, c in type_complexes(4, 4):
-        n, m = (u.n if any(a for a, _ in chosen) else 0), (u.m if any(b for _, b in chosen) else 0)
-        assert c.type_signature == (n, m, tuple(sorted(chosen)))
-        reference = masks_only(c)
+    counts = {"checked": 0, "not_cm": 0, "not_scm": 0, "homology": 0, "unused_block": 0}
+    for u, chosen in type_antichains(4, 4):
+        c, reference = type_complex(u, chosen), mask_complex(u, chosen)
         ranks = reduced_homology_ranks(c)
         assert ranks == reduced_homology_ranks(reference)
-        assert set(ranks) == set(range(-1, dim(c) + 1))
+        assert set(ranks) == set(range(-1, dim(reference) + 1))
         cm, scm = reisner_cm(c), duval_scm(c)
         assert cm == reisner_cm(reference)
         assert scm == duval_scm(reference)
@@ -603,12 +573,15 @@ def test_the_type_path_matches_the_mask_path(monkeypatch):
         counts["not_cm"] += not cm[0]
         counts["not_scm"] += not scm[0]
         counts["homology"] += any(ranks.values())
+        counts["unused_block"] += (u.n and not any(a for a, _ in chosen)
+                                   or u.m and not any(b for _, b in chosen))
     empty = type_complex(VariableUniverse(2, 2), [(0, 0)])
-    assert empty.masks == (0,) and empty.type_signature == (0, 0, ((0, 0),))
-    for c in (empty, masks_only(empty)):
+    assert mask_complex(VariableUniverse(2, 2), [(0, 0)]).masks == (0,)
+    for c in (empty, mask_complex(VariableUniverse(2, 2), [(0, 0)])):
         assert reduced_homology_ranks(c) == {-1: 1}
         assert reisner_cm(c) == duval_scm(c) == (True, None)
-    assert counts == {"checked": 886, "not_cm": 516, "not_scm": 171, "homology": 782}
+    assert counts == {"checked": 886, "not_cm": 516, "not_scm": 171, "homology": 782,
+                      "unused_block": 104}
 
 
 def test_typed_relative_cells_are_the_mask_cells_relabeled():
@@ -617,14 +590,15 @@ def test_typed_relative_cells_are_the_mask_cells_relabeled():
     # the used vertices.
     from mixedprod import homology
     checked = cones = 0
-    for u, chosen, c in type_complexes(4, 4):
-        used = bit_indices(reduce(lambda x, y: x | y, c.masks))
-        table = homology._relative_table(masks_only(c))
+    for u, chosen in type_antichains(4, 4):
+        masks = mask_complex(u, chosen)
+        used = bit_indices(reduce(lambda x, y: x | y, masks.masks))
+        table = homology._relative_table(masks)
         relabeled = {d: sorted(sum(1 << used.index(v) for v in bit_indices(f)) for f in cells)
                      for d, cells in table.items()}
-        assert homology._type_cells(c.type_signature) == relabeled
+        assert homology._type_cells(type_complex(u, chosen)) == relabeled
         checked += 1
-        cones += reduce(and_, c.masks) != 0
+        cones += reduce(and_, masks.masks) != 0
     assert (checked, cones) == (886, 104)
 
 
@@ -656,12 +630,12 @@ def test_duval_on_non_pure_complexes_with_size_gaps():
                 (t[0] <= g[0] and t[1] <= g[1]) if symmetric else t <= g for g in chosen)]
             chosen += rng.sample(options, min(len(options), 1 if symmetric else 2 if not chosen else 3))
         # whole classes, so the facet set is S_n x S_m invariant, on the type path
-        c = type_complex(u, chosen) if symmetric else make_complex(u, chosen)
-        if not _has_a_size_gap(c):
+        masks = mask_complex(u, chosen) if symmetric else make_complex(u, chosen)
+        if not _has_a_size_gap(masks):
             continue
-        expected = duval_reference(c)
-        assert duval_scm(c) == expected
-        symmetric = generator_map_symmetric(c.masks, u.n, u.m)
+        expected = duval_reference(masks)
+        assert duval_scm(type_complex(u, chosen) if symmetric else masks) == expected
+        symmetric = generator_map_symmetric(masks.masks, u.n, u.m)
         checked[symmetric] += 1
         failing[symmetric] += not expected[0]
     assert checked[True] >= 100 and checked[False] >= 100

@@ -269,26 +269,52 @@ def test_a_signature_ranks_each_map_once(monkeypatch):
 
 
 def test_a_warm_signature_builds_no_type_cells(monkeypatch):
-    from test_complexes import type_complex
+    # a type complex ranked before is answered from the cache: its cells
+    # are not listed and the tuple is not checked again
+    from test_complexes import mask_complex
     monkeypatch.setattr(homology, "_ranks_cache", {})
     edges = [{x, y} for x in range(3) for y in range(3, 6)]
-    bipartite = type_complex(VariableUniverse(3, 3), [(1, 1)])
-    assert bipartite == make_complex(VariableUniverse(3, 3), edges)
-    assert bipartite.type_signature == (3, 3, ((1, 1),))
-    assert reduced_homology_ranks(bipartite) == {-1: 0, 0: 0, 1: 4}    # K_{3,3}: 9 - 6 + 1 cycles
+    u = VariableUniverse(3, 3)
+    assert mask_complex(u, [(1, 1)]) == make_complex(u, edges)
+    assert reduced_homology_ranks((3, 3, ((1, 1),))) == {-1: 0, 0: 0, 1: 4}    # K_{3,3}: 9 - 6 + 1 cycles
 
-    def refuse(signature):
-        raise AssertionError("relative cells listed for a cached signature")
+    def refuse(c):
+        raise AssertionError("a cached type complex listed or checked again")
 
     monkeypatch.setattr(homology, "_type_cells", refuse)
-    again = type_complex(VariableUniverse(3, 3), [(1, 1)])
-    assert reduced_homology_ranks(again) == {-1: 0, 0: 0, 1: 4}
+    monkeypatch.setattr(homology, "_check_type_complex", refuse)
     assert reduced_homology_ranks((3, 3, ((1, 1),))) == {-1: 0, 0: 0, 1: 4}
 
 
+def test_an_unused_block_is_not_the_star_vertex(monkeypatch):
+    # No type holds an x, so x_1 is no vertex of the complex: the blocks
+    # swap and the star is taken at y_1.  One edge y1 y2, and the
+    # boundary of the triangle on y1 y2 y3, each against its mask complex.
+    monkeypatch.setattr(homology, "_ranks_cache", {})
+    for c, facets, expected in [((3, 2, ((0, 2),)), [{3, 4}], {-1: 0, 0: 0, 1: 0}),
+                                ((3, 3, ((0, 2),)), [{3, 4}, {3, 5}, {4, 5}],
+                                 {-1: 0, 0: 0, 1: 1})]:
+        assert reduced_homology_ranks(c) == expected
+        assert reduced_homology_ranks(make_complex(VariableUniverse(*c[:2]), facets)) == expected
+
+
+@pytest.mark.parametrize("c", [(2, 2, ((1, 2), (1, 1))), (2, 2, ((1, 1), (1, 2))),
+                               (2, 2, ((1, 1), (1, 1))), (2, 2, ((3, 0),)), (2, 2, ((0, -1),)),
+                               (2, 2, ())])
+def test_a_malformed_type_complex_is_refused(monkeypatch, c):
+    # T must be a nonempty antichain inside 0..n x 0..m; a type below
+    # another, or past a block, would be ranked by some other complex
+    from mixedprod import duval_scm
+    monkeypatch.setattr(homology, "_ranks_cache", {})
+    for check in (reduced_homology_ranks, reisner_cm, duval_scm):
+        with pytest.raises(InvalidInput):
+            check(c)
+    assert homology._ranks_cache == {}
+
+
 def test_the_mask_path_caches_nothing(monkeypatch):
-    # complexes without a type signature, cones and not, are ranked from
-    # their own relative tables and leave the rank cache empty
+    # SimplicialComplexes, cones and not, are ranked from their own
+    # relative tables and leave the rank cache empty
     from test_complexes import generator_map_symmetric
     monkeypatch.setattr(homology, "_ranks_cache", {})
     rng = random.Random(53)

@@ -117,12 +117,12 @@ def test_whole_type_families_take_the_orbit_path():
 
 def test_the_type_chain_matches_mmcs():
     # the sweep's oracle chain: the prime types by the orbit rule from the
-    # summand types, and the signature the complex takes from them, on
-    # every normalized spec with n, m <= 5 and on a one-block universe
-    # (n = 0 or m = 0) with up to 8 vertices, against MMCS on the listed
-    # generators and against the types read off the facets
+    # summand types, and the facet types it hands Reisner's and Duval's
+    # checks, their complements, on every normalized spec with n, m <= 5
+    # and on a one-block universe (n = 0 or m = 0) with up to 8 vertices,
+    # against MMCS on the listed generators and against the types read
+    # off the facets
     from test_complexes import facet_types
-    from mixedprod.complexes import _signature
     from mixedprod.ideals import complex_of_primes
     from mixedprod.products import MixedProductSpec, generator_sets
     from mixedprod.sweep import enumerate_specs
@@ -134,10 +134,9 @@ def test_the_type_chain_matches_mmcs():
         types = kernels.transversal_types(spec.summands, u.n, u.m)
         primes = kernels.list_types(types, u.n, u.m)
         assert primes == kernels.minimal_hitting_sets(generator_sets(spec)), spec
-        c = complex_of_primes(u, primes, types)
+        c = complex_of_primes(u, primes)
         held = facet_types(c.masks, u.n, u.m)
-        assert held is not None, spec
-        assert c.type_signature == _signature(u.n, u.m, held), spec
+        assert held == [(u.n - a, u.m - b) for a, b in reversed(types)], spec
         checked += 1
     assert checked == 3316 + 72
 

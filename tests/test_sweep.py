@@ -69,8 +69,13 @@ def test_summand_count_bound_past_the_block_sizes():
 def test_one_transversal_search_per_spec(monkeypatch, level):
     # the search runs once, on the summand types that define the ideal:
     # neither the spec's generators nor the dual's are listed or searched
-    # by mask, and the primes are listed once, from the prime types, only
-    # for the checks that list the facets
+    # by mask.  Over the spec's own n + m vertices, the primes are listed
+    # once, from the prime types, only for the checks that shell the
+    # facets (the shelling order, and the shelling search on a CM spec at
+    # full), then one facet block per profile type for the shelling
+    # order; Reisner's and Duval's checks take the facet types, and a
+    # type complex's relative cells are listed over fewer x's.  So at
+    # full, a spec that is neither SCM nor CM lists no prime.
     from mixedprod import products
     searched, listed = [], []
     rule, lister = kernels.transversal_types, kernels.list_types
@@ -83,23 +88,24 @@ def test_one_transversal_search_per_spec(monkeypatch, level):
     monkeypatch.setattr(kernels, "minimal_hitting_sets", refuse)
     monkeypatch.setattr(products, "generator_sets", refuse)
     monkeypatch.setattr(kernels, "list_types",
-                        lambda types, n, m: listed.append(types) or lister(types, n, m))
+                        lambda types, n, m: listed.append((types, n, m)) or lister(types, n, m))
     specs = list(enumerate_specs(2, 2, 3))
+    unlisted = 0
     for spec in specs:
         searched.clear()
         listed.clear()
         record = check_spec(spec, level)
         assert searched == [spec.summands], spec
         assert "dual_generators" in record["oracle"] and not record["mismatches"]
-        # the primes, then one facet block per profile type for the
-        # shelling order, then at full only a type complex's relative cells
         u, p = spec.universe, spec.profile
         shelled = "shelling_order" in record["oracle"]
-        expected = [rule(spec.summands, u.n, u.m)] if level == "full" or shelled else []
-        expected += [[t] for t in zip(p.q_bar, p.r_bar)] if shelled else []
-        assert listed[:len(expected)] == expected, spec
+        shells = shelled or level == "full" and record["verdicts"]["cohen_macaulay"]
+        expected = [(rule(spec.summands, u.n, u.m), u.n, u.m)] if shells else []
+        expected += [([t], u.n, u.m) for t in zip(p.q_bar, p.r_bar)] if shelled else []
+        assert [call for call in listed if call[1:] == (u.n, u.m)] == expected, spec
         assert level == "full" or listed == expected, spec
-    assert len(specs) == 38
+        unlisted += not shells
+    assert (len(specs), unlisted) == (38, 1)
 
 
 def test_a_fast_check_off_the_shelling_order_lists_nothing(monkeypatch):
@@ -337,14 +343,14 @@ def test_intersection_bound_on_types_gives_the_all_pairs_verdict():
 
 def test_strong_connectivity_rule_on_every_pure_type_complex():
     # the rule on the facet types against the ridge-graph search on the
-    # listed facets, without a type signature
-    from test_complexes import type_complexes
+    # listed facets
+    from test_complexes import mask_complex, type_antichains
 
-    from mixedprod.complexes import SimplicialComplex, is_pure, is_strongly_connected
+    from mixedprod.complexes import is_pure, is_strongly_connected
     from mixedprod.sweep import _strongly_connected
     verdicts = []
-    for u, chosen, c in type_complexes(5, 5):
-        masks = SimplicialComplex(u, c.masks)
+    for u, chosen in type_antichains(5, 5):
+        masks = mask_complex(u, chosen)
         strong = is_pure(masks) and is_strongly_connected(masks)
         assert _strongly_connected(chosen) == strong, (u, chosen)
         verdicts.append(strong)
