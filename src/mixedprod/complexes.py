@@ -34,15 +34,45 @@ of the vertices, the type complex
 which ``_signature`` normalizes to (n', m', sorted types), n' being 0
 when no type holds an x (m' likewise), one rank-cache key per link.
 Duval's facet cut c_l (below) is (n, m, {t in T : |t| >= l}).  Faces
-of one type form one orbit, their links are isomorphic, and the first
-face of each type in ``all_faces`` order, x_1..x_a and y_1..y_b (x's at
-bits 0..n-1, y's from bit n), is the lex-least of its orbit.  So both
-checks walk the types in that order (``_face_types``), rank each link
-by its signature, and find the same first failing face, hence the same
-witness, as a walk over every face of the listed complex, with no mask
-link, cut or face table.  A ``SimplicialComplex`` has every face
-checked on its masks, from the definitions.  ``_walk`` makes the
-choice, so each check is one loop over it.
+of one type form one orbit and their links are isomorphic.  The first
+face of each type in ``all_faces`` order, x_1..x_a y_1..y_b (x's at
+bits 0..n-1, y's from bit n), is the lex-least of its orbit, and these
+first faces come in the order of the key (a + b, -a): by size, more
+x's first.  So the first failing face of the listed complex is the
+first face of the first failing type, and the type path finds that
+type by induction over vertex links, with no mask link, cut or face
+table.  A ``SimplicialComplex`` has every face checked on its masks,
+from the definitions (``_walk``).
+
+``_first_failing(sig, d)`` is (a, b, i) for the first failing face
+type of the type complex K with signature sig, i the least degree
+below the bound in which its link has homology, or None.  The bound of
+the empty face, whose link is K, is d, and each vertex of a face lowers
+it by one; d None is Reisner's bound, each link's dimension.  The
+induction, and why it finds the per-face walk's witness:
+- The empty face is checked first; if it fails, it is the first face.
+- Every other face type (a, b) has a first face F holding v = x_1 if
+  a > 0, and v = y_1 if a = 0.  Then lk_K F = lk_{lk v}(F - v): the
+  same complex, hence the same signature and dimension, and F's bound
+  d - |F| is (d - 1) - |F - v|, the bound of F - v in lk v at d - 1.
+- lk x_1 and lk y_1 are the links of the types (1, 0) and (0, 1)
+  (``_type_link``).  A face type (a', b') of lk x_1 is the type
+  (a' + 1, b') of K, whose first face holds x_1; lk y_1 likewise gives
+  (a', b' + 1).  So the failing types of K other than (0, 0) are those
+  of lk x_1 shifted by (1, 0) together with those of lk y_1 shifted by
+  (0, 1), a type holding both x's and y's showing up in both.
+- Each shift keeps the key's order (it adds (1, -1) or (1, 0) to it), so
+  the first failing type of each link, shifted, is the first of its
+  part, and the earlier of the two is K's first failing type: the
+  witness the per-face walk finds.
+A bound <= 0 leaves nothing to check, and so does every link below it,
+so a complex checked at bound 1 takes no link.
+The answer depends on (sig, d) alone, so ``_first_failures`` keeps one
+memo entry per pair across calls and specs: a sweep walks each distinct
+link once, and ranks a signature only where its empty face is checked,
+each at most once (the rank cache).  ``reisner_cm`` looks up
+(signature of c, None) and ``duval_scm`` (signature of c_l, l - 1) for
+each level l.
 
 Duval's criterion runs Reisner's on every pure skeleton, yet no skeleton
 is built.  At level l, the link of F in the l-skeleton agrees in every
@@ -62,6 +92,9 @@ from .ideals import DomainError, InvalidInput, VariableUniverse, vertex_lists
 from .kernels import bit_indices
 
 SHELLING_FACET_CAP = 10
+
+# (link signature, bound) -> its first failing face type (a, b, i), or None
+_first_failures: dict = {}
 
 
 @dataclass(frozen=True)
@@ -263,15 +296,6 @@ def _signature(n, m, types) -> tuple:
             tuple(sorted(types)))
 
 
-def _face_types(c):
-    """The face types (a, b) of a type complex, by size, more x's first: ``all_faces`` order."""
-    n, m, types = c
-    for k in range(max(a + b for a, b in types) + 1):
-        for a in range(min(k, n), max(0, k - m) - 1, -1):
-            if any(a <= fa and k - a <= fb for fa, fb in types):
-                yield a, k - a
-
-
 def _type_link(c, a, b) -> Optional[tuple]:
     """The signature of the link of a type-(a, b) face, or None if there is no such face."""
     n, m, types = c
@@ -287,8 +311,38 @@ def _failing_degree(lk, below: int) -> Optional[int]:
     return next((i for i in range(-1, below) if ranks[i]), None)
 
 
+def _first_failing(sig, d) -> Optional[tuple]:
+    """(a, b, i) for the first failing face type of the signature sig at bound d, or None.
+
+    d bounds the degrees checked on the empty face's link, sig itself,
+    and drops by one per vertex; None is Reisner's bound, each link's
+    dimension.  The empty face first, then the first failures of lk x_1
+    and lk y_1 shifted back, the earlier in ``all_faces`` order (module
+    docstring).  Memoized on (sig, d).
+    """
+    below = max(a + b for a, b in sig[2]) - 1 if d is None else d
+    if below <= 0:
+        return None     # no face's link has a degree to check
+    key = (sig, d)
+    if key in _first_failures:
+        return _first_failures[key]
+    i = _failing_degree(sig, below)
+    found = None if i is None else (0, 0, i)
+    if found is None and below > 1:     # a link's bound is at most below - 1
+        links = [(da, db, _type_link(sig, da, db)) for da, db in ((1, 0), (0, 1))]
+        shifted = []
+        for da, db, lk in links:
+            failing = lk and _first_failing(lk, None if d is None else d - 1)
+            if failing:
+                a, b, j = failing
+                shifted.append((a + da, b + db, j))
+        found = min(shifted, key=lambda t: (t[0] + t[1], -t[0]), default=None)
+    _first_failures[key] = found
+    return found
+
+
 def _walk(c, skeleta: bool = False):
-    """(l, face mask, link, below) for each link Reisner's or Duval's check ranks, lazily.
+    """(l, face mask, link, below) for each link Reisner's or Duval's check ranks on a complex.
 
     Reisner's check (l None) takes every face F of c, with lk_c(F) and
     its dimension.  Duval's (``skeleta``) takes, at each level l >= 2,
@@ -296,34 +350,22 @@ def _walk(c, skeleta: bool = False):
     l - 1 - |F|; c_l is generated by the facets of c of size >= l.
     Levels 0 and 1 have no such face, so they are not walked.  The
     faces come in ``all_faces`` order, and the link's homology is
-    checked in the degrees below ``below``.  On a type complex the link
-    is the link's signature and F the first face of its type (module
-    docstring); otherwise both come from the definitions.
+    checked in the degrees below ``below``.
     """
-    if type(c) is not tuple:
-        for l in range(2, dim(c) + 2) if skeleta else [None]:
-            cut = c if l is None else SimplicialComplex(
-                c.universe, tuple(g for g in c.masks if g.bit_count() >= l))
-            for f in all_faces(cut):
-                if l is not None and f.bit_count() >= l - 1:
-                    break   # faces come by size; a link of dimension <= 0 has no homology to check
-                lk = link(cut, f)
-                yield l, f, lk, dim(lk) if l is None else l - 1 - f.bit_count()
-        return
-    _check_type_complex(c)
-    n, m, types = c
-    # each of Duval's levels walks a prefix of the face types, so they are
-    # listed once; Reisner's single walk lists them only up to a failure
-    faces = list(_face_types(c)) if skeleta else _face_types(c)
-    for l in range(2, max(a + b for a, b in types) + 1) if skeleta else [None]:
-        cut = c if l is None else (n, m, [t for t in types if t[0] + t[1] >= l])
-        for a, b in faces:
-            if l is not None and a + b >= l - 1:
-                break
-            lk = _type_link(cut, a, b)
-            if lk is not None:  # (a, b) is a face type of c_l
-                yield (l, (1 << a) - 1 | ((1 << b) - 1) << n, lk,
-                       max(fa + fb for fa, fb in lk[2]) - 1 if l is None else l - 1 - a - b)
+    for l in range(2, dim(c) + 2) if skeleta else [None]:
+        cut = c if l is None else SimplicialComplex(
+            c.universe, tuple(g for g in c.masks if g.bit_count() >= l))
+        for f in all_faces(cut):
+            if l is not None and f.bit_count() >= l - 1:
+                break   # faces come by size; a link of dimension <= 0 has no homology to check
+            lk = link(cut, f)
+            yield l, f, lk, dim(lk) if l is None else l - 1 - f.bit_count()
+
+
+def _type_witness(n, failing) -> tuple:
+    """Reisner's witness (F, i) for the failing type (a, b, i) of a type complex on n x's."""
+    a, b, i = failing
+    return [*range(a), *range(n, n + b)], i
 
 
 def reisner_cm(c):
@@ -332,8 +374,14 @@ def reisner_cm(c):
     CM iff for every face F the reduced homology of link(F) vanishes in
     all degrees below its dimension.  Returns (True, None) or
     (False, (F, i)) with the first failing face in ``all_faces`` order,
-    as a sorted vertex list.
+    as a sorted vertex list.  A type complex is looked up as
+    ``_first_failing(signature, None)``, its witness the first face of
+    the failing type; a complex has every face walked.
     """
+    if type(c) is tuple:
+        _check_type_complex(c)
+        failing = _first_failing(_signature(*c), None)
+        return (True, None) if failing is None else (False, _type_witness(c[0], failing))
     for _, face, lk, below in _walk(c):
         i = _failing_degree(lk, below)
         if i is not None:
@@ -358,9 +406,18 @@ def duval_scm(c):
     lies in a j-face: the link is the j-skeleton of L, and H~_i of the
     two agree for every i < j, the degrees Reisner's criterion asks
     about.  So L is checked in the degrees below j and no skeleton is
-    built.  On a type complex, c_l is the facet types of size >= l and L
-    its link signature.
+    built.  On a type complex, c_l is the facet types of size >= l, and
+    each level is looked up as ``_first_failing(signature of c_l, l - 1)``.
     """
+    if type(c) is tuple:
+        _check_type_complex(c)
+        n, m, types = c
+        for l in range(2, max(a + b for a, b in types) + 1):
+            failing = _first_failing(_signature(n, m, [t for t in types if t[0] + t[1] >= l]),
+                                     l - 1)
+            if failing is not None:
+                return False, (l, _type_witness(n, failing))
+        return True, None
     for l, face, lk, below in _walk(c, skeleta=True):
         i = _failing_degree(lk, below)
         if i is not None:

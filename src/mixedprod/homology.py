@@ -56,8 +56,11 @@ no relative (-1)-cell (for the [set()] complex there is no 0-cell), and
 del_{top+1} is zero.
 
 The ranks of a type complex are cached, keyed by the tuple as given
-(``complexes`` normalizes each link first); the cells are never kept,
-and only a miss checks the tuple (``_check_type_complex``).  Two tuples
+(``complexes`` normalizes each link first, and asks only where its
+first-failure memo misses); the cells are never kept, and only a miss
+checks the tuple (``_check_type_complex``), which must be ints and int
+pairs in tuples, so that it hashes: a list for T is refused with
+InvalidInput, as by Reisner's and Duval's checks.  Two tuples
 are keyed apart even when their complexes are isomorphic (the
 k-skeleton of one simplex read with two block splits): a miss more,
 never a wrong rank.  A ``SimplicialComplex`` is ranked from its own
@@ -168,7 +171,16 @@ def _relative_table(c) -> dict[int, list[int]]:
 
 
 def _check_type_complex(c) -> None:
-    """Raise InvalidInput unless c = (n, m, T) with T a nonempty antichain in 0..n x 0..m."""
+    """Raise InvalidInput unless c = (n, m, T) with T a nonempty antichain in 0..n x 0..m.
+
+    n and m are ints and T a tuple of (a, b) int pairs: the value is
+    hashable, as the rank cache and ``complexes``' memo key on it.
+    """
+    if not (len(c) == 3 and type(c[0]) is int and type(c[1]) is int and type(c[2]) is tuple
+            and all(type(t) is tuple and len(t) == 2 and type(t[0]) is int and type(t[1]) is int
+                    for t in c[2])):
+        raise InvalidInput(f"{c!r} is no type complex: it must be a tuple (n, m, T) of two "
+                           f"ints and a tuple of (a, b) int pairs")
     n, m, types = c
     comparable = any(s[0] <= t[0] and s[1] <= t[1] or t[0] <= s[0] and t[1] <= s[1]
                      for s, t in combinations(types, 2))
@@ -229,7 +241,10 @@ def reduced_homology_ranks(c) -> dict[int, int]:
     """
     if type(c) is not tuple:
         return _ranks(_relative_table(c))
-    ranks = _ranks_cache.get(c)
+    try:
+        ranks = _ranks_cache.get(c)
+    except TypeError:   # an unhashable part: no type complex, refused below
+        ranks = None
     if ranks is None:
         _check_type_complex(c)
         ranks = _ranks_cache[c] = _ranks(_type_cells(c))

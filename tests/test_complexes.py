@@ -1,5 +1,6 @@
 """Complex combinatorics: skeleta, links, connectivity, shellings, oracles."""
 
+import random
 from functools import reduce
 from itertools import combinations
 from operator import and_
@@ -463,9 +464,12 @@ def test_orbit_reduction_on_stanley_reisner_complexes():
     assert failing > 10
 
 
-def test_one_block_symmetry_checks_every_face(monkeypatch):
-    # a complex has every face linked; a type complex has one link
-    # signature per (x-count, y-count) class and no mask link
+def test_one_block_symmetry_checks_every_face(monkeypatch, cold_caches):
+    # A complex has every face linked.  A type complex is walked by
+    # induction over vertex links: each memo miss whose complex passes
+    # at a bound of 2 or more (below that no link has a degree to check)
+    # takes the links of x_1 and y_1, types (1, 0) and (0, 1), and no
+    # mask link is built.
     from mixedprod import complexes
     c = make_complex(VariableUniverse(3, 2), [{0, 1, 2, 3}])   # y2 is absent
     seen, typed = [], []
@@ -479,24 +483,26 @@ def test_one_block_symmetry_checks_every_face(monkeypatch):
     full = type_complex(VariableUniverse(3, 2), [(3, 2)])
     assert mask_complex(VariableUniverse(3, 2), [(3, 2)]).masks == (0b11111,)
     assert reisner_cm(full) == (True, None)
-    assert seen == [] and len(typed) == 12      # one face per (x-count, y-count) class
-    assert typed == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
-                     (3, 0), (2, 1), (1, 2), (3, 1), (2, 2), (3, 2)]
+    # the simplex passes everywhere.  The links with a degree to check
+    # are those of the 9 face types with a + b <= 3, one memo entry each,
+    # and the 6 with a + b <= 2 have links with one too.
+    assert seen == [] and len(complexes._first_failures) == 9
+    assert typed == [(1, 0), (0, 1)] * 6
+    typed.clear()
+    assert reisner_cm(full) == (True, None) and typed == []     # warm: one lookup
 
 
-def test_one_symmetry_check_per_complex(monkeypatch):
+def test_one_symmetry_check_per_complex(monkeypatch, cold_caches):
     # No facet set is tested for S_n x S_m invariance: Reisner's and
     # Duval's checks at full get the type complex (n, m, facet types), the
     # complemented prime types.  The spec is neither sequentially CM nor
     # CM, so no prime is listed and no complex is built; every listing by
     # type is a list_types call for the relative cells of a type complex,
     # over the n - 1 x's x_2..x_n of its signature.
-    from mixedprod import (complexes, expand_generators, homology, ideals, normalize,
-                           stanley_reisner_complex)
+    from mixedprod import complexes, expand_generators, ideals, normalize, stanley_reisner_complex
     from mixedprod.sweep import check_spec
     spec = normalize(VariableUniverse(3, 3), [(1, 2), (2, 1)])
     c = stanley_reisner_complex(expand_generators(spec))
-    monkeypatch.setattr(homology, "_ranks_cache", {})
     listed, handed = [], []
     list_types = kernels.list_types
     monkeypatch.setattr(kernels, "list_types", lambda *a: listed.append(a) or list_types(*a))
@@ -552,14 +558,12 @@ def type_antichains(max_n, max_m):
                     yield u, chosen
 
 
-def test_the_type_path_matches_the_mask_path(monkeypatch):
+def test_the_type_path_matches_the_mask_path(cold_caches):
     # Every type complex (n, m, T) with n, m <= 4, as given, an unused
     # block included: its ranks and Reisner's and Duval's verdicts and
     # witnesses, type path against mask path.  The mask path ranks the
     # complex from its own relative table, without the rank cache the
     # type path fills.
-    from mixedprod import homology
-    monkeypatch.setattr(homology, "_ranks_cache", {})
     counts = {"checked": 0, "not_cm": 0, "not_scm": 0, "homology": 0, "unused_block": 0}
     for u, chosen in type_antichains(4, 4):
         c, reference = type_complex(u, chosen), mask_complex(u, chosen)
@@ -582,6 +586,84 @@ def test_the_type_path_matches_the_mask_path(monkeypatch):
         assert reisner_cm(c) == duval_scm(c) == (True, None)
     assert counts == {"checked": 886, "not_cm": 516, "not_scm": 171, "homology": 782,
                       "unused_block": 104}
+
+
+def test_a_cold_and_a_warm_memo_give_the_mask_path_answers(monkeypatch):
+    # Every type complex with n, m <= 4, first with the rank cache and the
+    # first-failure memo emptied for it alone, then with both holding
+    # every entry that pass made: the answers, witnesses included, are
+    # those of the mask path either way, so a memo entry does not depend
+    # on the complex whose walk made it.  Warm, each check is one lookup
+    # per level and walks no link.
+    from mixedprod import complexes, homology
+    filled_memo, filled_ranks, answers = {}, {}, []
+    for u, chosen in type_antichains(4, 4):
+        c, reference = type_complex(u, chosen), mask_complex(u, chosen)
+        monkeypatch.setattr(complexes, "_first_failures", {})
+        monkeypatch.setattr(homology, "_ranks_cache", {})
+        cold = reisner_cm(c), duval_scm(c)
+        assert cold == (reisner_cm(reference), duval_scm(reference))
+        filled_memo.update(complexes._first_failures)
+        filled_ranks.update(homology._ranks_cache)
+        answers.append((c, cold))
+    monkeypatch.setattr(complexes, "_first_failures", filled_memo)
+    monkeypatch.setattr(homology, "_ranks_cache", filled_ranks)
+
+    def refuse(*args):
+        raise AssertionError("a link walked or ranked on a warm memo")
+
+    monkeypatch.setattr(complexes, "_type_link", refuse)
+    monkeypatch.setattr(complexes, "reduced_homology_ranks", refuse)
+    assert all((reisner_cm(c), duval_scm(c)) == cold for c, cold in answers)
+    assert len(answers) == 886 and len(filled_memo) > 300
+
+
+def _face_type_walk(c, d, failing_degree):
+    """The first failing face type (a, b, i) of the type complex c, or None, walked per face type.
+
+    The face types come in ``all_faces`` order of their first faces, by
+    size and more x's first, and each is checked on its own link's
+    signature at the bound d - a - b (or the link's dimension for d
+    None): a walk over every face type, the reference for the induction.
+    """
+    n, m, types = c
+    faces = {(a, b) for fa, fb in types for a in range(fa + 1) for b in range(fb + 1)}
+    for a, b in sorted(faces, key=lambda t: (t[0] + t[1], -t[0])):
+        kept = [(fa - a, fb - b) for fa, fb in types if fa >= a and fb >= b]
+        sig = (n - a if any(x for x, _ in kept) else 0, m - b if any(y for _, y in kept) else 0,
+               tuple(sorted(kept)))
+        i = failing_degree(sig, max(x + y for x, y in kept) - 1 if d is None else d - a - b)
+        if i is not None:
+            return a, b, i
+    return None
+
+
+def test_the_link_induction_finds_the_first_failing_face_type(monkeypatch):
+    # On every type complex with n, m <= 5, each first Reisner or Duval
+    # failure lies at the empty face, so the induction's shifts and order
+    # never show in a verdict.  Here the homology is replaced by seeded
+    # coin flips, one per (link signature, bound), so failures lie deep
+    # in the link tree, and the induction must find the per-type walk's
+    # first failing type: the order key, both shifts and the bound d - 1.
+    from mixedprod import complexes
+    deep = mixed = 0
+    for seed in range(4):
+        def flip(sig, below, seed=seed):
+            if below <= 0:
+                return None
+            coin = random.Random(f"{seed} {sig} {below}")
+            return coin.randrange(-1, below) if coin.random() < 0.2 else None
+
+        monkeypatch.setattr(complexes, "_failing_degree", flip)
+        monkeypatch.setattr(complexes, "_first_failures", {})
+        for u, chosen in type_antichains(3, 3):
+            c = type_complex(u, chosen)
+            for d in [None, *range(1, u.n + u.m + 1)]:
+                found = complexes._first_failing(complexes._signature(*c), d)
+                assert found == _face_type_walk(c, d, flip)
+                deep += found is not None and found[:2] != (0, 0)
+                mixed += found is not None and found[0] > 0 and found[1] > 0
+    assert deep > 1000 and mixed > 100
 
 
 def test_typed_relative_cells_are_the_mask_cells_relabeled():

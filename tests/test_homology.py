@@ -228,8 +228,7 @@ def _union_of_spheres(rng):
     return complex_on(start, facets)
 
 
-def test_unions_of_spheres_match_exact_elimination(monkeypatch):
-    monkeypatch.setattr(homology, "_ranks_cache", {})
+def test_unions_of_spheres_match_exact_elimination(cold_caches):
     rng = random.Random(29)
     for _ in range(50):
         c = _union_of_spheres(rng)
@@ -243,7 +242,7 @@ def _random_complex(rng):
     return complex_on(n, facets)
 
 
-def test_a_signature_ranks_each_map_once(monkeypatch):
+def test_a_signature_ranks_each_map_once(monkeypatch, cold_caches):
     # The maps eliminated, by row count.  RP2's relative del_1 and del_2
     # have 5 rows each (see above).  A mask complex is not cached: every
     # call eliminates both maps again.
@@ -251,7 +250,6 @@ def test_a_signature_ranks_each_map_once(monkeypatch):
     calls = []
     rank_int = kernels.rank_int
     monkeypatch.setattr(kernels, "rank_int", lambda rows: calls.append(len(rows)) or rank_int(rows))
-    monkeypatch.setattr(homology, "_ranks_cache", {})
     for _ in range(2):
         assert reduced_homology_ranks(c) == {-1: 0, 0: 0, 1: 0, 2: 0}
     assert calls == [5, 5, 5, 5]
@@ -268,11 +266,10 @@ def test_a_signature_ranks_each_map_once(monkeypatch):
     assert homology._ranks_cache == {signature: {-1: 0, 0: 0, 1: 1, 2: 0}}
 
 
-def test_a_warm_signature_builds_no_type_cells(monkeypatch):
+def test_a_warm_signature_builds_no_type_cells(monkeypatch, cold_caches):
     # a type complex ranked before is answered from the cache: its cells
     # are not listed and the tuple is not checked again
     from test_complexes import mask_complex
-    monkeypatch.setattr(homology, "_ranks_cache", {})
     edges = [{x, y} for x in range(3) for y in range(3, 6)]
     u = VariableUniverse(3, 3)
     assert mask_complex(u, [(1, 1)]) == make_complex(u, edges)
@@ -286,11 +283,10 @@ def test_a_warm_signature_builds_no_type_cells(monkeypatch):
     assert reduced_homology_ranks((3, 3, ((1, 1),))) == {-1: 0, 0: 0, 1: 4}
 
 
-def test_an_unused_block_is_not_the_star_vertex(monkeypatch):
+def test_an_unused_block_is_not_the_star_vertex(cold_caches):
     # No type holds an x, so x_1 is no vertex of the complex: the blocks
     # swap and the star is taken at y_1.  One edge y1 y2, and the
     # boundary of the triangle on y1 y2 y3, each against its mask complex.
-    monkeypatch.setattr(homology, "_ranks_cache", {})
     for c, facets, expected in [((3, 2, ((0, 2),)), [{3, 4}], {-1: 0, 0: 0, 1: 0}),
                                 ((3, 3, ((0, 2),)), [{3, 4}, {3, 5}, {4, 5}],
                                  {-1: 0, 0: 0, 1: 1})]:
@@ -301,22 +297,33 @@ def test_an_unused_block_is_not_the_star_vertex(monkeypatch):
 @pytest.mark.parametrize("c", [(2, 2, ((1, 2), (1, 1))), (2, 2, ((1, 1), (1, 2))),
                                (2, 2, ((1, 1), (1, 1))), (2, 2, ((3, 0),)), (2, 2, ((0, -1),)),
                                (2, 2, ())])
-def test_a_malformed_type_complex_is_refused(monkeypatch, c):
+def test_a_malformed_type_complex_is_refused(c, cold_caches):
     # T must be a nonempty antichain inside 0..n x 0..m; a type below
     # another, or past a block, would be ranked by some other complex
     from mixedprod import duval_scm
-    monkeypatch.setattr(homology, "_ranks_cache", {})
     for check in (reduced_homology_ranks, reisner_cm, duval_scm):
         with pytest.raises(InvalidInput):
             check(c)
     assert homology._ranks_cache == {}
 
 
-def test_the_mask_path_caches_nothing(monkeypatch):
+@pytest.mark.parametrize("c", [(2, 2, [(1, 1)]), (2, 2, ([1, 1],)), (2, 2, ((1, 1, 0),)),
+                               (2, 2, ((1.0, 1),)), ("2", 2, ((1, 1),)), (2, 2, 5), (2, 2),
+                               (2, 2, ((1, 1),), 0)])
+def test_a_type_complex_not_of_int_pairs_is_refused(c, cold_caches):
+    # a type complex is the hashable value (n, m, T), T a tuple of int
+    # pairs; every entry point refuses anything else the same way
+    from mixedprod import complexes, duval_scm
+    for check in (reduced_homology_ranks, reisner_cm, duval_scm):
+        with pytest.raises(InvalidInput, match="is no type complex"):
+            check(c)
+    assert homology._ranks_cache == {} and complexes._first_failures == {}
+
+
+def test_the_mask_path_caches_nothing(cold_caches):
     # SimplicialComplexes, cones and not, are ranked from their own
     # relative tables and leave the rank cache empty
     from test_complexes import generator_map_symmetric
-    monkeypatch.setattr(homology, "_ranks_cache", {})
     rng = random.Random(53)
     checked = cones = 0
     while checked < 80:
@@ -354,8 +361,7 @@ def test_relative_cells_are_the_faces_off_the_star():
     assert homology._relative_table(empty) == empty.face_table == {-1: [0]}
 
 
-def test_relative_ranks_match_the_absolute_ranks(monkeypatch):
-    monkeypatch.setattr(homology, "_ranks_cache", {})
+def test_relative_ranks_match_the_absolute_ranks(cold_caches):
     rng = random.Random(41)
     with_homology = 0
     for _ in range(2000):
@@ -377,8 +383,7 @@ def test_relative_ranks_match_the_absolute_ranks(monkeypatch):
     ([{0}, {1, 2}], {-1: 0, 0: 1, 1: 0}),                    # a point and an edge
     (RP2, {-1: 0, 0: 0, 1: 0, 2: 0}),                        # torsion only
 ])
-def test_relative_ranks_on_small_complexes(monkeypatch, facets, expected):
-    monkeypatch.setattr(homology, "_ranks_cache", {})
+def test_relative_ranks_on_small_complexes(facets, expected, cold_caches):
     c = complex_on(6, facets)
     assert _exact_ranks(c) == expected
     assert reduced_homology_ranks(c) == expected

@@ -186,7 +186,7 @@ def test_each_closed_form_is_computed_once_per_spec(monkeypatch, level):
     assert shelled == sum(products.is_scm_closed_form(s).holds for s in specs) > 0
 
 
-def test_a_full_check_of_an_invariant_spec_builds_no_face_table(monkeypatch):
+def test_a_full_check_of_an_invariant_spec_builds_no_face_table(monkeypatch, cold_caches):
     # every Stanley-Reisner complex of a spec is S_n x S_m invariant, so
     # Reisner's and Duval's checks run on its facet types: no face table,
     # no face list, no mask link and no mask relative table
@@ -199,7 +199,6 @@ def test_a_full_check_of_an_invariant_spec_builds_no_face_table(monkeypatch):
                          (complexes, "all_faces"), (homology, "_relative_table"),
                          (complexes, "link")]:
         monkeypatch.setattr(module, name, refuse)
-    monkeypatch.setattr(homology, "_ranks_cache", {})
     ranked = []
     real = complexes.reduced_homology_ranks
     monkeypatch.setattr(complexes, "reduced_homology_ranks",
@@ -212,6 +211,26 @@ def test_a_full_check_of_an_invariant_spec_builds_no_face_table(monkeypatch):
     assert verdicts == {(True, True), (False, True), (False, False)}
     assert ranked and all(type(lk) is tuple for lk in ranked)
     assert homology._ranks_cache and all(type(k[2]) is tuple for k in homology._ranks_cache)
+
+
+def test_a_second_full_check_of_a_spec_walks_and_ranks_nothing(monkeypatch, cold_caches):
+    # Reisner's and Duval's answers are memoized per (link signature,
+    # bound): checking a spec again looks each level up, with no link
+    # walked and no signature ranked
+    from mixedprod import complexes
+    specs = [normalize(VariableUniverse(3, 3), [(1, 2), (2, 1)]),   # neither CM nor SCM
+             normalize(VariableUniverse(3, 3), [(1, 3)]),           # SCM, not CM
+             normalize(VariableUniverse(3, 4), [(3, 4)])]           # CM
+    first = [check_spec(spec, "full") for spec in specs]
+
+    def refuse(*args):
+        raise AssertionError("a link walked or ranked again")
+
+    monkeypatch.setattr(complexes, "_type_link", refuse)
+    monkeypatch.setattr(complexes, "reduced_homology_ranks", refuse)
+    assert [check_spec(spec, "full") for spec in specs] == first
+    verdicts = {(r["oracle"]["cm_reisner"], r["oracle"]["scm_duval"]) for r in first}
+    assert verdicts == {(False, False), (False, True), (True, True)}
 
 
 def test_primary_decomposition_check_reads_the_grouping(monkeypatch):
