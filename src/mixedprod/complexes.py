@@ -30,49 +30,61 @@ hands the checks a spec's complemented prime types this way.  A face
 of type (a, b) lies in exactly the facets of the types (A, B) in T with
 A >= a and B >= b, so its link is, up to an order-preserving relabel
 of the vertices, the type complex
-(n - a, m - b, {(A - a, B - b) : (A, B) in T, A >= a, B >= b}),
-which ``_signature`` normalizes to (n', m', sorted types), n' being 0
-when no type holds an x (m' likewise), one rank-cache key per link.
-Duval's facet cut c_l (below) is (n, m, {t in T : |t| >= l}).  Faces
-of one type form one orbit and their links are isomorphic.  The first
-face of each type in ``all_faces`` order, x_1..x_a y_1..y_b (x's at
-bits 0..n-1, y's from bit n), is the lex-least of its orbit, and these
-first faces come in the order of the key (a + b, -a): by size, more
-x's first.  So the first failing face of the listed complex is the
-first face of the first failing type, and the type path finds that
-type by induction over vertex links, with no mask link, cut or face
-table.  A ``SimplicialComplex`` has every face checked on its masks,
-from the definitions (``_walk``).
+(n - a, m - b, {(A - a, B - b) : (A, B) in T, A >= a, B >= b}).
+Duval's facet cut c_l (below) is (n, m, {t in T : |t| >= l}).
+``_signature`` normalizes a type complex to (n', m', sorted types), n'
+being 0 when no type holds an x (m' likewise), its rank-cache key.  On
+a type complex each check is one homology query at the empty face,
+whose link is the complex itself: ``reisner_cm`` asks K below dim K,
+``duval_scm`` each c_l below l - 1, and a failure's witness is the
+empty face, first in ``all_faces`` order, with K's least failing
+degree.  By the lemma below no other face can fail first, so no link
+is walked and no mask complex or face table is built.  A
+``SimplicialComplex`` has every face checked on its masks, from the
+definitions (``_walk``).
 
-``_first_failing(sig, d)`` is (a, b, i) for the first failing face
-type of the type complex K with signature sig, i the least degree
-below the bound in which its link has homology, or None.  The bound of
-the empty face, whose link is K, is d, and each vertex of a face lowers
-it by one; d None is Reisner's bound, each link's dimension.  The
-induction, and why it finds the per-face walk's witness:
-- The empty face is checked first; if it fails, it is the first face.
-- Every other face type (a, b) has a first face F holding v = x_1 if
-  a > 0, and v = y_1 if a = 0.  Then lk_K F = lk_{lk v}(F - v): the
-  same complex, hence the same signature and dimension, and F's bound
-  d - |F| is (d - 1) - |F - v|, the bound of F - v in lk v at d - 1.
-- lk x_1 and lk y_1 are the links of the types (1, 0) and (0, 1)
-  (``_type_link``).  A face type (a', b') of lk x_1 is the type
-  (a' + 1, b') of K, whose first face holds x_1; lk y_1 likewise gives
-  (a', b' + 1).  So the failing types of K other than (0, 0) are those
-  of lk x_1 shifted by (1, 0) together with those of lk y_1 shifted by
-  (0, 1), a type holding both x's and y's showing up in both.
-- Each shift keeps the key's order (it adds (1, -1) or (1, 0) to it), so
-  the first failing type of each link, shifted, is the first of its
-  part, and the earlier of the two is K's first failing type: the
-  witness the per-face walk finds.
-A bound <= 0 leaves nothing to check, and so does every link below it,
-so a complex checked at bound 1 takes no link.
-The answer depends on (sig, d) alone, so ``_first_failures`` keeps one
-memo entry per pair across calls and specs: a sweep walks each distinct
-link once, and ranks a signature only where its empty face is checked,
-each at most once (the rank cache).  ``reisner_cm`` looks up
-(signature of c, None) and ``duval_scm`` (signature of c_l, l - 1) for
-each level l.
+Lemma.  Let K be a type complex, and check the link of each face F
+either below its own dimension (Reisner's bound) or below d - |F| for
+a d <= the smallest facet dimension of K (Duval's c_l has d = l - 1).
+If some face F fails, K fails at the empty face, below dim K or below d.
+The hypothesis is needed: at d = 2 the cone (1, 2, ((1, 1),)), x_1
+joined to two points, is acyclic, yet the link of x_1, two points, has
+H~_0 != 0 below 2 - 1.
+
+K's homology is read off its facet types (Fulton and Harris,
+Prop. 3.12).  As an S_n-module the augmented chains of the simplex on
+n >= 1 vertices split into two-term pieces, one per k = 0..n-1:
+Lambda^k V in the sizes k + 1 and k, the boundary an isomorphism
+between them, V the standard module of dimension n - 1 (on n = 0
+vertices: Q in size 0, alone).  The chains of the join of the
+x-simplex and the y-simplex are the tensor product, its pieces on the
+cell types {k, k+1} x {l, l+1}, and K's chains are these pieces cut to
+K's face types, a down-closed set.  A cut piece has homology only when
+it keeps (k, l) alone or all but (k+1, l+1).  With the facet types
+sorted by x-count, (A_1, B_1), ..., (A_r, B_r), B falling, that is:
+- a facet term, C(n-1, A_i) C(m-1, B_i) classes in degree A_i + B_i - 1,
+  the facet's dimension: nonzero iff A_i < n and B_i < m;
+- an inner-corner term, C(n-1, A_i) C(m-1, B_{i+1}) classes in degree
+  A_i + B_{i+1}: never zero, as A_i < A_{i+1} <= n and B_{i+1} < B_i <= m;
+- an unused block gives a factor of 1 and no condition.
+
+Proof, by induction on |F|; for F empty it is the claim.  Otherwise F
+holds an x or a y; say an x, by symmetry x_1 (a y swaps the blocks).
+Then lk_K F = lk_{lk x_1}(F - x_1), checked below the same degree
+(d - |F| = (d - 1) - |F - x_1|), and lk x_1 is the type complex
+(n - 1, m, {(A - 1, B) : (A, B) in T, A >= 1}), whose facets are K's
+facets holding x_1 less x_1, so it meets the hypothesis at d - 1.  By
+induction lk x_1 fails at its empty face, in a degree j below d - 1 or
+below dim lk x_1 <= dim K - 1.  If lk x_1 has one facet type, its only
+class is in its top degree, dim lk x_1, which is never below its bound:
+Reisner's is dim lk x_1, and dim lk x_1 >= d - 1.  So lk x_1 has two or
+more facet types and uses both blocks, and so does K.  Each class of
+lk x_1 is then a term that K has one degree up: its facet term
+(A - 1, B) is nonzero iff A - 1 < n - 1 and B < m, as K's facet term
+(A, B) is, and its inner corner (A_i - 1, B_{i+1}) is K's inner corner
+(A_i, B_{i+1}), since its facet types are a run of K's sorted list.  So
+K has a class in degree j + 1, below d or below dim K, and fails at its
+empty face.
 
 Duval's criterion runs Reisner's on every pure skeleton, yet no skeleton
 is built.  At level l, the link of F in the l-skeleton agrees in every
@@ -92,9 +104,6 @@ from .ideals import DomainError, InvalidInput, VariableUniverse, vertex_lists
 from .kernels import bit_indices
 
 SHELLING_FACET_CAP = 10
-
-# (link signature, bound) -> its first failing face type (a, b, i), or None
-_first_failures: dict = {}
 
 
 @dataclass(frozen=True)
@@ -296,49 +305,12 @@ def _signature(n, m, types) -> tuple:
             tuple(sorted(types)))
 
 
-def _type_link(c, a, b) -> Optional[tuple]:
-    """The signature of the link of a type-(a, b) face, or None if there is no such face."""
-    n, m, types = c
-    kept = [(fa - a, fb - b) for fa, fb in types if fa >= a and fb >= b]
-    return _signature(n - a, m - b, kept) if kept else None
-
-
 def _failing_degree(lk, below: int) -> Optional[int]:
     """The least i < below with H~_i(lk) nonzero, or None; ``lk`` is a complex or a signature."""
     if below <= 0:
         return None     # nothing below dim 0 but H~_{-1}, which vanishes off the [set()] complex
     ranks = reduced_homology_ranks(lk)
     return next((i for i in range(-1, below) if ranks[i]), None)
-
-
-def _first_failing(sig, d) -> Optional[tuple]:
-    """(a, b, i) for the first failing face type of the signature sig at bound d, or None.
-
-    d bounds the degrees checked on the empty face's link, sig itself,
-    and drops by one per vertex; None is Reisner's bound, each link's
-    dimension.  The empty face first, then the first failures of lk x_1
-    and lk y_1 shifted back, the earlier in ``all_faces`` order (module
-    docstring).  Memoized on (sig, d).
-    """
-    below = max(a + b for a, b in sig[2]) - 1 if d is None else d
-    if below <= 0:
-        return None     # no face's link has a degree to check
-    key = (sig, d)
-    if key in _first_failures:
-        return _first_failures[key]
-    i = _failing_degree(sig, below)
-    found = None if i is None else (0, 0, i)
-    if found is None and below > 1:     # a link's bound is at most below - 1
-        links = [(da, db, _type_link(sig, da, db)) for da, db in ((1, 0), (0, 1))]
-        shifted = []
-        for da, db, lk in links:
-            failing = lk and _first_failing(lk, None if d is None else d - 1)
-            if failing:
-                a, b, j = failing
-                shifted.append((a + da, b + db, j))
-        found = min(shifted, key=lambda t: (t[0] + t[1], -t[0]), default=None)
-    _first_failures[key] = found
-    return found
 
 
 def _walk(c, skeleta: bool = False):
@@ -362,26 +334,21 @@ def _walk(c, skeleta: bool = False):
             yield l, f, lk, dim(lk) if l is None else l - 1 - f.bit_count()
 
 
-def _type_witness(n, failing) -> tuple:
-    """Reisner's witness (F, i) for the failing type (a, b, i) of a type complex on n x's."""
-    a, b, i = failing
-    return [*range(a), *range(n, n + b)], i
-
-
 def reisner_cm(c):
     """Reisner's criterion over the rationals, on a complex or a type complex (n, m, T).
 
     CM iff for every face F the reduced homology of link(F) vanishes in
     all degrees below its dimension.  Returns (True, None) or
     (False, (F, i)) with the first failing face in ``all_faces`` order,
-    as a sorted vertex list.  A type complex is looked up as
-    ``_first_failing(signature, None)``, its witness the first face of
-    the failing type; a complex has every face walked.
+    as a sorted vertex list.  A type complex fails, if at all, at the
+    empty face (the lemma in the module docstring), so it is checked
+    there alone and its witness is ([], i); a complex has every face
+    walked.
     """
     if type(c) is tuple:
         _check_type_complex(c)
-        failing = _first_failing(_signature(*c), None)
-        return (True, None) if failing is None else (False, _type_witness(c[0], failing))
+        i = _failing_degree(_signature(*c), max(a + b for a, b in c[2]) - 1)
+        return (True, None) if i is None else (False, ([], i))
     for _, face, lk, below in _walk(c):
         i = _failing_degree(lk, below)
         if i is not None:
@@ -406,17 +373,18 @@ def duval_scm(c):
     lies in a j-face: the link is the j-skeleton of L, and H~_i of the
     two agree for every i < j, the degrees Reisner's criterion asks
     about.  So L is checked in the degrees below j and no skeleton is
-    built.  On a type complex, c_l is the facet types of size >= l, and
-    each level is looked up as ``_first_failing(signature of c_l, l - 1)``.
+    built.  On a type complex, c_l is the facet types of size >= l, its
+    smallest facet dimension is >= l - 1, and by the lemma in the module
+    docstring it fails, if at all, at the empty face: each level is one
+    query of c_l's signature below l - 1, its witness (l, ([], i)).
     """
     if type(c) is tuple:
         _check_type_complex(c)
         n, m, types = c
         for l in range(2, max(a + b for a, b in types) + 1):
-            failing = _first_failing(_signature(n, m, [t for t in types if t[0] + t[1] >= l]),
-                                     l - 1)
-            if failing is not None:
-                return False, (l, _type_witness(n, failing))
+            i = _failing_degree(_signature(n, m, [t for t in types if t[0] + t[1] >= l]), l - 1)
+            if i is not None:
+                return False, (l, ([], i))
         return True, None
     for l, face, lk, below in _walk(c, skeleta=True):
         i = _failing_degree(lk, below)

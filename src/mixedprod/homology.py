@@ -56,16 +56,17 @@ no relative (-1)-cell (for the [set()] complex there is no 0-cell), and
 del_{top+1} is zero.
 
 The ranks of a type complex are cached, keyed by the tuple as given
-(``complexes`` normalizes each link first, and asks only where its
-first-failure memo misses); the cells are never kept, and only a miss
-checks the tuple (``_check_type_complex``), which must be ints and int
-pairs in tuples, so that it hashes: a list for T is refused with
-InvalidInput, as by Reisner's and Duval's checks.  Two tuples
-are keyed apart even when their complexes are isomorphic (the
+(``complexes`` normalizes each complex it asks about, a spec's complex
+or one of its facet cuts, to its signature first); the cells are never
+kept, and only a miss checks the tuple (``_check_type_complex``), which
+must be ints and int pairs in tuples, so that it hashes: a list for T
+is refused with InvalidInput, as by Reisner's and Duval's checks.  Two
+tuples are keyed apart even when their complexes are isomorphic (the
 k-skeleton of one simplex read with two block splits): a miss more,
 never a wrong rank.  A ``SimplicialComplex`` is ranked from its own
 relative table every time.  The exhaustive oracle sweeps stay cheap
-because the link signatures showing up there repeat heavily.
+because the specs' signatures repeat: a complex and its facet cuts
+recur across the specs of a sweep.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ def _check_type_complex(c) -> None:
     """Raise InvalidInput unless c = (n, m, T) with T a nonempty antichain in 0..n x 0..m.
 
     n and m are ints and T a tuple of (a, b) int pairs: the value is
-    hashable, as the rank cache and ``complexes``' memo key on it.
+    hashable, as the rank cache keys on it.
     """
     if not (len(c) == 3 and type(c[0]) is int and type(c[1]) is int and type(c[2]) is tuple
             and all(type(t) is tuple and len(t) == 2 and type(t[0]) is int and type(t[1]) is int

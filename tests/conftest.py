@@ -2,17 +2,16 @@
 
 import pytest
 
-from mixedprod import complexes, homology
+from mixedprod import homology
 
 
 @pytest.fixture
 def cold_caches(monkeypatch):
-    """Start the test with an empty rank cache and an empty first-failure memo.
+    """Start the test with an empty rank cache.
 
-    The two caches fill across calls and specs, so a test that counts
-    rankings, link walks or cache entries starts from both empty, and
-    its outcome does not depend on the tests that ran before it.  The
-    test's own dicts are swapped in and the filled ones put back after.
+    The cache fills across calls and specs, so a test that counts
+    rankings or cache entries starts from it empty, and its outcome
+    does not depend on the tests that ran before it.  The test's own
+    dict is swapped in and the filled one put back after.
     """
     monkeypatch.setattr(homology, "_ranks_cache", {})
-    monkeypatch.setattr(complexes, "_first_failures", {})

@@ -1,6 +1,5 @@
 """Complex combinatorics: skeleta, links, connectivity, shellings, oracles."""
 
-import random
 from functools import reduce
 from itertools import combinations
 from operator import and_
@@ -465,31 +464,25 @@ def test_orbit_reduction_on_stanley_reisner_complexes():
 
 
 def test_one_block_symmetry_checks_every_face(monkeypatch, cold_caches):
-    # A complex has every face linked.  A type complex is walked by
-    # induction over vertex links: each memo miss whose complex passes
-    # at a bound of 2 or more (below that no link has a degree to check)
-    # takes the links of x_1 and y_1, types (1, 0) and (0, 1), and no
-    # mask link is built.
-    from mixedprod import complexes
+    # A complex has every face linked.  A type complex is checked at its
+    # empty face alone: a cold check ranks its one signature and builds
+    # no mask link, and a warm check ranks nothing.
+    from mixedprod import complexes, homology
     c = make_complex(VariableUniverse(3, 2), [{0, 1, 2, 3}])   # y2 is absent
-    seen, typed = [], []
-    real, real_type_link = complexes.link, complexes._type_link
+    seen, ranked = [], []
+    real, real_type_cells = complexes.link, homology._type_cells
     monkeypatch.setattr(complexes, "link", lambda cx, f: seen.append(f) or real(cx, f))
-    monkeypatch.setattr(complexes, "_type_link",
-                        lambda sig, a, b: typed.append((a, b)) or real_type_link(sig, a, b))
+    monkeypatch.setattr(homology, "_type_cells",
+                        lambda sig: ranked.append(sig) or real_type_cells(sig))
     assert reisner_cm(c) == (True, None)
-    assert seen == all_faces(c) and len(seen) == 16 and typed == []
+    assert seen == all_faces(c) and len(seen) == 16 and ranked == []
     seen.clear()
     full = type_complex(VariableUniverse(3, 2), [(3, 2)])
     assert mask_complex(VariableUniverse(3, 2), [(3, 2)]).masks == (0b11111,)
     assert reisner_cm(full) == (True, None)
-    # the simplex passes everywhere.  The links with a degree to check
-    # are those of the 9 face types with a + b <= 3, one memo entry each,
-    # and the 6 with a + b <= 2 have links with one too.
-    assert seen == [] and len(complexes._first_failures) == 9
-    assert typed == [(1, 0), (0, 1)] * 6
-    typed.clear()
-    assert reisner_cm(full) == (True, None) and typed == []     # warm: one lookup
+    assert seen == [] and ranked == [full] and list(homology._ranks_cache) == [full]
+    ranked.clear()
+    assert reisner_cm(full) == (True, None) and ranked == []     # warm: one lookup
 
 
 def test_one_symmetry_check_per_complex(monkeypatch, cold_caches):
@@ -588,34 +581,30 @@ def test_the_type_path_matches_the_mask_path(cold_caches):
                       "unused_block": 104}
 
 
-def test_a_cold_and_a_warm_memo_give_the_mask_path_answers(monkeypatch):
-    # Every type complex with n, m <= 4, first with the rank cache and the
-    # first-failure memo emptied for it alone, then with both holding
-    # every entry that pass made: the answers, witnesses included, are
-    # those of the mask path either way, so a memo entry does not depend
-    # on the complex whose walk made it.  Warm, each check is one lookup
-    # per level and walks no link.
-    from mixedprod import complexes, homology
-    filled_memo, filled_ranks, answers = {}, {}, []
+def test_a_cold_and_a_warm_rank_cache_give_the_mask_path_answers(monkeypatch):
+    # Every type complex with n, m <= 4, first with the rank cache
+    # emptied for it alone, then with it holding every entry that pass
+    # made: the answers, witnesses included, are those of the mask path
+    # either way, so a cache entry does not depend on the complex whose
+    # check made it.  Warm, each check ranks nothing.
+    from mixedprod import homology
+    filled, answers = {}, []
     for u, chosen in type_antichains(4, 4):
         c, reference = type_complex(u, chosen), mask_complex(u, chosen)
-        monkeypatch.setattr(complexes, "_first_failures", {})
         monkeypatch.setattr(homology, "_ranks_cache", {})
         cold = reisner_cm(c), duval_scm(c)
         assert cold == (reisner_cm(reference), duval_scm(reference))
-        filled_memo.update(complexes._first_failures)
-        filled_ranks.update(homology._ranks_cache)
+        filled.update(homology._ranks_cache)
         answers.append((c, cold))
-    monkeypatch.setattr(complexes, "_first_failures", filled_memo)
-    monkeypatch.setattr(homology, "_ranks_cache", filled_ranks)
+    monkeypatch.setattr(homology, "_ranks_cache", filled)
 
     def refuse(*args):
-        raise AssertionError("a link walked or ranked on a warm memo")
+        raise AssertionError("a signature ranked on a warm rank cache")
 
-    monkeypatch.setattr(complexes, "_type_link", refuse)
-    monkeypatch.setattr(complexes, "reduced_homology_ranks", refuse)
+    monkeypatch.setattr(homology, "_ranks", refuse)
+    monkeypatch.setattr(homology, "_type_cells", refuse)
     assert all((reisner_cm(c), duval_scm(c)) == cold for c, cold in answers)
-    assert len(answers) == 886 and len(filled_memo) > 300
+    assert len(answers) == 886 and len(filled) > 300
 
 
 def _face_type_walk(c, d, failing_degree):
@@ -624,7 +613,8 @@ def _face_type_walk(c, d, failing_degree):
     The face types come in ``all_faces`` order of their first faces, by
     size and more x's first, and each is checked on its own link's
     signature at the bound d - a - b (or the link's dimension for d
-    None): a walk over every face type, the reference for the induction.
+    None): a walk over every face type, the reference for the checks
+    that ask a type complex at its empty face alone.
     """
     n, m, types = c
     faces = {(a, b) for fa, fb in types for a in range(fa + 1) for b in range(fb + 1)}
@@ -638,32 +628,33 @@ def _face_type_walk(c, d, failing_degree):
     return None
 
 
-def test_the_link_induction_finds_the_first_failing_face_type(monkeypatch):
-    # On every type complex with n, m <= 5, each first Reisner or Duval
-    # failure lies at the empty face, so the induction's shifts and order
-    # never show in a verdict.  Here the homology is replaced by seeded
-    # coin flips, one per (link signature, bound), so failures lie deep
-    # in the link tree, and the induction must find the per-type walk's
-    # first failing type: the order key, both shifts and the bound d - 1.
+def test_a_type_complex_fails_first_at_its_empty_face(cold_caches):
+    # The lemma in the ``complexes`` docstring: on every type complex
+    # with n, m <= 4, at Reisner's bound and at every d from 1 to the
+    # smallest facet dimension, the first failing face type of the walk
+    # over every face type is the empty face or none, with the least
+    # failing degree Reisner's and Duval's checks report.
     from mixedprod import complexes
-    deep = mixed = 0
-    for seed in range(4):
-        def flip(sig, below, seed=seed):
-            if below <= 0:
-                return None
-            coin = random.Random(f"{seed} {sig} {below}")
-            return coin.randrange(-1, below) if coin.random() < 0.2 else None
-
-        monkeypatch.setattr(complexes, "_failing_degree", flip)
-        monkeypatch.setattr(complexes, "_first_failures", {})
-        for u, chosen in type_antichains(3, 3):
-            c = type_complex(u, chosen)
-            for d in [None, *range(1, u.n + u.m + 1)]:
-                found = complexes._first_failing(complexes._signature(*c), d)
-                assert found == _face_type_walk(c, d, flip)
-                deep += found is not None and found[:2] != (0, 0)
-                mixed += found is not None and found[0] > 0 and found[1] > 0
-    assert deep > 1000 and mixed > 100
+    checked = failing = 0
+    for u, chosen in type_antichains(4, 4):
+        c, smallest = type_complex(u, chosen), min(a + b for a, b in chosen)
+        found = _face_type_walk(c, None, complexes._failing_degree)
+        assert found is None or found[:2] == (0, 0)
+        assert reisner_cm(c) == ((True, None) if found is None else (False, ([], found[2])))
+        first = None    # Duval's witness at the first level l <= smallest, where c_l is c
+        for d in range(1, smallest):
+            found = _face_type_walk(c, d, complexes._failing_degree)
+            assert found is None or found[:2] == (0, 0)
+            checked += 1
+            if found is not None and first is None:
+                first = (d + 1, ([], found[2]))
+        duval = duval_scm(c)
+        assert duval == (False, first) if first else duval[0] or duval[1][0] > smallest
+        failing += first is not None
+    assert checked > 1000 and failing > 100
+    # the hypothesis d <= the smallest facet dimension is needed: the cone
+    # x_1 * {y_1, y_2} passes at its empty face and fails at x_1
+    assert _face_type_walk((1, 2, ((1, 1),)), 2, complexes._failing_degree) == (1, 0, 0)
 
 
 def test_typed_relative_cells_are_the_mask_cells_relabeled():

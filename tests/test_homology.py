@@ -313,11 +313,11 @@ def test_a_malformed_type_complex_is_refused(c, cold_caches):
 def test_a_type_complex_not_of_int_pairs_is_refused(c, cold_caches):
     # a type complex is the hashable value (n, m, T), T a tuple of int
     # pairs; every entry point refuses anything else the same way
-    from mixedprod import complexes, duval_scm
+    from mixedprod import duval_scm
     for check in (reduced_homology_ranks, reisner_cm, duval_scm):
         with pytest.raises(InvalidInput, match="is no type complex"):
             check(c)
-    assert homology._ranks_cache == {} and complexes._first_failures == {}
+    assert homology._ranks_cache == {}
 
 
 def test_the_mask_path_caches_nothing(cold_caches):
