@@ -5,9 +5,9 @@ Specs are given as --n/--m block sizes plus --pairs "q:r,q:r,...".
 Output is UTF-8 text, or canonical JSON with --json (sweep mode emits
 one JSON object per spec, JSON lines).
 
-Exit codes: 0 success / no mismatch, 1 invalid input (usage errors included)
-or output closed by its reader (sweep records with stdout closed too),
-2 mismatch found.
+Exit codes: 0 success / no mismatch, 1 invalid input (usage errors included),
+output closed by its reader (sweep records with stdout closed too) or a
+failed write, 2 mismatch found.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .ideals import MixedProdError, VariableUniverse
 from .sweep import SweepConfig
 
 # Lowest accepted value of each numeric option.
-MINIMUM = {"cap_vertices": 0, "cap_facets": 0, "workers": 1}
+MINIMUM = {"workers": 1}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,10 +55,10 @@ def _names(universe, masks):
     return [[universe.var_name(i) for i in vs] for vs in ideals.vertex_lists(masks)]
 
 
-def _unlisted_skips(record, level, cap_facets):
+def _unlisted_skips(record, level):
     """The facet cap's skip of the shelling search, which a record leaves out of ``skipped``."""
     if level == "full" and sweep.shelling_capped(record):
-        return [f"shellable (facet cap {cap_facets})"]
+        return [f"shellable (facet cap {complexes.SHELLING_FACET_CAP})"]
     return []
 
 
@@ -71,11 +71,10 @@ def cmd_classify(args):
     universe = spec.universe
     oracle, skipped, unlisted, mismatched = {}, [], [], False
     if args.oracle != "none":
-        record = sweep.check_spec(spec, args.oracle, cap_vertices=args.cap_vertices,
-                                  cap_facets=args.cap_facets)
+        record = sweep.check_spec(spec, args.oracle)
         oracle = record["oracle"]
         skipped = [s["reason"] for s in record["skipped"]]
-        unlisted = _unlisted_skips(record, args.oracle, args.cap_facets)
+        unlisted = _unlisted_skips(record, args.oracle)
         mismatched = bool(record["mismatches"])
     report = products.classify(spec)
     payload = {
@@ -181,13 +180,12 @@ def cmd_facets(args):
 
 def cmd_oracle(args):
     spec = _spec_from_args(args)
-    record = sweep.check_spec(spec, "full", cap_vertices=args.cap_vertices,
-                              cap_facets=args.cap_facets)
+    record = sweep.check_spec(spec, "full")
     if args.json:
         _emit(record)
     else:
         skipped = ([s["reason"] for s in record["skipped"]]
-                   + _unlisted_skips(record, "full", args.cap_facets))
+                   + _unlisted_skips(record, "full"))
         for name, ok in sorted(record["oracle"].items()):
             print(f"{name}: {str(ok).lower()}")
         for reason in skipped:
@@ -202,8 +200,7 @@ def cmd_oracle(args):
 def cmd_sweep(args):
     config = SweepConfig(max_n=args.max_n, max_m=args.max_m, max_s=args.max_s,
                          oracle_level=args.oracle, workers=args.workers,
-                         perturb=args.perturb, cap_vertices=args.cap_vertices,
-                         cap_facets=args.cap_facets)
+                         perturb=args.perturb)
     if args.json and not args.out and sys.stdout is None:
         # as with a closed pipe, records that reach no reader end the run with 1
         raise MixedProdError("stdout is closed; give --out to keep the records")
@@ -242,18 +239,8 @@ def build_parser():
         p.add_argument("--pairs", required=True, help="summands as q:r,q:r,...")
         p.add_argument("--json", action="store_true")
 
-    def cap_args(p):
-        p.add_argument("--cap-vertices", type=int, default=sweep.VERTEX_CAP,
-                       dest="cap_vertices",
-                       help="skip the shelling and homology oracle checks on specs "
-                            "with more vertices; at any value, also on more "
-                            f"than {products.GENERATOR_CAP} facets")
-        p.add_argument("--cap-facets", type=int, default=complexes.SHELLING_FACET_CAP,
-                       dest="cap_facets", help="skip the shelling search above this many facets")
-
     p = sub.add_parser("classify", help="closed-form verdicts, optionally cross-checked")
     spec_args(p)
-    cap_args(p)
     p.add_argument("--oracle", choices=sweep.ORACLE_LEVELS, default="none")
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_classify)
@@ -273,7 +260,6 @@ def build_parser():
 
     p = sub.add_parser("oracle", help="run every oracle cross-check on one spec")
     spec_args(p)
-    cap_args(p)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("sweep", help="exhaustive closed-form vs oracle verification")
@@ -286,7 +272,6 @@ def build_parser():
                    help="flip one closed-form condition (harness self-test)")
     p.add_argument("--json", action="store_true", help="JSON-lines records on stdout")
     p.add_argument("--out", help="write JSON-lines records to this file")
-    cap_args(p)
     p.set_defaults(func=cmd_sweep)
 
     return parser
@@ -310,6 +295,13 @@ def main(argv=None):
         # The reader closed stdout.  Point it at devnull, or the
         # interpreter's own flush at exit fails on the same pipe.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except OSError as exc:
+        # A write that failed (a full disk): one line, and stdout on
+        # devnull so that the exit-time flush of what is left stays quiet.
+        print(f"error: {exc}", file=sys.stderr)
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -28,9 +28,11 @@ each closed-form statement is compared against an independent oracle:
 of the closed form equals the oracle's exactly when their types do:
 the first six checks compare types, at any size.  Reisner's and
 Duval's checks take the type complex (n, m, facet types) too.  Only the
-shelling checks list the facets, as bitmasks, and the vertex cap and
-the generator cap on the dual (one generator per facet) keep them and
-the homology checks off a spec.  Mismatch records give types.
+shelling checks list the facets, as bitmasks, and the vertex cap
+(``VERTEX_CAP``, 16) keeps them and the homology checks off larger
+specs.  Within it the facets, an antichain of subsets of at most 16
+vertices, number at most C(16, 8) = 12,870 (Sperner), so no generator
+count gates the listing.  Mismatch records give types.
 
 Any disagreement is recorded as a mismatch.  ``run_sweep`` checks every
 spec and collects the mismatches of all of them; the CLI's ``sweep``
@@ -52,7 +54,9 @@ from . import complexes, ideals, kernels, products
 from .products import MixedProductSpec
 
 # The shelling checks list facets, subsets of the n + m vertices, and the
-# homology checks are capped with them: check_spec skips them above this.
+# homology checks are capped with them: check_spec skips them above this
+# many vertices.  Past 19, C(cap, cap // 2) facets would exceed
+# products.GENERATOR_CAP, and the listing would need a generator gate.
 VERTEX_CAP = 16
 CHUNK = 16   # specs handed to a pool worker at a time
 
@@ -74,8 +78,6 @@ class SweepConfig:
     oracle_level: str = "fast"
     workers: int = 1
     perturb: bool = False
-    cap_vertices: int = VERTEX_CAP
-    cap_facets: int = complexes.SHELLING_FACET_CAP
 
     def __post_init__(self):
         if self.max_n < 1 or self.max_m < 1 or self.max_s < 1:
@@ -129,17 +131,15 @@ def spec_as_dict(spec):
 
 
 def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
-               perturb: bool = False,
-               cap_vertices: int = VERTEX_CAP,
-               cap_facets: int = complexes.SHELLING_FACET_CAP) -> dict:
+               perturb: bool = False) -> dict:
     """Run every applicable cross-check on one spec.
 
     Returns a record with the closed-form verdicts and the lists of
     mismatches and skipped (capped) oracle checks.  The checks on types
     run at any size; the shelling and homology checks are skipped with
-    the reason "vertex cap" above ``cap_vertices`` vertices, and
-    "generator cap" above ``products.GENERATOR_CAP`` facets.  An oracle level
-    outside ``ORACLE_LEVELS`` raises InvalidInput.
+    the reason "vertex cap" above ``VERTEX_CAP`` vertices, and the
+    shelling search, unlisted, above ``complexes.SHELLING_FACET_CAP``
+    facets.  An oracle level outside ``ORACLE_LEVELS`` raises InvalidInput.
     """
     _check_level(oracle_level)
     mismatches = []
@@ -214,16 +214,9 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
         # the checks left are capped as facet listings, one facet per prime,
         # a generator of the dual; the shelling checks alone list them
         full = oracle_level == "full"
-        listing, reason = scm.holds or full, None
-        if listing and universe.size > cap_vertices:
-            reason = "vertex cap"
-        elif listing:
-            try:
-                products.check_generator_count(dual)
-            except ideals.ResourceCapExceeded:
-                reason = "generator cap"
-        if reason:
-            skipped.append({"spec": spec_as_dict(spec), "reason": reason})
+        listing = scm.holds or full
+        if listing and universe.size > VERTEX_CAP:
+            skipped.append({"spec": spec_as_dict(spec), "reason": "vertex cap"})
         elif listing:
             if scm.holds or full and cm.holds:
                 complex_ = ideals.complex_of_primes(universe, kernels.list_types(prime_types, n, m))
@@ -249,8 +242,8 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
                 if scm.holds != ok:
                     mismatches.append(_mismatch(spec, "scm_duval", scm.holds, ok, witness))
 
-                if cm.holds and len(complex_.masks) <= cap_facets:
-                    result = complexes.find_shelling(complex_, cap_facets)
+                if cm.holds and len(complex_.masks) <= complexes.SHELLING_FACET_CAP:
+                    result = complexes.find_shelling(complex_)
                     oracle["shellable"] = result.status == "shellable"
                     if result.status != "shellable":
                         mismatches.append(_mismatch(spec, "shellable", True, result.status))
@@ -300,8 +293,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     start = time.monotonic()
     result = SweepResult()
     specs = list(enumerate_specs(config.max_n, config.max_m, config.max_s))
-    check = partial(check_spec, oracle_level=config.oracle_level, perturb=config.perturb,
-                    cap_vertices=config.cap_vertices, cap_facets=config.cap_facets)
+    check = partial(check_spec, oracle_level=config.oracle_level, perturb=config.perturb)
     # a pool starts all its workers at once: no more than the cores, or the chunks
     workers = min(config.workers, os.cpu_count() or 1, -(-len(specs) // CHUNK))
     if workers > 1:
@@ -325,7 +317,6 @@ def oracle_coverage(config: SweepConfig, records) -> list[str]:
     reason is named, with its cap, only for a check it kept off some
     record.
     """
-    caps = {"vertex cap": config.cap_vertices, "generator cap": products.GENERATOR_CAP}
     lines = []
     for name in ORACLE_CHECKS[config.oracle_level]:
         ran = sum(name in r["oracle"] for r in records)
@@ -334,10 +325,10 @@ def oracle_coverage(config: SweepConfig, records) -> list[str]:
             pool, what = [r for r in records if r["verdicts"]["sequentially_cm"]], "SCM specs"
         elif name == "shellable":
             pool, what = [r for r in records if r["verdicts"]["cohen_macaulay"]], "CM specs"
-        reasons = {skip["reason"] for r in pool if name not in r["oracle"] for skip in r["skipped"]}
-        causes = [f"{reason} {cap}" for reason, cap in caps.items() if reason in reasons]
+        capped = any(r["skipped"] and name not in r["oracle"] for r in pool)
+        causes = [f"vertex cap {VERTEX_CAP}"] if capped else []
         if name == "shellable" and any(map(shelling_capped, pool)):
-            causes.append(f"facet cap {config.cap_facets}")
+            causes.append(f"facet cap {complexes.SHELLING_FACET_CAP}")
         lines.append(f"{name} {ran} of {len(pool)} {what}"
                      + (f" ({', '.join(causes)})" if causes else ""))
     return lines

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mixedprod
+from mixedprod import VariableUniverse, normalize
 from mixedprod.cli import main, parse_pairs
 from mixedprod.ideals import InvalidInput
-from mixedprod.sweep import ORACLE_CHECKS
+from mixedprod.sweep import ORACLE_CHECKS, SweepConfig, check_spec, oracle_coverage
 
 
 def run(capsys, *argv):
@@ -149,22 +150,18 @@ def test_oracle_reports_the_shelling_search_the_facet_cap_skips(capsys):
     _, out, _ = run(capsys, *argv, "--json")
     record = json.loads(out)
     assert "shellable" not in record["oracle"] and record["skipped"] == []
-    code, out, _ = run(capsys, *argv, "--cap-facets", "12")
-    assert code == 0 and "shellable: true" in out and "skipped" not in out
-    assert out.splitlines()[-1] == "all oracles agree with the closed forms"
 
 
 @pytest.mark.parametrize("pairs, level, skip", [
-    ("3:3", "full", True),      # CM, 6 facets
-    ("3:3", "fast", False),     # the fast level has no shelling search
+    ("6:6", "full", True),      # CM, 12 facets
+    ("6:6", "fast", False),     # the fast level has no shelling search
     ("1:1", "full", False),     # not CM: no shelling search is due
 ])
 def test_classify_reports_the_shelling_search_the_facet_cap_skips(capsys, pairs, level, skip):
-    argv = ["classify", "--n", "3", "--m", "3", "--pairs", pairs, "--oracle", level,
-            "--cap-facets", "0"]
+    argv = ["classify", "--n", "6", "--m", "6", "--pairs", pairs, "--oracle", level]
     code, out, _ = run(capsys, *argv)
     skipped = [line for line in out.splitlines() if "skipped" in line]
-    assert code == 0 and skipped == (["oracle skipped: shellable (facet cap 0)"] if skip else [])
+    assert code == 0 and skipped == (["oracle skipped: shellable (facet cap 10)"] if skip else [])
     _, out, _ = run(capsys, *argv, "--json")
     assert json.loads(out)["skipped"] == []
 
@@ -208,9 +205,6 @@ def test_huge_enumeration_is_a_one_line_error(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["classify", "--n", "2", "--m", "2", "--pairs", "1:1", "--oracle", "full",
-     "--cap-vertices", "-1"],
-    ["oracle", "--n", "2", "--m", "2", "--pairs", "1:1", "--cap-facets", "-2"],
     ["sweep", "--max-n", "1", "--max-m", "1", "--workers", "-3"],
     ["sweep", "--max-n", "1", "--max-m", "1", "--workers", "0"],
 ])
@@ -222,8 +216,8 @@ def test_out_of_range_options_are_one_line_errors(capsys, argv):
 
 def test_classify_reports_skipped_oracle(capsys):
     # the checks on types run at any size; the vertex cap skips the rest
-    argv = ["classify", "--n", "2", "--m", "2", "--pairs", "1:1", "--oracle", "full",
-            "--cap-vertices", "0"]
+    # on these 17 vertices
+    argv = ["classify", "--n", "9", "--m", "8", "--pairs", "1:1", "--oracle", "full"]
     code, out, _ = run(capsys, *argv, "--json")
     payload = json.loads(out)
     type_checks = set(ORACLE_CHECKS["fast"]) - {"shelling_order"}
@@ -233,14 +227,16 @@ def test_classify_reports_skipped_oracle(capsys):
     assert code == 0 and out.splitlines()[5:] == [
         f"oracle {name}: {str(payload['oracle'][name]).lower()}" for name in sorted(type_checks)
     ] + ["oracle skipped: vertex cap"]
-    _, out, _ = run(capsys, "classify", "--n", "2", "--m", "2", "--pairs", "1:1", "--json")
+    _, out, _ = run(capsys, *argv[:-2], "--json")
     assert json.loads(out)["oracle"] is None and json.loads(out)["skipped"] == []
 
 
 def test_caps_only_on_commands_that_read_them(capsys):
-    for command in ("dual", "decompose", "facets"):
-        code, out, err = run(capsys, command, "--n", "2", "--m", "2", "--pairs", "1:1",
-                             "--cap-vertices", "3")
+    # the caps are constants: no command reads a cap option
+    spec = ["--n", "2", "--m", "2", "--pairs", "1:1"]
+    for argv in (["classify", *spec], ["dual", *spec], ["decompose", *spec], ["facets", *spec],
+                 ["oracle", *spec], ["sweep", "--max-n", "1", "--max-m", "1"]):
+        code, out, err = run(capsys, *argv, "--cap-vertices", "3")
         assert code == 1 and not out
         assert err == "error: unrecognized arguments: --cap-vertices 3\n"
 
@@ -315,20 +311,25 @@ def test_sweep_reports_oracle_coverage(capsys):
         "scm_duval 37 of 37 specs",
         "shellable 30 of 30 CM specs",
     ]
-    code, out, err = run(capsys, *argv, "--json", "--cap-vertices", "3", "--cap-facets", "1")
+    # a cap is named only beside a check it kept off some spec: past
+    # n, m <= 2, CM specs have more facets than the shelling search takes
+    code, out, err = run(capsys, "sweep", "--max-n", "4", "--max-m", "4", "--max-s", "5",
+                         "--oracle", "full", "--json")
     assert code == 0 and all(json.loads(line) for line in out.splitlines())
-    # a cap is named only beside a check it kept off some spec
-    assert err.splitlines()[1:] == [
-        "dual_generators 37 of 37 specs",
-        "primary_decomposition 37 of 37 specs",
-        "unmixed 37 of 37 specs",
-        "facet_partition 37 of 37 specs",
-        "intersection_bound 37 of 37 specs",
-        "cm_strongly_connected 37 of 37 specs",
-        "shelling_order 20 of 36 SCM specs (vertex cap 3)",
-        "cm_reisner 20 of 37 specs (vertex cap 3)",
-        "scm_duval 20 of 37 specs (vertex cap 3)",
-        "shellable 9 of 30 CM specs (vertex cap 3, facet cap 1)",
+    assert err.splitlines()[-4:] == [
+        "shelling_order 671 of 671 SCM specs",
+        "cm_reisner 842 of 842 specs",
+        "scm_duval 842 of 842 specs",
+        "shellable 215 of 326 CM specs (facet cap 10)",
+    ]
+    # and past 16 vertices, the vertex cap keeps the checks that list facets off
+    specs = [normalize(VariableUniverse(n, m), [(n, m)]) for n, m in ((9, 8), (4, 4))]
+    records = [check_spec(spec, "full") for spec in specs]
+    assert oracle_coverage(SweepConfig(9, 8, 1, "full"), records)[-4:] == [
+        "shelling_order 1 of 2 SCM specs (vertex cap 16)",
+        "cm_reisner 1 of 2 specs (vertex cap 16)",
+        "scm_duval 1 of 2 specs (vertex cap 16)",
+        "shellable 1 of 2 CM specs (vertex cap 16)",
     ]
 
 
@@ -352,31 +353,6 @@ def test_facets_caps_printed_variables(capsys):
     code, out, err = run(capsys, "facets", "--n", "10", "--m", "10", "--pairs", pairs)
     assert code == 1 and not out
     assert err == "error: more than the cap of 100000 variables in the facets\n"
-
-
-@pytest.mark.parametrize("n, m", [(11, 10), (13, 12)])
-def test_raised_vertex_cap_runs_the_oracles(capsys, n, m):
-    code, out, _ = run(capsys, "classify", "--oracle", "fast", "--json",
-                       "--cap-vertices", str(n + m), "--n", str(n), "--m", str(m),
-                       "--pairs", f"{n}:{m}")
-    payload = json.loads(out)
-    assert code == 0 and payload["skipped"] == []
-    assert sorted(payload["oracle"]) == sorted(ORACLE_CHECKS["fast"])
-    assert all(payload["oracle"].values())
-
-
-@pytest.mark.parametrize("pairs", ["5:5", "6:0,0:6"])
-def test_raised_vertex_cap_skips_past_the_generator_cap(capsys, pairs):
-    # I5J5 has 462 * 462 generators, which no check lists, and is not
-    # sequentially CM, so no fast check lists its facets.  I6 + J6 is CM,
-    # and its shelling order would list the 462 * 462 generators of its
-    # dual I6J6, one per facet: that check is reported as a skip, not an
-    # error, and the checks on types run on both
-    code, out, _ = run(capsys, "classify", "--oracle", "fast", "--json", "--cap-vertices", "22",
-                       "--n", "11", "--m", "11", "--pairs", pairs)
-    payload = json.loads(out)
-    assert code == 0 and payload["skipped"] == ([] if pairs == "5:5" else ["generator cap"])
-    assert set(payload["oracle"]) == set(ORACLE_CHECKS["fast"]) - {"shelling_order"}
 
 
 SWEEP_JSON = [sys.executable, "-m", "mixedprod.cli", "sweep", "--max-n", "4", "--max-m", "4",
@@ -407,12 +383,26 @@ def test_closed_stdout_ends_without_a_traceback():
     assert proc.stderr == "error: stdout is closed; give --out to keep the records\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["classify", "--n", "2", "--m", "2", "--pairs", "1:1"],
+    SWEEP_JSON[3:],
+    SWEEP_JSON[3:-1] + ["--out", "/dev/full"],
+], ids=["classify", "sweep-json", "sweep-out"])
+def test_a_failed_write_is_a_one_line_error(argv):
+    # stdout, and --out where given, on a full device: each write fails
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "mixedprod.cli", *argv], env=_cli_env(),
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
+
 # (valid, malformed) values; the oracle-running calls get the small block sizes only.
 SMALL = (["1", "2", "3"], ["0", "-1", "abc", "", "2.5"])
 ANY = (SMALL[0] + ["8", "1000000"], SMALL[1])
 PAIRS = (["1:1", "1:2,2:1", "0:1", "2:1", "3:0,0:3", "1:1,1:1", "1000000:1", "5:5"],
          ["0:0", "-1:2", "q:r", "1", ""])
-CAPS = (["0", "3", "16", "1000000"], ["-1", "abc"])
 MAX_S = (["1", "3", "1000000"], ["0", "-2", "x"])
 WORKERS = (["1"], ["0", "-3", "abc"])
 STRAY = ["--json", "--expand", "--timing", "--perturb", "--bogus", "--help", "-h",
@@ -440,8 +430,6 @@ def cli_argv(draw):
         groups = option("--n", sizes) + option("--m", sizes) + option("--pairs", PAIRS)
         if command == "classify":
             groups.append(["--oracle", level])
-    if command in ("classify", "oracle", "sweep"):
-        groups += option("--cap-vertices", CAPS) + option("--cap-facets", CAPS)
     if command == "dual" and draw(often):
         groups.append(["--expand"])
     if not draw(often):

@@ -1,5 +1,6 @@
 """Sweep plumbing: the process pool, the enumeration and the one transversal search per spec."""
 
+import math
 import random
 from types import SimpleNamespace
 
@@ -402,34 +403,44 @@ def test_a_shelling_order_off_the_facets_is_a_mismatch(monkeypatch):
 
 def test_generator_cap_is_a_recorded_skip():
     # I6 + J6 on 11 + 11 variables has 924 generators, but its dual I6J6
-    # has 462 * 462, one per facet: past the generator cap, inside a
-    # raised vertex cap.  The checks on types run; those that list the
-    # facets are skipped
+    # has 462 * 462, one per facet: past the generator cap, and past the
+    # vertex cap first, which is the skip recorded.  The checks on types
+    # run; those that list the facets are skipped
     type_checks = set(sweep.ORACLE_CHECKS["fast"]) - {"shelling_order"}
     big_dual = normalize(VariableUniverse(11, 11), [(6, 0), (0, 6)])
-    record = check_spec(big_dual, "full", cap_vertices=22)
+    record = check_spec(big_dual, "full")
     assert set(record["oracle"]) == type_checks and record["mismatches"] == []
-    assert record["skipped"] == [{"spec": spec_as_dict(big_dual), "reason": "generator cap"}]
+    assert record["skipped"] == [{"spec": spec_as_dict(big_dual), "reason": "vertex cap"}]
     # I5J5 has 462 * 462 generators, which are never listed, and its dual
     # I7 + J7 has 660: it is not sequentially CM, so at fast nothing is skipped
     big = normalize(VariableUniverse(11, 11), [(5, 5)])
-    big_record = check_spec(big, "fast", cap_vertices=22)
+    big_record = check_spec(big, "fast")
     assert set(big_record["oracle"]) == type_checks and big_record["mismatches"] == []
     assert big_record["skipped"] == []
     wide = normalize(VariableUniverse(12, 11), [(1, 1)])     # 23 vertices
     small = normalize(VariableUniverse(2, 2), [(1, 1)])
-    records = [record] + [check_spec(s, "full", cap_vertices=22) for s in (wide, small)]
+    records = [record] + [check_spec(s, "full") for s in (wide, small)]
     assert records[1]["skipped"][0]["reason"] == "vertex cap" and not records[2]["skipped"]
     assert set(records[1]["oracle"]) == type_checks
-    lines = oracle_coverage(SweepConfig(12, 11, 1, "full", cap_vertices=22), records)
+    lines = oracle_coverage(SweepConfig(12, 11, 1, "full"), records)
     assert lines[0] == "dual_generators 3 of 3 specs"
-    assert lines[-4:] == ["shelling_order 0 of 1 SCM specs (generator cap 100000)",
-                          "cm_reisner 1 of 3 specs (vertex cap 22, generator cap 100000)",
-                          "scm_duval 1 of 3 specs (vertex cap 22, generator cap 100000)",
-                          "shellable 0 of 1 CM specs (generator cap 100000)"]
-    only_big = oracle_coverage(SweepConfig(11, 11, 1, "fast", cap_vertices=22), records[:1])
+    assert lines[-4:] == ["shelling_order 0 of 1 SCM specs (vertex cap 16)",
+                          "cm_reisner 1 of 3 specs (vertex cap 16)",
+                          "scm_duval 1 of 3 specs (vertex cap 16)",
+                          "shellable 0 of 1 CM specs (vertex cap 16)"]
+    only_big = oracle_coverage(SweepConfig(11, 11, 1, "fast"), [check_spec(big_dual, "fast")])
     assert only_big[0] == "dual_generators 1 of 1 specs"
-    assert only_big[-1] == "shelling_order 0 of 1 SCM specs (generator cap 100000)"
+    assert only_big[-1] == "shelling_order 0 of 1 SCM specs (vertex cap 16)"
+
+
+def test_the_vertex_cap_keeps_the_facets_under_the_generator_cap():
+    # check_spec lists the facets of any spec within the vertex cap with
+    # no generator gate.  The facets form an antichain of subsets of the
+    # vertices, so by Sperner's theorem there are at most C(v, v // 2) of
+    # them.  Raising the vertex cap past 19 (C(20, 10) = 184,756) needs
+    # the generator gate back.
+    from mixedprod import products
+    assert math.comb(sweep.VERTEX_CAP, sweep.VERTEX_CAP // 2) <= products.GENERATOR_CAP
 
 
 def test_full_check_on_specs_with_13_and_14_vertices():
