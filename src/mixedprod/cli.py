@@ -24,7 +24,7 @@ from .ideals import MixedProdError, VariableUniverse
 from .sweep import SweepConfig
 
 # Lowest accepted value of each numeric option.
-MINIMUM = {"workers": 1}
+MINIMUM = {"max_n": 1, "max_m": 1, "max_s": 1, "workers": 1}
 
 
 class _Parser(argparse.ArgumentParser):

@@ -205,6 +205,8 @@ def test_huge_enumeration_is_a_one_line_error(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["sweep", "--max-n", "0", "--max-m", "1"],
+    ["sweep", "--max-n", "1", "--max-m", "1", "--max-s", "-2"],
     ["sweep", "--max-n", "1", "--max-m", "1", "--workers", "-3"],
     ["sweep", "--max-n", "1", "--max-m", "1", "--workers", "0"],
 ])
