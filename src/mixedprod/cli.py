@@ -19,7 +19,7 @@ import os
 import sys
 import time
 
-from . import complexes, ideals, products, sweep
+from . import ideals, products, sweep
 from .ideals import MixedProdError, VariableUniverse
 from .sweep import SweepConfig
 
@@ -55,13 +55,6 @@ def _names(universe, masks):
     return [[universe.var_name(i) for i in vs] for vs in ideals.vertex_lists(masks)]
 
 
-def _unlisted_skips(record, level):
-    """The facet cap's skip of the shelling search, which a record leaves out of ``skipped``."""
-    if level == "full" and sweep.shelling_capped(record):
-        return [f"shellable (facet cap {complexes.SHELLING_FACET_CAP})"]
-    return []
-
-
 def _emit(payload):
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
@@ -69,12 +62,11 @@ def _emit(payload):
 def cmd_classify(args):
     spec = _spec_from_args(args)
     universe = spec.universe
-    oracle, skipped, unlisted, mismatched = {}, [], [], False
+    oracle, skipped, mismatched = {}, [], False
     if args.oracle != "none":
         record = sweep.check_spec(spec, args.oracle)
         oracle = record["oracle"]
-        skipped = [s["reason"] for s in record["skipped"]]
-        unlisted = _unlisted_skips(record, args.oracle)
+        skipped = sweep.skip_reasons(record, args.oracle)
         mismatched = bool(record["mismatches"])
     report = products.classify(spec)
     payload = {
@@ -111,7 +103,7 @@ def cmd_classify(args):
             print(line)
         for name, ok in sorted(oracle.items()):
             print(f"oracle {name}: {str(ok).lower()}")
-        for reason in skipped + unlisted:
+        for reason in skipped:
             print(f"oracle skipped: {reason}")
         if args.timing:
             print(f"timing: {payload['timing']} s")
@@ -184,8 +176,7 @@ def cmd_oracle(args):
     if args.json:
         _emit(record)
     else:
-        skipped = ([s["reason"] for s in record["skipped"]]
-                   + _unlisted_skips(record, "full"))
+        skipped = sweep.skip_reasons(record, "full")
         for name, ok in sorted(record["oracle"].items()):
             print(f"{name}: {str(ok).lower()}")
         for reason in skipped:

@@ -34,11 +34,14 @@ specs.  Within it the facets, an antichain of subsets of at most 16
 vertices, number at most C(16, 8) = 12,870 (Sperner), so no generator
 count gates the listing.  Mismatch records give types.
 
-Any disagreement is recorded as a mismatch.  ``run_sweep`` checks every
-spec and collects the mismatches of all of them; the CLI's ``sweep``
-exits 2 after the whole run when any were found.  ``perturb=True``
-deliberately breaks the CM closed form so the harness can demonstrate
-it detects bugs.
+One helper in ``check_spec`` records each check's outcome: any
+disagreement as a mismatch, and for an oracle check its entry in the
+record's ``oracle``, an agreement flag or the oracle's own verdict, as
+the helper's docstring says.  ``run_sweep`` checks every spec and
+collects the mismatches of all of them; the CLI's ``sweep`` exits 2
+after the whole run when any were found.  ``perturb=True`` deliberately
+breaks the CM closed form so the harness can demonstrate it detects
+bugs.
 """
 
 from __future__ import annotations
@@ -58,6 +61,8 @@ from .products import MixedProductSpec
 # many vertices.  Past 19, C(cap, cap // 2) facets would exceed
 # products.GENERATOR_CAP, and the listing would need a generator gate.
 VERTEX_CAP = 16
+# The skip reason of the shelling search past complexes.SHELLING_FACET_CAP facets.
+FACET_CAP_SKIP = f"shellable (facet cap {complexes.SHELLING_FACET_CAP})"
 CHUNK = 16   # specs handed to a pool worker at a time
 
 ORACLE_LEVELS = ("none", "fast", "full")
@@ -115,16 +120,6 @@ def enumerate_specs(max_n, max_m, max_s):
                         yield MixedProductSpec(universe, tuple(zip(qs, rs)))
 
 
-def _mismatch(spec, check, closed, oracle, witness=None):
-    return {
-        "spec": spec_as_dict(spec),
-        "check": check,
-        "closed_form": closed,
-        "oracle": oracle,
-        "witness": repr(witness) if witness is not None else None,
-    }
-
-
 def spec_as_dict(spec):
     return {"n": spec.universe.n, "m": spec.universe.m,
             "pairs": [list(p) for p in spec.summands]}
@@ -138,33 +133,52 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
     mismatches and skipped (capped) oracle checks.  The checks on types
     run at any size; the shelling and homology checks are skipped with
     the reason "vertex cap" above ``VERTEX_CAP`` vertices, and the
-    shelling search, unlisted, above ``complexes.SHELLING_FACET_CAP``
-    facets.  An oracle level outside ``ORACLE_LEVELS`` raises InvalidInput.
+    shelling search above ``complexes.SHELLING_FACET_CAP`` facets, a skip
+    that only ``skip_reasons`` lists.  An oracle level outside
+    ``ORACLE_LEVELS`` raises InvalidInput.
     """
     _check_level(oracle_level)
     mismatches = []
     skipped = []
+    oracle = {}
     profile = spec.profile
     unmixed = products.is_unmixed_closed_form(spec)
     cm = products.is_cm_closed_form(spec, perturb=perturb)
     scm = products.is_scm_closed_form(spec)
 
+    def check(name, outcome, witness=None, closed=None, found=None):
+        """Record check ``name``: its mismatch, if any, and for an oracle check ``oracle[name]``.
+
+        ``oracle[name]`` is ``outcome``, of one of two kinds.  With
+        ``closed`` a closed form's ``Verdict``, it is the oracle's own
+        verdict (True: the property holds), a mismatch when the two
+        differ, recorded as the two booleans.  Otherwise it is an
+        agreement flag (True: the closed form passed), a mismatch when
+        false, recorded with ``closed`` and ``found`` as the two sides,
+        their tuples as lists.
+        """
+        if isinstance(closed, products.Verdict):
+            closed, found = closed.holds, outcome
+            agrees = closed == outcome
+        else:
+            agrees = outcome
+        if name in ORACLE_CHECKS["full"]:     # not a structural identity
+            oracle[name] = outcome
+        if not agrees:
+            mismatches.append({"spec": spec_as_dict(spec), "check": name,
+                               "closed_form": _as_lists(closed), "oracle": _as_lists(found),
+                               "witness": repr(witness) if witness is not None else None})
+
     # structural identities need no enumeration
     try:
-        roundtrip, witness = products.spec_from_profile(profile) == spec, None
+        check("profile_roundtrip", products.spec_from_profile(profile) == spec)
     except ideals.InvalidInput as exc:  # a profile no spec has
-        roundtrip, witness = False, str(exc)
-    if not roundtrip:
-        mismatches.append(_mismatch(spec, "profile_roundtrip", None, None, witness))
+        check("profile_roundtrip", False, str(exc))
     dual = spec.dual
-    if dual.dual != spec:
-        mismatches.append(_mismatch(spec, "dual_involution", None, None))
-    if cm.holds and not unmixed.holds:
-        mismatches.append(_mismatch(spec, "cm_implies_unmixed", cm.holds, unmixed.holds))
-    if cm.holds and not scm.holds:
-        mismatches.append(_mismatch(spec, "cm_implies_scm", cm.holds, scm.holds))
+    check("dual_involution", dual.dual == spec)
+    check("cm_implies_unmixed", unmixed.holds or not cm.holds, closed=cm.holds, found=unmixed.holds)
+    check("cm_implies_scm", scm.holds or not cm.holds, closed=cm.holds, found=scm.holds)
 
-    oracle = {}
     if oracle_level in ("fast", "full"):
         universe = spec.universe
         n, m = universe.n, universe.m
@@ -172,44 +186,28 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
         # define the ideal: the dual's generators are the minimal primes,
         # whose complements are the facets of the complex
         prime_types = kernels.transversal_types(spec.summands, n, m)
-        oracle["dual_generators"] = list(dual.summands) == prime_types
-        if not oracle["dual_generators"]:
-            mismatches.append(_mismatch(spec, "dual_generators",
-                                        _as_lists(dual.summands), _as_lists(prime_types)))
+        check("dual_generators", list(dual.summands) == prime_types,
+              closed=dual.summands, found=prime_types)
 
         # the union is the prime types, and each group's types meet the blocks it names
         px, pxy, py = groups = products.decomposition_types(spec)
-        oracle["primary_decomposition"] = (
-            sorted(px + pxy + py) == prime_types and all(b == 0 for _, b in px)
-            and all(a and b for a, b in pxy) and all(a == 0 for a, _ in py))
-        if not oracle["primary_decomposition"]:
-            mismatches.append(_mismatch(spec, "primary_decomposition",
-                                        [_as_lists(g) for g in groups], _as_lists(prime_types)))
+        check("primary_decomposition",
+              sorted(px + pxy + py) == prime_types and all(b == 0 for _, b in px)
+              and all(a and b for a, b in pxy) and all(a == 0 for a, _ in py),
+              closed=groups, found=prime_types)
 
-        oracle["unmixed"] = len({a + b for a, b in prime_types}) == 1
-        if unmixed.holds != oracle["unmixed"]:
-            mismatches.append(_mismatch(spec, "unmixed", unmixed.holds,
-                                        oracle["unmixed"], unmixed.witness))
+        check("unmixed", len({a + b for a, b in prime_types}) == 1, unmixed.witness,
+              closed=unmixed)
 
         # one block per facet type, the complements of the prime types,
         # x-counts rising as q_bar does
         facet_types = [(n - a, m - b) for a, b in reversed(prime_types)]
         block_types = list(zip(profile.q_bar, profile.r_bar))
-        oracle["facet_partition"] = block_types == facet_types
-        if not oracle["facet_partition"]:
-            mismatches.append(_mismatch(spec, "facet_partition",
-                                        _as_lists(block_types), _as_lists(facet_types)))
+        check("facet_partition", block_types == facet_types,
+              closed=block_types, found=facet_types)
 
-        bound_ok, bound_witness = _intersection_bound(profile, facet_types)
-        oracle["intersection_bound"] = bound_ok
-        if not bound_ok:
-            mismatches.append(_mismatch(spec, "intersection_bound", None, None, bound_witness))
-
-        strong = _strongly_connected(facet_types)
-        oracle["cm_strongly_connected"] = strong
-        if cm.holds != strong:
-            mismatches.append(_mismatch(spec, "cm_strongly_connected",
-                                        cm.holds, strong, cm.witness))
+        check("intersection_bound", *_intersection_bound(profile, facet_types))
+        check("cm_strongly_connected", _strongly_connected(facet_types), cm.witness, closed=cm)
 
         # the checks left are capped as facet listings, one facet per prime,
         # a generator of the dual; the shelling checks alone list them
@@ -226,27 +224,15 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
                     ok, witness = complexes.verify_shelling_order(complex_, order)
                 except ideals.InvalidInput as exc:  # not a permutation of the facets
                     ok, witness = False, str(exc)
-                oracle["shelling_order"] = ok
-                if not ok:
-                    mismatches.append(_mismatch(spec, "shelling_order", True, False, witness))
+                check("shelling_order", ok, witness, closed=True, found=False)
 
             if full:
                 type_complex = (n, m, tuple(facet_types))
-                ok, witness = complexes.reisner_cm(type_complex)
-                oracle["cm_reisner"] = ok
-                if cm.holds != ok:
-                    mismatches.append(_mismatch(spec, "cm_reisner", cm.holds, ok, witness))
-
-                ok, witness = complexes.duval_scm(type_complex)
-                oracle["scm_duval"] = ok
-                if scm.holds != ok:
-                    mismatches.append(_mismatch(spec, "scm_duval", scm.holds, ok, witness))
-
+                check("cm_reisner", *complexes.reisner_cm(type_complex), closed=cm)
+                check("scm_duval", *complexes.duval_scm(type_complex), closed=scm)
                 if cm.holds and len(complex_.masks) <= complexes.SHELLING_FACET_CAP:
-                    result = complexes.find_shelling(complex_)
-                    oracle["shellable"] = result.status == "shellable"
-                    if result.status != "shellable":
-                        mismatches.append(_mismatch(spec, "shellable", True, result.status))
+                    status = complexes.find_shelling(complex_).status
+                    check("shellable", status == "shellable", closed=True, found=status)
 
     return {
         "spec": spec_as_dict(spec),
@@ -259,8 +245,9 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
     }
 
 
-def _as_lists(types):
-    return [list(t) for t in types]
+def _as_lists(value):
+    """``value`` with its tuples and lists, at any depth, as lists, as JSON reads them back."""
+    return [_as_lists(v) for v in value] if isinstance(value, (list, tuple)) else value
 
 
 def _intersection_bound(profile, types):
@@ -313,9 +300,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 def oracle_coverage(config: SweepConfig, records) -> list[str]:
     """One line per oracle check of the level: the specs it ran on, of how many, and why not more.
 
-    Example: ``shellable 215 of 326 CM specs (facet cap 10)``.  A skip
-    reason is named, with its cap, only for a check it kept off some
-    record.
+    Example: ``shellable 215 of 326 CM specs (facet cap 10)``.  A cap is
+    named, with its value, only where its reason in ``skip_reasons`` kept
+    the check off some record.
     """
     lines = []
     for name in ORACLE_CHECKS[config.oracle_level]:
@@ -325,23 +312,28 @@ def oracle_coverage(config: SweepConfig, records) -> list[str]:
             pool, what = [r for r in records if r["verdicts"]["sequentially_cm"]], "SCM specs"
         elif name == "shellable":
             pool, what = [r for r in records if r["verdicts"]["cohen_macaulay"]], "CM specs"
-        capped = any(r["skipped"] and name not in r["oracle"] for r in pool)
-        causes = [f"vertex cap {VERTEX_CAP}"] if capped else []
-        if name == "shellable" and any(map(shelling_capped, pool)):
+        reasons = {reason for r in pool if name not in r["oracle"]
+                   for reason in skip_reasons(r, config.oracle_level)}
+        causes = [f"vertex cap {VERTEX_CAP}"] if "vertex cap" in reasons else []
+        if FACET_CAP_SKIP in reasons:
             causes.append(f"facet cap {complexes.SHELLING_FACET_CAP}")
         lines.append(f"{name} {ran} of {len(pool)} {what}"
                      + (f" ({', '.join(causes)})" if causes else ""))
     return lines
 
 
-def shelling_capped(record) -> bool:
-    """Whether the facet cap kept the shelling search off a ``full`` level record.
+def skip_reasons(record, level) -> list[str]:
+    """Why checks of ``level`` did not run on ``record``: its ``skipped`` reasons, then the facet cap's.
 
-    The search runs on every CM spec that no cap in ``skipped`` stopped,
-    unless it has too many facets, a skip that ``skipped`` does not list.
+    At ``full`` the shelling search runs on every CM spec that no cap in
+    ``skipped`` stopped, unless it has too many facets: ``FACET_CAP_SKIP``,
+    a reason the record leaves out of ``skipped``.
     """
-    return (record["verdicts"]["cohen_macaulay"] and not record["skipped"]
-            and "shellable" not in record["oracle"])
+    reasons = [s["reason"] for s in record["skipped"]]
+    if (level == "full" and not reasons and record["verdicts"]["cohen_macaulay"]
+            and "shellable" not in record["oracle"]):
+        reasons.append(FACET_CAP_SKIP)
+    return reasons
 
 
 def profile_as_dict(profile):

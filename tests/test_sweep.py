@@ -1,5 +1,6 @@
 """Sweep plumbing: the process pool, the enumeration and the one transversal search per spec."""
 
+import dataclasses
 import math
 import random
 from types import SimpleNamespace
@@ -399,6 +400,71 @@ def test_a_shelling_order_off_the_facets_is_a_mismatch(monkeypatch):
     result = run_sweep(SweepConfig(2, 3, 2, "fast"))
     assert result.configs_checked == 79
     assert {mm["check"] for mm in result.mismatches} == {"shelling_order"}
+
+
+def _broken(products, name):
+    """``products.<name>`` made wrong, for the sweep to catch."""
+    right = getattr(products, name)
+
+    def dual(spec):     # the last summand dropped, when there are two or more
+        summands = right(spec).summands
+        return products.MixedProductSpec(spec.universe, summands[:-1] or summands)
+
+    def decomposition(spec):    # P_x and P_y swapped
+        px, pxy, py = right(spec)
+        return py, pxy, px
+
+    def negated(spec):
+        return products.Verdict(not right(spec).holds)
+
+    def profile(spec):  # the r_bar of the blocks reversed
+        p = right(spec)
+        return dataclasses.replace(p, r_bar=p.r_bar[::-1])
+
+    def block_order(sigma, blocks):     # the shelling order reversed
+        return right(sigma, blocks)[::-1]
+
+    return {"closed_form_dual": dual, "decomposition_types": decomposition,
+            "is_unmixed_closed_form": negated, "qr_profile": profile,
+            "is_scm_closed_form": negated, "shell_blocks": block_order}[name]
+
+
+@pytest.mark.parametrize("name, check", [
+    ("closed_form_dual", "dual_generators"),
+    ("decomposition_types", "primary_decomposition"),
+    ("is_unmixed_closed_form", "unmixed"),
+    ("qr_profile", "facet_partition"),
+    ("is_scm_closed_form", "scm_duval"),
+    ("shell_blocks", "shelling_order"),
+])
+def test_every_closed_form_can_fail(monkeypatch, name, check):
+    # each closed form broken in turn: the n, m <= 4 full sweep reports a
+    # mismatch from the matching check, so none records its oracle entry
+    # and drops the mismatch
+    from mixedprod import products
+    config = SweepConfig(4, 4, 5, "full")
+    assert run_sweep(config).mismatches == []
+    monkeypatch.setattr(products, name, _broken(products, name))
+    assert check in {mm["check"] for mm in run_sweep(config).mismatches}
+
+
+@pytest.mark.parametrize("level", ["fast", "full"])
+def test_records_give_the_checks_in_the_order_they_run(level):
+    # a record's oracle keys come in ORACLE_CHECKS[level] order, and its
+    # mismatches name the structural identities and then those checks,
+    # in that order; --perturb makes mismatches to read
+    identities = ("profile_roundtrip", "dual_involution", "cm_implies_unmixed", "cm_implies_scm")
+    order = identities + sweep.ORACLE_CHECKS[level]
+    mismatched = set()
+    for perturb in (False, True):
+        for record in run_sweep(SweepConfig(4, 4, 5, level, perturb=perturb)).records:
+            ran = list(record["oracle"])
+            assert ran == [name for name in sweep.ORACLE_CHECKS[level] if name in ran]
+            checks = [mm["check"] for mm in record["mismatches"]]
+            assert set(checks) <= set(order) and checks == sorted(checks, key=order.index)
+            mismatched.update(checks)
+    assert {"cm_strongly_connected", "cm_implies_unmixed"} <= mismatched
+    assert ("cm_reisner" in mismatched) == (level == "full")
 
 
 def test_generator_cap_is_a_recorded_skip():
