@@ -51,22 +51,9 @@ The hypothesis is needed: at d = 2 the cone (1, 2, ((1, 1),)), x_1
 joined to two points, is acyclic, yet the link of x_1, two points, has
 H~_0 != 0 below 2 - 1.
 
-K's homology is read off its facet types (Fulton and Harris,
-Prop. 3.12).  As an S_n-module the augmented chains of the simplex on
-n >= 1 vertices split into two-term pieces, one per k = 0..n-1:
-Lambda^k V in the sizes k + 1 and k, the boundary an isomorphism
-between them, V the standard module of dimension n - 1 (on n = 0
-vertices: Q in size 0, alone).  The chains of the join of the
-x-simplex and the y-simplex are the tensor product, its pieces on the
-cell types {k, k+1} x {l, l+1}, and K's chains are these pieces cut to
-K's face types, a down-closed set.  A cut piece has homology only when
-it keeps (k, l) alone or all but (k+1, l+1).  With the facet types
-sorted by x-count, (A_1, B_1), ..., (A_r, B_r), B falling, that is:
-- a facet term, C(n-1, A_i) C(m-1, B_i) classes in degree A_i + B_i - 1,
-  the facet's dimension: nonzero iff A_i < n and B_i < m;
-- an inner-corner term, C(n-1, A_i) C(m-1, B_{i+1}) classes in degree
-  A_i + B_{i+1}: never zero, as A_i < A_{i+1} <= n and B_{i+1} < B_i <= m;
-- an unused block gives a factor of 1 and no condition.
+The proof reads K's homology off its facet types, sorted by x-count,
+(A_1, B_1), ..., (A_r, B_r), by the hook formula stated and proved in
+``homology``: its facet terms and inner-corner terms.
 
 Proof, by induction on |F|; for F empty it is the claim.  Otherwise F
 holds an x or a y; say an x, by symmetry x_1 (a y swaps the blocks).
@@ -76,15 +63,15 @@ Then lk_K F = lk_{lk x_1}(F - x_1), checked below the same degree
 facets holding x_1 less x_1, so it meets the hypothesis at d - 1.  By
 induction lk x_1 fails at its empty face, in a degree j below d - 1 or
 below dim lk x_1 <= dim K - 1.  If lk x_1 has one facet type, its only
-class is in its top degree, dim lk x_1, which is never below its bound:
-Reisner's is dim lk x_1, and dim lk x_1 >= d - 1.  So lk x_1 has two or
-more facet types and uses both blocks, and so does K.  Each class of
-lk x_1 is then a term that K has one degree up: its facet term
-(A - 1, B) is nonzero iff A - 1 < n - 1 and B < m, as K's facet term
-(A, B) is, and its inner corner (A_i - 1, B_{i+1}) is K's inner corner
-(A_i, B_{i+1}), since its facet types are a run of K's sorted list.  So
-K has a class in degree j + 1, below d or below dim K, and fails at its
-empty face.
+class, a facet term, is in its top degree, dim lk x_1, which is never
+below its bound: Reisner's is dim lk x_1, and dim lk x_1 >= d - 1.  So
+lk x_1 has two or more facet types and uses both blocks, and so does K.
+Each class of lk x_1 is then a term that K has one degree up: its facet
+term (A - 1, B) is nonzero iff A - 1 < n - 1 and B < m, as K's facet
+term (A, B) is, and its inner corner (A_i - 1, B_{i+1}) is K's inner
+corner (A_i, B_{i+1}), since its facet types are a run of K's sorted
+list.  So K has a class in degree j + 1, below d or below dim K, and
+fails at its empty face.
 
 Duval's criterion runs Reisner's on every pure skeleton, yet no skeleton
 is built.  At level l, the link of F in the l-skeleton agrees in every

@@ -5,36 +5,16 @@ face-table builder; a complex keeps its table
 (``SimplicialComplex.face_table``), enumerated from its own facets, and
 every boundary map is read off it.
 
-Every complex is ranked relative to the star of one vertex v, which
-shrinks each boundary map before it is ranked.  The star st(v) = v *
-lk(v) is a cone, so it is acyclic (below), and the long exact sequence
-of the pair (c, st v) gives H~_i(c) = H_i(c, st v) for every i.  The
-relative cells are the faces G with G | v no face, that is the faces of
-del(v) not in lk(v) (``_relative_table``); the empty face lies in the
-star, so there is no relative (-1)-cell, and the relative boundary is
-the absolute one with the star's faces dropped.  v is the lowest used
-vertex.  The [set()] complex has no vertex (nor star) and is ranked on
-its own table.
-
-A type complex (n, m, T) (``complexes``: its faces are the sets of a
-x's and b y's with (a, b) below some facet type in the antichain T, up
-to an order-preserving relabel of the used vertices) is ranked without
-a face table.  Put x_1..x_n at bits 0..n-1 and y_1..y_m at n..n+m-1,
-swapping the blocks when no type holds an x (then T holds one type),
-so that x_1 is the lowest used vertex v, as on the mask path.  Let
-reach[i] = max{B : (A, B) in T, A >= i}, or -1 if there is none: the
-most y's of a face with i x's, so a set of type (i, j) is a face
-exactly when j <= reach[i], and reach never grows with i.  A relative
-cell is a face G without x_1 with G | x_1 no face.  If G has type
-(i, j), G | x_1 has type (i + 1, j) and G misses x_1 only if i < n, so
-the cells are all the sets of x_2..x_n and y_1..y_m of the types
-(i, j) with i < n and reach[i+1] < j <= reach[i] (``_type_cells``),
-listed by ``kernels.list_types`` over the n - 1 x's x_2..x_n and the m
-y's, shifted up one bit.  These are the cells of ``_relative_table``
-after the relabel, the same boundary matrices, and they are ranked the
-same way.  The order of the cells within a dimension does not matter:
-another order permutes the rows and columns of each boundary map,
-which changes no rank over Q.
+A ``SimplicialComplex`` is ranked relative to the star of one vertex
+v, which shrinks each boundary map before it is ranked.  The star
+st(v) = v * lk(v) is a cone, so it is acyclic (below), and the long
+exact sequence of the pair (c, st v) gives H~_i(c) = H_i(c, st v) for
+every i.  The relative cells are the faces G with G | v no face, that
+is the faces of del(v) not in lk(v) (``_relative_table``); the empty
+face lies in the star, so there is no relative (-1)-cell, and the
+relative boundary is the absolute one with the star's faces dropped.
+v is the lowest used vertex.  The [set()] complex has no vertex (nor
+star) and is ranked on its own table.
 
 Cones are acyclic: when a vertex v lies in every facet, h(sigma) =
 +-(sigma | v) for v not in sigma (the sign of v's position in
@@ -47,32 +27,69 @@ is an apex, st(v) = c and there is no relative cell; otherwise its
 exact ranks come out zero.
 
 Ranks are exact and never use floating point.  ``_ranks`` ranks every
-relative boundary map by kernels.rank_int: ``_boundary_rows`` reads the
-map off a table of cells as one sparse row {(d-1)-cell index: +-1} per
-d-cell (``boundary_matrix`` is the absolute map), and kernels.rank_int
-pivots on unit entries, shortest row first, dividing a row without one
-over Q.  The two ends need no elimination: del_0 is zero, as there is
-no relative (-1)-cell (for the [set()] complex there is no 0-cell), and
-del_{top+1} is zero.
+relative boundary map of a ``SimplicialComplex`` by kernels.rank_int:
+``_boundary_rows`` reads the map off a table of cells as one sparse row
+{(d-1)-cell index: +-1} per d-cell (``boundary_matrix`` is the absolute
+map), and kernels.rank_int pivots on unit entries, shortest row first,
+dividing a row without one over Q.  The two ends need no elimination:
+del_0 is zero, as there is no relative (-1)-cell (for the [set()]
+complex there is no 0-cell), and del_{top+1} is zero.
+
+A type complex (n, m, T) (``complexes``: its faces are the sets of a
+x's and b y's with (a, b) below some facet type in the antichain T, up
+to an order-preserving relabel of the used vertices) is ranked by the
+hook formula, from its facet types alone: no cell is listed and no map
+eliminated (``_hook_ranks``, O(|T|) binomials).  Sort T by x-count,
+(A_1, B_1), ..., (A_r, B_r), B falling.  Then H~ is the sum of
+- a facet term, C(n-1, A_i) C(m-1, B_i) classes in degree A_i + B_i - 1,
+  the facet's dimension: nonzero iff A_i < n and B_i < m;
+- an inner-corner term, C(n-1, A_i) C(m-1, B_{i+1}) classes in degree
+  A_i + B_{i+1}: never zero, as A_i < A_{i+1} <= n and B_{i+1} < B_i <= m;
+- where a block is unused, a factor of 1 and no condition from it.
+C(n-1, A) is zero at A = n >= 1, so the facet term needs no test of
+its own.  An unused block of size n >= 1 has every A = 0, a factor
+C(n-1, 0) = 1, and a block of size 0 is read with n - 1 as 0, so
+C(0, 0) = 1.
+
+Proof (Fulton and Harris, Prop. 3.12: the Lambda^k V below are
+irreducible and pairwise distinct).  As an S_n-module the augmented
+chains of the simplex on n >= 1 vertices split into two-term pieces,
+one per k = 0..n-1: Lambda^k V, of dimension C(n-1, k), in the sizes
+k + 1 and k, the boundary an isomorphism between them (it is
+equivariant, and the augmented complex of a simplex is exact), V the
+standard module of dimension n - 1.  On n = 0 vertices the chains are
+Q in size 0, one piece of one cell type.  The chains of the join of the
+x-simplex and the y-simplex are the tensor product, its pieces on the
+cell types {k, k+1} x {l, l+1}, and K's chains are these pieces cut to
+K's face types, a down-closed set.  A cut piece keeps nothing, (k, l)
+alone, (k, l) with one neighbour, all but (k+1, l+1), or all four.  Two
+cells joined by an isomorphism are exact, and so are all four, a
+tensor product of exact complexes.  (k, l) alone is C(n-1, k)
+C(m-1, l) classes in degree k + l - 1, kept alone exactly when (k, l)
+is a facet type with k < n and l < m: a facet term.  All but
+(k+1, l+1) map onto (k, l) with a kernel of that dimension in degree
+k + l, kept exactly where the staircase of the face types turns
+inward, at (k, l) = (A_i, B_{i+1}): an inner-corner term.  A block of
+size 0 gives pieces with the one cell type 0 there, and the same
+reading gives its facet term with no condition from that block.
 
 The ranks of a type complex are cached, keyed by the tuple as given
 (``complexes`` normalizes each complex it asks about, a spec's complex
-or one of its facet cuts, to its signature first); the cells are never
-kept, and only a miss checks the tuple (``_check_type_complex``), which
-must be ints and int pairs in tuples, so that it hashes: a list for T
-is refused with InvalidInput, as by Reisner's and Duval's checks.  Two
-tuples are keyed apart even when their complexes are isomorphic (the
-k-skeleton of one simplex read with two block splits): a miss more,
-never a wrong rank.  A ``SimplicialComplex`` is ranked from its own
-relative table every time.  The exhaustive oracle sweeps stay cheap
-because the specs' signatures repeat: a complex and its facet cuts
-recur across the specs of a sweep.
+or one of its facet cuts, to its signature first), and only a miss
+checks the tuple (``_check_type_complex``), which must be ints and int
+pairs in tuples, so that it hashes: a list for T is refused with
+InvalidInput, as by Reisner's and Duval's checks.  Two tuples are keyed
+apart even when their complexes are isomorphic (the k-skeleton of one
+simplex read with two block splits): a miss more, never a wrong rank.
+A ``SimplicialComplex`` is ranked from its own relative table every
+time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from . import kernels
 from .ideals import InvalidInput
@@ -190,32 +207,21 @@ def _check_type_complex(c) -> None:
                            f"antichain of (a, b) with 0 <= a <= {n} and 0 <= b <= {m}")
 
 
-def _type_cells(c) -> dict[int, list[int]]:
-    """dim -> the relative cells of a type complex (n, m, T), in increasing order.
+def _hook_ranks(c) -> dict[int, int]:
+    """d -> rank H~_d for d = -1..dim of a type complex (n, m, T), by the hook formula.
 
-    The x-block comes first (the blocks swap when no type holds an x):
-    the x-vertices are bits 0..n-1, the y-vertices n..n+m-1, and v is
-    x_1, bit 0.  The cells are the sets of the types (i, j) with i < n
-    and reach[i+1] < j <= reach[i] (module docstring).  The [set()]
-    complex has no vertex: its one cell is the empty face.
+    One facet term per type and one inner-corner term per pair of
+    neighbours in x-count order (module docstring).
     """
     n, m, types = c
-    if not any(a for a, _ in types):
-        n, m, types = m, n, [(b, a) for a, b in types]
-    if not any(a for a, _ in types):
-        return {-1: [0]}
-    reach = [-1] * (n + 2)  # reach[i]: the most y's of a face with i x's, or -1
+    x, y = max(n - 1, 0), max(m - 1, 0)     # a block of size 0 gives C(0, 0) = 1
+    types = sorted(types)
+    ranks = dict.fromkeys(range(-1, max(a + b for a, b in types)), 0)
     for a, b in types:
-        reach[a] = b        # an antichain has one type per x-count
-    for i in range(n - 1, -1, -1):
-        reach[i] = max(reach[i], reach[i + 1])
-    by_dim = {d: [] for d in range(-1, max(a + b for a, b in types))}
-    for i in range(n):
-        for j in range(reach[i + 1] + 1, reach[i] + 1):
-            by_dim[i + j - 1].append((i, j))
-    # the sets over x_2..x_n and the y's: (y << (n-1) | x) << 1 = y << n | x << 1
-    return {d: [c << 1 for c in kernels.list_types(cell_types, n - 1, m)]
-            for d, cell_types in by_dim.items()}
+        ranks[a + b - 1] += comb(x, a) * comb(y, b)
+    for (a, _), (_, b) in zip(types, types[1:]):
+        ranks[a + b] += comb(x, a) * comb(y, b)
+    return ranks
 
 
 def _ranks(table) -> dict[int, int]:
@@ -235,10 +241,10 @@ def _ranks(table) -> dict[int, int]:
 def reduced_homology_ranks(c) -> dict[int, int]:
     """Ranks of the reduced homology groups H~_d, for d = -1..dim.
 
-    ``c`` is a complex or a type complex (n, m, facet types).
-    rank H~_d = rank H_d(c, st v), with v the lowest used vertex; the
-    (-1)-st rank is 1 for the [set()] complex and 0 otherwise.  Only
-    type complexes are cached.
+    ``c`` is a complex or a type complex (n, m, facet types).  A
+    complex has rank H~_d = rank H_d(c, st v), with v the lowest used
+    vertex; a type complex is ranked by the hook formula, and cached.
+    The (-1)-st rank is 1 for the [set()] complex and 0 otherwise.
     """
     if type(c) is not tuple:
         return _ranks(_relative_table(c))
@@ -248,5 +254,5 @@ def reduced_homology_ranks(c) -> dict[int, int]:
         ranks = None
     if ranks is None:
         _check_type_complex(c)
-        ranks = _ranks_cache[c] = _ranks(_type_cells(c))
+        ranks = _ranks_cache[c] = _hook_ranks(c)
     return dict(ranks)

@@ -15,9 +15,11 @@ complex of their complements (``complexes``) and the type checks of
 types come from the spec's summands, never from a count of masks, and
 ``list_types``, the package's one lister, lists the sets of given types
 in increasing order: the closed forms' generators, primes and facet
-blocks (``products``), the oracles' primes, for the shelling checks,
-and the relative cells of a type complex (``homology``).
-``minimal_hitting_sets`` is MMCS on any family, the reference.
+blocks (``products``) and the oracles' primes, for the shelling checks.
+A type complex is ranked by the hook formula (``homology``), with no
+cell listed.  ``minimal_hitting_sets`` is MMCS on any family, the
+reference; ``rank_int`` ranks the boundary maps of a
+``SimplicialComplex``.
 
 Minimal transversals of an invariant family F come by type, and
 ``transversal_types`` is the rule that finds them from the types of F

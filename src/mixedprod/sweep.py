@@ -12,8 +12,11 @@ each closed-form statement is compared against an independent oracle:
   - the primary decomposition against the prime types, each group's
     types against the blocks they meet,
   - the CM verdict against purity + strong connectivity (fast) and
-    against Reisner link homology (full),
-  - the sequential-CM verdict against the pure-skeleton test,
+    against Reisner's criterion (full), on the type complex one
+    homology query at its empty face, read off the facet types by the
+    hook formula (``homology``), with no link and no elimination,
+  - the sequential-CM verdict against the pure-skeleton test (Duval's,
+    one such query per facet cut),
   - the unmixedness verdict against equal component sizes,
   - the facet partition block by block against the facet types, the
     complements of the prime types,

@@ -1,5 +1,11 @@
 """The type path against the mask path on every type antichain with n, m <= N (default 5).
 
+The type path ranks a type complex by the hook formula of ``homology``,
+from its facet types, listing no cell and eliminating no map; the mask
+path lists the facets and eliminates every relative boundary map.  At
+N = 5 the formula is checked against elimination on all 3,381 type
+antichains.
+
 For each antichain T of types (a, b) over n x's and m y's, Reisner's
 check, Duval's check and ``reduced_homology_ranks`` run on the type
 complex (n, m, T) as given, raw: a block that no type uses keeps its

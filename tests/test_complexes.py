@@ -1,9 +1,6 @@
 """Complex combinatorics: skeleta, links, connectivity, shellings, oracles."""
 
-from functools import reduce
 from itertools import combinations
-from math import comb
-from operator import and_
 
 import pytest
 
@@ -45,6 +42,22 @@ def mask_complex(u, types):
     return make_complex(u, [set(xs) | set(ys) for a, b in types
                             for xs in combinations(range(u.n), a)
                             for ys in combinations(range(u.n, u.size), b)])
+
+
+def refuse_elimination(monkeypatch):
+    """Make every listing by type and every elimination raise: the type path needs neither.
+
+    ``homology._ranks`` ranks a table of cells, ``kernels.rank_int`` a
+    boundary map and ``kernels.list_types`` lists sets by type; a type
+    complex is ranked by the hook formula alone.
+    """
+    from mixedprod import homology
+
+    def refuse(*args):
+        raise AssertionError("a cell listed or a map eliminated on the type path")
+
+    for module, name in ((homology, "_ranks"), (kernels, "rank_int"), (kernels, "list_types")):
+        monkeypatch.setattr(module, name, refuse)
 
 
 EMPTYC = complex_on(2, [set()])
@@ -466,20 +479,22 @@ def test_orbit_reduction_on_stanley_reisner_complexes():
 
 def test_one_block_symmetry_checks_every_face(monkeypatch, cold_caches):
     # A complex has every face linked.  A type complex is checked at its
-    # empty face alone: a cold check ranks its one signature and builds
-    # no mask link, and a warm check ranks nothing.
+    # empty face alone: a cold check ranks its one signature by the hook
+    # formula, one cache entry, and builds no mask link, lists no cell
+    # and eliminates no map; a warm check ranks nothing.
     from mixedprod import complexes, homology
     c = make_complex(VariableUniverse(3, 2), [{0, 1, 2, 3}])   # y2 is absent
     seen, ranked = [], []
-    real, real_type_cells = complexes.link, homology._type_cells
+    real, real_hook_ranks = complexes.link, homology._hook_ranks
     monkeypatch.setattr(complexes, "link", lambda cx, f: seen.append(f) or real(cx, f))
-    monkeypatch.setattr(homology, "_type_cells",
-                        lambda sig: ranked.append(sig) or real_type_cells(sig))
+    monkeypatch.setattr(homology, "_hook_ranks",
+                        lambda sig: ranked.append(sig) or real_hook_ranks(sig))
     assert reisner_cm(c) == (True, None)
     assert seen == all_faces(c) and len(seen) == 16 and ranked == []
     seen.clear()
     full = type_complex(VariableUniverse(3, 2), [(3, 2)])
     assert mask_complex(VariableUniverse(3, 2), [(3, 2)]).masks == (0b11111,)
+    refuse_elimination(monkeypatch)
     assert reisner_cm(full) == (True, None)
     assert seen == [] and ranked == [full] and list(homology._ranks_cache) == [full]
     ranked.clear()
@@ -490,21 +505,23 @@ def test_one_symmetry_check_per_complex(monkeypatch, cold_caches):
     # No facet set is tested for S_n x S_m invariance: Reisner's and
     # Duval's checks at full get the type complex (n, m, facet types), the
     # complemented prime types.  The spec is neither sequentially CM nor
-    # CM, so no prime is listed and no complex is built; every listing by
-    # type is a list_types call for the relative cells of a type complex,
-    # over the n - 1 x's x_2..x_n of its signature.
-    from mixedprod import complexes, expand_generators, ideals, normalize, stanley_reisner_complex
+    # CM, so no prime is listed and no complex is built; and the type
+    # complex is ranked by the hook formula, so nothing is listed by type
+    # and no map is eliminated.  The rank cache holds one entry per
+    # signature asked: the complex (Reisner's, and Duval's level 2) and
+    # its facet cut at level 3.
+    from mixedprod import complexes, expand_generators, homology, ideals, normalize
+    from mixedprod import stanley_reisner_complex
     from mixedprod.sweep import check_spec
     spec = normalize(VariableUniverse(3, 3), [(1, 2), (2, 1)])
     c = stanley_reisner_complex(expand_generators(spec))
-    listed, handed = [], []
-    list_types = kernels.list_types
-    monkeypatch.setattr(kernels, "list_types", lambda *a: listed.append(a) or list_types(*a))
+    held, handed = facet_types(c.masks, 3, 3), []
 
     def refuse(*args):
         raise AssertionError("a complex built for the full checks")
 
     monkeypatch.setattr(ideals, "complex_of_primes", refuse)
+    refuse_elimination(monkeypatch)
     for name in ("reisner_cm", "duval_scm"):
         monkeypatch.setattr(complexes, name, lambda c, check=getattr(complexes, name):
                             handed.append(c) or check(c))
@@ -513,9 +530,10 @@ def test_one_symmetry_check_per_complex(monkeypatch, cold_caches):
     assert "shelling_order" not in record["oracle"] and not record["verdicts"]["cohen_macaulay"]
     assert record["mismatches"] == []
     assert handed == [(3, 3, ((0, 3), (1, 1), (3, 0)))] * 2
-    assert listed and all(n < 3 for _, n, _ in listed)
+    assert list(homology._ranks_cache) == [(3, 3, ((0, 3), (1, 1), (3, 0))),
+                                           (3, 3, ((0, 3), (3, 0)))]
     # the facet types handed on are the ones the Stanley-Reisner complex holds
-    assert list(handed[0][2]) == facet_types(c.masks, 3, 3)
+    assert list(handed[0][2]) == held
 
 
 def test_orbit_reduction_on_every_invariant_complex():
@@ -587,25 +605,36 @@ def test_a_cold_and_a_warm_rank_cache_give_the_mask_path_answers(monkeypatch):
     # emptied for it alone, then with it holding every entry that pass
     # made: the answers, witnesses included, are those of the mask path
     # either way, so a cache entry does not depend on the complex whose
-    # check made it.  Warm, each check ranks nothing.
-    from mixedprod import homology
-    filled, answers = {}, []
-    for u, chosen in type_antichains(4, 4):
-        c, reference = type_complex(u, chosen), mask_complex(u, chosen)
+    # check made it.  Cold, each check ranks by the hook formula, one
+    # cache entry per signature, with no cell listed and no map
+    # eliminated; warm, it ranks nothing.
+    from mixedprod import complexes, homology
+    answers = [(type_complex(u, chosen), (reisner_cm(masks), duval_scm(masks)))
+               for u, chosen in type_antichains(4, 4) for masks in [mask_complex(u, chosen)]]
+    refuse_elimination(monkeypatch)
+    filled, signatures = {}, 0
+    for c, expected in answers:
         monkeypatch.setattr(homology, "_ranks_cache", {})
-        cold = reisner_cm(c), duval_scm(c)
-        assert cold == (reisner_cm(reference), duval_scm(reference))
+        assert (reisner_cm(c), duval_scm(c)) == expected
+        # Reisner's asks K below dim K when there is a degree to ask,
+        # and Duval's each c_l below l - 1, up to the first level that
+        # fails: the entries are signatures of K and of its cuts
+        n, m, types = c
+        top = max(a + b for a, b in types)
+        cuts = {complexes._signature(n, m, [t for t in types if t[0] + t[1] >= l])
+                for l in range(2, top + 1)}
+        assert homology._ranks_cache.keys() <= cuts | {complexes._signature(*c)}
+        assert (complexes._signature(*c) in homology._ranks_cache) == (top > 1)
+        signatures += len(homology._ranks_cache)
         filled.update(homology._ranks_cache)
-        answers.append((c, cold))
     monkeypatch.setattr(homology, "_ranks_cache", filled)
 
     def refuse(*args):
         raise AssertionError("a signature ranked on a warm rank cache")
 
-    monkeypatch.setattr(homology, "_ranks", refuse)
-    monkeypatch.setattr(homology, "_type_cells", refuse)
-    assert all((reisner_cm(c), duval_scm(c)) == cold for c, cold in answers)
-    assert len(answers) == 886 and len(filled) > 300
+    monkeypatch.setattr(homology, "_hook_ranks", refuse)
+    assert all((reisner_cm(c), duval_scm(c)) == expected for c, expected in answers)
+    assert len(answers) == 886 and len(filled) > 300 and signatures > len(filled)
 
 
 def _face_type_walk(c, d, failing_degree):
@@ -658,37 +687,13 @@ def test_a_type_complex_fails_first_at_its_empty_face(cold_caches):
     assert _face_type_walk((1, 2, ((1, 1),)), 2, complexes._failing_degree) == (1, 0, 0)
 
 
-def hook_ranks(n, m, types):
-    """rank H~_d, d = -1..dim, of the type complex (n, m, T) by the formula in the ``complexes`` docstring.
-
-    With the facet types sorted by x-count, (A_1, B_1), ..., (A_r, B_r):
-    a facet term C(n-1, A_i) C(m-1, B_i) in degree A_i + B_i - 1 when
-    A_i < n and B_i < m, and an inner-corner term C(n-1, A_i) C(m-1, B_{i+1})
-    in degree A_i + B_{i+1}.  An unused block counts as size 0: a factor
-    of 1 and no condition.
-    """
-    types = sorted(types)
-    n = n if any(a for a, _ in types) else 0
-    m = m if any(b for _, b in types) else 0
-
-    def term(a, b):
-        return (comb(n - 1, a) if n else 1) * (comb(m - 1, b) if m else 1)
-
-    ranks = dict.fromkeys(range(-1, max(a + b for a, b in types)), 0)
-    for a, b in types:
-        if (not n or a < n) and (not m or b < m):
-            ranks[a + b - 1] += term(a, b)
-    for (a, _), (_, b) in zip(types, types[1:]):
-        ranks[a + b] += term(a, b)
-    return ranks
-
-
 def test_the_homology_of_a_type_complex_is_read_off_its_facet_types(cold_caches):
-    # The formula the empty-face lemma's proof rests on, against the
-    # ranks from elimination, on every type complex with n, m <= 4
+    # The hook formula, which ranks every type complex and which the
+    # empty-face lemma's proof rests on, against elimination on the
+    # listed facets, on every type complex with n, m <= 4
     checked = corners = unused = degrees = 0
     for u, chosen in type_antichains(4, 4):
-        ranks = hook_ranks(u.n, u.m, chosen)
+        ranks = reduced_homology_ranks(mask_complex(u, chosen))
         assert reduced_homology_ranks(type_complex(u, chosen)) == ranks, (u, chosen)
         checked += 1
         corners += len(chosen) > 1
@@ -697,22 +702,28 @@ def test_the_homology_of_a_type_complex_is_read_off_its_facet_types(cold_caches)
     assert (checked, corners, unused, degrees) == (886, 662, 124, 308)
 
 
-def test_typed_relative_cells_are_the_mask_cells_relabeled():
-    # The cells listed by type, dimension by dimension, are those of
-    # ``homology._relative_table`` after the order-preserving relabel of
-    # the used vertices.
-    from mixedprod import homology
-    checked = cones = 0
-    for u, chosen in type_antichains(4, 4):
-        masks = mask_complex(u, chosen)
-        used = bit_indices(reduce(lambda x, y: x | y, masks.masks))
-        table = homology._relative_table(masks)
-        relabeled = {d: sorted(sum(1 << used.index(v) for v in bit_indices(f)) for f in cells)
-                     for d, cells in table.items()}
-        assert homology._type_cells(type_complex(u, chosen)) == relabeled
-        checked += 1
-        cones += reduce(and_, masks.masks) != 0
-    assert (checked, cones) == (886, 104)
+def test_the_type_complexes_of_large_specs_are_ranked_by_the_formula(monkeypatch, cold_caches):
+    # Past the vertex cap, 17 <= n + m <= 120: Reisner's and Duval's
+    # checks on the type complexes of 300 seeded random specs and of
+    # CI's 60 + 60 spec agree with the closed forms, with no cell listed
+    # and no map eliminated
+    from check_large_fast import random_specs
+    from mixedprod import normalize, products
+    specs = [*random_specs(300), normalize(VariableUniverse(60, 60), [(1, 40), (20, 20), (45, 3)])]
+    type_complexes = []
+    for spec in specs:
+        n, m = spec.universe.n, spec.universe.m
+        types = kernels.transversal_types(spec.summands, n, m)
+        type_complexes.append((n, m, tuple((n - a, m - b) for a, b in reversed(types))))
+    refuse_elimination(monkeypatch)
+    seen = set()
+    for spec, c in zip(specs, type_complexes):
+        cm, scm = reisner_cm(c)[0], duval_scm(c)[0]
+        assert (cm, scm) == (products.is_cm_closed_form(spec).holds,
+                             products.is_scm_closed_form(spec).holds), spec
+        seen.add((cm, scm))
+    assert seen == {(True, True), (False, True), (False, False)}
+    assert (reisner_cm(type_complexes[-1])[0], duval_scm(type_complexes[-1])[0]) == (False, False)
 
 
 def _has_a_size_gap(c):

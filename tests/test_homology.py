@@ -242,7 +242,7 @@ def _random_complex(rng):
     return complex_on(n, facets)
 
 
-def test_a_signature_ranks_each_map_once(monkeypatch, cold_caches):
+def test_a_signature_is_ranked_once_and_eliminates_no_map(monkeypatch, cold_caches):
     # The maps eliminated, by row count.  RP2's relative del_1 and del_2
     # have 5 rows each (see above).  A mask complex is not cached: every
     # call eliminates both maps again.
@@ -254,21 +254,24 @@ def test_a_signature_ranks_each_map_once(monkeypatch, cold_caches):
         assert reduced_homology_ranks(c) == {-1: 0, 0: 0, 1: 0, 2: 0}
     assert calls == [5, 5, 5, 5]
     assert homology._ranks_cache == {}
-    # The x-edge and the two triangles x_i y1 y2, a circle: its relative
-    # del_1 has 2 rows and del_2 one.  The first call on the signature
-    # eliminates each map once; the second is answered from the cache.
+    # The x-edge and the two triangles x_i y1 y2, a circle: its one class
+    # is the inner corner (1, 0) of the facet types (1, 2), (2, 0).  The
+    # first call ranks the signature by the hook formula, one cache
+    # entry, and eliminates no map; the second is answered from the cache.
     calls.clear()
+    ranked = []
+    hook_ranks = homology._hook_ranks
+    monkeypatch.setattr(homology, "_hook_ranks", lambda c: ranked.append(c) or hook_ranks(c))
     signature = (2, 2, ((1, 2), (2, 0)))
     assert reduced_homology_ranks(signature) == {-1: 0, 0: 0, 1: 1, 2: 0}
-    assert calls == [2, 1]
     assert reduced_homology_ranks(signature) == {-1: 0, 0: 0, 1: 1, 2: 0}
-    assert calls == [2, 1]
+    assert ranked == [signature] and calls == []
     assert homology._ranks_cache == {signature: {-1: 0, 0: 0, 1: 1, 2: 0}}
 
 
-def test_a_warm_signature_builds_no_type_cells(monkeypatch, cold_caches):
-    # a type complex ranked before is answered from the cache: its cells
-    # are not listed and the tuple is not checked again
+def test_a_warm_signature_is_not_ranked_or_checked_again(monkeypatch, cold_caches):
+    # a type complex ranked before is answered from the cache: the hook
+    # formula is not applied and the tuple is not checked again
     from test_complexes import mask_complex
     edges = [{x, y} for x in range(3) for y in range(3, 6)]
     u = VariableUniverse(3, 3)
@@ -276,9 +279,9 @@ def test_a_warm_signature_builds_no_type_cells(monkeypatch, cold_caches):
     assert reduced_homology_ranks((3, 3, ((1, 1),))) == {-1: 0, 0: 0, 1: 4}    # K_{3,3}: 9 - 6 + 1 cycles
 
     def refuse(c):
-        raise AssertionError("a cached type complex listed or checked again")
+        raise AssertionError("a cached type complex ranked or checked again")
 
-    monkeypatch.setattr(homology, "_type_cells", refuse)
+    monkeypatch.setattr(homology, "_hook_ranks", refuse)
     monkeypatch.setattr(homology, "_check_type_complex", refuse)
     assert reduced_homology_ranks((3, 3, ((1, 1),))) == {-1: 0, 0: 0, 1: 4}
 

@@ -217,20 +217,23 @@ def test_a_full_check_of_an_invariant_spec_builds_no_face_table(monkeypatch, col
 
 def test_a_second_full_check_of_a_spec_walks_and_ranks_nothing(monkeypatch, cold_caches):
     # Reisner's and Duval's checks ask each type complex at its empty
-    # face alone, and the rank cache keeps its ranks: checking a spec
-    # again walks no face and ranks no signature
-    from mixedprod import complexes, homology
+    # face alone, ranked by the hook formula, and the rank cache keeps
+    # its ranks: checking a spec eliminates no map, and checking it
+    # again walks no face and ranks no signature.  (The shelling checks
+    # of the SCM specs list their primes, so list_types is not refused.)
+    from mixedprod import complexes, homology, kernels
     specs = [normalize(VariableUniverse(3, 3), [(1, 2), (2, 1)]),   # neither CM nor SCM
              normalize(VariableUniverse(3, 3), [(1, 3)]),           # SCM, not CM
              normalize(VariableUniverse(3, 4), [(3, 4)])]           # CM
-    first = [check_spec(spec, "full") for spec in specs]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a face walked or a signature ranked again")
+        raise AssertionError("a map eliminated, a face walked or a signature ranked again")
 
-    monkeypatch.setattr(complexes, "_walk", refuse)
     monkeypatch.setattr(homology, "_ranks", refuse)
-    monkeypatch.setattr(homology, "_type_cells", refuse)
+    monkeypatch.setattr(kernels, "rank_int", refuse)
+    first = [check_spec(spec, "full") for spec in specs]
+    monkeypatch.setattr(complexes, "_walk", refuse)
+    monkeypatch.setattr(homology, "_hook_ranks", refuse)
     assert [check_spec(spec, "full") for spec in specs] == first
     verdicts = {(r["oracle"]["cm_reisner"], r["oracle"]["scm_duval"]) for r in first}
     assert verdicts == {(False, False), (False, True), (True, True)}
