@@ -31,17 +31,15 @@ of type (a, b) lies in exactly the facets of the types (A, B) in T with
 A >= a and B >= b, so its link is, up to an order-preserving relabel
 of the vertices, the type complex
 (n - a, m - b, {(A - a, B - b) : (A, B) in T, A >= a, B >= b}).
-Duval's facet cut c_l (below) is (n, m, {t in T : |t| >= l}).
-``_signature`` normalizes a type complex to (n', m', sorted types), n'
-being 0 when no type holds an x (m' likewise), its rank-cache key.  On
-a type complex each check is one homology query at the empty face,
-whose link is the complex itself: ``reisner_cm`` asks K below dim K,
-``duval_scm`` each c_l below l - 1, and a failure's witness is the
-empty face, first in ``all_faces`` order, with K's least failing
-degree.  By the lemma below no other face can fail first, so no link
-is walked and no mask complex or face table is built.  A
-``SimplicialComplex`` has every face checked on its masks, from the
-definitions (``_walk``).
+Duval's facet cut c_l (below) is (n, m, {t in T : |t| >= l}).  On a
+type complex each check reads the hook formula's terms at the empty
+face, whose link is the complex itself (``homology.least_class``):
+``reisner_cm`` asks K below dim K, ``duval_scm`` each c_l below l - 1,
+and a failure's witness is the empty face, first in ``all_faces``
+order, with K's least failing degree.  By the lemma below no other face
+can fail first, so no link is walked, no mask complex or face table is
+built and no binomial is computed.  A ``SimplicialComplex`` has every
+face checked on its masks, from the definitions (``_walk``).
 
 Lemma.  Let K be a type complex, and check the link of each face F
 either below its own dimension (Reisner's bound) or below d - |F| for
@@ -86,7 +84,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .homology import _check_type_complex, _faces_by_dim, reduced_homology_ranks
+from .homology import _check_type_complex, _faces_by_dim, least_class, reduced_homology_ranks
 from .ideals import DomainError, InvalidInput, VariableUniverse, vertex_lists
 from .kernels import bit_indices
 
@@ -286,14 +284,8 @@ def find_shelling(c: SimplicialComplex, cap: int = SHELLING_FACET_CAP) -> Shelli
     return ShellingResult("shellable", tuple(facets[i] for i in found))
 
 
-def _signature(n, m, types) -> tuple:
-    """The type signature (n', m', sorted types) of the type complex with facet types ``types``."""
-    return (n if any(a for a, _ in types) else 0, m if any(b for _, b in types) else 0,
-            tuple(sorted(types)))
-
-
 def _failing_degree(lk, below: int) -> Optional[int]:
-    """The least i < below with H~_i(lk) nonzero, or None; ``lk`` is a complex or a signature."""
+    """The least i < below with H~_i(lk) nonzero, or None, for a link ``lk`` of a complex."""
     if below <= 0:
         return None     # nothing below dim 0 but H~_{-1}, which vanishes off the [set()] complex
     ranks = reduced_homology_ranks(lk)
@@ -334,7 +326,7 @@ def reisner_cm(c):
     """
     if type(c) is tuple:
         _check_type_complex(c)
-        i = _failing_degree(_signature(*c), max(a + b for a, b in c[2]) - 1)
+        i = least_class(c, max(a + b for a, b in c[2]) - 1)
         return (True, None) if i is None else (False, ([], i))
     for _, face, lk, below in _walk(c):
         i = _failing_degree(lk, below)
@@ -362,16 +354,25 @@ def duval_scm(c):
     about.  So L is checked in the degrees below j and no skeleton is
     built.  On a type complex, c_l is the facet types of size >= l, its
     smallest facet dimension is >= l - 1, and by the lemma in the module
-    docstring it fails, if at all, at the empty face: each level is one
-    query of c_l's signature below l - 1, its witness (l, ([], i)).
+    docstring it fails, if at all, at the empty face, its witness
+    (l, ([], i)), i its least class below l - 1.  Nor is every level
+    asked.  Let prev < s be neighbouring facet sizes of T (prev = 1
+    before the least one).  For l in (prev, s], c_l is the one cut of
+    the types of size >= s; its facet terms lie in degrees >= s - 1 >=
+    l - 1, so they never fail, and its degrees below l - 1 grow with l.
+    So it fails in that run iff its least class i below s - 1 exists,
+    first at l = max(prev + 1, i + 2), the least l > prev with
+    i < l - 1.  The runs cover l = 2..dim c + 1: O(|T|^2) at any n.
     """
     if type(c) is tuple:
         _check_type_complex(c)
-        n, m, types = c
-        for l in range(2, max(a + b for a, b in types) + 1):
-            i = _failing_degree(_signature(n, m, [t for t in types if t[0] + t[1] >= l]), l - 1)
+        n, m, types = c[0], c[1], sorted(c[2])     # each cut sorted, so re-sorting it is linear
+        prev = 1
+        for s in sorted({a + b for a, b in types}):
+            i = least_class((n, m, tuple(t for t in types if t[0] + t[1] >= s)), s - 1)
             if i is not None:
-                return False, (l, ([], i))
+                return False, (max(prev + 1, i + 2), ([], i))
+            prev = s
         return True, None
     for l, face, lk, below in _walk(c, skeleta=True):
         i = _failing_degree(lk, below)

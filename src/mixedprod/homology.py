@@ -73,16 +73,11 @@ inward, at (k, l) = (A_i, B_{i+1}): an inner-corner term.  A block of
 size 0 gives pieces with the one cell type 0 there, and the same
 reading gives its facet term with no condition from that block.
 
-The ranks of a type complex are cached, keyed by the tuple as given
-(``complexes`` normalizes each complex it asks about, a spec's complex
-or one of its facet cuts, to its signature first), and only a miss
-checks the tuple (``_check_type_complex``), which must be ints and int
-pairs in tuples, so that it hashes: a list for T is refused with
-InvalidInput, as by Reisner's and Duval's checks.  Two tuples are keyed
-apart even when their complexes are isomorphic (the k-skeleton of one
-simplex read with two block splits): a miss more, never a wrong rank.
-A ``SimplicialComplex`` is ranked from its own relative table every
-time.
+The formula is written once, as its terms (``_hook_terms``), and read
+two ways: ``reduced_homology_ranks`` adds them up, and Reisner's and
+Duval's checks ask only which are nonzero (``least_class``, no binomial,
+at any n and m).  Each public call checks its tuple once, before any
+term is read (``_check_type_complex``).  Nothing is cached.
 """
 
 from __future__ import annotations
@@ -90,12 +85,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import Optional
 
 from . import kernels
 from .ideals import InvalidInput
-
-# type complex (n, m, T) -> {d: rank H~_d} for d = -1..dim
-_ranks_cache: dict = {}
 
 
 @dataclass(frozen=True)
@@ -189,11 +182,7 @@ def _relative_table(c) -> dict[int, list[int]]:
 
 
 def _check_type_complex(c) -> None:
-    """Raise InvalidInput unless c = (n, m, T) with T a nonempty antichain in 0..n x 0..m.
-
-    n and m are ints and T a tuple of (a, b) int pairs: the value is
-    hashable, as the rank cache keys on it.
-    """
+    """Raise InvalidInput unless c = (n, m, T), int tuples, T a nonempty antichain in range."""
     if not (len(c) == 3 and type(c[0]) is int and type(c[1]) is int and type(c[2]) is tuple
             and all(type(t) is tuple and len(t) == 2 and type(t[0]) is int and type(t[1]) is int
                     for t in c[2])):
@@ -207,21 +196,37 @@ def _check_type_complex(c) -> None:
                            f"antichain of (a, b) with 0 <= a <= {n} and 0 <= b <= {m}")
 
 
-def _hook_ranks(c) -> dict[int, int]:
-    """d -> rank H~_d for d = -1..dim of a type complex (n, m, T), by the hook formula.
+def _hook_terms(c):
+    """(degree, a, b) for each term, C(n-1, a) C(m-1, b) classes, of a type complex's hook formula.
 
-    One facet term per type and one inner-corner term per pair of
-    neighbours in x-count order (module docstring).
+    A facet term per type, and an inner corner per pair of neighbours in x-count order.
     """
+    types = sorted(c[2])
+    for a, b in types:
+        yield a + b - 1, a, b
+    for (a, _), (_, b) in zip(types, types[1:]):
+        yield a + b, a, b
+
+
+def _hook_ranks(c) -> dict[int, int]:
+    """d -> rank H~_d for d = -1..dim of a type complex (n, m, T): its terms added up."""
     n, m, types = c
     x, y = max(n - 1, 0), max(m - 1, 0)     # a block of size 0 gives C(0, 0) = 1
-    types = sorted(types)
     ranks = dict.fromkeys(range(-1, max(a + b for a, b in types)), 0)
-    for a, b in types:
-        ranks[a + b - 1] += comb(x, a) * comb(y, b)
-    for (a, _), (_, b) in zip(types, types[1:]):
-        ranks[a + b] += comb(x, a) * comb(y, b)
+    for d, a, b in _hook_terms(c):
+        ranks[d] += comb(x, a) * comb(y, b)
     return ranks
+
+
+def least_class(c, below: int) -> Optional[int]:
+    """The least degree i < below with H~_i nonzero, of a checked type complex (n, m, T), or None.
+
+    A rank is a sum of terms, and C(n-1, a) C(m-1, b) is nonzero iff
+    a <= n - 1 and b <= m - 1 (n - 1 read as 0 for a block of size 0).
+    """
+    n, m, _ = c
+    x, y = max(n - 1, 0), max(m - 1, 0)
+    return min((d for d, a, b in _hook_terms(c) if d < below and a <= x and b <= y), default=None)
 
 
 def _ranks(table) -> dict[int, int]:
@@ -243,16 +248,10 @@ def reduced_homology_ranks(c) -> dict[int, int]:
 
     ``c`` is a complex or a type complex (n, m, facet types).  A
     complex has rank H~_d = rank H_d(c, st v), with v the lowest used
-    vertex; a type complex is ranked by the hook formula, and cached.
+    vertex; a type complex is checked and ranked by the hook formula.
     The (-1)-st rank is 1 for the [set()] complex and 0 otherwise.
     """
     if type(c) is not tuple:
         return _ranks(_relative_table(c))
-    try:
-        ranks = _ranks_cache.get(c)
-    except TypeError:   # an unhashable part: no type complex, refused below
-        ranks = None
-    if ranks is None:
-        _check_type_complex(c)
-        ranks = _ranks_cache[c] = _hook_ranks(c)
-    return dict(ranks)
+    _check_type_complex(c)
+    return _hook_ranks(c)

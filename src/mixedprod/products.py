@@ -28,9 +28,9 @@ One budget, ``GENERATOR_CAP``, bounds the listings:
 ``check_generator_count`` counts the generators ``generator_sets``
 would build, and ``check_listing_size`` the variables that
 ``dual --expand``, ``decompose`` and ``facets`` would print.  In
-``sweep.check_spec`` the vertex cap alone gates the checks that list
-the facets: within it the dual's generators, one per facet, stay under
-``GENERATOR_CAP``.
+``sweep.check_spec`` the vertex cap alone gates the shelling checks,
+the only ones that list the facets: within it the dual's generators,
+one per facet, stay under ``GENERATOR_CAP``.
 """
 
 from __future__ import annotations

@@ -12,11 +12,11 @@ each closed-form statement is compared against an independent oracle:
   - the primary decomposition against the prime types, each group's
     types against the blocks they meet,
   - the CM verdict against purity + strong connectivity (fast) and
-    against Reisner's criterion (full), on the type complex one
-    homology query at its empty face, read off the facet types by the
-    hook formula (``homology``), with no link and no elimination,
+    against Reisner's criterion (full), on the type complex read at its
+    empty face off the terms of the hook formula (``homology``), with no
+    link, no elimination and no binomial, at any size,
   - the sequential-CM verdict against the pure-skeleton test (Duval's,
-    one such query per facet cut),
+    the same reading once per facet size),
   - the unmixedness verdict against equal component sizes,
   - the facet partition block by block against the facet types, the
     complements of the prime types,
@@ -30,12 +30,12 @@ each closed-form statement is compared against an independent oracle:
 ``kernels.list_types`` is one-to-one on type antichains, so a listing
 of the closed form equals the oracle's exactly when their types do:
 the first six checks compare types, at any size.  Reisner's and
-Duval's checks take the type complex (n, m, facet types) too.  Only the
-shelling checks list the facets, as bitmasks, and the vertex cap
-(``VERTEX_CAP``, 16) keeps them and the homology checks off larger
-specs.  Within it the facets, an antichain of subsets of at most 16
-vertices, number at most C(16, 8) = 12,870 (Sperner), so no generator
-count gates the listing.  Mismatch records give types.
+Duval's checks take the type complex (n, m, facet types), at any size
+too.  Only the shelling checks list the facets, as bitmasks, and the
+vertex cap (``VERTEX_CAP``, 16) keeps them off larger specs.  Within it
+the facets, an antichain of subsets of at most 16 vertices, number at
+most C(16, 8) = 12,870 (Sperner), so no generator count gates the
+listing.  Mismatch records give types.
 
 One helper in ``check_spec`` records each check's outcome: any
 disagreement as a mismatch, and for an oracle check its entry in the
@@ -59,10 +59,10 @@ from itertools import combinations
 from . import complexes, ideals, kernels, products
 from .products import MixedProductSpec
 
-# The shelling checks list facets, subsets of the n + m vertices, and the
-# homology checks are capped with them: check_spec skips them above this
-# many vertices.  Past 19, C(cap, cap // 2) facets would exceed
-# products.GENERATOR_CAP, and the listing would need a generator gate.
+# The shelling checks list facets, subsets of the n + m vertices:
+# check_spec skips them above this many vertices.  Past 19,
+# C(cap, cap // 2) facets would exceed products.GENERATOR_CAP, and the
+# listing would need a generator gate.
 VERTEX_CAP = 16
 # The skip reason of the shelling search past complexes.SHELLING_FACET_CAP facets.
 FACET_CAP_SKIP = f"shellable (facet cap {complexes.SHELLING_FACET_CAP})"
@@ -134,10 +134,10 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
 
     Returns a record with the closed-form verdicts and the lists of
     mismatches and skipped (capped) oracle checks.  The checks on types
-    run at any size; the shelling and homology checks are skipped with
-    the reason "vertex cap" above ``VERTEX_CAP`` vertices, and the
-    shelling search above ``complexes.SHELLING_FACET_CAP`` facets, a skip
-    that only ``skip_reasons`` lists.  An oracle level outside
+    and the homology checks run at any size; the shelling checks are
+    skipped with the reason "vertex cap" above ``VERTEX_CAP`` vertices,
+    and the shelling search above ``complexes.SHELLING_FACET_CAP``
+    facets, a skip that only ``skip_reasons`` lists.  An oracle level outside
     ``ORACLE_LEVELS`` raises InvalidInput.
     """
     _check_level(oracle_level)
@@ -212,30 +212,30 @@ def check_spec(spec: MixedProductSpec, oracle_level: str = "fast",
         check("intersection_bound", *_intersection_bound(profile, facet_types))
         check("cm_strongly_connected", _strongly_connected(facet_types), cm.witness, closed=cm)
 
-        # the checks left are capped as facet listings, one facet per prime,
-        # a generator of the dual; the shelling checks alone list them
+        # the shelling checks alone list the facets, one per prime, a
+        # generator of the dual, and are capped as listings
         full = oracle_level == "full"
-        listing = scm.holds or full
+        listing = scm.holds or full and cm.holds
         if listing and universe.size > VERTEX_CAP:
             skipped.append({"spec": spec_as_dict(spec), "reason": "vertex cap"})
-        elif listing:
-            if scm.holds or full and cm.holds:
-                complex_ = ideals.complex_of_primes(universe, kernels.list_types(prime_types, n, m))
-            if scm.holds:
-                order = products.shell_blocks(profile.sigma, products.facet_partition(spec))
-                try:
-                    ok, witness = complexes.verify_shelling_order(complex_, order)
-                except ideals.InvalidInput as exc:  # not a permutation of the facets
-                    ok, witness = False, str(exc)
-                check("shelling_order", ok, witness, closed=True, found=False)
+            listing = False
+        if listing:
+            complex_ = ideals.complex_of_primes(universe, kernels.list_types(prime_types, n, m))
+        if listing and scm.holds:
+            order = products.shell_blocks(profile.sigma, products.facet_partition(spec))
+            try:
+                ok, witness = complexes.verify_shelling_order(complex_, order)
+            except ideals.InvalidInput as exc:  # not a permutation of the facets
+                ok, witness = False, str(exc)
+            check("shelling_order", ok, witness, closed=True, found=False)
 
-            if full:
-                type_complex = (n, m, tuple(facet_types))
-                check("cm_reisner", *complexes.reisner_cm(type_complex), closed=cm)
-                check("scm_duval", *complexes.duval_scm(type_complex), closed=scm)
-                if cm.holds and len(complex_.masks) <= complexes.SHELLING_FACET_CAP:
-                    status = complexes.find_shelling(complex_).status
-                    check("shellable", status == "shellable", closed=True, found=status)
+        if full:
+            type_complex = (n, m, tuple(facet_types))
+            check("cm_reisner", *complexes.reisner_cm(type_complex), closed=cm)
+            check("scm_duval", *complexes.duval_scm(type_complex), closed=scm)
+            if listing and cm.holds and len(complex_.masks) <= complexes.SHELLING_FACET_CAP:
+                status = complexes.find_shelling(complex_).status
+                check("shellable", status == "shellable", closed=True, found=status)
 
     return {
         "spec": spec_as_dict(spec),

@@ -9,17 +9,10 @@ antichains.
 For each antichain T of types (a, b) over n x's and m y's, Reisner's
 check, Duval's check and ``reduced_homology_ranks`` run on the type
 complex (n, m, T) as given, raw: a block that no type uses keeps its
-size, so the rank cache sees it unnormalized.  They run again on the
-complex whose facets are every set of each type in T, built as the
-sweep builds it for the shelling checks, by ``ideals.complex_of_primes``
-from the listed primes of the types (n - a, m - b), and the two must
-agree, witnesses included.
-
-The type path runs twice.  First each complex starts cold: the rank
-cache is emptied before it, and what it fills is kept aside.  Then
-every complex runs again with the cache holding all that the first
-pass kept, so each answer also comes from ranks that other complexes'
-checks made, in another order, and must be the same.
+size.  They run again on the complex whose facets are every set of each
+type in T, built as the sweep builds it for the shelling checks, by
+``ideals.complex_of_primes`` from the listed primes of the types
+(n - a, m - b), and the two must agree, witnesses included.
 
 Last, the empty-face lemma of ``complexes``: walked over every face
 type, at Reisner's bound and at every bound d from 1 to the smallest
@@ -38,7 +31,7 @@ comparisons for n, m <= 4.
 
 import sys
 
-from mixedprod import complexes, duval_scm, homology, reduced_homology_ranks, reisner_cm
+from mixedprod import complexes, duval_scm, reduced_homology_ranks, reisner_cm
 from mixedprod.ideals import complex_of_primes
 from mixedprod.kernels import list_types
 from test_complexes import _face_type_walk, type_antichains
@@ -48,29 +41,19 @@ CHECKS = (("reisner_cm", reisner_cm), ("duval_scm", duval_scm),
 
 
 def main(bound):
-    filled, answers = {}, []
+    answers = []
     for u, chosen in type_antichains(bound, bound):
         prime_types = [(u.n - a, u.m - b) for a, b in chosen]
         masks = complex_of_primes(u, list_types(prime_types, u.n, u.m))
         c = (u.n, u.m, chosen)
-        homology._ranks_cache.clear()
-        cold = [check(c) for _, check in CHECKS]
-        filled.update(homology._ranks_cache)
-        for (name, check), by_type in zip(CHECKS, cold):
+        by_types = [check(c) for _, check in CHECKS]
+        for (name, check), by_type in zip(CHECKS, by_types):
             by_mask = check(masks)
             if by_type != by_mask:
                 print(f"{name} on {u.n}+{u.m} types {list(chosen)}: "
-                      f"type path {by_type!r} on a cold rank cache, mask path {by_mask!r}")
+                      f"type path {by_type!r}, mask path {by_mask!r}")
                 return 1
-        answers.append((c, cold))
-    homology._ranks_cache.update(filled)
-    for c, cold in answers:
-        for (name, check), by_cold in zip(CHECKS, cold):
-            by_warm = check(c)
-            if by_warm != by_cold:
-                print(f"{name} on {c!r}: {by_warm!r} after the whole pass, "
-                      f"{by_cold!r} on a cold rank cache")
-                return 1
+        answers.append((c, by_types))
     bounds = 0
     for c, (cm, _, _) in answers:
         for d in [None, *range(1, min(a + b for a, b in c[2]))]:
@@ -84,8 +67,8 @@ def main(bound):
                 return 1
             bounds += 1
     print(f"{len(answers)} type antichains with n, m <= {bound}: "
-          "Reisner, Duval and the reduced homology ranks agree on the raw type complex, "
-          "on a cold rank cache and after the whole pass, and on its listed facets; "
+          "Reisner, Duval and the reduced homology ranks agree on the raw type complex "
+          "and on its listed facets; "
           f"at {bounds} bounds each fails first at its empty face or not at all")
     return 0
 

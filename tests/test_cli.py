@@ -219,20 +219,23 @@ def test_out_of_range_options_are_one_line_errors(capsys, argv):
 
 
 def test_classify_reports_skipped_oracle(capsys):
-    # the checks on types run at any size; the vertex cap skips the rest
-    # on these 17 vertices
-    argv = ["classify", "--n", "9", "--m", "8", "--pairs", "1:1", "--oracle", "full"]
+    # the checks on types and the homology checks run at any size; on
+    # these 17 vertices the vertex cap skips the shelling checks of a CM spec
+    argv = ["classify", "--n", "9", "--m", "8", "--pairs", "9:8", "--oracle", "full"]
     code, out, _ = run(capsys, *argv, "--json")
     payload = json.loads(out)
-    type_checks = set(ORACLE_CHECKS["fast"]) - {"shelling_order"}
-    assert code == 0 and set(payload["oracle"]) == type_checks
-    assert payload["skipped"] == ["vertex cap"]
+    ran = set(ORACLE_CHECKS["full"]) - {"shelling_order", "shellable"}
+    assert code == 0 and set(payload["oracle"]) == ran
+    assert payload["verdicts"]["cohen_macaulay"] and payload["skipped"] == ["vertex cap"]
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out.splitlines()[5:] == [
-        f"oracle {name}: {str(payload['oracle'][name]).lower()}" for name in sorted(type_checks)
+        f"oracle {name}: {str(payload['oracle'][name]).lower()}" for name in sorted(ran)
     ] + ["oracle skipped: vertex cap"]
     _, out, _ = run(capsys, *argv[:-2], "--json")
     assert json.loads(out)["oracle"] is None and json.loads(out)["skipped"] == []
+    # a spec neither CM nor sequentially CM has no shelling check to skip
+    _, out, _ = run(capsys, *argv[:6], "1:1", *argv[7:], "--json")
+    assert set(json.loads(out)["oracle"]) == ran and json.loads(out)["skipped"] == []
 
 
 def test_caps_only_on_commands_that_read_them(capsys):
@@ -326,13 +329,14 @@ def test_sweep_reports_oracle_coverage(capsys):
         "scm_duval 842 of 842 specs",
         "shellable 215 of 326 CM specs (facet cap 10)",
     ]
-    # and past 16 vertices, the vertex cap keeps the checks that list facets off
+    # and past 16 vertices, the vertex cap keeps the checks that list
+    # facets off, and the homology checks run
     specs = [normalize(VariableUniverse(n, m), [(n, m)]) for n, m in ((9, 8), (4, 4))]
     records = [check_spec(spec, "full") for spec in specs]
     assert oracle_coverage(SweepConfig(9, 8, 1, "full"), records)[-4:] == [
         "shelling_order 1 of 2 SCM specs (vertex cap 16)",
-        "cm_reisner 1 of 2 specs (vertex cap 16)",
-        "scm_duval 1 of 2 specs (vertex cap 16)",
+        "cm_reisner 2 of 2 specs",
+        "scm_duval 2 of 2 specs",
         "shellable 1 of 2 CM specs (vertex cap 16)",
     ]
 

@@ -44,20 +44,36 @@ def mask_complex(u, types):
                             for ys in combinations(range(u.n, u.size), b)])
 
 
-def refuse_elimination(monkeypatch):
-    """Make every listing by type and every elimination raise: the type path needs neither.
+def refuse_ranking(monkeypatch):
+    """Make every binomial, listing by type and elimination raise: type complex checks need none.
 
-    ``homology._ranks`` ranks a table of cells, ``kernels.rank_int`` a
-    boundary map and ``kernels.list_types`` lists sets by type; a type
-    complex is ranked by the hook formula alone.
+    ``homology.comb`` sizes a term of the hook formula, ``homology._ranks``
+    ranks a table of cells, ``kernels.rank_int`` a boundary map and
+    ``kernels.list_types`` lists sets by type; Reisner's and Duval's
+    checks read only which terms of the hook formula are nonzero.
     """
     from mixedprod import homology
 
     def refuse(*args):
-        raise AssertionError("a cell listed or a map eliminated on the type path")
+        raise AssertionError("a binomial computed, a cell listed or a map eliminated")
 
-    for module, name in ((homology, "_ranks"), (kernels, "rank_int"), (kernels, "list_types")):
+    for module, name in ((homology, "comb"), (homology, "_ranks"), (kernels, "rank_int"),
+                         (kernels, "list_types")):
         monkeypatch.setattr(module, name, refuse)
+
+
+def count_type_checks(monkeypatch):
+    """The list of the type complexes checked from now on, one entry per check."""
+    from mixedprod import complexes, homology
+    checked, real = [], homology._check_type_complex
+
+    def check(c):
+        checked.append(c)
+        real(c)
+
+    for module in (complexes, homology):
+        monkeypatch.setattr(module, "_check_type_complex", check)
+    return checked
 
 
 EMPTYC = complex_on(2, [set()])
@@ -477,61 +493,68 @@ def test_orbit_reduction_on_stanley_reisner_complexes():
     assert failing > 10
 
 
-def test_one_block_symmetry_checks_every_face(monkeypatch, cold_caches):
+def test_one_block_symmetry_checks_every_face(monkeypatch):
     # A complex has every face linked.  A type complex is checked at its
-    # empty face alone: a cold check ranks its one signature by the hook
-    # formula, one cache entry, and builds no mask link, lists no cell
-    # and eliminates no map; a warm check ranks nothing.
+    # empty face alone, once per call: it is validated once and read off
+    # the hook formula's terms, with no mask link, no rank, no binomial,
+    # no cell listed and no map eliminated.
     from mixedprod import complexes, homology
     c = make_complex(VariableUniverse(3, 2), [{0, 1, 2, 3}])   # y2 is absent
     seen, ranked = [], []
     real, real_hook_ranks = complexes.link, homology._hook_ranks
     monkeypatch.setattr(complexes, "link", lambda cx, f: seen.append(f) or real(cx, f))
     monkeypatch.setattr(homology, "_hook_ranks",
-                        lambda sig: ranked.append(sig) or real_hook_ranks(sig))
+                        lambda c: ranked.append(c) or real_hook_ranks(c))
     assert reisner_cm(c) == (True, None)
     assert seen == all_faces(c) and len(seen) == 16 and ranked == []
     seen.clear()
     full = type_complex(VariableUniverse(3, 2), [(3, 2)])
     assert mask_complex(VariableUniverse(3, 2), [(3, 2)]).masks == (0b11111,)
-    refuse_elimination(monkeypatch)
+    refuse_ranking(monkeypatch)
+    checked = count_type_checks(monkeypatch)
     assert reisner_cm(full) == (True, None)
-    assert seen == [] and ranked == [full] and list(homology._ranks_cache) == [full]
-    ranked.clear()
-    assert reisner_cm(full) == (True, None) and ranked == []     # warm: one lookup
+    assert reisner_cm(full) == (True, None)
+    assert seen == [] and ranked == [] and checked == [full, full]
 
 
-def test_one_symmetry_check_per_complex(monkeypatch, cold_caches):
+def test_one_symmetry_check_per_complex(monkeypatch):
     # No facet set is tested for S_n x S_m invariance: Reisner's and
     # Duval's checks at full get the type complex (n, m, facet types), the
     # complemented prime types.  The spec is neither sequentially CM nor
-    # CM, so no prime is listed and no complex is built; and the type
-    # complex is ranked by the hook formula, so nothing is listed by type
-    # and no map is eliminated.  The rank cache holds one entry per
-    # signature asked: the complex (Reisner's, and Duval's level 2) and
-    # its facet cut at level 3.
-    from mixedprod import complexes, expand_generators, homology, ideals, normalize
+    # CM, so no prime is listed and no complex is built; and each check
+    # validates the type complex once and reads its terms, so nothing is
+    # listed by type, no binomial is computed and no map is eliminated.
+    # Reisner's reads K below dim K = 2; Duval's reads each facet cut
+    # once, below its smallest size less one: K (sizes 2 and 3) below 1,
+    # then the cut of size 3 below 2, whose inner corner (0, 0) fails at
+    # level 3.
+    from mixedprod import complexes, expand_generators, ideals, normalize
     from mixedprod import stanley_reisner_complex
     from mixedprod.sweep import check_spec
     spec = normalize(VariableUniverse(3, 3), [(1, 2), (2, 1)])
     c = stanley_reisner_complex(expand_generators(spec))
-    held, handed = facet_types(c.masks, 3, 3), []
+    held, handed, read = facet_types(c.masks, 3, 3), [], []
 
     def refuse(*args):
         raise AssertionError("a complex built for the full checks")
 
     monkeypatch.setattr(ideals, "complex_of_primes", refuse)
-    refuse_elimination(monkeypatch)
+    refuse_ranking(monkeypatch)
+    checked = count_type_checks(monkeypatch)
     for name in ("reisner_cm", "duval_scm"):
         monkeypatch.setattr(complexes, name, lambda c, check=getattr(complexes, name):
                             handed.append(c) or check(c))
+    least_class = complexes.least_class
+    monkeypatch.setattr(complexes, "least_class",
+                        lambda c, below: read.append((c, below)) or least_class(c, below))
     record = check_spec(spec, "full")
     assert {"cm_reisner", "scm_duval"} <= record["oracle"].keys()
     assert "shelling_order" not in record["oracle"] and not record["verdicts"]["cohen_macaulay"]
     assert record["mismatches"] == []
-    assert handed == [(3, 3, ((0, 3), (1, 1), (3, 0)))] * 2
-    assert list(homology._ranks_cache) == [(3, 3, ((0, 3), (1, 1), (3, 0))),
-                                           (3, 3, ((0, 3), (3, 0)))]
+    k = (3, 3, ((0, 3), (1, 1), (3, 0)))
+    assert handed == checked == [k, k]
+    assert read == [(k, 2), (k, 1), ((3, 3, ((0, 3), (3, 0))), 2)]
+    assert complexes.duval_scm(k) == (False, (3, ([], 0)))
     # the facet types handed on are the ones the Stanley-Reisner complex holds
     assert list(handed[0][2]) == held
 
@@ -570,12 +593,11 @@ def type_antichains(max_n, max_m):
                     yield u, chosen
 
 
-def test_the_type_path_matches_the_mask_path(cold_caches):
+def test_the_type_path_matches_the_mask_path():
     # Every type complex (n, m, T) with n, m <= 4, as given, an unused
     # block included: its ranks and Reisner's and Duval's verdicts and
     # witnesses, type path against mask path.  The mask path ranks the
-    # complex from its own relative table, without the rank cache the
-    # type path fills.
+    # complex from its own relative table.
     counts = {"checked": 0, "not_cm": 0, "not_scm": 0, "homology": 0, "unused_block": 0}
     for u, chosen in type_antichains(4, 4):
         c, reference = type_complex(u, chosen), mask_complex(u, chosen)
@@ -600,41 +622,36 @@ def test_the_type_path_matches_the_mask_path(cold_caches):
                       "unused_block": 104}
 
 
-def test_a_cold_and_a_warm_rank_cache_give_the_mask_path_answers(monkeypatch):
-    # Every type complex with n, m <= 4, first with the rank cache
-    # emptied for it alone, then with it holding every entry that pass
-    # made: the answers, witnesses included, are those of the mask path
-    # either way, so a cache entry does not depend on the complex whose
-    # check made it.  Cold, each check ranks by the hook formula, one
-    # cache entry per signature, with no cell listed and no map
-    # eliminated; warm, it ranks nothing.
+def test_the_type_checks_validate_once_and_compute_no_binomial(monkeypatch):
+    # Every type complex with n, m <= 4: Reisner's and Duval's answers,
+    # witnesses included, are those of the mask path, and each call
+    # validates its type complex once and reads the hook formula's terms
+    # alone, with no binomial, no rank, no cell listed and no map
+    # eliminated.  Reisner's reads K once, and Duval's each facet cut
+    # once at most, one per facet size up to the first that fails.
     from mixedprod import complexes, homology
     answers = [(type_complex(u, chosen), (reisner_cm(masks), duval_scm(masks)))
                for u, chosen in type_antichains(4, 4) for masks in [mask_complex(u, chosen)]]
-    refuse_elimination(monkeypatch)
-    filled, signatures = {}, 0
-    for c, expected in answers:
-        monkeypatch.setattr(homology, "_ranks_cache", {})
-        assert (reisner_cm(c), duval_scm(c)) == expected
-        # Reisner's asks K below dim K when there is a degree to ask,
-        # and Duval's each c_l below l - 1, up to the first level that
-        # fails: the entries are signatures of K and of its cuts
-        n, m, types = c
-        top = max(a + b for a, b in types)
-        cuts = {complexes._signature(n, m, [t for t in types if t[0] + t[1] >= l])
-                for l in range(2, top + 1)}
-        assert homology._ranks_cache.keys() <= cuts | {complexes._signature(*c)}
-        assert (complexes._signature(*c) in homology._ranks_cache) == (top > 1)
-        signatures += len(homology._ranks_cache)
-        filled.update(homology._ranks_cache)
-    monkeypatch.setattr(homology, "_ranks_cache", filled)
+    refuse_ranking(monkeypatch)
 
     def refuse(*args):
-        raise AssertionError("a signature ranked on a warm rank cache")
+        raise AssertionError("a type complex ranked by its checks")
 
     monkeypatch.setattr(homology, "_hook_ranks", refuse)
-    assert all((reisner_cm(c), duval_scm(c)) == expected for c, expected in answers)
-    assert len(answers) == 886 and len(filled) > 300 and signatures > len(filled)
+    checked, read = count_type_checks(monkeypatch), []
+    least_class = complexes.least_class
+    monkeypatch.setattr(complexes, "least_class",
+                        lambda c, below: read.append(c) or least_class(c, below))
+    reads = 0
+    for c, expected in answers:
+        checked.clear()
+        read.clear()
+        cm = reisner_cm(c)
+        assert read == [c] and checked == [c]
+        assert (cm, duval_scm(c)) == expected
+        assert checked == [c, c] and 1 < len(read) <= 1 + len({a + b for a, b in c[2]})
+        reads += len(read) - 1
+    assert len(answers) == 886 and reads > len(answers)
 
 
 def _face_type_walk(c, d, failing_degree):
@@ -658,7 +675,7 @@ def _face_type_walk(c, d, failing_degree):
     return None
 
 
-def test_a_type_complex_fails_first_at_its_empty_face(cold_caches):
+def test_a_type_complex_fails_first_at_its_empty_face():
     # The lemma in the ``complexes`` docstring: on every type complex
     # with n, m <= 4, at Reisner's bound and at every d from 1 to the
     # smallest facet dimension, the first failing face type of the walk
@@ -687,14 +704,20 @@ def test_a_type_complex_fails_first_at_its_empty_face(cold_caches):
     assert _face_type_walk((1, 2, ((1, 1),)), 2, complexes._failing_degree) == (1, 0, 0)
 
 
-def test_the_homology_of_a_type_complex_is_read_off_its_facet_types(cold_caches):
+def test_the_homology_of_a_type_complex_is_read_off_its_facet_types():
     # The hook formula, which ranks every type complex and which the
     # empty-face lemma's proof rests on, against elimination on the
-    # listed facets, on every type complex with n, m <= 4
+    # listed facets, on every type complex with n, m <= 4; and its
+    # nonzero terms, as the checks read them, give the least nonzero
+    # rank below every bound, up to dim + 1, where a facet term can vanish
+    from mixedprod import homology
     checked = corners = unused = degrees = 0
     for u, chosen in type_antichains(4, 4):
         ranks = reduced_homology_ranks(mask_complex(u, chosen))
         assert reduced_homology_ranks(type_complex(u, chosen)) == ranks, (u, chosen)
+        for below in range(-1, len(ranks)):
+            assert homology.least_class(type_complex(u, chosen), below) == next(
+                (d for d in range(-1, below) if ranks[d]), None), (u, chosen, below)
         checked += 1
         corners += len(chosen) > 1
         unused += not all(map(any, zip(*chosen)))
@@ -702,28 +725,36 @@ def test_the_homology_of_a_type_complex_is_read_off_its_facet_types(cold_caches)
     assert (checked, corners, unused, degrees) == (886, 662, 124, 308)
 
 
-def test_the_type_complexes_of_large_specs_are_ranked_by_the_formula(monkeypatch, cold_caches):
+def test_the_type_complexes_of_large_specs_are_ranked_by_the_formula(monkeypatch):
     # Past the vertex cap, 17 <= n + m <= 120: Reisner's and Duval's
-    # checks on the type complexes of 300 seeded random specs and of
-    # CI's 60 + 60 spec agree with the closed forms, with no cell listed
-    # and no map eliminated
+    # checks on the type complexes of 300 seeded random specs, of CI's
+    # 60 + 60 spec and of its 10^9 + 10^9 spec agree with the closed
+    # forms, with no binomial computed, no cell listed and no map
+    # eliminated.  On 10^9 + 10^9 variables the two checks read a few
+    # terms and take milliseconds.
+    import time
     from check_large_fast import random_specs
     from mixedprod import normalize, products
-    specs = [*random_specs(300), normalize(VariableUniverse(60, 60), [(1, 40), (20, 20), (45, 3)])]
+    huge = normalize(VariableUniverse(10**9, 10**9), [(3, 5), (7, 2)])
+    specs = [*random_specs(300), normalize(VariableUniverse(60, 60), [(1, 40), (20, 20), (45, 3)]),
+             huge]
     type_complexes = []
     for spec in specs:
         n, m = spec.universe.n, spec.universe.m
         types = kernels.transversal_types(spec.summands, n, m)
         type_complexes.append((n, m, tuple((n - a, m - b) for a, b in reversed(types))))
-    refuse_elimination(monkeypatch)
+    refuse_ranking(monkeypatch)
     seen = set()
     for spec, c in zip(specs, type_complexes):
+        start = time.perf_counter()
         cm, scm = reisner_cm(c)[0], duval_scm(c)[0]
+        elapsed = time.perf_counter() - start
         assert (cm, scm) == (products.is_cm_closed_form(spec).holds,
                              products.is_scm_closed_form(spec).holds), spec
         seen.add((cm, scm))
     assert seen == {(True, True), (False, True), (False, False)}
-    assert (reisner_cm(type_complexes[-1])[0], duval_scm(type_complexes[-1])[0]) == (False, False)
+    assert (reisner_cm(type_complexes[-2])[0], duval_scm(type_complexes[-2])[0]) == (False, False)
+    assert (cm, scm) == (False, False) and elapsed < 0.25
 
 
 def _has_a_size_gap(c):

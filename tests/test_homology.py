@@ -228,7 +228,7 @@ def _union_of_spheres(rng):
     return complex_on(start, facets)
 
 
-def test_unions_of_spheres_match_exact_elimination(cold_caches):
+def test_unions_of_spheres_match_exact_elimination():
     rng = random.Random(29)
     for _ in range(50):
         c = _union_of_spheres(rng)
@@ -242,10 +242,11 @@ def _random_complex(rng):
     return complex_on(n, facets)
 
 
-def test_a_signature_is_ranked_once_and_eliminates_no_map(monkeypatch, cold_caches):
+def test_a_type_complex_is_ranked_by_its_terms_and_eliminates_no_map(monkeypatch):
     # The maps eliminated, by row count.  RP2's relative del_1 and del_2
-    # have 5 rows each (see above).  A mask complex is not cached: every
-    # call eliminates both maps again.
+    # have 5 rows each (see above); a mask complex has both maps
+    # eliminated on every call.
+    from test_complexes import count_type_checks, refuse_ranking
     c = complex_on(6, RP2)
     calls = []
     rank_int = kernels.rank_int
@@ -253,40 +254,26 @@ def test_a_signature_is_ranked_once_and_eliminates_no_map(monkeypatch, cold_cach
     for _ in range(2):
         assert reduced_homology_ranks(c) == {-1: 0, 0: 0, 1: 0, 2: 0}
     assert calls == [5, 5, 5, 5]
-    assert homology._ranks_cache == {}
     # The x-edge and the two triangles x_i y1 y2, a circle: its one class
-    # is the inner corner (1, 0) of the facet types (1, 2), (2, 0).  The
-    # first call ranks the signature by the hook formula, one cache
-    # entry, and eliminates no map; the second is answered from the cache.
+    # is the inner corner (1, 0) of the facet types (1, 2), (2, 0), and
+    # both facet terms vanish, as 2 > n - 1 = m - 1.  Each call checks
+    # the tuple once and adds up its terms, and eliminates no map.
     calls.clear()
-    ranked = []
+    checked, ranked = count_type_checks(monkeypatch), []
     hook_ranks = homology._hook_ranks
     monkeypatch.setattr(homology, "_hook_ranks", lambda c: ranked.append(c) or hook_ranks(c))
-    signature = (2, 2, ((1, 2), (2, 0)))
-    assert reduced_homology_ranks(signature) == {-1: 0, 0: 0, 1: 1, 2: 0}
-    assert reduced_homology_ranks(signature) == {-1: 0, 0: 0, 1: 1, 2: 0}
-    assert ranked == [signature] and calls == []
-    assert homology._ranks_cache == {signature: {-1: 0, 0: 0, 1: 1, 2: 0}}
+    circle = (2, 2, ((1, 2), (2, 0)))
+    assert list(homology._hook_terms(circle)) == [(2, 1, 2), (1, 2, 0), (1, 1, 0)]
+    assert reduced_homology_ranks(circle) == {-1: 0, 0: 0, 1: 1, 2: 0}
+    assert reduced_homology_ranks(circle) == {-1: 0, 0: 0, 1: 1, 2: 0}
+    assert ranked == checked == [circle, circle] and calls == []
+    # which terms are nonzero, read with no binomial: the least class
+    # below a bound
+    refuse_ranking(monkeypatch)
+    assert [homology.least_class(circle, below) for below in (1, 2, 3)] == [None, 1, 1]
 
 
-def test_a_warm_signature_is_not_ranked_or_checked_again(monkeypatch, cold_caches):
-    # a type complex ranked before is answered from the cache: the hook
-    # formula is not applied and the tuple is not checked again
-    from test_complexes import mask_complex
-    edges = [{x, y} for x in range(3) for y in range(3, 6)]
-    u = VariableUniverse(3, 3)
-    assert mask_complex(u, [(1, 1)]) == make_complex(u, edges)
-    assert reduced_homology_ranks((3, 3, ((1, 1),))) == {-1: 0, 0: 0, 1: 4}    # K_{3,3}: 9 - 6 + 1 cycles
-
-    def refuse(c):
-        raise AssertionError("a cached type complex ranked or checked again")
-
-    monkeypatch.setattr(homology, "_hook_ranks", refuse)
-    monkeypatch.setattr(homology, "_check_type_complex", refuse)
-    assert reduced_homology_ranks((3, 3, ((1, 1),))) == {-1: 0, 0: 0, 1: 4}
-
-
-def test_an_unused_block_is_not_the_star_vertex(cold_caches):
+def test_an_unused_block_is_not_the_star_vertex():
     # No type holds an x, so x_1 is no vertex of the complex: the blocks
     # swap and the star is taken at y_1.  One edge y1 y2, and the
     # boundary of the triangle on y1 y2 y3, each against its mask complex.
@@ -300,33 +287,46 @@ def test_an_unused_block_is_not_the_star_vertex(cold_caches):
 @pytest.mark.parametrize("c", [(2, 2, ((1, 2), (1, 1))), (2, 2, ((1, 1), (1, 2))),
                                (2, 2, ((1, 1), (1, 1))), (2, 2, ((3, 0),)), (2, 2, ((0, -1),)),
                                (2, 2, ())])
-def test_a_malformed_type_complex_is_refused(c, cold_caches):
+def test_a_malformed_type_complex_is_refused(c, monkeypatch):
     # T must be a nonempty antichain inside 0..n x 0..m; a type below
-    # another, or past a block, would be ranked by some other complex
+    # another, or past a block, would be ranked by some other complex.
+    # It is refused before any term of the hook formula is read.
     from mixedprod import duval_scm
+    refuse_terms(monkeypatch)
     for check in (reduced_homology_ranks, reisner_cm, duval_scm):
         with pytest.raises(InvalidInput):
             check(c)
-    assert homology._ranks_cache == {}
 
 
 @pytest.mark.parametrize("c", [(2, 2, [(1, 1)]), (2, 2, ([1, 1],)), (2, 2, ((1, 1, 0),)),
                                (2, 2, ((1.0, 1),)), ("2", 2, ((1, 1),)), (2, 2, 5), (2, 2),
                                (2, 2, ((1, 1),), 0)])
-def test_a_type_complex_not_of_int_pairs_is_refused(c, cold_caches):
-    # a type complex is the hashable value (n, m, T), T a tuple of int
-    # pairs; every entry point refuses anything else the same way
+def test_a_type_complex_not_of_int_pairs_is_refused(c, monkeypatch):
+    # a type complex is the value (n, m, T), T a tuple of int pairs;
+    # every entry point refuses anything else the same way, before any
+    # term is read
     from mixedprod import duval_scm
+    refuse_terms(monkeypatch)
     for check in (reduced_homology_ranks, reisner_cm, duval_scm):
         with pytest.raises(InvalidInput, match="is no type complex"):
             check(c)
-    assert homology._ranks_cache == {}
 
 
-def test_the_mask_path_caches_nothing(cold_caches):
+def refuse_terms(monkeypatch):
+    """Make every read of the hook formula's terms raise."""
+    def refuse(*args):
+        raise AssertionError("a term of the hook formula read")
+
+    monkeypatch.setattr(homology, "_hook_terms", refuse)
+
+
+def test_the_mask_path_caches_nothing(monkeypatch):
     # SimplicialComplexes, cones and not, are ranked from their own
-    # relative tables and leave the rank cache empty
+    # relative tables and read no term of the hook formula; and neither
+    # homology nor complexes keeps a table across calls
+    from mixedprod import complexes
     from test_complexes import generator_map_symmetric
+    refuse_terms(monkeypatch)
     rng = random.Random(53)
     checked = cones = 0
     while checked < 80:
@@ -337,8 +337,10 @@ def test_the_mask_path_caches_nothing(cold_caches):
         exact = _exact_ranks(c)
         assert reduced_homology_ranks(c) == exact
         checked += 1
-    assert homology._ranks_cache == {}
     assert 10 < cones < 70
+    for module in (homology, complexes):
+        assert not [name for name, value in vars(module).items()
+                    if isinstance(value, (dict, set, list)) and not name.startswith("__")]
 
 
 def _star_reference(c):
@@ -364,7 +366,7 @@ def test_relative_cells_are_the_faces_off_the_star():
     assert homology._relative_table(empty) == empty.face_table == {-1: [0]}
 
 
-def test_relative_ranks_match_the_absolute_ranks(cold_caches):
+def test_relative_ranks_match_the_absolute_ranks():
     rng = random.Random(41)
     with_homology = 0
     for _ in range(2000):
@@ -386,7 +388,7 @@ def test_relative_ranks_match_the_absolute_ranks(cold_caches):
     ([{0}, {1, 2}], {-1: 0, 0: 1, 1: 0}),                    # a point and an edge
     (RP2, {-1: 0, 0: 0, 1: 0, 2: 0}),                        # torsion only
 ])
-def test_relative_ranks_on_small_complexes(facets, expected, cold_caches):
+def test_relative_ranks_on_small_complexes(facets, expected):
     c = complex_on(6, facets)
     assert _exact_ranks(c) == expected
     assert reduced_homology_ranks(c) == expected

@@ -188,52 +188,52 @@ def test_each_closed_form_is_computed_once_per_spec(monkeypatch, level):
     assert shelled == sum(products.is_scm_closed_form(s).holds for s in specs) > 0
 
 
-def test_a_full_check_of_an_invariant_spec_builds_no_face_table(monkeypatch, cold_caches):
+def test_a_full_check_of_an_invariant_spec_builds_no_face_table(monkeypatch):
     # every Stanley-Reisner complex of a spec is S_n x S_m invariant, so
     # Reisner's and Duval's checks run on its facet types: no face table,
-    # no face list, no mask link and no mask relative table
+    # no face list, no mask link, no mask relative table and no rank;
+    # they read only which terms of the hook formula are nonzero
     from mixedprod import complexes, homology
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a mask-path step in a full check")
+        raise AssertionError("a mask-path step or a rank in a full check")
 
     for module, name in [(complexes, "_faces_by_dim"), (homology, "_faces_by_dim"),
                          (complexes, "all_faces"), (homology, "_relative_table"),
-                         (complexes, "link")]:
+                         (complexes, "link"), (complexes, "reduced_homology_ranks"),
+                         (homology, "comb")]:
         monkeypatch.setattr(module, name, refuse)
-    ranked = []
-    real = complexes.reduced_homology_ranks
-    monkeypatch.setattr(complexes, "reduced_homology_ranks",
-                        lambda lk: ranked.append(lk) or real(lk))
+    read = []
+    real = complexes.least_class
+    monkeypatch.setattr(complexes, "least_class", lambda c, below: read.append(c) or real(c, below))
     verdicts = set()
     for spec in enumerate_specs(4, 4, 3):
         record = check_spec(spec, "full")
         assert record["mismatches"] == [] and record["skipped"] == []
         verdicts.add((record["oracle"]["cm_reisner"], record["oracle"]["scm_duval"]))
     assert verdicts == {(True, True), (False, True), (False, False)}
-    assert ranked and all(type(lk) is tuple for lk in ranked)
-    assert homology._ranks_cache and all(type(k[2]) is tuple for k in homology._ranks_cache)
+    assert read and all(type(c) is tuple and type(c[2]) is tuple for c in read)
 
 
-def test_a_second_full_check_of_a_spec_walks_and_ranks_nothing(monkeypatch, cold_caches):
+def test_a_second_full_check_of_a_spec_walks_and_ranks_nothing(monkeypatch):
     # Reisner's and Duval's checks ask each type complex at its empty
-    # face alone, ranked by the hook formula, and the rank cache keeps
-    # its ranks: checking a spec eliminates no map, and checking it
-    # again walks no face and ranks no signature.  (The shelling checks
-    # of the SCM specs list their primes, so list_types is not refused.)
+    # face alone and read which terms of the hook formula are nonzero:
+    # checking a spec, once or twice, walks no face, ranks nothing,
+    # computes no binomial and eliminates no map, and the second check
+    # gives the first record.  (The shelling checks of the SCM specs
+    # list their primes, so list_types is not refused.)
     from mixedprod import complexes, homology, kernels
     specs = [normalize(VariableUniverse(3, 3), [(1, 2), (2, 1)]),   # neither CM nor SCM
              normalize(VariableUniverse(3, 3), [(1, 3)]),           # SCM, not CM
              normalize(VariableUniverse(3, 4), [(3, 4)])]           # CM
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a map eliminated, a face walked or a signature ranked again")
+        raise AssertionError("a map eliminated, a face walked or a type complex ranked")
 
-    monkeypatch.setattr(homology, "_ranks", refuse)
-    monkeypatch.setattr(kernels, "rank_int", refuse)
+    for module, name in [(homology, "_ranks"), (kernels, "rank_int"), (complexes, "_walk"),
+                         (homology, "_hook_ranks"), (homology, "comb")]:
+        monkeypatch.setattr(module, name, refuse)
     first = [check_spec(spec, "full") for spec in specs]
-    monkeypatch.setattr(complexes, "_walk", refuse)
-    monkeypatch.setattr(homology, "_hook_ranks", refuse)
     assert [check_spec(spec, "full") for spec in specs] == first
     verdicts = {(r["oracle"]["cm_reisner"], r["oracle"]["scm_duval"]) for r in first}
     assert verdicts == {(False, False), (False, True), (True, True)}
@@ -474,11 +474,13 @@ def test_generator_cap_is_a_recorded_skip():
     # I6 + J6 on 11 + 11 variables has 924 generators, but its dual I6J6
     # has 462 * 462, one per facet: past the generator cap, and past the
     # vertex cap first, which is the skip recorded.  The checks on types
-    # run; those that list the facets are skipped
+    # and the homology checks run at any size; the shelling checks, which
+    # list the facets, are skipped
     type_checks = set(sweep.ORACLE_CHECKS["fast"]) - {"shelling_order"}
+    homology_checks = type_checks | {"cm_reisner", "scm_duval"}
     big_dual = normalize(VariableUniverse(11, 11), [(6, 0), (0, 6)])
     record = check_spec(big_dual, "full")
-    assert set(record["oracle"]) == type_checks and record["mismatches"] == []
+    assert set(record["oracle"]) == homology_checks and record["mismatches"] == []
     assert record["skipped"] == [{"spec": spec_as_dict(big_dual), "reason": "vertex cap"}]
     # I5J5 has 462 * 462 generators, which are never listed, and its dual
     # I7 + J7 has 660: it is not sequentially CM, so at fast nothing is skipped
@@ -486,16 +488,18 @@ def test_generator_cap_is_a_recorded_skip():
     big_record = check_spec(big, "fast")
     assert set(big_record["oracle"]) == type_checks and big_record["mismatches"] == []
     assert big_record["skipped"] == []
+    # neither CM nor sequentially CM, no shelling check applies at full
+    # either: nothing is listed and nothing skipped
     wide = normalize(VariableUniverse(12, 11), [(1, 1)])     # 23 vertices
     small = normalize(VariableUniverse(2, 2), [(1, 1)])
     records = [record] + [check_spec(s, "full") for s in (wide, small)]
-    assert records[1]["skipped"][0]["reason"] == "vertex cap" and not records[2]["skipped"]
-    assert set(records[1]["oracle"]) == type_checks
+    assert not records[1]["skipped"] and not records[2]["skipped"]
+    assert set(records[1]["oracle"]) == homology_checks
     lines = oracle_coverage(SweepConfig(12, 11, 1, "full"), records)
     assert lines[0] == "dual_generators 3 of 3 specs"
     assert lines[-4:] == ["shelling_order 0 of 1 SCM specs (vertex cap 16)",
-                          "cm_reisner 1 of 3 specs (vertex cap 16)",
-                          "scm_duval 1 of 3 specs (vertex cap 16)",
+                          "cm_reisner 3 of 3 specs",
+                          "scm_duval 3 of 3 specs",
                           "shellable 0 of 1 CM specs (vertex cap 16)"]
     only_big = oracle_coverage(SweepConfig(11, 11, 1, "fast"), [check_spec(big_dual, "fast")])
     assert only_big[0] == "dual_generators 1 of 1 specs"
